@@ -270,6 +270,8 @@ def _read_new_item(path, vocab_size, mode):
 
 
 def cmd_predict(args):
+    if args.top < 1:
+        raise ArgumentError(f"--top must be at least 1, got {args.top}")
     net, factors = _load_model(args.model)
     num_users = factors.U.shape[0]
     if not 0 <= args.user < num_users:
@@ -292,8 +294,10 @@ def cmd_predict(args):
         train_path = _require_file(train_path, "train ratings")
         inputs.append(train_path)
         train = data.load_ratings(train_path)
-        ranked = metrics.rank(u.reshape(1, -1), factors.V,
-                              _SingleUserView(train, args.user),
+        seen = train.items_of(args.user)
+        one_user = data.RatingsMatrix(1, train.num_items,
+                                      np.column_stack([np.zeros_like(seen), seen]))
+        ranked = metrics.rank(u.reshape(1, -1), factors.V, one_user,
                               policy=metrics.EXCLUDE_TRAIN, limit=args.top)
         items = ranked.items[0]
         scores = factors.V[items] @ u
@@ -307,16 +311,6 @@ def cmd_predict(args):
     for line in lines:
         print(line)
     return 0
-
-
-class _SingleUserView:
-    """Adapter exposing one user's training items as user 0."""
-
-    def __init__(self, ratings, user):
-        self._items = ratings.items_of(user)
-
-    def items_of(self, user):
-        return self._items
 
 
 def cmd_sample(args):
@@ -412,6 +406,8 @@ def _round_robin_folds(ratings, n_folds, seed):
 
 
 def cmd_grid(args):
+    if args.folds < 2:
+        raise ArgumentError(f"--folds must be at least 2, got {args.folds}")
     config_path = _require_file(args.config, "config")
     ratings_path = _require_file(args.ratings, "ratings")
     content_path = _require_file(args.content, "content")

@@ -225,9 +225,13 @@ def load_content(path, mode=BINARY_PRESENCE, num_items=None, vocab_size=None):
                 item, word, count = int(fields[0]), int(fields[1]), float(fields[2])
             except ValueError:
                 raise ParseError(f"{path}:{lineno}: bad field in {line!r}") from None
-            if count <= 0:
+            if not (count > 0 and math.isfinite(count)):
                 raise ValidationError(
-                    f"{path}:{lineno}: count must be positive, got {count}"
+                    f"{path}:{lineno}: count must be positive and finite, got {count}"
+                )
+            if num_items is not None and item >= num_items:
+                raise ValidationError(
+                    f"{path}:{lineno}: item id {item} outside [0, {num_items})"
                 )
             if vocab_size is not None and word >= vocab_size:
                 raise ValidationError(

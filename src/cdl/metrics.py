@@ -109,19 +109,6 @@ def map_at_500(ranked, test, cutoff=MAP_CUTOFF):
     return sum(values) / len(values) if values else 0.0
 
 
-def precision_at_m(ranked, test, m):
-    """Debug-only mean precision; implicit-feedback zeros make it unreliable
-    as a headline number."""
-    values = []
-    for user in range(ranked.num_users):
-        liked = test.items_of(user)
-        if len(liked) == 0:
-            continue
-        hits = np.intersect1d(ranked.items[user][:m], liked).size
-        values.append(hits / m)
-    return sum(values) / len(values) if values else 0.0
-
-
 @dataclass
 class MetricReport:
     """Per-repetition metric values with their mean and sample std."""

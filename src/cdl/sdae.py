@@ -101,14 +101,6 @@ class DropoutMask:
     """
 
     scales: dict = field(default_factory=dict)
-    rate: float = 0.0
-    seed: int = 0
-
-    def scale_rows(self, layer, rows=None):
-        arr = self.scales.get(layer)
-        if arr is None or rows is None:
-            return arr
-        return arr[rows]
 
 
 def dropout_mask(widths, num_rows, rate, seed):
@@ -123,7 +115,7 @@ def dropout_mask(widths, num_rows, rate, seed):
             continue
         keep = rng.random((num_rows, widths[l])) >= rate
         scales[l] = keep / (1.0 - rate)
-    return DropoutMask(scales, rate, seed)
+    return DropoutMask(scales)
 
 
 def init_network(widths, seed, lambda_w=1.0):
@@ -177,54 +169,54 @@ def _dense_rows(m, rows):
     return part
 
 
+def _input(net, x):
+    X = _as_matrix(x)
+    if X.shape[1] != net.widths[0]:
+        raise ShapeError(
+            f"input width {X.shape[1]} does not match network input {net.widths[0]}"
+        )
+    return X
+
+
+def _propagate(net, X, scales=None, depth=None):
+    """The sigmoid layer recursion through layer ``depth`` (default: all).
+
+    ``scales`` maps a layer to the dropout scales multiplied into its
+    output; layers without an entry pass the plain activation on.
+    """
+    depth = net.num_layers if depth is None else depth
+    outputs = [X]
+    raws = [X]
+    for l in range(1, depth + 1):
+        act = expit(outputs[-1] @ net.weights[l - 1] + net.biases[l - 1])
+        raws.append(act)
+        outputs.append(act * scales[l] if scales and l in scales else act)
+    return ForwardTrace(outputs, raws)
+
+
 def forward(net, x0, mask=None):
     """Row-wise forward pass; returns the full :class:`ForwardTrace`.
 
     ``mask`` applies inverted-scaling dropout to its layers (training path);
     without a mask every activation is the plain sigmoid.
     """
-    X = _as_matrix(x0)
-    if X.shape[1] != net.widths[0]:
-        raise ShapeError(
-            f"input width {X.shape[1]} does not match network input {net.widths[0]}"
-        )
-    outputs = [X]
-    raws = [X]
-    cur = X
-    for l in range(1, net.num_layers + 1):
-        act = expit(cur @ net.weights[l - 1] + net.biases[l - 1])
-        scale = mask.scale_rows(l) if mask is not None else None
-        out = act * scale if scale is not None else act
-        raws.append(act)
-        outputs.append(out)
-        cur = out
-    return ForwardTrace(outputs, raws)
+    return _propagate(net, _input(net, x0), mask.scales if mask is not None else None)
 
 
-def _half_forward(net, x, depth):
-    arr = _as_matrix(x)
-    if arr.shape[1] != net.widths[0]:
-        raise ShapeError(
-            f"input width {arr.shape[1]} does not match network input {net.widths[0]}"
-        )
-    cur = arr
-    for l in range(1, depth + 1):
-        cur = expit(cur @ net.weights[l - 1] + net.biases[l - 1])
-    return cur
+def _output_at(net, x, depth):
+    one_row = np.ndim(x) == 1 and not sp.issparse(x) and not hasattr(x, "matrix")
+    out = _propagate(net, _input(net, x), depth=depth).layer_outputs[-1]
+    return out[0] if one_row else out
 
 
 def encode(net, x):
     """Middle-layer code of the (corrupted) content rows; 1-D in, 1-D out."""
-    one_row = np.ndim(x) == 1 and not sp.issparse(x) and not hasattr(x, "matrix")
-    out = _half_forward(net, x, net.middle)
-    return out[0] if one_row else out
+    return _output_at(net, x, net.middle)
 
 
 def reconstruct(net, x):
     """Final-layer reconstruction of the (corrupted) content rows."""
-    one_row = np.ndim(x) == 1 and not sp.issparse(x) and not hasattr(x, "matrix")
-    out = _half_forward(net, x, net.num_layers)
-    return out[0] if one_row else out
+    return _output_at(net, x, net.num_layers)
 
 
 def gradients(net, x0, xc, item_factors, lambda_v, lambda_n, lambda_w,
@@ -262,10 +254,8 @@ def gradients(net, x0, xc, item_factors, lambda_v, lambda_n, lambda_w,
     step = num_rows if batch_size is None else int(batch_size)
     for start in range(0, num_rows, max(step, 1)):
         rows = slice(start, min(start + step, num_rows))
-        batch_scales = None
-        if mask is not None and mask.scales:
-            batch_scales = {l: arr[rows] for l, arr in mask.scales.items()}
-        trace = _forward_batch(net, X0[rows], batch_scales)
+        scales = {} if mask is None else {l: arr[rows] for l, arr in mask.scales.items()}
+        trace = _propagate(net, X0[rows], scales)
         outs, raws = trace.layer_outputs, trace.raw_outputs
         for l in range(1, L + 1):
             if not np.isfinite(raws[l]).all():
@@ -274,27 +264,14 @@ def gradients(net, x0, xc, item_factors, lambda_v, lambda_n, lambda_w,
         for l in range(L, 0, -1):
             if l == mid:
                 g = g + lambda_v * (outs[l] - V[rows])
-            if batch_scales is not None and l in batch_scales:
-                g = g * batch_scales[l]
+            if l in scales:
+                g = g * scales[l]
             delta = g * raws[l] * (1.0 - raws[l])
             grads_w[l - 1] -= outs[l - 1].T @ delta
             grads_b[l - 1] -= delta.sum(axis=0)
             if l > 1:
                 g = delta @ net.weights[l - 1].T
     return grads_w, grads_b
-
-
-def _forward_batch(net, X, batch_scales):
-    outputs = [X]
-    raws = [X]
-    cur = X
-    for l in range(1, net.num_layers + 1):
-        act = expit(cur @ net.weights[l - 1] + net.biases[l - 1])
-        out = act * batch_scales[l] if batch_scales and l in batch_scales else act
-        raws.append(act)
-        outputs.append(out)
-        cur = out
-    return ForwardTrace(outputs, raws)
 
 
 def coupling_residuals(net, x0, xc, item_factors, batch_size=None):
@@ -309,7 +286,7 @@ def coupling_residuals(net, x0, xc, item_factors, batch_size=None):
     rec_ss = 0.0
     for start in range(0, num_rows, max(step, 1)):
         rows = slice(start, min(start + step, num_rows))
-        trace = _forward_batch(net, X0[rows], None)
+        trace = _propagate(net, X0[rows])
         enc_diff = trace.layer_outputs[net.middle] - V[rows]
         rec_diff = trace.layer_outputs[net.num_layers] - _dense_rows(Xc, rows)
         enc_ss += float(np.sum(enc_diff * enc_diff))

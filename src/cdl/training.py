@@ -237,21 +237,21 @@ def _row_tsv(row):
 
 
 class _ReportWriter:
-    """Streams report rows to an append-only TSV as training progresses."""
+    """Appends rows to a report and streams each to an append-only TSV."""
 
     def __init__(self, path):
         self.path = path
-        self._started = False
+        self.report = TrainReport()
 
     def write(self, row):
+        self.report.rows.append(row)
         if self.path is None:
             return
-        mode = "a" if self._started else "w"
-        with open(self.path, mode, encoding="utf-8") as fh:
-            if not self._started:
+        first = len(self.report.rows) == 1
+        with open(self.path, "w" if first else "a", encoding="utf-8") as fh:
+            if first:
                 fh.write("\t".join(REPORT_COLUMNS) + "\n")
             fh.write(_row_tsv(row))
-        self._started = True
 
 
 def objective_terms(ratings, U, V, conf, lambda_u, lambda_v, lambda_n, lambda_w,
@@ -266,26 +266,22 @@ def objective_terms(ratings, U, V, conf, lambda_u, lambda_v, lambda_n, lambda_w,
     """
     U = np.asarray(U, dtype=np.float64)
     V = np.asarray(V, dtype=np.float64)
-    terms = {
+    reconstructs = net is not None and lambda_n > 0
+    if reconstructs:
+        # the reconstruction pass yields the code residual as well
+        offset_ss, rec_ss = sdae.coupling_residuals(net, x0, content, V, batch_size)
+    if v_prior_mean is not None or not reconstructs:
+        if v_prior_mean is None and net is not None:
+            v_prior_mean = sdae.encode(net, x0)
+        diff = V if v_prior_mean is None else V - v_prior_mean
+        offset_ss = float(np.sum(diff * diff))
+    return {
         "user_prior": -0.5 * lambda_u * float(np.sum(U * U)),
         "weight_prior": -0.5 * lambda_w * net.squared_norm() if net is not None else 0.0,
+        "item_offset": -0.5 * lambda_v * offset_ss,
+        "reconstruction": -0.5 * lambda_n * rec_ss if reconstructs else 0.0,
+        "rating": mf.rating_objective(U, V, ratings, conf),
     }
-    if net is not None and lambda_n > 0 and v_prior_mean is None:
-        enc_ss, rec_ss = sdae.coupling_residuals(net, x0, content, V, batch_size)
-        terms["item_offset"] = -0.5 * lambda_v * enc_ss
-        terms["reconstruction"] = -0.5 * lambda_n * rec_ss
-    else:
-        if v_prior_mean is None:
-            v_prior_mean = sdae.encode(net, x0) if net is not None else np.zeros_like(V)
-        diff = V - v_prior_mean
-        terms["item_offset"] = -0.5 * lambda_v * float(np.sum(diff * diff))
-        if net is not None and lambda_n > 0:
-            _, rec_ss = sdae.coupling_residuals(net, x0, content, V, batch_size)
-            terms["reconstruction"] = -0.5 * lambda_n * rec_ss
-        else:
-            terms["reconstruction"] = 0.0
-    terms["rating"] = mf.rating_objective(U, V, ratings, conf)
-    return terms
 
 
 def objective(ratings, U, V, conf, lambda_u, lambda_v, lambda_n, lambda_w,
@@ -328,92 +324,141 @@ class _MomentumState:
         return dup
 
 
+@dataclass
+class _State:
+    """What a sweep replaces: the factors, the network with its velocities,
+    and the corrupted input the network last trained on."""
+
+    U: np.ndarray
+    V: np.ndarray
+    net: sdae.SdaeNetwork | None = None
+    momentum: _MomentumState | None = None
+    x0: object = None
+
+    def copy(self):
+        return _State(self.U.copy(), self.V.copy(), self.net.copy(),
+                      self.momentum.copy(), self.x0)
+
+
 def _next_seed(seedseq):
     return seedseq.spawn(1)[0]
 
 
-def _joint_fit(ratings, content, hyper, lambda_n, report_path=None, batch_size=None):
-    hyper.require_finite("lambda_u", "lambda_v", "lambda_n", "lambda_w")
-    conf = hyper.confidence()
-    if content.num_items != ratings.num_items:
-        raise ShapeError(
-            f"content has {content.num_items} items, ratings {ratings.num_items}"
-        )
-    widths = hyper.network_widths(content.vocab_size)
-    root = np.random.SeedSequence(hyper.seed)
-    net_seed, noise_seq, mask_seq = root.spawn(3)
-    net = sdae.init_network(widths, net_seed, hyper.lambda_w)
-    momentum = _MomentumState(net)
-    x0 = corrupt(content, hyper.noise_level, _next_seed(noise_seq))
-    V = sdae.encode(net, x0)
-    U = np.zeros((ratings.num_users, hyper.n_factors))
+def _sweep_loop(writer, state, step, evaluate, hyper, trains_network, may_stop):
+    """Run ``hyper.max_sweeps`` sweeps of ``step(state, learning_rate)`` and
+    report ``evaluate(state)``, a (total, terms) pair, after each one.
 
+    Sweep numbers continue the report; an empty report first gets row 0, the
+    state before any sweep.  When the step trains the network, a NumericError
+    or a non-finite objective restores the pre-sweep state and halves the
+    learning rate; after MAX_LR_HALVINGS halvings it raises TrainingError
+    carrying the last good state.  Otherwise errors propagate and every row
+    is kept.  A phase that may stop early ends after ``early_stop_patience``
+    consecutive sweeps whose relative objective change is below
+    ``early_stop_tol``.  Returns the final state.
+    """
+    report = writer.report
+    if not report.rows:
+        total, terms = evaluate(state)
+        writer.write(SweepRow(0, total, **terms, seconds=0.0))
+    end = len(report.rows) + hyper.max_sweeps
     lr = hyper.learning_rate
     halvings = 0
-    writer = _ReportWriter(report_path)
-    report = TrainReport()
-
-    def evaluate(sweep, seconds):
-        total, terms = objective(
-            ratings, U, V, conf, hyper.lambda_u, hyper.lambda_v, lambda_n,
-            hyper.lambda_w, net=net, x0=x0, content=content,
-            batch_size=batch_size, check=False,
-        )
-        return SweepRow(sweep, total, terms["user_prior"], terms["weight_prior"],
-                        terms["item_offset"], terms["reconstruction"],
-                        terms["rating"], seconds)
-
-    row = evaluate(0, 0.0)
-    report.rows.append(row)
-    writer.write(row)
-
     streak = 0
-    sweep = 1
-    while sweep <= hyper.max_sweeps:
-        snapshot = (U.copy(), V.copy(), net.copy(), momentum.copy(), x0)
+    while len(report.rows) < end:
+        saved = state.copy() if trains_network else None
         start = time.perf_counter()
         try:
-            U = mf.sweep_users(V, ratings, conf, hyper.lambda_u)
-            encodings = sdae.encode(net, x0)
-            V = mf.sweep_items(U, ratings, conf, hyper.lambda_v, encodings)
-            for _ in range(hyper.epochs_per_block):
-                x0 = corrupt(content, hyper.noise_level, _next_seed(noise_seq))
-                mask = None
-                if hyper.dropout_rate > 0:
-                    mask = sdae.dropout_mask(widths, ratings.num_items,
-                                             hyper.dropout_rate, _next_seed(mask_seq))
-                grads_w, grads_b = sdae.gradients(
-                    net, x0, content, V, hyper.lambda_v, lambda_n,
-                    hyper.lambda_w, mask=mask, batch_size=batch_size,
-                )
-                momentum.step(net, grads_w, grads_b, lr, hyper.momentum)
-            row = evaluate(sweep, time.perf_counter() - start)
-            diverged = not math.isfinite(row.total)
+            step(state, lr)
+            seconds = time.perf_counter() - start
+            total, terms = evaluate(state)
+            diverged = trains_network and not math.isfinite(total)
         except NumericError:
+            if not trains_network:
+                raise
             diverged = True
         if diverged:
-            U, V, net, momentum, x0 = snapshot
+            state = saved
             halvings += 1
             if halvings > MAX_LR_HALVINGS:
                 raise TrainingError(
                     f"objective stayed non-finite after {MAX_LR_HALVINGS} "
                     "learning-rate halvings",
-                    checkpoint={"net": net, "factors": LatentFactors(U, V),
+                    checkpoint={"net": state.net,
+                                "factors": LatentFactors(state.U, state.V),
                                 "report": report},
                 )
             lr *= 0.5
             continue
-        report.rows.append(row)
-        writer.write(row)
+        writer.write(SweepRow(len(report.rows), total, **terms, seconds=seconds))
+        if not may_stop:
+            continue
         prev = report.rows[-2].total
-        if abs(row.total - prev) / max(abs(row.total), 1e-300) < hyper.early_stop_tol:
+        if abs(total - prev) / max(abs(total), 1e-300) < hyper.early_stop_tol:
             streak += 1
             if streak >= hyper.early_stop_patience:
                 break
         else:
             streak = 0
-        sweep += 1
-    return net, LatentFactors(U, V), report
+    return state
+
+
+def _factor_sweep(state, ratings, conf, hyper, prior_mean):
+    """One exact user pass, then one exact item pass toward ``prior_mean``."""
+    state.U = mf.sweep_users(state.V, ratings, conf, hyper.lambda_u)
+    state.V = mf.sweep_items(state.U, ratings, conf, hyper.lambda_v, prior_mean)
+
+
+def _network_setup(ratings, content, hyper, batch_size):
+    """Seeded network and first corruption, plus the epoch block that trains
+    the network toward given item factors (joint and two-step share both)."""
+    hyper.require_finite("lambda_u", "lambda_v", "lambda_n", "lambda_w")
+    if content.num_items != ratings.num_items:
+        raise ShapeError(
+            f"content has {content.num_items} items, ratings {ratings.num_items}"
+        )
+    widths = hyper.network_widths(content.vocab_size)
+    net_seed, noise_seq, mask_seq = np.random.SeedSequence(hyper.seed).spawn(3)
+    net = sdae.init_network(widths, net_seed, hyper.lambda_w)
+    x0 = corrupt(content, hyper.noise_level, _next_seed(noise_seq))
+    state = _State(np.zeros((ratings.num_users, hyper.n_factors)),
+                   sdae.encode(net, x0), net, _MomentumState(net), x0)
+
+    def train_block(state, lr, V, lambda_v, lambda_n):
+        for _ in range(hyper.epochs_per_block):
+            state.x0 = corrupt(content, hyper.noise_level, _next_seed(noise_seq))
+            mask = None
+            if hyper.dropout_rate > 0:
+                mask = sdae.dropout_mask(widths, ratings.num_items,
+                                         hyper.dropout_rate, _next_seed(mask_seq))
+            grads_w, grads_b = sdae.gradients(
+                state.net, state.x0, content, V, lambda_v, lambda_n,
+                hyper.lambda_w, mask=mask, batch_size=batch_size,
+            )
+            state.momentum.step(state.net, grads_w, grads_b, lr, hyper.momentum)
+
+    return state, train_block
+
+
+def _joint_fit(ratings, content, hyper, lambda_n, report_path=None, batch_size=None):
+    state, train_block = _network_setup(ratings, content, hyper, batch_size)
+    conf = hyper.confidence()
+
+    def step(state, lr):
+        _factor_sweep(state, ratings, conf, hyper, sdae.encode(state.net, state.x0))
+        train_block(state, lr, state.V, hyper.lambda_v, lambda_n)
+
+    def evaluate(state):
+        return objective(
+            ratings, state.U, state.V, conf, hyper.lambda_u, hyper.lambda_v,
+            lambda_n, hyper.lambda_w, net=state.net, x0=state.x0,
+            content=content, batch_size=batch_size, check=False,
+        )
+
+    writer = _ReportWriter(report_path)
+    state = _sweep_loop(writer, state, step, evaluate, hyper,
+                        trains_network=True, may_stop=True)
+    return state.net, LatentFactors(state.U, state.V), writer.report
 
 
 def fit(ratings, content, hyper, report_path=None, batch_size=None):
@@ -436,99 +481,49 @@ def fit_two_step(ratings, content, hyper, report_path=None, batch_size=None):
     """Degenerate variant that first trains the autoencoder on reconstruction
     alone (ratings never enter), freezes the encodings, then runs factor
     sweeps with the frozen encodings as the item-prior mean."""
-    hyper.require_finite("lambda_u", "lambda_v", "lambda_n", "lambda_w")
+    state, train_block = _network_setup(ratings, content, hyper, batch_size)
     conf = hyper.confidence()
-    if content.num_items != ratings.num_items:
-        raise ShapeError(
-            f"content has {content.num_items} items, ratings {ratings.num_items}"
-        )
-    widths = hyper.network_widths(content.vocab_size)
-    root = np.random.SeedSequence(hyper.seed)
-    net_seed, noise_seq, mask_seq = root.spawn(3)
-    net = sdae.init_network(widths, net_seed, hyper.lambda_w)
-    momentum = _MomentumState(net)
-    x0 = corrupt(content, hyper.noise_level, _next_seed(noise_seq))
-
+    zero_v = np.zeros_like(state.V)
     writer = _ReportWriter(report_path)
-    report = TrainReport()
-    U = np.zeros((ratings.num_users, hyper.n_factors))
-    zero_v = np.zeros((ratings.num_items, hyper.n_factors))
-
-    def evaluate(sweep, seconds, V, v_prior_mean, rec_ss=None):
-        if rec_ss is None:
-            total, terms = objective(
-                ratings, U, V, conf, hyper.lambda_u, hyper.lambda_v,
-                hyper.lambda_n, hyper.lambda_w, net=net, x0=x0, content=content,
-                v_prior_mean=v_prior_mean, batch_size=batch_size, check=False,
-            )
-        else:
-            # factor phase: network is frozen, reuse the cached reconstruction
-            terms = objective_terms(
-                ratings, U, V, conf, hyper.lambda_u, hyper.lambda_v, 0.0,
-                hyper.lambda_w, net=net, v_prior_mean=v_prior_mean,
-            )
-            terms["reconstruction"] = -0.5 * hyper.lambda_n * rec_ss
-            total = sum(terms.values())
-        return SweepRow(sweep, total, terms["user_prior"], terms["weight_prior"],
-                        terms["item_offset"], terms["reconstruction"],
-                        terms["rating"], seconds)
 
     # reconstruction phase: the item prior tracks the current encodings, so
     # the offset term stays 0 while only the autoencoder trains
-    V = sdae.encode(net, x0)
-    row = evaluate(0, 0.0, V, V)
-    report.rows.append(row)
-    writer.write(row)
-    lr = hyper.learning_rate
-    halvings = 0
-    sweep = 1
-    while sweep <= hyper.max_sweeps:
-        snapshot = (net.copy(), momentum.copy(), x0)
-        start = time.perf_counter()
-        try:
-            for _ in range(hyper.epochs_per_block):
-                x0 = corrupt(content, hyper.noise_level, _next_seed(noise_seq))
-                mask = None
-                if hyper.dropout_rate > 0:
-                    mask = sdae.dropout_mask(widths, ratings.num_items,
-                                             hyper.dropout_rate, _next_seed(mask_seq))
-                grads_w, grads_b = sdae.gradients(
-                    net, x0, content, zero_v, 0.0, hyper.lambda_n,
-                    hyper.lambda_w, mask=mask, batch_size=batch_size,
-                )
-                momentum.step(net, grads_w, grads_b, lr, hyper.momentum)
-            V = sdae.encode(net, x0)
-            row = evaluate(sweep, time.perf_counter() - start, V, V)
-            diverged = not math.isfinite(row.total)
-        except NumericError:
-            diverged = True
-        if diverged:
-            net, momentum, x0 = snapshot
-            halvings += 1
-            if halvings > MAX_LR_HALVINGS:
-                raise TrainingError(
-                    f"objective stayed non-finite after {MAX_LR_HALVINGS} "
-                    "learning-rate halvings",
-                    checkpoint={"net": net, "report": report},
-                )
-            lr *= 0.5
-            continue
-        report.rows.append(row)
-        writer.write(row)
-        sweep += 1
+    def train_network(state, lr):
+        train_block(state, lr, zero_v, 0.0, hyper.lambda_n)
+        state.V = sdae.encode(state.net, state.x0)
 
-    # factor phase with frozen encodings
-    encodings = sdae.encode(net, x0)
-    _, rec_ss = sdae.coupling_residuals(net, x0, content, encodings, batch_size)
-    V = encodings.copy()
-    for sweep in range(hyper.max_sweeps + 1, 2 * hyper.max_sweeps + 1):
-        start = time.perf_counter()
-        U = mf.sweep_users(V, ratings, conf, hyper.lambda_u)
-        V = mf.sweep_items(U, ratings, conf, hyper.lambda_v, encodings)
-        row = evaluate(sweep, time.perf_counter() - start, V, encodings, rec_ss)
-        report.rows.append(row)
-        writer.write(row)
-    return net, LatentFactors(U, V), report
+    def network_objective(state):
+        return objective(
+            ratings, state.U, state.V, conf, hyper.lambda_u, hyper.lambda_v,
+            hyper.lambda_n, hyper.lambda_w, net=state.net, x0=state.x0,
+            content=content, v_prior_mean=state.V, batch_size=batch_size,
+            check=False,
+        )
+
+    state = _sweep_loop(writer, state, train_network, network_objective, hyper,
+                        trains_network=True, may_stop=False)
+
+    # factor phase with frozen encodings: the network is fixed, so its
+    # reconstruction term is computed once
+    encodings = sdae.encode(state.net, state.x0)
+    _, rec_ss = sdae.coupling_residuals(state.net, state.x0, content, encodings,
+                                        batch_size)
+    state.V = encodings.copy()
+
+    def factor_objective(state):
+        terms = objective_terms(
+            ratings, state.U, state.V, conf, hyper.lambda_u, hyper.lambda_v, 0.0,
+            hyper.lambda_w, net=state.net, v_prior_mean=encodings,
+        )
+        terms["reconstruction"] = -0.5 * hyper.lambda_n * rec_ss
+        return sum(terms.values()), terms
+
+    state = _sweep_loop(
+        writer, state,
+        lambda state, lr: _factor_sweep(state, ratings, conf, hyper, encodings),
+        factor_objective, hyper, trains_network=False, may_stop=False,
+    )
+    return state.net, LatentFactors(state.U, state.V), writer.report
 
 
 def fit_mf_baseline(ratings, hyper, report_path=None):
@@ -542,36 +537,18 @@ def fit_mf_baseline(ratings, hyper, report_path=None):
     rng = np.random.default_rng(np.random.SeedSequence(hyper.seed))
     V = rng.normal(scale=hyper.lambda_v ** -0.5,
                    size=(ratings.num_items, hyper.n_factors))
-    U = np.zeros((ratings.num_users, hyper.n_factors))
     zero_mean = np.zeros_like(V)
-    writer = _ReportWriter(report_path)
-    report = TrainReport()
 
-    def evaluate(sweep, seconds):
-        total, terms = objective(
-            ratings, U, V, conf, hyper.lambda_u, hyper.lambda_v, hyper.lambda_n,
-            hyper.lambda_w, v_prior_mean=zero_mean,
+    def evaluate(state):
+        return objective(
+            ratings, state.U, state.V, conf, hyper.lambda_u, hyper.lambda_v,
+            hyper.lambda_n, hyper.lambda_w, v_prior_mean=zero_mean,
         )
-        return SweepRow(sweep, total, terms["user_prior"], terms["weight_prior"],
-                        terms["item_offset"], terms["reconstruction"],
-                        terms["rating"], seconds)
 
-    row = evaluate(0, 0.0)
-    report.rows.append(row)
-    writer.write(row)
-    streak = 0
-    for sweep in range(1, hyper.max_sweeps + 1):
-        start = time.perf_counter()
-        U = mf.sweep_users(V, ratings, conf, hyper.lambda_u)
-        V = mf.sweep_items(U, ratings, conf, hyper.lambda_v, zero_mean)
-        row = evaluate(sweep, time.perf_counter() - start)
-        report.rows.append(row)
-        writer.write(row)
-        prev = report.rows[-2].total
-        if abs(row.total - prev) / max(abs(row.total), 1e-300) < hyper.early_stop_tol:
-            streak += 1
-            if streak >= hyper.early_stop_patience:
-                break
-        else:
-            streak = 0
-    return LatentFactors(U, V), report
+    writer = _ReportWriter(report_path)
+    state = _sweep_loop(
+        writer, _State(np.zeros((ratings.num_users, hyper.n_factors)), V),
+        lambda state, lr: _factor_sweep(state, ratings, conf, hyper, zero_mean),
+        evaluate, hyper, trains_network=False, may_stop=True,
+    )
+    return LatentFactors(state.U, state.V), writer.report

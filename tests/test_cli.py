@@ -231,6 +231,14 @@ class TestPredictCommand:
         assert "user" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("top", [0, -1])
+    def test_top_below_one_rejected(self, trained, tmp_path, capsys, top):
+        code = run_cli("predict", "--model", trained["model"], "--user", 0,
+                       "--top", top, "--out", tmp_path / "pred5")
+        assert code == 1
+        assert "--top" in capsys.readouterr().err
+
+
 class TestSampleCommand:
     def test_chain_outputs(self, dataset, tmp_path):
         config = tmp_path / "chain_config.txt"
@@ -296,6 +304,15 @@ class TestGridCommand:
                     "--select-m", 5, "--threads", threads, "--out", out)
             outs.append((out / "grid_runs.tsv").read_text())
         assert outs[0] == outs[1]
+
+
+    @pytest.mark.parametrize("folds", [0, 1])
+    def test_fewer_than_two_folds_rejected(self, dataset, tmp_path, capsys, folds):
+        code = run_cli("grid", "--config", dataset["config"],
+                       "--ratings", dataset["ratings"], "--content", dataset["content"],
+                       "--folds", folds, "--out", tmp_path / "grid0")
+        assert code == 1
+        assert "--folds" in capsys.readouterr().err
 
 
 class TestManifest:

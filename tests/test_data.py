@@ -82,12 +82,20 @@ class TestLoadContent:
         path = write(tmp_path, "c.tsv", "0\t9\t1\n")
         with pytest.raises(ValidationError, match="word id 9"):
             data.load_content(path, vocab_size=5)
+        path = write(tmp_path, "d.tsv", "0\t1\t1\n30\t2\t1\n")
+        with pytest.raises(ValidationError, match=r"d\.tsv:2: item id 30"):
+            data.load_content(path, num_items=30)
 
     def test_nonpositive_count(self, tmp_path):
         with pytest.raises(ValidationError, match="positive"):
             data.load_content(write(tmp_path, "a.tsv", "0\t0\t-2\n"))
         with pytest.raises(ValidationError, match="positive"):
             data.load_content(write(tmp_path, "b.tsv", "0\t0\t0\n"))
+        for name, count in (("n.tsv", "nan"), ("i.tsv", "inf")):
+            path = write(tmp_path, name, f"0\t0\t1\n1\t0\t{count}\n")
+            for mode in (data.BINARY_PRESENCE, data.COUNT_MAXNORM):
+                with pytest.raises(ValidationError, match=f"{name}:2: count must be positive and finite"):
+                    data.load_content(path, mode=mode)
 
     def test_values_stay_in_unit_interval(self, tmp_path):
         rng = np.random.default_rng(0)

@@ -139,18 +139,24 @@ class TestFit:
             net.biases[l] += eta * gb[l]
         assert objective_now() >= before
 
-    def test_divergence_raises_with_checkpoint(self):
+    @pytest.mark.parametrize("fit_fn", [training.fit, training.fit_encoder_only,
+                                        training.fit_two_step],
+                             ids=["fit", "fit_encoder_only", "fit_two_step"])
+    def test_divergence_raises_with_checkpoint(self, fit_fn):
         ratings, content = tiny_dataset(seed=13)
         hyper = tiny_hyper(learning_rate=1e200, momentum=0.0, epochs_per_block=1,
                            max_sweeps=3)
         with pytest.raises(TrainingError) as err:
-            training.fit(ratings, content, hyper)
+            fit_fn(ratings, content, hyper)
         checkpoint = err.value.checkpoint
         assert checkpoint is not None
         assert np.isfinite(checkpoint["factors"].U).all()
         assert all(np.isfinite(w).all() for w in checkpoint["net"].weights)
 
-    def test_divergence_recovery_by_halving(self, monkeypatch):
+    @pytest.mark.parametrize("fit_fn, rows", [
+        (training.fit, 4), (training.fit_encoder_only, 4), (training.fit_two_step, 7),
+    ], ids=["fit", "fit_encoder_only", "fit_two_step"])
+    def test_divergence_recovery_by_halving(self, monkeypatch, fit_fn, rows):
         # force two failing epochs, then let training proceed: the policy
         # must restore the pre-sweep state, halve the rate, and complete
         ratings, content = tiny_dataset(seed=13)
@@ -165,10 +171,11 @@ class TestFit:
             return real_gradients(*args, **kwargs)
 
         monkeypatch.setattr(training.sdae, "gradients", flaky_gradients)
-        _, _, report = training.fit(ratings, content, hyper)
+        _, _, report = fit_fn(ratings, content, hyper)
         assert np.isfinite(report.totals()).all()
-        assert len(report.rows) == hyper.max_sweeps + 1
-        # two failures plus the three successful sweeps
+        assert len(report.rows) == rows
+        assert [row.sweep for row in report.rows] == list(range(rows))
+        # two failures plus the three successful network sweeps
         assert calls["n"] == 5
 
     def test_shape_mismatch_rejected(self):
