@@ -89,15 +89,19 @@ def _require_file(path, what):
 
 
 def _parse_m_grid(text):
-    if ":" in text:
-        parts = [int(tok) for tok in text.split(":")]
-        if len(parts) != 3 or parts[2] < 1 or parts[1] < parts[0]:
-            raise ArgumentError(f"bad M grid {text!r}; want start:stop:step")
-        return tuple(range(parts[0], parts[1] + 1, parts[2]))
-    grid = tuple(int(tok) for tok in text.split(","))
-    if not grid or min(grid) < 1:
-        raise ArgumentError(f"bad M grid {text!r}")
-    return grid
+    ranged = ":" in text
+    try:
+        grid = [int(tok) for tok in text.split(":" if ranged else ",")]
+    except ValueError:
+        raise ArgumentError(
+            f"--m-grid {text!r}: want integers, as start:stop:step or M1,M2,...") from None
+    if ranged:
+        if len(grid) != 3 or grid[2] < 1 or grid[1] < grid[0]:
+            raise ArgumentError(f"--m-grid {text!r}: want start:stop:step, step >= 1")
+        grid = range(grid[0], grid[1] + 1, grid[2])
+    if min(grid) < 1:
+        raise ArgumentError(f"--m-grid {text!r}: every M must be at least 1")
+    return tuple(grid)
 
 
 def cmd_split(args):
@@ -252,23 +256,6 @@ def cmd_eval(args):
     return 0
 
 
-def _read_new_item(path, vocab_size, mode):
-    """One item's content as word<TAB>count lines, normalized like a content row."""
-    triples = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise ArgumentError(f"{path}:{lineno}: expected 'word<TAB>count'")
-            triples.append((0, int(fields[0]), float(fields[1])))
-    content = data.content_from_triples(triples, mode=mode, num_items=1,
-                                        vocab_size=vocab_size)
-    return content.row(0)
-
-
 def cmd_predict(args):
     if args.top < 1:
         raise ArgumentError(f"--top must be at least 1, got {args.top}")
@@ -286,7 +273,8 @@ def cmd_predict(args):
             raise ArgumentError("cold-start scoring needs a network checkpoint")
         content_path = _require_file(args.item_content, "item content")
         inputs.append(content_path)
-        x = _read_new_item(content_path, net.widths[0], args.content_mode)
+        x = data.load_content(content_path, mode=args.content_mode, num_items=1,
+                              vocab_size=net.widths[0], item_column=False).row(0)
         score = mf.predict_new_item(u, sdae.encode(net, x))
         lines.append(f"new\t{score:.17g}")
     else:
@@ -408,6 +396,8 @@ def _round_robin_folds(ratings, n_folds, seed):
 def cmd_grid(args):
     if args.folds < 2:
         raise ArgumentError(f"--folds must be at least 2, got {args.folds}")
+    if args.select_m < 1:
+        raise ArgumentError(f"--select-m must be at least 1, got {args.select_m}")
     config_path = _require_file(args.config, "config")
     ratings_path = _require_file(args.ratings, "ratings")
     content_path = _require_file(args.content, "content")

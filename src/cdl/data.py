@@ -203,13 +203,16 @@ def save_ratings(ratings, path):
             fh.write(f"{u}\t{j}\n")
 
 
-def load_content(path, mode=BINARY_PRESENCE, num_items=None, vocab_size=None):
+def load_content(path, mode=BINARY_PRESENCE, num_items=None, vocab_size=None,
+                 item_column=True):
     """Read item/word/count triples and normalize them into [0, 1].
 
     Counts of duplicate (item, word) pairs are accumulated.  Items in
     [0, num_items) without any triple stay all-zero and are logged as a
-    warning.
+    warning.  With ``item_column=False`` each line is ``word<TAB>count`` and
+    belongs to item 0: the content of one new item.
     """
+    layout = "item<TAB>word<TAB>count" if item_column else "word<TAB>count"
     triples = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -217,10 +220,10 @@ def load_content(path, mode=BINARY_PRESENCE, num_items=None, vocab_size=None):
             if not line.strip() or line.startswith("#"):
                 continue
             fields = line.split("\t")
+            if not item_column:
+                fields = ["0"] + fields
             if len(fields) != 3:
-                raise ParseError(
-                    f"{path}:{lineno}: expected 'item<TAB>word<TAB>count', got {line!r}"
-                )
+                raise ParseError(f"{path}:{lineno}: expected '{layout}', got {line!r}")
             try:
                 item, word, count = int(fields[0]), int(fields[1]), float(fields[2])
             except ValueError:

@@ -3,6 +3,11 @@
 Per-user lists are sorted by predicted rating descending with ties broken by
 ascending item id, so ranking is a pure function of its inputs.  Users with
 no held-out liked items are excluded from every mean.
+
+Ranking scores users in blocks of ``BLOCK_USERS`` with one matrix product,
+so its working memory is bounded by one block of scores; each list is cut to
+the limit by a partial sort.  The metrics read one users x positions hit
+matrix instead of intersecting lists user by user.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ArgumentError, ShapeError
+from .exceptions import ArgumentError, NumericError, ShapeError
 
 EXCLUDE_TRAIN = "exclude-train"
 ALL_ITEMS = "all-items"
@@ -19,12 +24,15 @@ ALL_ITEMS = "all-items"
 DEFAULT_M_GRID = (50, 100, 150, 200, 250, 300)
 MAP_CUTOFF = 500
 
+BLOCK_USERS = 128  # users scored per matrix product
+_LOWEST = np.finfo(np.float64).min  # below every finite score, above -inf
+
 
 @dataclass
 class RankedList:
     """Per-user item rankings (descending score) under a candidate policy."""
 
-    items: list          # one int array per user
+    items: list          # one int array of distinct item ids per user
     policy: str
 
     @property
@@ -37,76 +45,151 @@ def rank(U, V, train=None, policy=EXCLUDE_TRAIN, limit=None):
 
     Under the default exclude-train policy the user's training items are
     removed from the candidates; ``limit`` truncates each list after sorting
-    (keep it >= max(M, cutoff) for downstream metrics).
+    (keep it >= max(M, cutoff) for downstream metrics).  Every score must be
+    finite: a non-finite one raises :class:`NumericError`.
     """
     if policy not in (EXCLUDE_TRAIN, ALL_ITEMS):
         raise ArgumentError(f"unknown candidate policy {policy!r}")
     if policy == EXCLUDE_TRAIN and train is None:
         raise ArgumentError("exclude-train policy needs the training matrix")
+    if limit is not None and limit < 0:
+        raise ArgumentError(f"limit must be non-negative, got {limit}")
     U = np.asarray(U, dtype=np.float64)
     V = np.asarray(V, dtype=np.float64)
     if U.shape[1] != V.shape[1]:
         raise ShapeError("factor widths differ")
-    num_items = V.shape[0]
-    ids = np.arange(num_items)
+    num_users, num_items = U.shape[0], V.shape[0]
+    exclude = policy == EXCLUDE_TRAIN
+    if exclude and (train.num_users < num_users or train.num_items > num_items):
+        raise ShapeError(
+            f"training matrix {train.num_users} x {train.num_items} does not "
+            f"cover {num_users} users x {num_items} items"
+        )
+    keep = num_items if limit is None else min(limit, num_items)
+    pairs = train.pairs if exclude else None
     lists = []
-    for i in range(U.shape[0]):
-        scores = V @ U[i]
-        order = np.lexsort((ids, -scores))
-        if policy == EXCLUDE_TRAIN:
-            drop = np.zeros(num_items, dtype=bool)
-            drop[train.items_of(i)] = True
-            order = order[~drop[order]]
-        if limit is not None:
-            order = order[:limit]
-        lists.append(order)
+    for lo in range(0, num_users, BLOCK_USERS):
+        hi = min(lo + BLOCK_USERS, num_users)
+        with np.errstate(over="ignore", invalid="ignore"):
+            scores = U[lo:hi] @ V.T  # a non-finite score is raised below
+        finite = np.isfinite(scores)
+        if not finite.all():
+            user = lo + int(np.flatnonzero(~finite.all(axis=1))[0])
+            raise NumericError(f"non-finite predicted score for user {user}")
+        if exclude:
+            seen = pairs[np.searchsorted(pairs[:, 0], lo):np.searchsorted(pairs[:, 0], hi)]
+            scores[seen[:, 0] - lo, seen[:, 1]] = -np.inf
+        # every candidate scoring at least the keep-th largest score survives,
+        # ties at the cut included, so the id tie-break decides who is cut
+        cut = np.full(hi - lo, _LOWEST if keep else np.inf)
+        if 0 < keep < num_items:
+            cut = np.maximum(
+                np.partition(scores, num_items - keep, axis=1)[:, num_items - keep], _LOWEST)
+        flat = np.flatnonzero(scores >= cut[:, None])
+        rows, cols = np.divmod(flat, num_items)
+        # lay the survivors out one row per user, ids ascending, padded with
+        # +inf; a stable sort on -score then breaks ties by ascending id
+        counts = np.bincount(rows, minlength=hi - lo)
+        at = np.arange(flat.size) - (np.cumsum(counts) - counts)[rows]
+        neg = np.full((hi - lo, counts.max()), np.inf)
+        neg[rows, at] = -scores.ravel()[flat]
+        ids = np.zeros(neg.shape, dtype=np.int64)
+        ids[rows, at] = cols
+        order = np.argsort(neg, axis=1, kind="stable")[:, :keep]
+        ranked = np.take_along_axis(ids, order, axis=1)
+        lists.extend(ranked[row, :min(count, keep)].copy() for row, count in enumerate(counts))
     return RankedList(lists, policy)
+
+
+def _hit_matrix(ranked, test, width):
+    """Boolean users x positions matrix (is the item at that position of the
+    user's list held out for them?) over the first ``width`` positions, cut to
+    the longest list, with the number of held-out items per user."""
+    num_users = ranked.num_users
+    if num_users > test.num_users:
+        raise ShapeError(f"{num_users} ranked users but the test matrix has {test.num_users}")
+    heads = [np.asarray(items[:width], dtype=np.int64) for items in ranked.items]
+    lengths = np.array([len(h) for h in heads], dtype=np.int64)
+    flat = np.concatenate(heads) if heads else np.empty(0, dtype=np.int64)
+    hits = np.zeros((num_users, int(lengths.max(initial=0))), dtype=bool)
+    rows = np.repeat(np.arange(num_users), lengths)
+    cols = np.arange(flat.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    # held-out (user, item) pairs as a bit set over user * base + item
+    base = max(test.num_items, int(flat.max(initial=-1)) + 1)
+    held = test.pairs[:, 0] * base + test.pairs[:, 1]
+    bits = np.zeros((test.num_users * base + 7) // 8, dtype=np.uint8)
+    np.bitwise_or.at(bits, held >> 3, (1 << (held & 7)).astype(np.uint8))
+    keys = rows * base + flat
+    hits[rows, cols] = (bits[keys >> 3] >> (keys & 7)) & 1
+    liked = np.bincount(test.pairs[:, 0], minlength=test.num_users)[:num_users]
+    return hits, liked
+
+
+def _mean(values):
+    return sum(values) / len(values) if values else 0.0
+
+
+def _recalls(ranked, test, m_grid):
+    """Per-user recall (held-out users only) at every M of the grid."""
+    m_grid = [int(m) for m in m_grid]
+    if any(m < 1 for m in m_grid):
+        raise ArgumentError("M must be at least 1")
+    hits, liked = _hit_matrix(ranked, test, max(m_grid, default=0))
+    found = np.cumsum(hits, axis=1)
+    users = np.flatnonzero(liked)
+    out = {}
+    for m in m_grid:
+        width = min(m, found.shape[1])
+        counts = found[users, width - 1] if width else np.zeros(len(users), dtype=np.int64)
+        out[m] = dict(zip(users.tolist(), (counts / liked[users]).tolist()))
+    return out
 
 
 def recall_at_m(ranked, test, m):
     """Per-user and mean recall of the held-out liked items in the top M."""
-    if m < 1:
-        raise ArgumentError("M must be at least 1")
-    per_user = {}
-    for user in range(ranked.num_users):
-        liked = test.items_of(user)
-        if len(liked) == 0:
-            continue
-        hits = np.intersect1d(ranked.items[user][:m], liked).size
-        per_user[user] = hits / len(liked)
-    mean = sum(per_user.values()) / len(per_user) if per_user else 0.0
-    return per_user, mean
+    per_user = _recalls(ranked, test, [m])[int(m)]
+    return per_user, _mean(list(per_user.values()))
 
 
 def recall_curve(ranked, test, m_grid=DEFAULT_M_GRID):
     """Mean recall at every M of the grid; non-decreasing in M."""
-    return {int(m): recall_at_m(ranked, test, m)[1] for m in m_grid}
+    return {m: _mean(list(per_user.values()))
+            for m, per_user in _recalls(ranked, test, m_grid).items()}
+
+
+def _average_precisions(hits, liked):
+    """AP of each row of a hit matrix: precision at each hit, summed in rank
+    order, over the row's number of liked items."""
+    if hits.shape[1] == 0:
+        return np.zeros(hits.shape[0])
+    found = np.cumsum(hits, axis=1)
+    gains = np.where(hits, found / np.arange(1, hits.shape[1] + 1), 0.0)
+    # cumsum adds left to right, as the scalar loop did; sum() would pair terms
+    return np.cumsum(gains, axis=1)[:, -1] / liked
+
+
+def _check_cutoff(cutoff):
+    if cutoff < 1:
+        raise ArgumentError(f"mAP cutoff must be at least 1, got {cutoff}")
 
 
 def average_precision(ranked_items, liked, cutoff=MAP_CUTOFF):
     """AP of one list: mean over liked items of precision at each hit rank,
     counting only hits at rank <= cutoff."""
+    _check_cutoff(cutoff)
     liked = set(int(j) for j in liked)
     if not liked:
         raise ArgumentError("average precision needs at least one liked item")
-    hits = 0
-    score = 0.0
-    for pos, item in enumerate(ranked_items[:cutoff], start=1):
-        if int(item) in liked:
-            hits += 1
-            score += hits / pos
-    return score / len(liked)
+    hits = np.array([int(item) in liked for item in ranked_items[:cutoff]], dtype=bool)
+    return float(_average_precisions(hits.reshape(1, -1), np.array([len(liked)]))[0])
 
 
 def map_at_500(ranked, test, cutoff=MAP_CUTOFF):
     """Mean average precision with a per-user rank cutoff (500 by default)."""
-    values = []
-    for user in range(ranked.num_users):
-        liked = test.items_of(user)
-        if len(liked) == 0:
-            continue
-        values.append(average_precision(ranked.items[user], liked, cutoff))
-    return sum(values) / len(values) if values else 0.0
+    _check_cutoff(cutoff)
+    hits, liked = _hit_matrix(ranked, test, cutoff)
+    users = liked > 0
+    return _mean(_average_precisions(hits[users], liked[users]).tolist())
 
 
 @dataclass

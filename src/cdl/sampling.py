@@ -21,7 +21,7 @@ from scipy.special import expit
 from . import sdae
 from .data import corrupt
 from .exceptions import ArgumentError, NumericError
-from .factors import _item_system, _solve_spd, _user_system, rating_objective
+from .factors import _item_system, _user_system, rating_objective
 
 ACCEPT_TARGET = 0.32  # inside the 20-40% adaptation band
 ADAPT_GAIN = 1.0
@@ -108,16 +108,17 @@ def grad_logpost_x_row(layer, num_layers, x, prev_row, w_in, b_in, lambda_s, *,
 def _gaussian_draw(A, rhs, rng):
     """One draw from N(mean, A^-1) where mean solves A mean = rhs.
 
-    The mean is computed through the same SPD solve as the MAP block updates,
-    so it matches them bit for bit.
+    One Cholesky factorization serves both the mean, solved as in the MAP
+    block updates so it matches them bit for bit, and the draw, which reads
+    only the factor's upper triangle.
     """
-    mean = _solve_spd(A, rhs)
     try:
-        upper = scipy.linalg.cholesky(A, lower=False)
+        factor = scipy.linalg.cho_factor(A, lower=False)
+        mean = scipy.linalg.cho_solve(factor, rhs)
     except (scipy.linalg.LinAlgError, ValueError) as exc:
         raise NumericError(f"covariance factorization failed: {exc}") from exc
     z = rng.standard_normal(len(rhs))
-    return mean + scipy.linalg.solve_triangular(upper, z, lower=False)
+    return mean + scipy.linalg.solve_triangular(factor[0], z, lower=False)
 
 
 def sample_u(V, rated_items, conf, lambda_u, rng):

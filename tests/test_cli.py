@@ -150,6 +150,14 @@ class TestEvalCommand:
         args = parser.parse_args(["eval", "--model", "m", "--test", "t", "--out", "o"])
         assert args.m_grid == "50:300:50"
 
+    @pytest.mark.parametrize("grid", ["x", "50:abc:50", "0:300:50"])
+    def test_bad_m_grid_rejected(self, trained, tmp_path, capsys, grid):
+        code = run_cli("eval", "--model", trained["model"],
+                       "--test", trained["split"] / "test.tsv",
+                       "--m-grid", grid, "--out", tmp_path / "eval_bad")
+        assert code == 1
+        assert "--m-grid" in capsys.readouterr().err
+
     def test_train_path_comes_from_manifest(self, trained, tmp_path):
         # no --train flag: the model manifest records the ratings file
         out = tmp_path / "eval2"
@@ -223,6 +231,15 @@ class TestPredictCommand:
         x[3] = 1.0
         expected = mf.predict_new_item(factors.U[1], sdae.encode(net, x))
         assert score == expected
+
+    @pytest.mark.parametrize("bad_line", ["x\t1", "99\t1", "2\tnan"])
+    def test_bad_item_content_line_rejected(self, trained, tmp_path, capsys, bad_line):
+        item_file = tmp_path / "bad_item.tsv"
+        item_file.write_text("0\t2\n" + bad_line + "\n")
+        code = run_cli("predict", "--model", trained["model"], "--user", 1,
+                       "--item-content", item_file, "--out", tmp_path / "pred_bad")
+        assert code == 1
+        assert f"{item_file}:2" in capsys.readouterr().err
 
     def test_unknown_user_rejected(self, trained, tmp_path, capsys):
         code = run_cli("predict", "--model", trained["model"], "--user", 999,
@@ -313,6 +330,16 @@ class TestGridCommand:
                        "--folds", folds, "--out", tmp_path / "grid0")
         assert code == 1
         assert "--folds" in capsys.readouterr().err
+
+
+    def test_select_m_below_one_rejected_before_training(self, dataset, tmp_path, capsys):
+        out = tmp_path / "grid_m0"
+        code = run_cli("grid", "--config", dataset["config"],
+                       "--ratings", dataset["ratings"], "--content", dataset["content"],
+                       "--folds", 3, "--select-m", 0, "--out", out)
+        assert code == 1
+        assert "--select-m" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestManifest:

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cdl import data, metrics
-from cdl.exceptions import ArgumentError
+from cdl.exceptions import ArgumentError, NumericError
 from cdl.factors import LatentFactors
 
 
@@ -91,6 +94,77 @@ class TestRank:
         b = metrics.rank(U, V, train)
         for x, y in zip(a.items, b.items):
             np.testing.assert_array_equal(x, y)
+
+
+    @pytest.mark.parametrize("bad", [np.nan, 1e200])
+    def test_non_finite_score_raises(self, bad):
+        # 1e200 * 1e200 overflows to inf: the factors are finite, the score is not
+        U = np.array([[1.0], [bad]])
+        V = np.array([[1.0], [1e200]])
+        with pytest.raises(NumericError, match="user 1"):
+            metrics.rank(U, V, policy=metrics.ALL_ITEMS)
+
+    def test_negative_limit_rejected(self):
+        rng = np.random.default_rng(10)
+        U, V, train, _ = random_instance(rng, 3, 6)
+        with pytest.raises(ArgumentError, match="limit"):
+            metrics.rank(U, V, train, limit=-1)
+
+    @pytest.mark.parametrize("limit", [None, 3])
+    @pytest.mark.parametrize("policy", [metrics.EXCLUDE_TRAIN, metrics.ALL_ITEMS])
+    def test_lists_do_not_pin_larger_buffers(self, policy, limit):
+        # a list that is a view of a block-sized array would keep the whole
+        # block alive for as long as the ranking lives
+        rng = np.random.default_rng(11)
+        U, V, train, _ = random_instance(rng, metrics.BLOCK_USERS + 3, 40)
+        ranked = metrics.rank(U, V, train, policy=policy, limit=limit)
+        for items in ranked.items:
+            assert items.base is None or items.base.size <= items.size
+
+
+@st.composite
+def tied_instances(draw):
+    """Integer-valued factors (scores are exact and tie often) on user counts
+    on both sides of a block boundary; the last user has every item in train."""
+    num_users = draw(st.one_of(
+        st.integers(1, 4),
+        st.integers(metrics.BLOCK_USERS - 1, 2 * metrics.BLOCK_USERS + 1)))
+    num_items = draw(st.integers(1, 9))
+    k = draw(st.integers(1, 3))
+    U = draw(hnp.arrays(np.int8, (num_users, k), elements=st.integers(-2, 2)))
+    V = draw(hnp.arrays(np.int8, (num_items, k), elements=st.integers(-2, 2)))
+    # 0: unrated, 1: train, 2: held out
+    state = draw(hnp.arrays(np.int8, (num_users, num_items), elements=st.integers(0, 2)))
+    state[-1] = 1
+    train = data.RatingsMatrix(num_users, num_items, np.argwhere(state == 1))
+    test = data.RatingsMatrix(num_users, num_items, np.argwhere(state == 2))
+    limit = draw(st.one_of(st.none(), st.sampled_from([0, 1, num_items + 2]),
+                           st.integers(0, num_items)))
+    policy = draw(st.sampled_from([metrics.EXCLUDE_TRAIN, metrics.ALL_ITEMS]))
+    return U.astype(float), V.astype(float) / 2, train, test, limit, policy
+
+
+class TestRankProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(tied_instances())
+    def test_rank_and_metrics_match_naive_oracle(self, instance):
+        U, V, train, test, limit, policy = instance
+        ranked = metrics.rank(U, V, train, policy=policy, limit=limit)
+        orders = [naive_rank(U, V, train, policy, u)[:limit] for u in range(len(U))]
+        assert [list(items) for items in ranked.items] == orders
+        held = [u for u in range(len(U)) if len(test.items_of(u))]
+        grid = (1, 2, V.shape[0] + 1)
+        curve = metrics.recall_curve(ranked, test, grid)
+        for m in grid:
+            expected = {u: naive_recall(orders[u], test.items_of(u), m) for u in held}
+            per_user, mean = metrics.recall_at_m(ranked, test, m)
+            assert per_user == expected
+            want = sum(expected.values()) / len(held) if held else 0.0
+            assert mean == want and curve[m] == want
+        for cutoff in (1, 3, 500):
+            aps = [naive_ap(orders[u], test.items_of(u), cutoff) for u in held]
+            want = sum(aps) / len(aps) if aps else 0.0
+            assert metrics.map_at_500(ranked, test, cutoff) == want
 
 
 class TestRecall:
@@ -195,6 +269,24 @@ class TestBruteForceOracle:
                 aps.append(naive_ap(order, liked, 500))
             if aps:
                 assert got_map == sum(aps) / len(aps)
+
+
+    def test_long_lists_match_naive_ap_exactly(self):
+        # many hits per list: AP must add precisions in rank order, as the
+        # oracle does; a pairwise sum rounds differently
+        rng = np.random.default_rng(12)
+        num_users, num_items = 40, 700
+        orders = [rng.permutation(num_items) for _ in range(num_users)]
+        pairs = [(u, j) for u in range(num_users)
+                 for j in rng.choice(num_items, size=80, replace=False)]
+        test = data.RatingsMatrix(num_users, num_items, pairs)
+        ranked = metrics.RankedList(orders, metrics.ALL_ITEMS)
+        for cutoff in (100, 500):
+            aps = [naive_ap(list(orders[u]), test.items_of(u), cutoff)
+                   for u in range(num_users)]
+            assert metrics.map_at_500(ranked, test, cutoff) == sum(aps) / len(aps)
+            for u in range(num_users):
+                assert metrics.average_precision(orders[u], test.items_of(u), cutoff) == aps[u]
 
 
 class TestAggregate:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from cdl import data, factors as mf, sampling, sdae
 from cdl.exceptions import ArgumentError
@@ -202,6 +203,28 @@ class TestConjugateDraws:
         draw = sampling.sample_v(U, rated, self.scalar_conf, 2.0, enc, _ZeroNoise())
         np.testing.assert_array_equal(
             draw, mf.update_item(U, rated, self.scalar_conf, 2.0, enc))
+
+    @pytest.mark.parametrize("k", [5, 50])
+    def test_draw_is_map_mean_plus_cholesky_solve(self, k):
+        # one factorization serves mean and draw; pin it against a separate
+        # cholesky() of the same system, bit for bit
+        rng = np.random.default_rng(11 + k)
+        U, V = rng.normal(size=(30, k)), rng.normal(size=(40, k))
+        users, items = np.array([2, 7, 19]), np.array([0, 4, 5, 33])
+        enc = rng.normal(size=k)
+        z = np.random.default_rng(3).standard_normal(k)
+        cases = [
+            (lambda r: sampling.sample_u(V, items, self.scalar_conf, 0.8, r),
+             mf._user_system(V, items, self.scalar_conf, 0.8)[0],
+             mf.update_user(V, items, self.scalar_conf, 0.8)),
+            (lambda r: sampling.sample_v(U, users, self.scalar_conf, 2.0, enc, r),
+             mf._item_system(U, users, self.scalar_conf, 2.0, enc)[0],
+             mf.update_item(U, users, self.scalar_conf, 2.0, enc)),
+        ]
+        for draw, A, mean in cases:
+            expected = mean + scipy.linalg.solve_triangular(
+                scipy.linalg.cholesky(A, lower=False), z, lower=False)
+            np.testing.assert_array_equal(draw(np.random.default_rng(3)), expected)
 
     def test_scalar_user_monte_carlo_mean(self):
         # K=1 case with closed-form mean 1/2.01 = 0.497512...
