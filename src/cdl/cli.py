@@ -105,6 +105,10 @@ def _parse_m_grid(text):
 
 
 def cmd_split(args):
+    if args.P < 1:
+        raise ArgumentError(f"--P must be at least 1, got {args.P}")
+    if args.reps < 1:
+        raise ArgumentError(f"--reps must be at least 1, got {args.reps}")
     ratings_path = _require_file(args.ratings, "ratings")
     ratings = data.load_ratings(ratings_path)
     out = Path(args.out)
@@ -302,6 +306,10 @@ def cmd_predict(args):
 
 
 def cmd_sample(args):
+    if args.thin < 1:
+        raise ArgumentError(f"--thin must be at least 1, got {args.thin}")
+    if args.iters <= args.burn_in:
+        raise ArgumentError(f"--iters {args.iters} must exceed --burn-in {args.burn_in}")
     config_path = _require_file(args.config, "config")
     ratings_path = _require_file(args.ratings, "ratings")
     content_path = _require_file(args.content, "content")

@@ -16,6 +16,7 @@ from __future__ import annotations
 import logging
 import math
 import re
+import zipfile
 from collections import defaultdict
 from dataclasses import dataclass
 
@@ -192,7 +193,26 @@ def load_ratings(path):
         num_users = int(arr[:, 0].max()) + 1 if len(arr) else 0
     if num_items is None:
         num_items = int(arr[:, 1].max()) + 1 if len(arr) else 0
-    return RatingsMatrix(num_users, num_items, arr)
+    try:
+        return RatingsMatrix(num_users, num_items, arr)
+    except ValidationError:
+        raise ValidationError(_bad_pair_line(path, num_users, num_items)) from None
+
+
+def _bad_pair_line(path, num_users, num_items):
+    """``file:line: reason`` of the first pair RatingsMatrix rejects; the file
+    is read again, so only a rejected file pays for line numbers."""
+    seen = set()
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if line.strip() and not line.startswith("#"):
+                u, j = (int(field) for field in line.split("\t"))
+                if (u, j) in seen:
+                    return f"{path}:{lineno}: duplicate rating pair ({u}, {j})"
+                if not (0 <= u < num_users and 0 <= j < num_items):
+                    return (f"{path}:{lineno}: pair ({u}, {j}) outside "
+                            f"[0, {num_users}) x [0, {num_items})")
+                seen.add((u, j))
 
 
 def save_ratings(ratings, path):
@@ -201,6 +221,23 @@ def save_ratings(ratings, path):
         fh.write(f"# users={ratings.num_users} items={ratings.num_items}\n")
         for u, j in ratings.pairs:
             fh.write(f"{u}\t{j}\n")
+
+
+def read_npz(path, build):
+    """``build(arrays)`` on the dict of every array in an npz checkpoint.  A
+    file that is not an npz, holds pickled (object) arrays or lacks a key
+    ``build`` looks up raises ParseError naming the path (and the key)."""
+    try:
+        archive = np.load(path)
+        if not isinstance(archive, np.lib.npyio.NpzFile):
+            raise ValueError("not an npz archive")
+        with archive:
+            arrays = {key: archive[key] for key in archive.files}
+        return build(arrays)
+    except KeyError as exc:
+        raise ParseError(f"{path}: no array {exc.args[0]!r} in the checkpoint") from None
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise ParseError(f"{path}: unreadable checkpoint: {exc}") from None
 
 
 def load_content(path, mode=BINARY_PRESENCE, num_items=None, vocab_size=None,

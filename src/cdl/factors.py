@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from .data import read_npz
 from .exceptions import NumericError, ShapeError, ValidationError
 
 
@@ -55,77 +56,80 @@ class LatentFactors:
 
 
 def _solve_spd(A, rhs):
+    """x solving A x = rhs for SPD A, and the upper Cholesky factor of A
+    (only its upper triangle is meaningful) for callers that reuse it."""
     try:
-        c, low = scipy.linalg.cho_factor(A)
-        return scipy.linalg.cho_solve((c, low), rhs)
+        factor = scipy.linalg.cho_factor(A)
+        return scipy.linalg.cho_solve(factor, rhs), factor[0]
     except (scipy.linalg.LinAlgError, ValueError) as exc:
         raise NumericError(f"SPD solve failed: {exc}") from exc
 
 
-def _user_system(V, rated_items, conf, lambda_u, gram=None):
-    K = V.shape[1]
-    if gram is None:
-        gram = V.T @ V
-    A = lambda_u * np.eye(K) + conf.b * gram
-    if len(rated_items):
-        Vo = V[rated_items]
-        A += (conf.a - conf.b) * (Vo.T @ Vo)
-        rhs = conf.a * Vo.sum(axis=0)
-    else:
-        rhs = np.zeros(K)
-    return A, rhs
+def _base(F, lam, conf):
+    """lam*I + b*F^T F: the part of the system every row of a pass shares."""
+    return lam * np.eye(F.shape[1]) + conf.b * (F.T @ F)
 
 
-def _item_system(U, rated_users, conf, lambda_v, encoding, gram=None):
-    K = U.shape[1]
-    if gram is None:
-        gram = U.T @ U
-    A = lambda_v * np.eye(K) + conf.b * gram
-    rhs = lambda_v * np.asarray(encoding, dtype=np.float64)
-    if rhs.shape != (K,):
-        raise ShapeError(f"encoding width {rhs.shape} != ({K},)")
-    if len(rated_users):
-        Uo = U[rated_users]
-        A += (conf.a - conf.b) * (Uo.T @ Uo)
-        rhs = rhs + conf.a * Uo.sum(axis=0)
-    return A, rhs
+def _row_system(F, rows, conf, lam, base, prior=None):
+    """One row's system: A = base + (a-b) F_o^T F_o over the observed
+    ``rows`` of F, rhs = lam * prior + a * sum(F_o); users have no prior."""
+    if not len(rows):
+        return base, np.zeros(F.shape[1]) if prior is None else lam * prior
+    Fo = F[rows]
+    pull = conf.a * Fo.sum(axis=0)
+    rhs = pull if prior is None else lam * prior + pull
+    return base + (conf.a - conf.b) * (Fo.T @ Fo), rhs
 
 
-def update_user(V, rated_items, conf, lambda_u, gram=None):
+def _user_system(V, rated_items, conf, lambda_u):
+    return _row_system(V, rated_items, conf, lambda_u, _base(V, lambda_u, conf))
+
+
+def _item_system(U, rated_users, conf, lambda_v, encoding):
+    encoding = np.asarray(encoding, dtype=np.float64)
+    if encoding.shape != (U.shape[1],):
+        raise ShapeError(f"encoding width {encoding.shape} != ({U.shape[1]},)")
+    return _row_system(U, rated_users, conf, lambda_v, _base(U, lambda_v, conf), encoding)
+
+
+def update_user(V, rated_items, conf, lambda_u):
     """Exact maximizer of the joint objective in one user vector.
 
-    ``rated_items`` are the item ids with an observed rating (value 1);
-    ``gram`` may pass a precomputed V.T @ V shared across a sweep.
+    ``rated_items`` are the item ids with an observed rating (value 1).
     """
-    A, rhs = _user_system(V, rated_items, conf, lambda_u, gram)
-    return _solve_spd(A, rhs)
+    return _solve_spd(*_user_system(V, rated_items, conf, lambda_u))[0]
 
 
-def update_item(U, rated_users, conf, lambda_v, encoding, gram=None):
+def update_item(U, rated_users, conf, lambda_v, encoding):
     """Exact maximizer in one item vector, pulled toward its content encoding."""
-    A, rhs = _item_system(U, rated_users, conf, lambda_v, encoding, gram)
-    return _solve_spd(A, rhs)
+    return _solve_spd(*_item_system(U, rated_users, conf, lambda_v, encoding))[0]
 
 
-def user_gradient(u, V, rated_items, conf, lambda_u, gram=None):
+def user_gradient(u, V, rated_items, conf, lambda_u):
     """Gradient of the joint objective w.r.t. one user vector (zero at the
     update_user output, up to solver round-off)."""
-    A, rhs = _user_system(V, rated_items, conf, lambda_u, gram)
+    A, rhs = _user_system(V, rated_items, conf, lambda_u)
     return rhs - A @ u
 
 
-def item_gradient(v, U, rated_users, conf, lambda_v, encoding, gram=None):
-    A, rhs = _item_system(U, rated_users, conf, lambda_v, encoding, gram)
+def item_gradient(v, U, rated_users, conf, lambda_v, encoding):
+    A, rhs = _item_system(U, rated_users, conf, lambda_v, encoding)
     return rhs - A @ v
 
 
+def _sweep(F, count, rows_of, conf, lam, priors=None):
+    """Exact updates of ``count`` mutually independent rows against F."""
+    base = _base(F, lam, conf)
+    out = np.empty((count, F.shape[1]))
+    for r in range(count):
+        prior = None if priors is None else priors[r]
+        out[r] = _solve_spd(*_row_system(F, rows_of(r), conf, lam, base, prior))[0]
+    return out
+
+
 def sweep_users(V, ratings, conf, lambda_u):
-    """One full pass of exact user updates; rows are mutually independent."""
-    gram = V.T @ V
-    U = np.empty((ratings.num_users, V.shape[1]))
-    for i in range(ratings.num_users):
-        U[i] = update_user(V, ratings.items_of(i), conf, lambda_u, gram=gram)
-    return U
+    """One full pass of exact user updates."""
+    return _sweep(V, ratings.num_users, ratings.items_of, conf, lambda_u)
 
 
 def sweep_items(U, ratings, conf, lambda_v, encodings):
@@ -135,11 +139,7 @@ def sweep_items(U, ratings, conf, lambda_v, encodings):
         raise ShapeError(
             f"encodings shape {encodings.shape} != {(ratings.num_items, U.shape[1])}"
         )
-    gram = U.T @ U
-    V = np.empty((ratings.num_items, U.shape[1]))
-    for j in range(ratings.num_items):
-        V[j] = update_item(U, ratings.users_of(j), conf, lambda_v, encodings[j], gram=gram)
-    return V
+    return _sweep(U, ratings.num_items, ratings.users_of, conf, lambda_v, encodings)
 
 
 def predict(u, v):
@@ -189,8 +189,7 @@ def save_factors(factors, path):
 
 
 def load_factors(path):
-    with np.load(path) as blob:
-        return LatentFactors(blob["U"], blob["V"])
+    return read_npz(path, lambda arrays: LatentFactors(arrays["U"], arrays["V"]))
 
 
 def export_factors_text(factors, path):
@@ -201,8 +200,6 @@ def export_factors_text(factors, path):
             f"n_factors={factors.n_factors}\n"
         )
         fh.write("# U\n")
-        for row in factors.U:
-            fh.write("\t".join(format(x, ".17g") for x in row) + "\n")
+        np.savetxt(fh, factors.U, fmt="%.17g", delimiter="\t")
         fh.write("# V\n")
-        for row in factors.V:
-            fh.write("\t".join(format(x, ".17g") for x in row) + "\n")
+        np.savetxt(fh, factors.V, fmt="%.17g", delimiter="\t")

@@ -21,7 +21,7 @@ from scipy.special import expit
 from . import sdae
 from .data import corrupt
 from .exceptions import ArgumentError, NumericError
-from .factors import _item_system, _user_system, rating_objective
+from .factors import _item_system, _solve_spd, _user_system, rating_objective
 
 ACCEPT_TARGET = 0.32  # inside the 20-40% adaptation band
 ADAPT_GAIN = 1.0
@@ -108,17 +108,12 @@ def grad_logpost_x_row(layer, num_layers, x, prev_row, w_in, b_in, lambda_s, *,
 def _gaussian_draw(A, rhs, rng):
     """One draw from N(mean, A^-1) where mean solves A mean = rhs.
 
-    One Cholesky factorization serves both the mean, solved as in the MAP
-    block updates so it matches them bit for bit, and the draw, which reads
-    only the factor's upper triangle.
+    The MAP updates' solve gives the mean, bit for bit as they do, and the
+    upper Cholesky factor of A that turns standard normals into the draw.
     """
-    try:
-        factor = scipy.linalg.cho_factor(A, lower=False)
-        mean = scipy.linalg.cho_solve(factor, rhs)
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
-        raise NumericError(f"covariance factorization failed: {exc}") from exc
+    mean, upper = _solve_spd(A, rhs)
     z = rng.standard_normal(len(rhs))
-    return mean + scipy.linalg.solve_triangular(factor[0], z, lower=False)
+    return mean + scipy.linalg.solve_triangular(upper, z, lower=False)
 
 
 def sample_u(V, rated_items, conf, lambda_u, rng):
@@ -162,8 +157,7 @@ class SamplerState:
     layers: list          # layers[l]: items x width_l; layers[0] is fixed
     U: np.ndarray
     V: np.ndarray
-    w_steps: dict = field(default_factory=dict)   # layer -> step size
-    x_steps: dict = field(default_factory=dict)
+    steps: dict = field(default_factory=dict)   # block ("w1", "x3") -> step size
     iteration: int = 0
 
 
@@ -228,7 +222,7 @@ def mwg_step(state, ratings, content, hyper, rng,
         for l in range(1, L + 1):
             x_prev = state.layers[l - 1]
             x_cur = state.layers[l]
-            step = state.w_steps[l]
+            step = state.steps[f"w{l}"]
             accepted = 0
             width = net.weights[l - 1].shape[1]
             for n in range(width):
@@ -248,25 +242,18 @@ def mwg_step(state, ratings, content, hyper, rng,
     if "x" in blocks:
         xc = content.toarray()
         for l in range(1, L + 1):
-            step = state.x_steps[l]
+            step = state.steps[f"x{l}"]
             accepted = 0
-            kwargs = {}
-            if l < L:
-                kwargs["w_out"] = net.weights[l]
-                kwargs["b_out"] = net.biases[l]
+            w_in, b_in = net.weights[l - 1], net.biases[l - 1]
             for j in range(ratings.num_items):
-                kw = dict(kwargs)
                 if l == L:
-                    kw["xc_row"] = xc[j]
-                    kw["lambda_n"] = hyper.lambda_n
+                    kw = {"xc_row": xc[j], "lambda_n": hyper.lambda_n}
                 else:
-                    kw["next_row"] = state.layers[l + 1][j]
+                    kw = {"w_out": net.weights[l], "b_out": net.biases[l],
+                          "next_row": state.layers[l + 1][j]}
                 if l == mid:
-                    kw["v_row"] = state.V[j]
-                    kw["lambda_v"] = hyper.lambda_v
+                    kw.update(v_row=state.V[j], lambda_v=hyper.lambda_v)
                 prev = state.layers[l - 1][j]
-                w_in = net.weights[l - 1]
-                b_in = net.biases[l - 1]
                 new, ok = _mala_update(
                     state.layers[l][j],
                     lambda x: logpost_x_row(l, L, x, prev, w_in, b_in, lam_s, **kw),
@@ -290,14 +277,14 @@ def mwg_step(state, ratings, content, hyper, rng,
     return counts
 
 
-def _adapt(steps, layer, accepted, proposed, window):
+def _adapt(steps, block, accepted, proposed, window):
     """Robbins-Monro update of the log step size toward the target rate;
     the decaying gain makes late windows barely move the step."""
     if proposed == 0:
         return
     rate = accepted / proposed
     gain = ADAPT_GAIN / (1.0 + window) ** ADAPT_DECAY
-    steps[layer] *= math.exp(gain * (rate - ACCEPT_TARGET))
+    steps[block] *= math.exp(gain * (rate - ACCEPT_TARGET))
 
 
 def run_chain(ratings, content, hyper, iters, burn_in, thin=1,
@@ -326,8 +313,8 @@ def run_chain(ratings, content, hyper, iters, burn_in, thin=1,
         net=net, layers=layers,
         U=np.zeros((ratings.num_users, hyper.n_factors)),
         V=layers[net.middle].copy(),
-        w_steps={l: initial_step for l in range(1, net.num_layers + 1)},
-        x_steps={l: initial_step for l in range(1, net.num_layers + 1)},
+        steps={f"{kind}{l}": initial_step
+               for kind in "wx" for l in range(1, net.num_layers + 1)},
     )
 
     post_counts = {}
@@ -339,33 +326,28 @@ def run_chain(ratings, content, hyper, iters, burn_in, thin=1,
     kept_U, kept_V = [], []
     for it in range(iters):
         counts = mwg_step(state, ratings, content, hyper, rng, blocks=blocks)
+        totals = adapt_counts if it < burn_in else post_counts
+        for block, (acc, prop) in counts.items():
+            tot = totals.setdefault(block, [0, 0])
+            tot[0] += acc
+            tot[1] += prop
         if it < burn_in:
-            for block, (acc, prop) in counts.items():
-                tot = adapt_counts.setdefault(block, [0, 0])
-                tot[0] += acc
-                tot[1] += prop
             if (it + 1) % ADAPT_INTERVAL == 0 or it + 1 == burn_in:
                 window = it // ADAPT_INTERVAL
                 for block, (acc, prop) in adapt_counts.items():
-                    steps = state.w_steps if block.startswith("w") else state.x_steps
-                    _adapt(steps, int(block[1:]), acc, prop, window)
+                    _adapt(state.steps, block, acc, prop, window)
                 adapt_counts = {}
-        else:
-            for block, (acc, prop) in counts.items():
-                tot = post_counts.setdefault(block, [0, 0])
-                tot[0] += acc
-                tot[1] += prop
-            if (it - burn_in) % thin == 0:
-                kept_iters.append(it)
-                tracked["u_0_0"].append(state.U[0, 0])
-                tracked["v_0_0"].append(state.V[0, 0])
-                tracked["w1_0_0"].append(state.net.weights[0][0, 0])
-                tracked["x_mid_0_0"].append(state.layers[net.middle][0, 0])
-                tracked["log_joint"].append(log_joint(state, ratings, content, hyper))
-                kept_U.append(state.U.copy())
-                kept_V.append(state.V.copy())
-                for block, (acc, prop) in post_counts.items():
-                    running.setdefault(block, []).append(acc / prop if prop else 0.0)
+        elif (it - burn_in) % thin == 0:
+            kept_iters.append(it)
+            tracked["u_0_0"].append(state.U[0, 0])
+            tracked["v_0_0"].append(state.V[0, 0])
+            tracked["w1_0_0"].append(state.net.weights[0][0, 0])
+            tracked["x_mid_0_0"].append(state.layers[net.middle][0, 0])
+            tracked["log_joint"].append(log_joint(state, ratings, content, hyper))
+            kept_U.append(state.U.copy())
+            kept_V.append(state.V.copy())
+            for block, (acc, prop) in post_counts.items():
+                running.setdefault(block, []).append(acc / prop if prop else 0.0)
 
     acceptance = {block: (acc / prop if prop else 0.0)
                   for block, (acc, prop) in post_counts.items()}
@@ -374,15 +356,13 @@ def run_chain(ratings, content, hyper, iters, burn_in, thin=1,
         for block, rate in acceptance.items() if rate <= 0.0 or rate >= 1.0
     ]
     tracked = {name: np.asarray(vals) for name, vals in tracked.items()}
-    step_sizes = {f"w{l}": s for l, s in state.w_steps.items()}
-    step_sizes.update({f"x{l}": s for l, s in state.x_steps.items()})
     return ChainSummary(
         tracked=tracked,
         kept_U=np.asarray(kept_U),
         kept_V=np.asarray(kept_V),
         acceptance=acceptance,
         running_acceptance={b: np.asarray(v) for b, v in running.items()},
-        step_sizes=step_sizes,
+        step_sizes=dict(state.steps),
         posterior_mean={n: float(v.mean()) for n, v in tracked.items()},
         posterior_var={n: float(v.var(ddof=1)) if len(v) > 1 else 0.0
                        for n, v in tracked.items()},

@@ -15,6 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import expit
 
+from .data import read_npz
 from .exceptions import ArgumentError, NumericError, ShapeError
 
 
@@ -307,17 +308,14 @@ def save_network(net, path, config=None):
 
 
 def load_network(path):
-    with np.load(path) as blob:
-        widths = blob["widths"]
-        L = len(widths) - 1
-        weights = [blob[f"weight_{l}"] for l in range(1, L + 1)]
-        biases = [blob[f"bias_{l}"] for l in range(1, L + 1)]
-    return SdaeNetwork(weights, biases)
+    def layers(arrays):
+        L = len(arrays["widths"]) - 1
+        return ([arrays[f"weight_{l}"] for l in range(1, L + 1)],
+                [arrays[f"bias_{l}"] for l in range(1, L + 1)])
+    return SdaeNetwork(*read_npz(path, layers))
 
 
 def load_network_config(path):
     """Config text embedded in a checkpoint, or None if absent."""
-    with np.load(path) as blob:
-        if "config" in blob.files:
-            return str(blob["config"])
-    return None
+    return read_npz(path, lambda arrays: str(arrays["config"])
+                    if "config" in arrays else None)

@@ -63,6 +63,22 @@ class TestSplitCommand:
         assert code != 0
         assert "nope.tsv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--P", "--reps"])
+    def test_count_below_one_rejected_up_front(self, dataset, tmp_path, capsys, flag):
+        argv = {"--P": 1, "--reps": 1, flag: 0}
+        code = run_cli("split", "--ratings", dataset["ratings"], "--seed", 0,
+                       "--out", tmp_path / "o", *(x for kv in argv.items() for x in kv))
+        assert code == 1
+        assert f"{flag} must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_duplicate_pair_names_file_and_line(self, tmp_path, capsys):
+        ratings = tmp_path / "dup.tsv"
+        ratings.write_text("0\t1\n1\t0\n0\t1\n")
+        code = run_cli("split", "--ratings", ratings, "--P", 1, "--out", tmp_path / "o")
+        assert code == 1
+        assert f"{ratings}:3: duplicate rating pair (0, 1)" in capsys.readouterr().err
+
 
 class TestTrainCommand:
     def test_cdl_variant_writes_artifacts(self, dataset, tmp_path):
@@ -256,7 +272,42 @@ class TestPredictCommand:
         assert "--top" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("damage", ["not-npz", "pickled", "missing-key"])
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_damaged_factors_checkpoint_named(trained, tmp_path, capsys, command, damage):
+    path = trained["model"] / "factors.npz"
+    if damage == "not-npz":
+        path.write_text("not an archive\n")
+    elif damage == "pickled":
+        np.savez(path, U=np.array([None], dtype=object), V=np.zeros((1, 1)))
+    else:
+        np.savez(path, U=np.zeros((15, 3)))
+    if command == "eval":
+        argv = ("--test", trained["split"] / "test.tsv")
+    else:
+        argv = ("--user", 0)
+    code = run_cli(command, "--model", trained["model"], *argv, "--out", tmp_path / "o")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"error: {path}: " in err
+    if damage == "missing-key":
+        assert "no array 'V'" in err
+
+
 class TestSampleCommand:
+    @pytest.mark.parametrize("iters, burn_in, thin, flag", [
+        (30, 15, 0, "--thin must be at least 1"),
+        (15, 15, 1, "--iters 15 must exceed --burn-in 15"),
+    ])
+    def test_bad_chain_lengths_rejected_up_front(self, tmp_path, capsys,
+                                                 iters, burn_in, thin, flag):
+        # the input files need not exist: flags are checked first
+        code = run_cli("sample", "--config", tmp_path / "c", "--ratings", tmp_path / "r",
+                       "--content", tmp_path / "x", "--iters", iters,
+                       "--burn-in", burn_in, "--thin", thin, "--out", tmp_path / "o")
+        assert code == 1
+        assert flag in capsys.readouterr().err
+
     def test_chain_outputs(self, dataset, tmp_path):
         config = tmp_path / "chain_config.txt"
         text = dataset["config"].read_text().replace("lambda_s=inf", "lambda_s=100.0")

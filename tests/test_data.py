@@ -37,6 +37,20 @@ class TestLoadRatings:
         with pytest.raises(ValidationError, match="duplicate"):
             data.load_ratings(path)
 
+    @pytest.mark.parametrize("text, lineno, reason", [
+        ("0\t1\n1\t0\n0\t1\n", 3, "duplicate rating pair (0, 1)"),
+        # sorted, (0, 0) is the first duplicate; in the file, (0, 1) is
+        ("0\t1\n0\t0\n0\t1\n0\t0\n", 3, "duplicate rating pair (0, 1)"),
+        ("# users=2 items=2\n0\t1\n\n1\t5\n", 4, "pair (1, 5) outside"),
+        ("# users=2 items=2\n2\t0\n", 2, "pair (2, 0) outside"),
+    ], ids=["duplicate", "first-duplicate-in-file", "item-outside-header",
+            "user-outside-header"])
+    def test_rejected_pair_names_file_and_line(self, tmp_path, text, lineno, reason):
+        path = write(tmp_path, "r.tsv", text)
+        with pytest.raises(ValidationError) as info:
+            data.load_ratings(path)
+        assert str(info.value).startswith(f"{path}:{lineno}: {reason}")
+
     def test_header_overrides_dims(self, tmp_path):
         path = write(tmp_path, "r.tsv", "# users=5 items=7\n0\t0\n")
         ratings = data.load_ratings(path)

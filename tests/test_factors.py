@@ -213,3 +213,15 @@ class TestFactorIO:
         mf.export_factors_text(factors, path)
         text = path.read_text()
         assert text.startswith("# users=2 items=3 n_factors=2")
+
+    def test_text_export_bytes_match_per_value_format(self, tmp_path):
+        edge = [0.0, -0.0, 1e-300, 5e-324, -5e-324, 1.0 / 3.0, -2.5e17, 1.7976931348623157e308]
+        factors = mf.LatentFactors(np.array(edge).reshape(2, 4),
+                                   np.array(edge[::-1] * 2).reshape(4, 4))
+        path = tmp_path / "factors.tsv"
+        mf.export_factors_text(factors, path)
+        lines = ["# users=2 items=4 n_factors=4", "# U"]
+        lines += ["\t".join(format(x, ".17g") for x in row) for row in factors.U]
+        lines.append("# V")
+        lines += ["\t".join(format(x, ".17g") for x in row) for row in factors.V]
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()

@@ -317,8 +317,7 @@ class TestMetropolisKernel:
         state = sampling.SamplerState(
             net=net, layers=layers,
             U=np.zeros((5, 2)), V=layers[net.middle].copy(),
-            w_steps={l: 1e-12 for l in range(1, 5)},
-            x_steps={l: 1e-12 for l in range(1, 5)},
+            steps={f"{kind}{l}": 1e-12 for kind in "wx" for l in range(1, 5)},
         )
         before_w = [w.copy() for w in net.weights]
         before_x = [x.copy() for x in layers]

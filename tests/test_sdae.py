@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cdl import sdae
-from cdl.exceptions import ArgumentError, NumericError, ShapeError
+from cdl.exceptions import ArgumentError, NumericError, ParseError, ShapeError
 
 
 def zero_net(widths):
@@ -327,3 +327,16 @@ class TestCheckpoint:
         assert sdae.load_network_config(path) == "lambda_v=10.0\nn_factors=2\n"
         back = sdae.load_network(path)
         np.testing.assert_array_equal(back.weights[0], net.weights[0])
+
+    def test_damaged_checkpoint_names_path_and_key(self, tmp_path):
+        net, _, _, _, _, _, _ = random_instance([5, 2, 5], 3, seed=17)
+        path = tmp_path / "net.npz"
+        np.savez(path, widths=np.asarray(net.widths), weight_1=net.weights[0],
+                 bias_1=net.biases[0], weight_2=net.weights[1])
+        with pytest.raises(ParseError, match="no array 'bias_2'") as info:
+            sdae.load_network(path)
+        assert str(path) in str(info.value)
+        path.write_bytes(b"")
+        for load in (sdae.load_network, sdae.load_network_config):
+            with pytest.raises(ParseError, match="unreadable checkpoint"):
+                load(path)
