@@ -187,7 +187,9 @@ def cmd_train(args):
     return 0
 
 
-def _load_model(model_dir):
+def _load_model(model_dir, network=True):
+    """(network, factors) of a trained model.  The network checkpoint is read
+    only when ``network`` is set, and is None when the model has none."""
     model_dir = Path(model_dir)
     factors_path = model_dir / "factors.npz"
     if not factors_path.is_file():
@@ -195,7 +197,7 @@ def _load_model(model_dir):
     factors = mf.load_factors(factors_path)
     net = None
     net_path = model_dir / "network.npz"
-    if net_path.is_file():
+    if network and net_path.is_file():
         net = sdae.load_network(net_path)
     return net, factors
 
@@ -228,7 +230,7 @@ def cmd_eval(args):
     inputs = []
     per_rep = []
     for rep, (model_dir, test_path) in enumerate(zip(models, tests)):
-        net, factors = _load_model(model_dir)
+        _, factors = _load_model(model_dir, network=False)
         if trains:
             train_path = trains[rep if len(trains) > 1 else 0]
         else:
@@ -263,7 +265,7 @@ def cmd_eval(args):
 def cmd_predict(args):
     if args.top < 1:
         raise ArgumentError(f"--top must be at least 1, got {args.top}")
-    net, factors = _load_model(args.model)
+    net, factors = _load_model(args.model, network=bool(args.item_content))
     num_users = factors.U.shape[0]
     if not 0 <= args.user < num_users:
         raise ArgumentError(f"unknown user id {args.user} (have {num_users} users)")

@@ -3,9 +3,20 @@
 Closed-form block updates: each user (item) vector is the exact maximizer of
 the joint objective given everything else, obtained from a symmetric
 positive-definite solve.  The confidence decomposition (weight b everywhere
-plus a-b on observed entries) keeps a full sweep at
-O(K^2 * nnz + K^3 * (num_users + num_items)) without materializing dense
-user-item products.
+plus a-b on observed entries) splits each system into a part every row of a
+pass shares, lam*I + b*F^T F, and a Gram over the row's observed entries, so
+no dense user-item product is ever formed.
+
+A sweep groups its rows by their number of observed entries and runs each
+group in chunks of at most CHUNK_ROWS rows.  Rows with none (half the items
+of a sparse split) share one factorization of the shared part, and each of
+their chunks is one multi-right-hand-side solve.  In the other chunks one
+stacked matmul forms the Grams, and each row is factored and solved by
+LAPACK's dpotrf/dpotrs called directly.  A pass therefore costs
+O(K^2 * nnz) plus O(K^3) per row with at least one observation, plus one
+O(K^3) factorization for all the others, and its working memory is one
+chunk: CHUNK_ROWS K x K systems and the factor rows they gather.  Every
+sweep solution equals the one-row update bit for bit.
 """
 
 from __future__ import annotations
@@ -13,10 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .data import read_npz
 from .exceptions import NumericError, ShapeError, ValidationError
+
+CHUNK_ROWS = 128  # rows per stacked Gram: a chunk holds CHUNK_ROWS K x K systems
 
 
 @dataclass(frozen=True)
@@ -55,14 +68,40 @@ class LatentFactors:
         return self.U.shape[1]
 
 
+def _check_finite(*arrays):
+    for arr in arrays:
+        if not np.isfinite(arr).all():
+            raise NumericError("SPD solve failed: array must not contain infs or NaNs")
+
+
+def _cholesky(A, overwrite=False):
+    """Upper Cholesky factor of the SPD matrix A through LAPACK's dpotrf,
+    written over A when ``overwrite`` is set and A is Fortran-ordered.  Only
+    the upper triangle is meaningful; the lower one keeps A's entries."""
+    upper, info = dpotrf(A, lower=0, clean=0, overwrite_a=int(overwrite))
+    if info:
+        raise NumericError(
+            f"SPD solve failed: {info}-th leading minor of the array is not "
+            "positive definite"
+        )
+    return upper
+
+
+def _cho_solve(upper, rhs, overwrite=False):
+    """x solving (upper^T upper) x = rhs, for one right-hand side (K,) or
+    the K x n columns of many."""
+    x, info = dpotrs(upper, rhs, lower=0, overwrite_b=int(overwrite))
+    if info:
+        raise NumericError(f"SPD solve failed: dpotrs argument {-info} is illegal")
+    return x
+
+
 def _solve_spd(A, rhs):
     """x solving A x = rhs for SPD A, and the upper Cholesky factor of A
     (only its upper triangle is meaningful) for callers that reuse it."""
-    try:
-        factor = scipy.linalg.cho_factor(A)
-        return scipy.linalg.cho_solve(factor, rhs), factor[0]
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
-        raise NumericError(f"SPD solve failed: {exc}") from exc
+    _check_finite(A, rhs)
+    upper = _cholesky(A)
+    return _cho_solve(upper, rhs), upper
 
 
 def _base(F, lam, conf):
@@ -70,15 +109,27 @@ def _base(F, lam, conf):
     return lam * np.eye(F.shape[1]) + conf.b * (F.T @ F)
 
 
+def _systems(F, observed, conf, lam, base, priors=None):
+    """Systems of the rows whose observed rows of F are ``observed`` (one
+    row of ids each, all of one length c >= 1): A = base + (a-b) F_o^T F_o
+    stacked (rows x K x K), rhs = lam * prior + a * sum(F_o) (rows x K);
+    users have no prior."""
+    Fo = F[observed]
+    pull = conf.a * Fo.sum(axis=1)
+    rhs = pull if priors is None else lam * priors + pull
+    A = np.matmul(Fo.transpose(0, 2, 1), Fo)
+    A *= conf.a - conf.b
+    A += base
+    return A, rhs
+
+
 def _row_system(F, rows, conf, lam, base, prior=None):
-    """One row's system: A = base + (a-b) F_o^T F_o over the observed
-    ``rows`` of F, rhs = lam * prior + a * sum(F_o); users have no prior."""
+    """One row's system; with no observed ``rows`` it is base itself."""
     if not len(rows):
         return base, np.zeros(F.shape[1]) if prior is None else lam * prior
-    Fo = F[rows]
-    pull = conf.a * Fo.sum(axis=0)
-    rhs = pull if prior is None else lam * prior + pull
-    return base + (conf.a - conf.b) * (Fo.T @ Fo), rhs
+    A, rhs = _systems(F, np.asarray(rows)[None], conf, lam, base,
+                      None if prior is None else prior[None])
+    return A[0], rhs[0]
 
 
 def _user_system(V, rated_items, conf, lambda_u):
@@ -117,19 +168,67 @@ def item_gradient(v, U, rated_users, conf, lambda_v, encoding):
     return rhs - A @ v
 
 
-def _sweep(F, count, rows_of, conf, lam, priors=None):
-    """Exact updates of ``count`` mutually independent rows against F."""
+def _grouped_solves(F, ptr, cols, conf, lam, priors=None):
+    """Solve the system of every row r, whose observed rows of F are
+    ``cols[ptr[r]:ptr[r+1]]``, grouped by that count.
+
+    Yields (row ids, solutions, upper factors) a chunk of at most
+    CHUNK_ROWS rows of one count at a time.  Rows with no observed entries
+    share base's factorization, and each chunk of them one
+    multi-right-hand-side solve; the other chunks form their Grams with one
+    stacked matmul.  The solutions equal the one-row ``_solve_spd`` of
+    ``_row_system`` bit for bit.
+    """
+    counts = np.diff(ptr)
+    if not len(counts):
+        return
     base = _base(F, lam, conf)
-    out = np.empty((count, F.shape[1]))
-    for r in range(count):
-        prior = None if priors is None else priors[r]
-        out[r] = _solve_spd(*_row_system(F, rows_of(r), conf, lam, base, prior))[0]
+    order = np.argsort(counts, kind="stable")
+    for group in np.split(order, np.flatnonzero(np.diff(counts[order])) + 1):
+        c = counts[group[0]]
+        if c == 0:
+            _check_finite(base)
+            shared = _cholesky(base)
+        for start in range(0, len(group), CHUNK_ROWS):
+            rows = group[start:start + CHUNK_ROWS]
+            prior = None if priors is None else priors[rows]
+            if c == 0:
+                rhs = np.zeros((len(rows), F.shape[1])) if prior is None else lam * prior
+                _check_finite(rhs)
+                yield rows, _cho_solve(shared, rhs.T, overwrite=True).T, [shared] * len(rows)
+                continue
+            A, rhs = _systems(F, cols[ptr[rows][:, None] + np.arange(c)], conf, lam,
+                              base, prior)
+            _check_finite(A, rhs)
+            # each A[r] is symmetric and C-ordered, so A[r].T is the same
+            # matrix in Fortran order and dpotrf factors it in place
+            uppers = [_cholesky(a.T, overwrite=True) for a in A]
+            for r, upper in enumerate(uppers):
+                rhs[r] = _cho_solve(upper, rhs[r], overwrite=True)
+            yield rows, rhs, uppers
+
+
+def _sweep(F, ptr, cols, conf, lam, priors=None):
+    """Exact updates of the mutually independent rows ``ptr`` indexes."""
+    out = np.empty((len(ptr) - 1, F.shape[1]))
+    for rows, x, _ in _grouped_solves(F, ptr, cols, conf, lam, priors):
+        out[rows] = x
     return out
+
+
+def _user_rows(ratings):
+    """(ptr, cols): user r rated the items cols[ptr[r]:ptr[r+1]]."""
+    return ratings._user_ptr, ratings._pairs[:, 1]
+
+
+def _item_rows(ratings):
+    """(ptr, cols): item j was rated by the users cols[ptr[j]:ptr[j+1]]."""
+    return ratings._item_ptr, ratings._item_users
 
 
 def sweep_users(V, ratings, conf, lambda_u):
     """One full pass of exact user updates."""
-    return _sweep(V, ratings.num_users, ratings.items_of, conf, lambda_u)
+    return _sweep(V, *_user_rows(ratings), conf, lambda_u)
 
 
 def sweep_items(U, ratings, conf, lambda_v, encodings):
@@ -139,7 +238,7 @@ def sweep_items(U, ratings, conf, lambda_v, encodings):
         raise ShapeError(
             f"encodings shape {encodings.shape} != {(ratings.num_items, U.shape[1])}"
         )
-    return _sweep(U, ratings.num_items, ratings.users_of, conf, lambda_v, encodings)
+    return _sweep(U, *_item_rows(ratings), conf, lambda_v, encodings)
 
 
 def predict(u, v):

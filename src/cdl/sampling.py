@@ -1,8 +1,9 @@
 """Posterior sampling for the finite-precision model.
 
 User and item vectors have conjugate Gaussian conditionals and are drawn
-exactly.  Weight columns (with their bias entry) and per-item hidden rows are
-updated by Langevin-style Metropolis steps: the proposal mean follows the
+exactly, a whole block per pass through the MAP sweeps' grouped solves.
+Weight columns (with their bias entry) and per-item hidden rows are updated
+by Langevin-style Metropolis steps: the proposal mean follows the
 gradient of the block's log conditional, and the acceptance ratio carries the
 asymmetric-proposal correction, so the kernel targets the exact conditional.
 Step sizes adapt toward a 20-40% acceptance band during burn-in and are then
@@ -21,7 +22,8 @@ from scipy.special import expit
 from . import sdae
 from .data import corrupt
 from .exceptions import ArgumentError, NumericError
-from .factors import _item_system, _solve_spd, _user_system, rating_objective
+from .factors import (_grouped_solves, _item_rows, _item_system, _solve_spd,
+                      _user_rows, _user_system, rating_objective)
 
 ACCEPT_TARGET = 0.32  # inside the 20-40% adaptation band
 ADAPT_GAIN = 1.0
@@ -105,28 +107,34 @@ def grad_logpost_x_row(layer, num_layers, x, prev_row, w_in, b_in, lambda_s, *,
     return grad
 
 
-def _gaussian_draw(A, rhs, rng):
-    """One draw from N(mean, A^-1) where mean solves A mean = rhs.
-
-    The MAP updates' solve gives the mean, bit for bit as they do, and the
-    upper Cholesky factor of A that turns standard normals into the draw.
-    """
-    mean, upper = _solve_spd(A, rhs)
-    z = rng.standard_normal(len(rhs))
+def _gaussian_draw(mean, upper, z):
+    """mean + upper^-1 z: a draw from N(mean, A^-1) for A = upper^T upper
+    and standard normals z."""
     return mean + scipy.linalg.solve_triangular(upper, z, lower=False)
 
 
 def sample_u(V, rated_items, conf, lambda_u, rng):
     """Exact draw from the Gaussian conditional of one user vector."""
-    A, rhs = _user_system(V, rated_items, conf, lambda_u)
-    return _gaussian_draw(A, rhs, rng)
+    mean, upper = _solve_spd(*_user_system(V, rated_items, conf, lambda_u))
+    return _gaussian_draw(mean, upper, rng.standard_normal(len(mean)))
 
 
 def sample_v(U, rated_users, conf, lambda_v, code_row, rng):
     """Exact draw from the Gaussian conditional of one item vector, centered
     on its middle-layer code."""
-    A, rhs = _item_system(U, rated_users, conf, lambda_v, code_row)
-    return _gaussian_draw(A, rhs, rng)
+    mean, upper = _solve_spd(*_item_system(U, rated_users, conf, lambda_v, code_row))
+    return _gaussian_draw(mean, upper, rng.standard_normal(len(mean)))
+
+
+def _draw_rows(out, F, ptr, cols, conf, lam, rng, priors=None):
+    """Exact draws of every row of ``out`` from its Gaussian conditional,
+    bit for bit the per-row sample_u/sample_v draws in row order: the MAP
+    sweeps' grouped solves give the means and factors, and one block of
+    standard normals holds each row's draw where the per-row calls took it."""
+    z = rng.standard_normal(out.shape)
+    for rows, means, uppers in _grouped_solves(F, ptr, cols, conf, lam, priors):
+        for r, mean, upper in zip(rows, means, uppers):
+            out[r] = _gaussian_draw(mean, upper, z[r])
 
 
 def mala_log_ratio(logpost, grad, x, proposal, step):
@@ -158,7 +166,6 @@ class SamplerState:
     U: np.ndarray
     V: np.ndarray
     steps: dict = field(default_factory=dict)   # block ("w1", "x3") -> step size
-    iteration: int = 0
 
 
 @dataclass
@@ -265,15 +272,10 @@ def mwg_step(state, ratings, content, hyper, rng,
                     accepted += 1
             counts[f"x{l}"] = (accepted, ratings.num_items)
     if "v" in blocks:
-        codes = state.layers[mid]
-        for j in range(ratings.num_items):
-            state.V[j] = sample_v(state.U, ratings.users_of(j), conf,
-                                  hyper.lambda_v, codes[j], rng)
+        _draw_rows(state.V, state.U, *_item_rows(ratings), conf, hyper.lambda_v, rng,
+                   priors=state.layers[mid])
     if "u" in blocks:
-        for i in range(ratings.num_users):
-            state.U[i] = sample_u(state.V, ratings.items_of(i), conf,
-                                  hyper.lambda_u, rng)
-    state.iteration += 1
+        _draw_rows(state.U, state.V, *_user_rows(ratings), conf, hyper.lambda_u, rng)
     return counts
 
 

@@ -403,3 +403,23 @@ class TestManifest:
             assert manifest["inputs"]
             for digest in manifest["inputs"].values():
                 assert len(digest) == 64
+
+
+def test_damaged_network_read_only_for_cold_start(trained, tmp_path, capsys):
+    net_path = trained["model"] / "network.npz"
+    assert net_path.is_file()
+    argv = ("--test", trained["split"] / "test.tsv", "--m-grid", "2:10:2")
+    assert run_cli("eval", "--model", trained["model"], *argv, "--out", tmp_path / "sound") == 0
+    net_path.write_text("not an archive\n")
+    assert run_cli("eval", "--model", trained["model"], *argv, "--out", tmp_path / "damaged") == 0
+    assert ((tmp_path / "damaged" / "metrics.tsv").read_bytes()
+            == (tmp_path / "sound" / "metrics.tsv").read_bytes())
+    assert run_cli("predict", "--model", trained["model"], "--user", 0,
+                   "--out", tmp_path / "ranked") == 0
+    capsys.readouterr()
+    item_file = tmp_path / "new_item.tsv"
+    item_file.write_text("0\t2\n")
+    code = run_cli("predict", "--model", trained["model"], "--user", 1,
+                   "--item-content", item_file, "--out", tmp_path / "cold")
+    assert code == 1
+    assert f"error: {net_path}: " in capsys.readouterr().err

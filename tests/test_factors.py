@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdl import data, factors as mf
 from cdl.exceptions import NumericError, ShapeError, ValidationError
@@ -195,6 +197,101 @@ class TestSweeps:
         for j in range(8):
             np.testing.assert_array_equal(
                 V[j], mf.update_item(U, ratings.users_of(j), conf, 2.0, enc[j]))
+
+
+def chunked_ratings(rng, extra_users, empty_users):
+    """Ratings whose count groups overflow one chunk: CHUNK_ROWS + 12 users
+    rate two items each and 2 * (CHUNK_ROWS + 12) items are rated once,
+    before ``extra_users`` random raters; ``empty_users`` users and 20 items
+    have no rating."""
+    paired = mf.CHUNK_ROWS + 12
+    num_items = 2 * paired + 20
+    pairs = [(i, j) for i in range(paired) for j in (2 * i, 2 * i + 1)]
+    for i in range(paired, paired + extra_users):
+        count = int(rng.integers(1, 12))
+        pairs += [(i, int(j)) for j in rng.choice(2 * paired, count, replace=False)]
+    return data.RatingsMatrix(paired + extra_users + empty_users, num_items, pairs)
+
+
+class TestGroupedSweeps:
+    @settings(max_examples=20, deadline=None)
+    @given(K=st.sampled_from([1, 5, 50]), seed=st.integers(0, 2 ** 32 - 1),
+           extra_users=st.integers(0, 8), empty_users=st.integers(0, 3),
+           zero_prior=st.booleans(), b=st.sampled_from([0.0, 0.01]))
+    def test_sweeps_equal_single_updates(self, K, seed, extra_users, empty_users,
+                                         zero_prior, b):
+        rng = np.random.default_rng(seed)
+        ratings = chunked_ratings(rng, extra_users, empty_users)
+        conf = ConfidenceParams(1.0, b)
+        U = rng.normal(size=(ratings.num_users, K))
+        V = rng.normal(size=(ratings.num_items, K))
+        enc = np.zeros_like(V) if zero_prior else rng.normal(size=V.shape)
+        swept_U = mf.sweep_users(V, ratings, conf, 0.5)
+        swept_V = mf.sweep_items(U, ratings, conf, 3.0, enc)
+        assert np.array_equal(swept_U, np.array(
+            [mf.update_user(V, ratings.items_of(i), conf, 0.5)
+             for i in range(ratings.num_users)]))
+        assert np.array_equal(swept_V, np.array(
+            [mf.update_item(U, ratings.users_of(j), conf, 3.0, enc[j])
+             for j in range(ratings.num_items)]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_input_raises(self, bad):
+        rng = np.random.default_rng(12)
+        ratings = chunked_ratings(rng, 4, 0)   # every user rated, 20 items not
+        conf = ConfidenceParams(1.0, 0.01)
+        K = 3
+        V = rng.normal(size=(ratings.num_items, K))
+        V[ratings.items_of(0)[0], 1] = bad
+        U = rng.normal(size=(ratings.num_users, K))
+        U_bad = U.copy()
+        U_bad[ratings.users_of(0)[0], 2] = bad
+        enc_rated, enc_unrated = np.zeros((2, ratings.num_items, K))
+        enc_rated[0, 0] = bad
+        enc_unrated[-1, 0] = bad
+        unrated = data.RatingsMatrix(4, ratings.num_items, np.empty((0, 2), dtype=int))
+        for sweep in [lambda: mf.sweep_users(V, ratings, conf, 0.5),
+                      lambda: mf.sweep_users(V, unrated, conf, 0.5),
+                      lambda: mf.sweep_items(U_bad, ratings, conf, 3.0, np.zeros_like(V)),
+                      lambda: mf.sweep_items(U, ratings, conf, 3.0, enc_rated),
+                      lambda: mf.sweep_items(U, ratings, conf, 3.0, enc_unrated)]:
+            with pytest.raises(NumericError, match="SPD solve failed: .*infs or NaNs"):
+                sweep()
+
+    def test_singular_base_raises(self):
+        # lambda = 0 and b = 0 leave a user with no ratings a zero system
+        ratings = chunked_ratings(np.random.default_rng(13), 0, 1)
+        V = np.random.default_rng(14).normal(size=(ratings.num_items, 4))
+        conf = ConfidenceParams(1.0, 0.0)
+        with pytest.raises(NumericError, match="not positive definite"):
+            mf.sweep_users(V, ratings, conf, 0.0)
+        with pytest.raises(NumericError, match="not positive definite"):
+            mf.update_user(V, ratings.items_of(ratings.num_users - 1), conf, 0.0)
+
+    @pytest.mark.parametrize("empty_users", [0, 3])
+    def test_one_factorization_per_rated_row_and_one_for_the_rest(
+            self, monkeypatch, empty_users):
+        calls = []
+
+        def counted_dpotrf(*args, **kwargs):
+            calls.append(1)
+            return dpotrf(*args, **kwargs)
+
+        dpotrf = mf.dpotrf
+        monkeypatch.setattr(mf, "dpotrf", counted_dpotrf)
+        rng = np.random.default_rng(15)
+        ratings = chunked_ratings(rng, 6, empty_users)
+        conf = ConfidenceParams(1.0, 0.01)
+        for sweep, counts, F, args in [
+            (mf.sweep_users, np.diff(ratings._user_ptr),
+             rng.normal(size=(ratings.num_items, 5)), ()),
+            (mf.sweep_items, np.diff(ratings._item_ptr),
+             rng.normal(size=(ratings.num_users, 5)),
+             (rng.normal(size=(ratings.num_items, 5)),)),
+        ]:
+            calls.clear()
+            sweep(F, ratings, conf, 0.5, *args)
+            assert len(calls) == np.count_nonzero(counts) + bool((counts == 0).any())
 
 
 class TestFactorIO:
