@@ -349,37 +349,21 @@ def cmd_sample(args):
 
 def _grid_points(raw_config, path):
     """Expand comma lists on the searched keys into the run grid."""
-    base_lines = {}
+    lines = training.config_lines(raw_config, path)
     lists = {}
-    for lineno, line in enumerate(raw_config.splitlines(), 1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"{path}:{lineno}: expected key=value")
-        key, value = stripped.split("=", 1)
-        key = key.strip()
-        if key in GRID_KEYS and "," in value:
+    for key in GRID_KEYS:
+        value, lineno = lines.get(key, ("", 0))
+        if "," in value:
             try:
                 lists[key] = [float(tok) for tok in value.split(",")]
             except ValueError:
                 raise ConfigError(
                     f"{path}:{lineno}: bad grid list for {key}: {value!r}", [key]
                 ) from None
-            if not lists[key]:
-                raise ConfigError(f"{path}:{lineno}: empty grid list for {key}", [key])
-        else:
-            base_lines[key] = value
-    names = [k for k in GRID_KEYS if k in lists]
-    combos = list(itertools.product(*(lists[k] for k in names))) or [()]
-    points = []
-    for combo in combos:
-        lines = dict(base_lines)
-        for name, value in zip(names, combo):
-            lines[name] = repr(value)
-        text = "\n".join(f"{k}={v}" for k, v in lines.items()) + "\n"
-        points.append((dict(zip(names, combo)), training.config_from_text(text, path)))
-    return points
+    values = {key: value for key, (value, _) in lines.items()}
+    return [(dict(zip(lists, combo)), training.hyper_from_config(
+                {**values, **{key: repr(v) for key, v in zip(lists, combo)}}, path))
+            for combo in itertools.product(*lists.values())]
 
 
 def _round_robin_folds(ratings, n_folds, seed):
@@ -413,8 +397,6 @@ def cmd_grid(args):
     content_path = _require_file(args.content, "content")
     raw = config_path.read_text(encoding="utf-8")
     points = _grid_points(raw, config_path)
-    if not points:
-        raise ConfigError(f"{config_path}: empty grid")
     ratings = data.load_ratings(ratings_path)
     content = data.load_content(content_path, mode=args.content_mode,
                                 num_items=ratings.num_items)

@@ -106,6 +106,7 @@ def _solve_spd(A, rhs):
 
 def _base(F, lam, conf):
     """lam*I + b*F^T F: the part of the system every row of a pass shares."""
+    _check_finite(F)
     return lam * np.eye(F.shape[1]) + conf.b * (F.T @ F)
 
 

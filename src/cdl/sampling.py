@@ -6,8 +6,10 @@ Weight columns (with their bias entry) and per-item hidden rows are updated
 by Langevin-style Metropolis steps: the proposal mean follows the
 gradient of the block's log conditional, and the acceptance ratio carries the
 asymmetric-proposal correction, so the kernel targets the exact conditional.
-Step sizes adapt toward a 20-40% acceptance band during burn-in and are then
-frozen.
+Each conditional is written once, as one function returning its log density
+and gradient together, and a proposal evaluates it once at the current point
+and once at the proposed one.  Step sizes adapt toward a 20-40% acceptance
+band during burn-in and are then frozen.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dtrtrs
 from scipy.special import expit
 
 from . import sdae
@@ -31,86 +33,93 @@ ADAPT_DECAY = 0.6
 ADAPT_INTERVAL = 10   # scans pooled per adaptation window
 
 
-def logpost_w_col(w_col_plus, x_prev, x_col, lambda_w, lambda_s):
-    """Unnormalized log conditional of one weight column with its bias entry.
+def _w_col_density(w, x_prev, x_col, lambda_w, lambda_s):
+    """(log density, gradient) of one weight column with its bias entry.
 
-    ``w_col_plus`` is the column stacked with its bias as last entry;
-    ``x_prev`` holds the previous layer's rows (items x width) and ``x_col``
-    the current layer's column the weights feed.  Constant terms independent
-    of the argument are dropped.
+    ``w`` is the column stacked with its bias as last entry; ``x_prev`` holds
+    the previous layer's rows (items x width) and ``x_col`` the current
+    layer's column the weights feed.  Constant terms are dropped.
     """
-    w = np.asarray(w_col_plus, dtype=np.float64)
+    w = np.asarray(w, dtype=np.float64)
     if not np.isfinite(w).all():
         raise NumericError("non-finite weight column")
-    z = x_prev @ w[:-1] + w[-1]
-    resid = x_col - expit(z)
-    return -0.5 * lambda_w * float(w @ w) - 0.5 * lambda_s * float(resid @ resid)
-
-
-def grad_logpost_w_col(w_col_plus, x_prev, x_col, lambda_w, lambda_s):
-    w = np.asarray(w_col_plus, dtype=np.float64)
-    z = x_prev @ w[:-1] + w[-1]
-    s = expit(z)
-    back = lambda_s * (x_col - s) * s * (1.0 - s)
+    s = expit(x_prev @ w[:-1] + w[-1])
+    resid = x_col - s
+    back = lambda_s * resid * s * (1.0 - s)
     grad = np.empty_like(w)
     grad[:-1] = x_prev.T @ back
     grad[-1] = back.sum()
-    return grad - lambda_w * w
+    value = -0.5 * lambda_w * float(w @ w) - 0.5 * lambda_s * float(resid @ resid)
+    return value, grad - lambda_w * w
 
 
-def logpost_x_row(layer, num_layers, x, prev_row, w_in, b_in, lambda_s, *,
-                  w_out=None, b_out=None, next_row=None, xc_row=None,
-                  lambda_n=None, v_row=None, lambda_v=None):
-    """Unnormalized log conditional of one hidden row at the given layer.
+def _x_row_density(layer, num_layers, x, mean_in, lambda_s, *, w_out=None,
+                   b_out=None, next_row=None, xc_row=None, lambda_n=None,
+                   v_row=None, lambda_v=None):
+    """(log density, gradient) of one hidden row at the given layer, whose
+    incoming mean from the previous layer is ``mean_in``.
 
-    Always includes the incoming Gaussian from the previous layer.  Interior
-    layers add the outgoing Gaussian toward the next layer; the last layer
-    instead couples to the clean content row with precision ``lambda_n``.
-    Exactly at the middle layer the item-vector coupling term enters.
+    Always includes the incoming Gaussian.  Interior layers add the outgoing
+    Gaussian toward the next layer; the last layer instead couples to the
+    clean content row with precision ``lambda_n``.  Exactly at the middle
+    layer the item-vector coupling term enters.
     """
     if not 1 <= layer <= num_layers:
         raise ArgumentError(f"layer must lie in [1, {num_layers}], got {layer}")
     x = np.asarray(x, dtype=np.float64)
-    mean_in = expit(prev_row @ w_in + b_in)
     diff = x - mean_in
     value = -0.5 * lambda_s * float(diff @ diff)
+    grad = -lambda_s * diff
     if layer == num_layers:
         if xc_row is None or lambda_n is None:
             raise ArgumentError("last layer needs xc_row and lambda_n")
         diff = xc_row - x
         value += -0.5 * lambda_n * float(diff @ diff)
+        grad += lambda_n * diff
     else:
         if w_out is None or b_out is None or next_row is None:
             raise ArgumentError(f"layer {layer} needs w_out, b_out and next_row")
-        diff = next_row - expit(x @ w_out + b_out)
+        s = expit(x @ w_out + b_out)
+        diff = next_row - s
         value += -0.5 * lambda_s * float(diff @ diff)
+        grad += lambda_s * (w_out @ (diff * s * (1.0 - s)))
     if layer == num_layers // 2:
         if v_row is None or lambda_v is None:
             raise ArgumentError("middle layer needs v_row and lambda_v")
         diff = v_row - x
         value += -0.5 * lambda_v * float(diff @ diff)
-    return value
+        grad += lambda_v * diff
+    return value, grad
 
 
-def grad_logpost_x_row(layer, num_layers, x, prev_row, w_in, b_in, lambda_s, *,
-                       w_out=None, b_out=None, next_row=None, xc_row=None,
-                       lambda_n=None, v_row=None, lambda_v=None):
-    x = np.asarray(x, dtype=np.float64)
-    grad = -lambda_s * (x - expit(prev_row @ w_in + b_in))
-    if layer == num_layers:
-        grad += lambda_n * (xc_row - x)
-    else:
-        s = expit(x @ w_out + b_out)
-        grad += lambda_s * (w_out @ ((next_row - s) * s * (1.0 - s)))
-    if layer == num_layers // 2:
-        grad += lambda_v * (v_row - x)
-    return grad
+def logpost_w_col(w_col_plus, x_prev, x_col, lambda_w, lambda_s):
+    """Unnormalized log conditional of one weight column with its bias entry."""
+    return _w_col_density(w_col_plus, x_prev, x_col, lambda_w, lambda_s)[0]
+
+
+def grad_logpost_w_col(w_col_plus, x_prev, x_col, lambda_w, lambda_s):
+    return _w_col_density(w_col_plus, x_prev, x_col, lambda_w, lambda_s)[1]
+
+
+def logpost_x_row(layer, num_layers, x, prev_row, w_in, b_in, lambda_s, **couplings):
+    """Unnormalized log conditional of one hidden row at the given layer;
+    the keyword couplings are those of ``_x_row_density``."""
+    mean_in = expit(prev_row @ w_in + b_in)
+    return _x_row_density(layer, num_layers, x, mean_in, lambda_s, **couplings)[0]
+
+
+def grad_logpost_x_row(layer, num_layers, x, prev_row, w_in, b_in, lambda_s, **couplings):
+    mean_in = expit(prev_row @ w_in + b_in)
+    return _x_row_density(layer, num_layers, x, mean_in, lambda_s, **couplings)[1]
 
 
 def _gaussian_draw(mean, upper, z):
     """mean + upper^-1 z: a draw from N(mean, A^-1) for A = upper^T upper
     and standard normals z."""
-    return mean + scipy.linalg.solve_triangular(upper, z, lower=False)
+    x, info = dtrtrs(upper, z, lower=0)
+    if info:
+        raise NumericError(f"triangular solve failed: dtrtrs info {info}")
+    return mean + x
 
 
 def sample_u(V, rated_items, conf, lambda_u, rng):
@@ -137,21 +146,31 @@ def _draw_rows(out, F, ptr, cols, conf, lam, rng, priors=None):
             out[r] = _gaussian_draw(mean, upper, z[r])
 
 
+def _log_ratio(x, here, proposal, there, step):
+    """Metropolis-Hastings log acceptance ratio of a Langevin proposal from
+    the (log density, gradient) pairs ``here`` at x and ``there`` at it."""
+    half = 0.5 * step * step
+    fwd = proposal - x - half * here[1]
+    rev = x - proposal - half * there[1]
+    return (there[0] - here[0]
+            + (float(fwd @ fwd) - float(rev @ rev)) / (2.0 * step * step))
+
+
 def mala_log_ratio(logpost, grad, x, proposal, step):
     """Metropolis-Hastings log acceptance ratio for a Langevin proposal.
 
     Swapping (x, proposal) flips the sign exactly: the kernel is reversible.
     """
-    half = 0.5 * step * step
-    fwd = proposal - x - half * grad(x)
-    rev = x - proposal - half * grad(proposal)
-    return (logpost(proposal) - logpost(x)
-            + (float(fwd @ fwd) - float(rev @ rev)) / (2.0 * step * step))
+    return _log_ratio(x, (logpost(x), grad(x)), proposal,
+                      (logpost(proposal), grad(proposal)), step)
 
 
-def _mala_update(x, logpost, grad, step, rng):
-    proposal = x + 0.5 * step * step * grad(x) + step * rng.standard_normal(x.shape)
-    log_ratio = mala_log_ratio(logpost, grad, x, proposal, step)
+def _mala_update(x, density, step, rng):
+    """One Langevin Metropolis step; ``density`` returns (log density,
+    gradient) and is evaluated at x and at the proposal only."""
+    here = density(x)
+    proposal = x + 0.5 * step * step * here[1] + step * rng.standard_normal(x.shape)
+    log_ratio = _log_ratio(x, here, proposal, density(proposal), step)
     if log_ratio >= 0.0 or rng.random() < math.exp(log_ratio):
         return proposal, True
     return x, False
@@ -236,11 +255,8 @@ def mwg_step(state, ratings, content, hyper, rng,
                 col = np.append(net.weights[l - 1][:, n], net.biases[l - 1][n])
                 x_col = x_cur[:, n]
                 new, ok = _mala_update(
-                    col,
-                    lambda w: logpost_w_col(w, x_prev, x_col, hyper.lambda_w, lam_s),
-                    lambda w: grad_logpost_w_col(w, x_prev, x_col, hyper.lambda_w, lam_s),
-                    step, rng,
-                )
+                    col, lambda w: _w_col_density(w, x_prev, x_col, hyper.lambda_w, lam_s),
+                    step, rng)
                 if ok:
                     net.weights[l - 1][:, n] = new[:-1]
                     net.biases[l - 1][n] = new[-1]
@@ -260,13 +276,10 @@ def mwg_step(state, ratings, content, hyper, rng,
                           "next_row": state.layers[l + 1][j]}
                 if l == mid:
                     kw.update(v_row=state.V[j], lambda_v=hyper.lambda_v)
-                prev = state.layers[l - 1][j]
+                mean_in = expit(state.layers[l - 1][j] @ w_in + b_in)
                 new, ok = _mala_update(
                     state.layers[l][j],
-                    lambda x: logpost_x_row(l, L, x, prev, w_in, b_in, lam_s, **kw),
-                    lambda x: grad_logpost_x_row(l, L, x, prev, w_in, b_in, lam_s, **kw),
-                    step, rng,
-                )
+                    lambda x: _x_row_density(l, L, x, mean_in, lam_s, **kw), step, rng)
                 if ok:
                     state.layers[l][j] = new
                     accepted += 1

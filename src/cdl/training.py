@@ -136,11 +136,9 @@ def _format_field(name, value):
 CONFIG_FIELDS = tuple(f.name for f in fields(HyperParams))
 
 
-def config_from_text(text, path="<config>"):
-    """Parse a flat key=value config covering every hyperparameter field.
-
-    Missing and unknown keys are rejected together, listing every offender.
-    """
+def config_lines(text, path="<config>"):
+    """{key: (value text, line number)} of a flat key=value config; a line
+    without '=' and a repeated key are rejected naming file:line."""
     raw = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
@@ -152,7 +150,15 @@ def config_from_text(text, path="<config>"):
         key = key.strip()
         if key in raw:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}", [key])
-        raw[key] = value
+        raw[key] = (value, lineno)
+    return raw
+
+
+def hyper_from_config(raw, path="<config>"):
+    """HyperParams from {key: value text} covering every field.
+
+    Missing and unknown keys are rejected together, listing every offender.
+    """
     unknown = sorted(set(raw) - set(CONFIG_FIELDS))
     missing = sorted(set(CONFIG_FIELDS) - set(raw))
     if unknown or missing:
@@ -169,6 +175,12 @@ def config_from_text(text, path="<config>"):
         except ValueError:
             raise ConfigError(f"{path}: bad value for {name}: {raw[name]!r}", [name]) from None
     return HyperParams(**kwargs)
+
+
+def config_from_text(text, path="<config>"):
+    """Parse a flat key=value config covering every hyperparameter field."""
+    return hyper_from_config(
+        {key: value for key, (value, _) in config_lines(text, path).items()}, path)
 
 
 def load_config(path):

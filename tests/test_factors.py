@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -257,6 +259,18 @@ class TestGroupedSweeps:
                       lambda: mf.sweep_items(U, ratings, conf, 3.0, enc_unrated)]:
             with pytest.raises(NumericError, match="SPD solve failed: .*infs or NaNs"):
                 sweep()
+
+    def test_opposite_infinities_raise_before_any_warning(self):
+        # inf and -inf in one column meet in F^T F: the check must come first
+        V = np.array([[1.0, np.inf], [1.0, -np.inf]])
+        ratings = data.RatingsMatrix(1, 2, [(0, 0)])
+        conf = ConfidenceParams(1.0, 0.01)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for solve in [lambda: mf.sweep_users(V, ratings, conf, 0.5),
+                          lambda: mf.update_user(V, np.array([0]), conf, 0.5)]:
+                with pytest.raises(NumericError, match="infs or NaNs"):
+                    solve()
 
     def test_singular_base_raises(self):
         # lambda = 0 and b = 0 leave a user with no ratings a zero system
