@@ -177,8 +177,7 @@ def cmd_train(args):
                           config=training.config_text(hyper))
         outputs.append(out / "network.npz")
     mf.save_factors(factors, out / "factors.npz")
-    mf.export_factors_text(factors, out / "factors.tsv")
-    outputs += [out / "factors.npz", out / "factors.tsv"]
+    outputs.append(out / "factors.npz")
     with open(out / "config.txt", "w", encoding="utf-8") as fh:
         fh.write(training.config_text(hyper))
     outputs.append(out / "config.txt")
