@@ -87,7 +87,7 @@ class TestTrainCommand:
                        "--ratings", dataset["ratings"],
                        "--content", dataset["content"], "--out", out)
         assert code == 0
-        for name in ("network.npz", "factors.npz", "factors.tsv",
+        for name in ("network.npz", "factors.npz",
                      "report.tsv", "config.txt", "manifest.json"):
             assert (out / name).exists(), name
         report = training.TrainReport.read_tsv(out / "report.tsv")
