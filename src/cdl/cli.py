@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, data, factors as mf, metrics, sampling, sdae, training
-from .exceptions import ArgumentError, CdlError, ConfigError
+from .exceptions import ArgumentError, CdlError, ConfigError, ParseError
 
 log = logging.getLogger(__name__)
 
@@ -78,8 +78,14 @@ def _read_manifest(model_dir):
     path = Path(model_dir) / "manifest.json"
     if not path.exists():
         return {}
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        with data.open_text(path) as fh:
+            manifest = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: not JSON: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise ParseError(f"{path}: expected a JSON object")
+    return manifest
 
 
 def _require_file(path, what):
@@ -202,9 +208,9 @@ def _load_model(model_dir, network=True):
 
 
 def _train_path_from_manifest(model_dir):
-    manifest = _read_manifest(model_dir)
-    ratings = manifest.get("args", {}).get("ratings")
-    if ratings is None:
+    args = _read_manifest(model_dir).get("args")
+    ratings = args.get("ratings") if isinstance(args, dict) else None
+    if not isinstance(ratings, str):
         raise ArgumentError(
             f"--train not given and no ratings path recorded in {model_dir}/manifest.json"
         )
@@ -359,10 +365,12 @@ def _grid_points(raw_config, path):
                 raise ConfigError(
                     f"{path}:{lineno}: bad grid list for {key}: {value!r}", [key]
                 ) from None
-    values = {key: value for key, (value, _) in lines.items()}
-    return [(dict(zip(lists, combo)), training.hyper_from_config(
-                {**values, **{key: repr(v) for key, v in zip(lists, combo)}}, path))
-            for combo in itertools.product(*lists.values())]
+    points = []
+    for combo in itertools.product(*lists.values()):
+        chosen = {key: (repr(v), lines[key][1]) for key, v in zip(lists, combo)}
+        points.append((dict(zip(lists, combo)),
+                       training.hyper_from_config({**lines, **chosen}, path)))
+    return points
 
 
 def _round_robin_folds(ratings, n_folds, seed):
@@ -394,8 +402,8 @@ def cmd_grid(args):
     config_path = _require_file(args.config, "config")
     ratings_path = _require_file(args.ratings, "ratings")
     content_path = _require_file(args.content, "content")
-    raw = config_path.read_text(encoding="utf-8")
-    points = _grid_points(raw, config_path)
+    with data.open_text(config_path) as fh:
+        points = _grid_points(fh.read(), config_path)
     ratings = data.load_ratings(ratings_path)
     content = data.load_content(content_path, mode=args.content_mode,
                                 num_items=ratings.num_items)

@@ -13,6 +13,7 @@ matrices are immutable after construction.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import math
 import re
@@ -159,6 +160,17 @@ class SplitSpec:
             raise ArgumentError("repetitions must be at least 1")
 
 
+@contextlib.contextmanager
+def open_text(path):
+    """The UTF-8 text file at ``path``, read-only; a byte sequence that is not
+    UTF-8 raises ParseError naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def load_ratings(path):
     """Read a ratings file into a validated :class:`RatingsMatrix`.
 
@@ -167,7 +179,7 @@ def load_ratings(path):
     """
     pairs = []
     num_users = num_items = None
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line.strip():
@@ -251,7 +263,7 @@ def load_content(path, mode=BINARY_PRESENCE, num_items=None, vocab_size=None,
     """
     layout = "item<TAB>word<TAB>count" if item_column else "word<TAB>count"
     triples = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line.strip() or line.startswith("#"):
@@ -381,7 +393,7 @@ def read_split_manifest(path):
     """Read back (train RatingsMatrix, meta dict) written by write_split_manifest."""
     meta = {}
     pairs = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line.strip():
@@ -431,7 +443,7 @@ class Vocabulary:
     def load(path):
         """Read a token<TAB>word_id file; df/tfidf metadata is not stored."""
         tokens = {}
-        with open(path, encoding="utf-8") as fh:
+        with open_text(path) as fh:
             for lineno, line in enumerate(fh, 1):
                 line = line.rstrip("\n")
                 if not line.strip():

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import factors as mf
 from . import sdae
-from .data import corrupt
+from .data import corrupt, open_text
 from .exceptions import (
     ArgumentError,
     ConfigError,
@@ -155,7 +155,7 @@ def config_lines(text, path="<config>"):
 
 
 def hyper_from_config(raw, path="<config>"):
-    """HyperParams from {key: value text} covering every field.
+    """HyperParams from config_lines' {key: (value text, line number)}.
 
     Missing and unknown keys are rejected together, listing every offender.
     """
@@ -170,21 +170,22 @@ def hyper_from_config(raw, path="<config>"):
         raise ConfigError(f"{path}: " + "; ".join(parts), unknown + missing)
     kwargs = {}
     for name in CONFIG_FIELDS:
+        value, lineno = raw[name]
         try:
-            kwargs[name] = _parse_field(name, raw[name])
+            kwargs[name] = _parse_field(name, value)
         except ValueError:
-            raise ConfigError(f"{path}: bad value for {name}: {raw[name]!r}", [name]) from None
+            raise ConfigError(f"{path}:{lineno}: bad value for {name}: {value!r}",
+                              [name]) from None
     return HyperParams(**kwargs)
 
 
 def config_from_text(text, path="<config>"):
     """Parse a flat key=value config covering every hyperparameter field."""
-    return hyper_from_config(
-        {key: value for key, (value, _) in config_lines(text, path).items()}, path)
+    return hyper_from_config(config_lines(text, path), path)
 
 
 def load_config(path):
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         return config_from_text(fh.read(), path=str(path))
 
 
@@ -231,7 +232,7 @@ class TrainReport:
     @staticmethod
     def read_tsv(path):
         rows = []
-        with open(path, encoding="utf-8") as fh:
+        with open_text(path) as fh:
             header = fh.readline().rstrip("\n").split("\t")
             if tuple(header) != REPORT_COLUMNS:
                 raise ConfigError(f"{path}: unexpected report header {header}")

@@ -294,6 +294,39 @@ def test_damaged_factors_checkpoint_named(trained, tmp_path, capsys, command, da
         assert "no array 'V'" in err
 
 
+@pytest.mark.parametrize("command, bad", [
+    ("train", "ratings"), ("train", "content"), ("train", "config"),
+    ("grid", "config"), ("predict", "train"),
+    ("eval", "manifest-not-json"), ("eval", "manifest-list"),
+    ("predict", "manifest-not-json"), ("predict", "manifest-list")])
+def test_bad_input_named_without_traceback(trained, tmp_path, capsys, command, bad):
+    # a non-UTF-8 byte appended to a valid input, or a damaged model manifest
+    files = {"ratings": trained["split"] / "train.tsv", "content": trained["content"],
+             "config": trained["config"]}
+    if bad.startswith("manifest"):
+        path = trained["model"] / "manifest.json"
+        path.write_text("[]\n" if bad == "manifest-list" else "{not json\n")
+    else:
+        source = files["ratings" if bad == "train" else bad]
+        path = tmp_path / f"not_utf8_{source.name}"
+        path.write_bytes(source.read_bytes() + b"\xff\xfe\n")
+        files[bad] = path
+    inputs = ("--config", files["config"], "--ratings", files["ratings"],
+              "--content", files["content"])
+    argv = {
+        "train": inputs,
+        "grid": inputs + ("--folds", 2),
+        "eval": ("--model", trained["model"], "--test", trained["split"] / "test.tsv"),
+        "predict": ("--model", trained["model"], "--user", 0)
+                   + (("--train", path) if bad == "train" else ()),
+    }[command]
+    code = run_cli(command, *argv, "--out", tmp_path / "o")
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"error: {path}: " in err
+    assert "Traceback" not in err
+
+
 class TestSampleCommand:
     @pytest.mark.parametrize("iters, burn_in, thin, flag", [
         (30, 15, 0, "--thin must be at least 1"),
@@ -382,6 +415,19 @@ class TestGridCommand:
         assert code == 1
         assert "--folds" in capsys.readouterr().err
 
+
+    @pytest.mark.parametrize("line", ["lambda_w=0.5", "lambda_u=0.5,2.0"])
+    def test_duplicate_key_names_file_and_line(self, dataset, tmp_path, capsys, line):
+        text = dataset["config"].read_text()
+        config = tmp_path / "dup.txt"
+        config.write_text(text + line + "\n")
+        code = run_cli("grid", "--config", config, "--ratings", dataset["ratings"],
+                       "--content", dataset["content"], "--folds", 2,
+                       "--out", tmp_path / "grid_dup")
+        assert code == 1
+        key = line.split("=")[0]
+        lineno = len(text.splitlines()) + 1
+        assert f"{config}:{lineno}: duplicate key {key!r}" in capsys.readouterr().err
 
     def test_select_m_below_one_rejected_before_training(self, dataset, tmp_path, capsys):
         out = tmp_path / "grid_m0"
