@@ -3,13 +3,11 @@
 User and item vectors have conjugate Gaussian conditionals and are drawn
 exactly, a whole block per pass through the MAP sweeps' grouped solves.
 Weight columns (with their bias entry) and per-item hidden rows are updated
-by Langevin-style Metropolis steps: the proposal mean follows the
-gradient of the block's log conditional, and the acceptance ratio carries the
+by Langevin Metropolis steps whose acceptance ratio carries the
 asymmetric-proposal correction, so the kernel targets the exact conditional.
-Each conditional is written once, as one function returning its log density
-and gradient together, and a proposal evaluates it once at the current point
-and once at the proposed one.  Step sizes adapt toward a 20-40% acceptance
-band during burn-in and are then frozen.
+Each conditional is one function returning (log density, gradient), evaluated
+once at the current point and once at the proposal.  Step sizes adapt toward
+a 20-40% acceptance band during burn-in and are then frozen.
 """
 
 from __future__ import annotations
@@ -46,24 +44,17 @@ def _w_col_density(w, x_prev, x_col, lambda_w, lambda_s):
     s = expit(x_prev @ w[:-1] + w[-1])
     resid = x_col - s
     back = lambda_s * resid * s * (1.0 - s)
-    grad = np.empty_like(w)
-    grad[:-1] = x_prev.T @ back
-    grad[-1] = back.sum()
     value = -0.5 * lambda_w * float(w @ w) - 0.5 * lambda_s * float(resid @ resid)
-    return value, grad - lambda_w * w
+    return value, np.append(x_prev.T @ back, back.sum()) - lambda_w * w
 
 
 def _x_row_density(layer, num_layers, x, mean_in, lambda_s, *, w_out=None,
                    b_out=None, next_row=None, xc_row=None, lambda_n=None,
                    v_row=None, lambda_v=None):
-    """(log density, gradient) of one hidden row at the given layer, whose
-    incoming mean from the previous layer is ``mean_in``.
-
-    Always includes the incoming Gaussian.  Interior layers add the outgoing
-    Gaussian toward the next layer; the last layer instead couples to the
-    clean content row with precision ``lambda_n``.  Exactly at the middle
-    layer the item-vector coupling term enters.
-    """
+    """(log density, gradient) of one hidden row at the given layer: the
+    Gaussian around its incoming mean ``mean_in``, then the outgoing Gaussian
+    toward the next layer, or on the last layer the clean content row with
+    precision ``lambda_n``, and at the middle layer the item-vector coupling."""
     if not 1 <= layer <= num_layers:
         raise ArgumentError(f"layer must lie in [1, {num_layers}], got {layer}")
     x = np.asarray(x, dtype=np.float64)
@@ -102,8 +93,7 @@ def grad_logpost_w_col(w_col_plus, x_prev, x_col, lambda_w, lambda_s):
 
 
 def logpost_x_row(layer, num_layers, x, prev_row, w_in, b_in, lambda_s, **couplings):
-    """Unnormalized log conditional of one hidden row at the given layer;
-    the keyword couplings are those of ``_x_row_density``."""
+    """Unnormalized log conditional of one hidden row; see ``_x_row_density``."""
     mean_in = expit(prev_row @ w_in + b_in)
     return _x_row_density(layer, num_layers, x, mean_in, lambda_s, **couplings)[0]
 
@@ -147,8 +137,7 @@ def _draw_rows(out, F, ptr, cols, conf, lam, rng, priors=None):
 
 
 def _log_ratio(x, here, proposal, there, step):
-    """Metropolis-Hastings log acceptance ratio of a Langevin proposal from
-    the (log density, gradient) pairs ``here`` at x and ``there`` at it."""
+    """mala_log_ratio from the (log density, gradient) pairs at both points."""
     half = 0.5 * step * step
     fwd = proposal - x - half * here[1]
     rev = x - proposal - half * there[1]

@@ -331,6 +331,61 @@ class TestMetropolisKernel:
             np.testing.assert_allclose(a, b, atol=1e-9)
 
 
+    def test_each_proposal_evaluates_its_conditional_twice(self, monkeypatch):
+        ratings, content = tiny_chain_data()
+        hyper = chain_hyper()
+        net = sdae.init_network(hyper.widths, np.random.SeedSequence(0), hyper.lambda_w)
+        x0 = data.corrupt(content, 0.3, 1)
+        layers = [x0.matrix.toarray()] + [o.copy() for o in
+                                          sdae.forward(net, x0).raw_outputs[1:]]
+        state = sampling.SamplerState(
+            net=net, layers=layers, U=np.zeros((5, 2)), V=layers[net.middle].copy(),
+            steps={f"{kind}{l}": 0.1 for kind in "wx" for l in range(1, 5)})
+        calls = {"w": 0, "x": 0}
+
+        def counted(kind, density):
+            def wrapped(*args, **kwargs):
+                calls[kind] += 1
+                return density(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(sampling, "_w_col_density",
+                            counted("w", sampling._w_col_density))
+        monkeypatch.setattr(sampling, "_x_row_density",
+                            counted("x", sampling._x_row_density))
+        counts = sampling.mwg_step(state, ratings, content, hyper,
+                                   np.random.default_rng(3), blocks=("w", "x"))
+        for kind in "wx":
+            proposed = sum(prop for block, (_, prop) in counts.items()
+                           if block.startswith(kind))
+            assert proposed > 0
+            assert calls[kind] == 2 * proposed
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_langevin_kernel_leaves_gaussian_invariant(self, seed):
+        # start 4000 independent points at draws from N(mu, P^-1) and take 5
+        # kernel steps each: the points must still follow the target
+        mu = np.array([1.0, -2.0, 0.5])
+        P = np.array([[2.0, 0.6, 0.0], [0.6, 1.0, 0.3], [0.0, 0.3, 0.5]])
+        cov = np.linalg.inv(P)
+
+        def density(x):
+            d = x - mu
+            return -0.5 * float(d @ P @ d), -(P @ d)
+
+        rng = np.random.default_rng(seed)
+        n = 4000
+        points = rng.multivariate_normal(mu, cov, size=n)
+        for i in range(n):
+            x = points[i]
+            for _ in range(5):
+                x, _ = sampling._mala_update(x, density, 0.8, rng)
+            points[i] = x
+        se = np.sqrt(np.diag(cov) / n)
+        assert np.all(np.abs(points.mean(axis=0) - mu) < 4 * se)
+        np.testing.assert_allclose(points.var(axis=0, ddof=1), np.diag(cov), rtol=0.1)
+
+
 class TestRunChain:
     def test_conjugate_only_chain_matches_closed_form(self):
         # with W and X frozen, the user draws are iid from the exact
