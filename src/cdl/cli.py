@@ -137,6 +137,16 @@ def cmd_split(args):
     return 0
 
 
+def _load_content(args, ratings, hyper):
+    """(path, ContentMatrix) of ``--content``, with one row per rated item and,
+    when the config fixes the widths, the network's input width as its
+    vocabulary size."""
+    path = _require_file(args.content, "content")
+    vocab_size = None if hyper.widths is None else hyper.widths[0]
+    return path, data.load_content(path, mode=args.content_mode,
+                                   num_items=ratings.num_items, vocab_size=vocab_size)
+
+
 def _train_one(ratings, content, hyper, variant, report_path=None):
     if variant == "cdl":
         return training.fit(ratings, content, hyper, report_path=report_path)
@@ -167,9 +177,7 @@ def cmd_train(args):
     else:
         if not args.content:
             raise ArgumentError(f"variant {args.variant!r} needs --content")
-        content_path = _require_file(args.content, "content")
-        content = data.load_content(content_path, mode=args.content_mode,
-                                    num_items=ratings.num_items)
+        content_path, content = _load_content(args, ratings, hyper)
         inputs.append(content_path)
 
     out = Path(args.out)
@@ -205,6 +213,14 @@ def _load_model(model_dir, network=True):
     if network and net_path.is_file():
         net = sdae.load_network(net_path)
     return net, factors
+
+
+def _require_model_shape(factors, train, train_path):
+    """The training ratings must cover the checkpoint's items, then its users."""
+    for what, model, ratings in (("items", factors.V.shape[0], train.num_items),
+                                 ("users", factors.U.shape[0], train.num_users)):
+        if model != ratings:
+            raise ArgumentError(f"checkpoint has {model} {what} but {train_path} has {ratings}")
 
 
 def _train_path_from_manifest(model_dir):
@@ -244,11 +260,7 @@ def cmd_eval(args):
         test_path = _require_file(test_path, "test ratings")
         train = data.load_ratings(train_path)
         test = data.load_ratings(test_path)
-        if train.num_items != factors.V.shape[0]:
-            raise ArgumentError(
-                f"checkpoint has {factors.V.shape[0]} items but "
-                f"{train_path} has {train.num_items}"
-            )
+        _require_model_shape(factors, train, train_path)
         if test.num_items != train.num_items or test.num_users != train.num_users:
             raise ArgumentError(
                 f"train {train_path} and test {test_path} dimensions differ"
@@ -293,6 +305,7 @@ def cmd_predict(args):
         train_path = _require_file(train_path, "train ratings")
         inputs.append(train_path)
         train = data.load_ratings(train_path)
+        _require_model_shape(factors, train, train_path)
         seen = train.items_of(args.user)
         one_user = data.RatingsMatrix(1, train.num_items,
                                       np.column_stack([np.zeros_like(seen), seen]))
@@ -319,14 +332,12 @@ def cmd_sample(args):
         raise ArgumentError(f"--iters {args.iters} must exceed --burn-in {args.burn_in}")
     config_path = _require_file(args.config, "config")
     ratings_path = _require_file(args.ratings, "ratings")
-    content_path = _require_file(args.content, "content")
     hyper = training.load_config(config_path)
     if args.seed is not None:
         hyper.seed = args.seed
         hyper.validate()
     ratings = data.load_ratings(ratings_path)
-    content = data.load_content(content_path, mode=args.content_mode,
-                                num_items=ratings.num_items)
+    content_path, content = _load_content(args, ratings, hyper)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     summary = sampling.run_chain(ratings, content, hyper,
@@ -401,12 +412,10 @@ def cmd_grid(args):
         raise ArgumentError(f"--select-m must be at least 1, got {args.select_m}")
     config_path = _require_file(args.config, "config")
     ratings_path = _require_file(args.ratings, "ratings")
-    content_path = _require_file(args.content, "content")
     with data.open_text(config_path) as fh:
         points = _grid_points(fh.read(), config_path)
     ratings = data.load_ratings(ratings_path)
-    content = data.load_content(content_path, mode=args.content_mode,
-                                num_items=ratings.num_items)
+    content_path, content = _load_content(args, ratings, points[0][1])
     folds = _round_robin_folds(ratings, args.folds, points[0][1].seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

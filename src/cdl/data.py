@@ -398,16 +398,24 @@ def read_split_manifest(path):
             line = line.rstrip("\n")
             if not line.strip():
                 continue
-            if "=" in line and "\t" not in line:
-                key, value = line.split("=", 1)
-                meta[key.strip()] = int(value)
-            else:
+            try:
+                if "=" in line and "\t" not in line:
+                    key, value = line.split("=", 1)
+                    meta[key.strip()] = int(value)
+                    continue
                 fields = line.split("\t")
                 if len(fields) != 2:
-                    raise ParseError(f"{path}:{lineno}: bad manifest line {line!r}")
+                    raise ValueError
                 pairs.append((int(fields[0]), int(fields[1])))
-    train = RatingsMatrix(meta["users"], meta["items"], pairs)
-    return train, meta
+            except ValueError:
+                raise ParseError(f"{path}:{lineno}: bad manifest line {line!r}") from None
+    missing = [key for key in ("users", "items") if key not in meta]
+    if missing:
+        raise ParseError(f"{path}: no {'/'.join(k + '=' for k in missing)} line")
+    try:
+        return RatingsMatrix(meta["users"], meta["items"], pairs), meta
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 class Vocabulary:
@@ -443,15 +451,24 @@ class Vocabulary:
     def load(path):
         """Read a token<TAB>word_id file; df/tfidf metadata is not stored."""
         tokens = {}
+        names = set()
         with open_text(path) as fh:
             for lineno, line in enumerate(fh, 1):
                 line = line.rstrip("\n")
                 if not line.strip():
                     continue
                 fields = line.split("\t")
-                if len(fields) != 2:
-                    raise ParseError(f"{path}:{lineno}: bad vocabulary line {line!r}")
-                tokens[int(fields[1])] = fields[0]
+                try:
+                    if len(fields) != 2:
+                        raise ValueError
+                    word_id = int(fields[1])
+                except ValueError:
+                    raise ParseError(f"{path}:{lineno}: bad vocabulary line {line!r}") from None
+                if word_id in tokens or fields[0] in names:
+                    raise ValidationError(
+                        f"{path}:{lineno}: repeated word id or token in {line!r}")
+                tokens[word_id] = fields[0]
+                names.add(fields[0])
         if sorted(tokens) != list(range(len(tokens))):
             raise ValidationError(f"{path}: word ids are not dense from 0")
         return Vocabulary([(tokens[i], 0, 0.0) for i in range(len(tokens))])

@@ -18,6 +18,10 @@ from scipy.special import expit
 from .data import read_npz
 from .exceptions import ArgumentError, NumericError, ShapeError
 
+# rows evaluated at once by gradients, coupling_residuals, encode and
+# reconstruct: their working memory is one block's activations
+BLOCK_ROWS = 2048
+
 
 @dataclass
 class SdaeNetwork:
@@ -163,13 +167,6 @@ def _as_matrix(x):
     return arr
 
 
-def _dense_rows(m, rows):
-    part = m[rows]
-    if sp.issparse(part):
-        return part.toarray()
-    return part
-
-
 def _input(net, x):
     X = _as_matrix(x)
     if X.shape[1] != net.widths[0]:
@@ -177,6 +174,30 @@ def _input(net, x):
             f"input width {X.shape[1]} does not match network input {net.widths[0]}"
         )
     return X
+
+
+def _row_blocks(net, x0, xc=None, item_factors=None):
+    """Check the operands' shapes, then yield (rows, input rows[, clean rows,
+    item factor rows]) for each block of BLOCK_ROWS rows, in order.  Sparse
+    clean rows stay sparse: the caller densifies one block at a time."""
+    X0 = _input(net, x0)
+    num_rows = X0.shape[0]
+    operands = [X0]
+    if xc is not None:
+        Xc = _as_matrix(xc)
+        V = np.asarray(item_factors, dtype=np.float64)
+        if Xc.shape != (num_rows, net.widths[-1]):
+            raise ShapeError(f"clean content shape {Xc.shape} != {(num_rows, net.widths[-1])}")
+        if V.shape != (num_rows, net.code_size):
+            raise ShapeError(f"item factor shape {V.shape} != {(num_rows, net.code_size)}")
+        operands += [Xc, V]
+    for start in range(0, num_rows, BLOCK_ROWS):
+        rows = slice(start, start + BLOCK_ROWS)
+        yield rows, *(m[rows] for m in operands)
+
+
+def _dense(part):
+    return part.toarray() if sp.issparse(part) else part
 
 
 def _propagate(net, X, scales=None, depth=None):
@@ -206,7 +227,9 @@ def forward(net, x0, mask=None):
 
 def _output_at(net, x, depth):
     one_row = np.ndim(x) == 1 and not sp.issparse(x) and not hasattr(x, "matrix")
-    out = _propagate(net, _input(net, x), depth=depth).layer_outputs[-1]
+    out = np.empty((_as_matrix(x).shape[0], net.widths[depth]))
+    for rows, X in _row_blocks(net, x):
+        out[rows] = _propagate(net, X, depth=depth).layer_outputs[-1]
     return out[0] if one_row else out
 
 
@@ -220,51 +243,37 @@ def reconstruct(net, x):
     return _output_at(net, x, net.num_layers)
 
 
-def gradients(net, x0, xc, item_factors, lambda_v, lambda_n, lambda_w,
-              mask=None, batch_size=None):
+def gradients(net, x0, xc, item_factors, lambda_v, lambda_n, lambda_w, mask=None):
     """Exact gradients of the joint objective w.r.t. every weight and bias.
 
     The objective terms seen by the network are
     ``-lambda_w/2 (|W|^2 + |b|^2) - lambda_v/2 sum_j |code_j - v_j|^2
     - lambda_n/2 sum_j |recon_j - xc_j|^2``;
-    the returned arrays are ascent directions for that sum.  Items are
-    processed in fixed batch order so the reduction is deterministic.
+    the returned arrays are ascent directions for that sum.  Rows are
+    processed in blocks of BLOCK_ROWS, in order, so the reduction is
+    deterministic.
 
     Args:
         x0: corrupted input rows (items x vocab), sparse or dense.
         xc: clean content rows of the same shape.
         item_factors: items x code_size matrix the codes are pulled toward.
         mask: optional DropoutMask drawn for all rows of x0.
-        batch_size: row-batch size bounding peak memory; None = one batch.
     """
-    X0 = _as_matrix(x0)
-    Xc = _as_matrix(xc)
-    V = np.asarray(item_factors, dtype=np.float64)
     L = net.num_layers
     mid = net.middle
-    num_rows = X0.shape[0]
-    if X0.shape[1] != net.widths[0]:
-        raise ShapeError(f"corrupted input width {X0.shape[1]} != {net.widths[0]}")
-    if Xc.shape != (num_rows, net.widths[L]):
-        raise ShapeError(f"clean content shape {Xc.shape} != {(num_rows, net.widths[L])}")
-    if V.shape != (num_rows, net.code_size):
-        raise ShapeError(f"item factor shape {V.shape} != {(num_rows, net.code_size)}")
-
     grads_w = [-lambda_w * w for w in net.weights]
     grads_b = [-lambda_w * b for b in net.biases]
-    step = num_rows if batch_size is None else int(batch_size)
-    for start in range(0, num_rows, max(step, 1)):
-        rows = slice(start, min(start + step, num_rows))
+    for rows, X0, Xc, V in _row_blocks(net, x0, xc, item_factors):
         scales = {} if mask is None else {l: arr[rows] for l, arr in mask.scales.items()}
-        trace = _propagate(net, X0[rows], scales)
+        trace = _propagate(net, X0, scales)
         outs, raws = trace.layer_outputs, trace.raw_outputs
         for l in range(1, L + 1):
             if not np.isfinite(raws[l]).all():
                 raise NumericError(f"non-finite activation at layer {l}")
-        g = lambda_n * (outs[L] - _dense_rows(Xc, rows))
+        g = lambda_n * (outs[L] - _dense(Xc))
         for l in range(L, 0, -1):
             if l == mid:
-                g = g + lambda_v * (outs[l] - V[rows])
+                g = g + lambda_v * (outs[l] - V)
             if l in scales:
                 g = g * scales[l]
             delta = g * raws[l] * (1.0 - raws[l])
@@ -275,21 +284,15 @@ def gradients(net, x0, xc, item_factors, lambda_v, lambda_n, lambda_w,
     return grads_w, grads_b
 
 
-def coupling_residuals(net, x0, xc, item_factors, batch_size=None):
+def coupling_residuals(net, x0, xc, item_factors):
     """Squared-residual sums (sum |code - v|^2, sum |recon - xc|^2) over all
     rows, evaluated without dropout."""
-    X0 = _as_matrix(x0)
-    Xc = _as_matrix(xc)
-    V = np.asarray(item_factors, dtype=np.float64)
-    num_rows = X0.shape[0]
-    step = num_rows if batch_size is None else int(batch_size)
     enc_ss = 0.0
     rec_ss = 0.0
-    for start in range(0, num_rows, max(step, 1)):
-        rows = slice(start, min(start + step, num_rows))
-        trace = _propagate(net, X0[rows])
-        enc_diff = trace.layer_outputs[net.middle] - V[rows]
-        rec_diff = trace.layer_outputs[net.num_layers] - _dense_rows(Xc, rows)
+    for _, X0, Xc, V in _row_blocks(net, x0, xc, item_factors):
+        trace = _propagate(net, X0)
+        enc_diff = trace.layer_outputs[net.middle] - V
+        rec_diff = trace.layer_outputs[net.num_layers] - _dense(Xc)
         enc_ss += float(np.sum(enc_diff * enc_diff))
         rec_ss += float(np.sum(rec_diff * rec_diff))
     return enc_ss, rec_ss

@@ -21,6 +21,7 @@ from .exceptions import (
     ArgumentError,
     ConfigError,
     NumericError,
+    ParseError,
     ShapeError,
     TrainingError,
 )
@@ -236,9 +237,14 @@ class TrainReport:
             header = fh.readline().rstrip("\n").split("\t")
             if tuple(header) != REPORT_COLUMNS:
                 raise ConfigError(f"{path}: unexpected report header {header}")
-            for line in fh:
+            for lineno, line in enumerate(fh, 2):
                 vals = line.rstrip("\n").split("\t")
-                rows.append(SweepRow(int(vals[0]), *(float(v) for v in vals[1:])))
+                try:
+                    if len(vals) != len(REPORT_COLUMNS):
+                        raise ValueError
+                    rows.append(SweepRow(int(vals[0]), *(float(v) for v in vals[1:])))
+                except ValueError:
+                    raise ParseError(f"{path}:{lineno}: bad report row {line!r}") from None
         return TrainReport(rows)
 
 
@@ -268,8 +274,7 @@ class _ReportWriter:
 
 
 def objective_terms(ratings, U, V, conf, lambda_u, lambda_v, lambda_n, lambda_w,
-                    net=None, x0=None, content=None, v_prior_mean=None,
-                    batch_size=None):
+                    net=None, x0=None, content=None, v_prior_mean=None):
     """Per-term breakdown of the joint objective; every term is <= 0.
 
     The item-offset term measures V against ``v_prior_mean`` when given,
@@ -282,7 +287,7 @@ def objective_terms(ratings, U, V, conf, lambda_u, lambda_v, lambda_n, lambda_w,
     reconstructs = net is not None and lambda_n > 0
     if reconstructs:
         # the reconstruction pass yields the code residual as well
-        offset_ss, rec_ss = sdae.coupling_residuals(net, x0, content, V, batch_size)
+        offset_ss, rec_ss = sdae.coupling_residuals(net, x0, content, V)
     if v_prior_mean is not None or not reconstructs:
         if v_prior_mean is None and net is not None:
             v_prior_mean = sdae.encode(net, x0)
@@ -298,8 +303,7 @@ def objective_terms(ratings, U, V, conf, lambda_u, lambda_v, lambda_n, lambda_w,
 
 
 def objective(ratings, U, V, conf, lambda_u, lambda_v, lambda_n, lambda_w,
-              net=None, x0=None, content=None, v_prior_mean=None,
-              batch_size=None, check=True):
+              net=None, x0=None, content=None, v_prior_mean=None, check=True):
     """Joint objective value and its five-term breakdown.
 
     With ``check`` set, a non-finite result raises NumericError naming the
@@ -307,7 +311,7 @@ def objective(ratings, U, V, conf, lambda_u, lambda_v, lambda_n, lambda_w,
     """
     terms = objective_terms(ratings, U, V, conf, lambda_u, lambda_v, lambda_n,
                             lambda_w, net=net, x0=x0, content=content,
-                            v_prior_mean=v_prior_mean, batch_size=batch_size)
+                            v_prior_mean=v_prior_mean)
     total = sum(terms.values())
     if check:
         for name, value in terms.items():
@@ -422,7 +426,7 @@ def _factor_sweep(state, ratings, conf, hyper, prior_mean):
     state.V = mf.sweep_items(state.U, ratings, conf, hyper.lambda_v, prior_mean)
 
 
-def _network_setup(ratings, content, hyper, batch_size):
+def _network_setup(ratings, content, hyper):
     """Seeded network and first corruption, plus the epoch block that trains
     the network toward given item factors (joint and two-step share both)."""
     hyper.require_finite("lambda_u", "lambda_v", "lambda_n", "lambda_w")
@@ -444,17 +448,15 @@ def _network_setup(ratings, content, hyper, batch_size):
             if hyper.dropout_rate > 0:
                 mask = sdae.dropout_mask(widths, ratings.num_items,
                                          hyper.dropout_rate, _next_seed(mask_seq))
-            grads_w, grads_b = sdae.gradients(
-                state.net, state.x0, content, V, lambda_v, lambda_n,
-                hyper.lambda_w, mask=mask, batch_size=batch_size,
-            )
+            grads_w, grads_b = sdae.gradients(state.net, state.x0, content, V, lambda_v,
+                                              lambda_n, hyper.lambda_w, mask=mask)
             state.momentum.step(state.net, grads_w, grads_b, lr, hyper.momentum)
 
     return state, train_block
 
 
-def _joint_fit(ratings, content, hyper, lambda_n, report_path=None, batch_size=None):
-    state, train_block = _network_setup(ratings, content, hyper, batch_size)
+def _joint_fit(ratings, content, hyper, lambda_n, report_path=None):
+    state, train_block = _network_setup(ratings, content, hyper)
     conf = hyper.confidence()
 
     def step(state, lr):
@@ -465,7 +467,7 @@ def _joint_fit(ratings, content, hyper, lambda_n, report_path=None, batch_size=N
         return objective(
             ratings, state.U, state.V, conf, hyper.lambda_u, hyper.lambda_v,
             lambda_n, hyper.lambda_w, net=state.net, x0=state.x0,
-            content=content, batch_size=batch_size, check=False,
+            content=content, check=False,
         )
 
     writer = _ReportWriter(report_path)
@@ -474,27 +476,31 @@ def _joint_fit(ratings, content, hyper, lambda_n, report_path=None, batch_size=N
     return state.net, LatentFactors(state.U, state.V), writer.report
 
 
-def fit(ratings, content, hyper, report_path=None, batch_size=None):
+def fit(ratings, content, hyper, report_path=None, batch_size=sdae.BLOCK_ROWS):
     """Joint training: exact factor sweeps alternating with autoencoder epochs.
 
-    Returns (network, factors, report); deterministic for a fixed seed.
+    Returns (network, factors, report); deterministic for a fixed seed.  The
+    network sees its rows in blocks of ``sdae.BLOCK_ROWS``; ``batch_size`` is
+    kept for callers that name that block and may take no other value.
     """
-    return _joint_fit(ratings, content, hyper, hyper.lambda_n,
-                      report_path=report_path, batch_size=batch_size)
+    if batch_size != sdae.BLOCK_ROWS:
+        raise ArgumentError(
+            f"batch_size must equal sdae.BLOCK_ROWS ({sdae.BLOCK_ROWS}), got {batch_size!r}"
+        )
+    return _joint_fit(ratings, content, hyper, hyper.lambda_n, report_path=report_path)
 
 
-def fit_encoder_only(ratings, content, hyper, report_path=None, batch_size=None):
+def fit_encoder_only(ratings, content, hyper, report_path=None):
     """Degenerate variant with the reconstruction term dropped: the decoder
     receives only weight decay and the objective excludes reconstruction."""
-    return _joint_fit(ratings, content, hyper, 0.0,
-                      report_path=report_path, batch_size=batch_size)
+    return _joint_fit(ratings, content, hyper, 0.0, report_path=report_path)
 
 
-def fit_two_step(ratings, content, hyper, report_path=None, batch_size=None):
+def fit_two_step(ratings, content, hyper, report_path=None):
     """Degenerate variant that first trains the autoencoder on reconstruction
     alone (ratings never enter), freezes the encodings, then runs factor
     sweeps with the frozen encodings as the item-prior mean."""
-    state, train_block = _network_setup(ratings, content, hyper, batch_size)
+    state, train_block = _network_setup(ratings, content, hyper)
     conf = hyper.confidence()
     zero_v = np.zeros_like(state.V)
     writer = _ReportWriter(report_path)
@@ -509,8 +515,7 @@ def fit_two_step(ratings, content, hyper, report_path=None, batch_size=None):
         return objective(
             ratings, state.U, state.V, conf, hyper.lambda_u, hyper.lambda_v,
             hyper.lambda_n, hyper.lambda_w, net=state.net, x0=state.x0,
-            content=content, v_prior_mean=state.V, batch_size=batch_size,
-            check=False,
+            content=content, v_prior_mean=state.V, check=False,
         )
 
     state = _sweep_loop(writer, state, train_network, network_objective, hyper,
@@ -519,8 +524,7 @@ def fit_two_step(ratings, content, hyper, report_path=None, batch_size=None):
     # factor phase with frozen encodings: the network is fixed, so its
     # reconstruction term is computed once
     encodings = sdae.encode(state.net, state.x0)
-    _, rec_ss = sdae.coupling_residuals(state.net, state.x0, content, encodings,
-                                        batch_size)
+    _, rec_ss = sdae.coupling_residuals(state.net, state.x0, content, encodings)
     state.V = encodings.copy()
 
     def factor_objective(state):

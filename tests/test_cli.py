@@ -1,4 +1,9 @@
+import importlib.util
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -202,6 +207,17 @@ class TestEvalCommand:
         assert code == 1
         assert "items" in capsys.readouterr().err
 
+    def test_user_count_mismatch_names_train_file(self, trained, tmp_path, capsys):
+        # the model has 15 users over 20 items; these files have 25 users
+        train, test = tmp_path / "train25.tsv", tmp_path / "test25.tsv"
+        train.write_text("# users=25 items=20\n0\t0\n24\t1\n")
+        test.write_text("# users=25 items=20\n0\t1\n24\t2\n")
+        code = run_cli("eval", "--model", trained["model"], "--test", test,
+                       "--train", train, "--m-grid", "1,2", "--out", tmp_path / "e6")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"checkpoint has 15 users but {train} has 25" in err
+
     def test_multiple_reps_aggregate(self, trained, tmp_path):
         out = tmp_path / "eval5"
         test = trained["split"] / "test.tsv"
@@ -256,6 +272,15 @@ class TestPredictCommand:
                        "--item-content", item_file, "--out", tmp_path / "pred_bad")
         assert code == 1
         assert f"{item_file}:2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("items", [12, 25])
+    def test_train_item_count_must_match_model(self, trained, tmp_path, capsys, items):
+        train = tmp_path / "train.tsv"
+        train.write_text(f"# users=15 items={items}\n0\t3\n")
+        code = run_cli("predict", "--model", trained["model"], "--user", 0,
+                       "--train", train, "--out", tmp_path / "p")
+        assert code == 1
+        assert f"checkpoint has 20 items but {train} has {items}" in capsys.readouterr().err
 
     def test_unknown_user_rejected(self, trained, tmp_path, capsys):
         code = run_cli("predict", "--model", trained["model"], "--user", 999,
@@ -325,6 +350,34 @@ def test_bad_input_named_without_traceback(trained, tmp_path, capsys, command, b
     assert code == 1
     assert f"error: {path}: " in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["train", "sample", "grid"])
+@pytest.mark.parametrize("extra_word", [None, 12], ids=["words-below-width", "word-12"])
+def test_config_widths_size_the_content_vocabulary(dataset, tmp_path, capsys,
+                                                   command, extra_word):
+    # the content uses at most words 0-7; widths=12,3,12 make its vocabulary
+    # 12 words, so it loads, and a word id of 12 is named at its line
+    text = dataset["config"].read_text().replace("widths=auto", "widths=12,3,12")
+    if command == "sample":
+        text = text.replace("lambda_s=inf", "lambda_s=100.0")
+    config = tmp_path / "widths12.txt"
+    config.write_text(text)
+    content = tmp_path / "content.tsv"
+    lines = dataset["content"].read_text().splitlines()
+    if extra_word is not None:
+        lines.append(f"0\t{extra_word}\t1")
+    content.write_text("\n".join(lines) + "\n")
+    argv = {"train": (), "sample": ("--iters", 4, "--burn-in", 2),
+            "grid": ("--folds", 2, "--select-m", 5)}[command]
+    code = run_cli(command, "--config", config, "--ratings", dataset["ratings"],
+                   "--content", content, *argv, "--out", tmp_path / "o")
+    err = capsys.readouterr().err
+    if extra_word is None:
+        assert code == 0, err
+    else:
+        assert code == 1
+        assert f"{content}:{len(lines)}: word id 12 outside vocabulary of size 12" in err
 
 
 class TestSampleCommand:
@@ -469,3 +522,61 @@ def test_damaged_network_read_only_for_cold_start(trained, tmp_path, capsys):
                    "--item-content", item_file, "--out", tmp_path / "cold")
     assert code == 1
     assert f"error: {net_path}: " in capsys.readouterr().err
+
+
+# peak RSS of `cdl train --variant cdl` at citeulike-a's shape (5551 users,
+# 16980 items, an 8000-word vocabulary, widths 8000-200-50-200-8000); the
+# README quotes this bound
+FULL_SHAPE_RSS_BOUND_MB = 1200
+REPO = Path(__file__).resolve().parent.parent
+
+
+def _perfbench_gen():
+    spec = importlib.util.spec_from_file_location("perfbench_gen",
+                                                  REPO / "perfbench" / "gen.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def train_peak_rss_mb(src, workdir, num_items, seed=3):
+    """Peak RSS in MB of one `cdl train --variant cdl` run (1 sweep, 1 epoch)
+    on citeulike-a-shaped inputs with ``num_items`` items, imported from
+    ``src``.  The child reports its own ru_maxrss, so earlier children and
+    this process do not count."""
+    workdir = Path(workdir)
+    gen = _perfbench_gen()
+    shape = dict(gen.CITEULIKE_SHAPE, num_items=num_items)
+    ratings, content = gen.citeulike_like(seed, **shape)
+    data.save_ratings(ratings, workdir / "ratings.tsv")
+    coo = content.matrix.tocoo()
+    with open(workdir / "content.tsv", "w", encoding="utf-8") as fh:
+        fh.writelines(f"{i}\t{w}\t1\n" for i, w in zip(coo.row.tolist(), coo.col.tolist()))
+    del ratings, content, coo
+    hyper = HyperParams(lambda_u=0.01, lambda_v=10.0, lambda_n=1000.0, lambda_w=1e-4,
+                        n_factors=50, widths=(8000, 200, 50, 200, 8000),
+                        learning_rate=1e-4, max_sweeps=1, epochs_per_block=1, seed=seed)
+    (workdir / "config.txt").write_text(training.config_text(hyper), encoding="utf-8")
+    child = ("import resource, sys\n"
+             "from cdl import cli\n"
+             "code = cli.main(sys.argv[1:])\n"
+             "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+             "sys.exit(code)\n")
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", child, "train", "--variant", "cdl",
+         "--config", str(workdir / "config.txt"), "--ratings", str(workdir / "ratings.tsv"),
+         "--content", str(workdir / "content.tsv"), "--out", str(workdir / "model")],
+        env=env, capture_output=True, text=True, timeout=900)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout.split()[-1]) / 1024
+
+
+@pytest.mark.slow
+def test_full_shape_cdl_train_peak_rss_is_bounded(tmp_path):
+    gen = _perfbench_gen()
+    peak = train_peak_rss_mb(REPO / "src", tmp_path, gen.CITEULIKE_SHAPE["num_items"])
+    assert peak < FULL_SHAPE_RSS_BOUND_MB
+    factors = mf.load_factors(tmp_path / "model" / "factors.npz")
+    assert np.isfinite(factors.V).all()

@@ -225,6 +225,20 @@ class TestSplit:
         assert meta == {"seed": 13, "P": 2, "users": 30, "items": 50}
         assert np.array_equal(back.pairs, train.pairs)
 
+    @pytest.mark.parametrize("text, where, error", [
+        ("seed=1\nP=1\n0\t1\n", "", "no users=/items= line"),
+        ("seed=1\nP=1\nusers=2\n0\t1\n", "", "no items= line"),
+        ("seed=x\nusers=2\nitems=2\n", ":1", "bad manifest line"),
+        ("seed=1\nusers=2\nitems=2\n0\ta\n", ":4", "bad manifest line"),
+        ("seed=1\nusers=2\nitems=2\n0\t1\t1\n", ":4", "bad manifest line"),
+        ("seed=1\nusers=2\nitems=2\n5\t0\n", "", "user id 5 outside"),
+    ], ids=["no-header", "no-items", "bad-seed", "bad-id", "three-fields", "id-outside"])
+    def test_bad_manifest_names_file_and_line(self, tmp_path, text, where, error):
+        path = write(tmp_path, "split.txt", text)
+        with pytest.raises((ParseError, ValidationError), match=error) as info:
+            data.read_split_manifest(path)
+        assert str(info.value).startswith(f"{path}{where}: ")
+
 
 class TestVocabulary:
     corpus = [
@@ -256,6 +270,18 @@ class TestVocabulary:
         back = data.Vocabulary.load(path)
         assert [t for t, _, _ in back.terms] == [t for t, _, _ in vocab.terms]
         assert back.word_id("apple") == vocab.word_id("apple")
+
+    @pytest.mark.parametrize("text, lineno, error", [
+        ("a\t0\nb\tx\n", 2, ParseError),
+        ("a\t0\nb\n", 2, ParseError),
+        ("a\t0\nb\t0\nc\t1\n", 2, ValidationError),
+        ("a\t0\nb\t1\na\t2\n", 3, ValidationError),
+    ], ids=["non-integer-id", "one-field", "repeated-id", "repeated-token"])
+    def test_bad_line_names_file_and_line(self, tmp_path, text, lineno, error):
+        path = write(tmp_path, "vocab.tsv", text)
+        with pytest.raises(error) as info:
+            data.Vocabulary.load(path)
+        assert str(info.value).startswith(f"{path}:{lineno}: ")
 
     def test_apply_vocabulary_drops_oov(self):
         vocab = data.build_vocabulary(self.corpus, size=2)

@@ -238,10 +238,11 @@ class TestGradients:
         rel = np.linalg.norm(analytic - numeric) / max(np.linalg.norm(numeric), 1e-12)
         assert rel < 1e-5
 
-    def test_batched_equals_unbatched(self):
+    def test_batched_equals_unbatched(self, monkeypatch):
         net, x0, xc, V, lam_v, lam_n, lam_w = random_instance([5, 3, 5], 7, seed=10)
         full_w, full_b = sdae.gradients(net, x0, xc, V, lam_v, lam_n, lam_w)
-        bat_w, bat_b = sdae.gradients(net, x0, xc, V, lam_v, lam_n, lam_w, batch_size=2)
+        monkeypatch.setattr(sdae, "BLOCK_ROWS", 2)
+        bat_w, bat_b = sdae.gradients(net, x0, xc, V, lam_v, lam_n, lam_w)
         for a, b in zip(full_w + full_b, bat_w + bat_b):
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-14)
 
@@ -271,6 +272,52 @@ class TestGradients:
         net.weights[1][0, 0] = np.nan
         with pytest.raises(NumericError, match="layer 2"):
             sdae.gradients(net, x0, xc, V, 1.0, 1.0, 1.0)
+
+
+class TestRowBlocks:
+    """gradients, coupling_residuals, encode and reconstruct walk their rows
+    in blocks of sdae.BLOCK_ROWS; the block size changes no value beyond
+    summation order, and bounds the working memory."""
+
+    def test_blocks_match_one_block(self, monkeypatch):
+        net, x0, xc, V, _, _, _ = random_instance([5, 4, 3, 4, 5], 7, seed=10)
+        whole = (sdae.coupling_residuals(net, x0, xc, V),
+                 sdae.encode(net, x0), sdae.reconstruct(net, x0))
+        monkeypatch.setattr(sdae, "BLOCK_ROWS", 2)
+        np.testing.assert_allclose(sdae.coupling_residuals(net, x0, xc, V), whole[0],
+                                   rtol=1e-12, atol=1e-14)
+        np.testing.assert_array_equal(sdae.encode(net, x0), whole[1])
+        np.testing.assert_array_equal(sdae.reconstruct(net, x0), whole[2])
+
+    def test_peak_memory_is_one_block(self, monkeypatch):
+        import tracemalloc
+        rows, words = 1024, 400
+        net, x0, xc, V, lam_v, lam_n, lam_w = random_instance(
+            [words, 40, 8, 40, words], rows, seed=21)
+        one_array = rows * words * 8
+        monkeypatch.setattr(sdae, "BLOCK_ROWS", 64)
+        calls = {
+            "gradients": lambda: sdae.gradients(net, x0, xc, V, lam_v, lam_n, lam_w),
+            "coupling_residuals": lambda: sdae.coupling_residuals(net, x0, xc, V),
+        }
+        for name, call in calls.items():
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < one_array, f"{name} peaked at {peak} bytes"
+
+    @pytest.mark.parametrize("one_row", ["item_factors", "clean"])
+    def test_residuals_reject_one_row_operand(self, one_row):
+        net, x0, xc, V, _, _, _ = random_instance([5, 3, 5], 4, seed=22)
+        if one_row == "item_factors":
+            V = V[:1]
+        else:
+            xc = xc[:1]
+        with pytest.raises(ShapeError):
+            sdae.coupling_residuals(net, x0, xc, V)
 
 
 class TestDropout:

@@ -1,7 +1,8 @@
-"""Every function the benchmark's tracer patches still exists under its name.
+"""The names and call forms the benchmark relies on still exist.
 
-``perfbench/tracing.py`` replaces module attributes by name; a refactor that
-drops or renames one would otherwise surface only in a traced benchmark run.
+``perfbench/tracing.py`` replaces module attributes by name, and
+``perfbench/workloads.py`` calls the library with fixed arguments; a refactor
+that drops or renames one would otherwise surface only in a benchmark run.
 """
 
 import importlib.util
@@ -9,17 +10,20 @@ from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+from cdl import data, sdae, training
+from cdl.training import HyperParams
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _tracing_module():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def _perfbench_module(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-_tracing = _tracing_module()
+_tracing = _perfbench_module("tracing")
 
 
 @pytest.mark.parametrize("module, attr", [
@@ -27,3 +31,15 @@ _tracing = _tracing_module()
 ], ids=lambda value: getattr(value, "__name__", value))
 def test_traced_name_exists(module, attr):
     assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
+
+
+def test_fit_accepts_the_benchmark_batch_size(monkeypatch):
+    # citeulike-L-fit calls fit(train, content, hyper, batch_size=fit_batch)
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # workloads imports gen
+    fit_batch = _perfbench_module("workloads").CiteulikeFit.fit_batch
+    assert fit_batch == sdae.BLOCK_ROWS
+    hyper = HyperParams(n_factors=3, widths=(8, 3, 8), max_sweeps=1,
+                        epochs_per_block=1, learning_rate=1e-3)
+    ratings, content, *_ = data.generate_synthetic(10, 12, 8, 3, hyper, seed=2)
+    _, factors, _ = training.fit(ratings, content, hyper, batch_size=fit_batch)
+    assert factors.V.shape == (12, 3)

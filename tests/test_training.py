@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from cdl import data, factors as mf, sdae, training
-from cdl.exceptions import ArgumentError, ConfigError, NumericError, ShapeError, TrainingError
+from cdl.exceptions import (ArgumentError, ConfigError, NumericError, ParseError, ShapeError,
+                            TrainingError)
 from cdl.factors import ConfidenceParams
 from cdl.training import HyperParams
 
@@ -184,6 +185,19 @@ class TestFit:
         with pytest.raises(ShapeError):
             training.fit(ratings, bad, tiny_hyper())
 
+    def test_block_size_is_accepted_as_batch_size(self):
+        ratings, content = tiny_dataset(seed=15)
+        hyper = tiny_hyper(max_sweeps=1)
+        _, named, _ = training.fit(ratings, content, hyper, batch_size=sdae.BLOCK_ROWS)
+        _, default, _ = training.fit(ratings, content, hyper)
+        np.testing.assert_array_equal(named.V, default.V)
+
+    @pytest.mark.parametrize("batch_size", [1024, 4096, None])
+    def test_other_batch_size_rejected_naming_block_rows(self, batch_size):
+        ratings, content = tiny_dataset(seed=15)
+        with pytest.raises(ArgumentError, match="BLOCK_ROWS"):
+            training.fit(ratings, content, tiny_hyper(), batch_size=batch_size)
+
 
 class TestVariants:
     def test_encoder_only_decoder_gets_weight_decay_only(self):
@@ -338,6 +352,20 @@ class TestReport:
                                     report_path=path)
         streamed = training.TrainReport.read_tsv(path)
         np.testing.assert_array_equal(streamed.totals(), report.totals())
+
+    @pytest.mark.parametrize("row", [
+        "1\t-3.5\t-1",
+        "1\t-3.5\t-1\t-1\tx\t-1\t-1\t0.1",
+        "one\t-3.5\t-1\t-1\t-1\t-1\t-1\t0.1",
+        "1\t-3.5\t-1\t-1\t-1\t-1\t-1\t0.1\t9",
+    ], ids=["short", "non-number", "non-integer-sweep", "long"])
+    def test_bad_row_names_file_and_line(self, tmp_path, row):
+        path = tmp_path / "report.tsv"
+        good = "0\t-4\t-1\t-1\t-1\t-1\t0\t0"
+        path.write_text("\t".join(training.REPORT_COLUMNS) + f"\n{good}\n{row}\n")
+        with pytest.raises(ParseError, match="bad report row") as info:
+            training.TrainReport.read_tsv(path)
+        assert str(info.value).startswith(f"{path}:3: ")
 
 
 @pytest.mark.slow
