@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import expit
 
 from .data import read_npz
 from .exceptions import ArgumentError, NumericError, ShapeError
@@ -179,7 +178,7 @@ def _input(net, x):
 def _row_blocks(net, x0, xc=None, item_factors=None):
     """Check the operands' shapes, then yield (rows, input rows[, clean rows,
     item factor rows]) for each block of BLOCK_ROWS rows, in order.  Sparse
-    clean rows stay sparse: the caller densifies one block at a time."""
+    clean rows stay sparse: the caller subtracts them at their stored entries."""
     X0 = _input(net, x0)
     num_rows = X0.shape[0]
     operands = [X0]
@@ -196,8 +195,30 @@ def _row_blocks(net, x0, xc=None, item_factors=None):
         yield rows, *(m[rows] for m in operands)
 
 
-def _dense(part):
-    return part.toarray() if sp.issparse(part) else part
+def _sigmoid(z):
+    """Logistic sigmoid 1/(1+exp(-z)) of a float array, in place.  exp(-z)
+    overflows to inf below z of about -709.78 and gives exactly 0 there, as
+    scipy.special's logistic function does, so the overflow is not reported."""
+    np.negative(z, out=z)
+    with np.errstate(over="ignore"):
+        np.exp(z, out=z)
+    z += 1.0
+    return np.reciprocal(z, out=z)
+
+
+def _subtract_clean(out, clean):
+    """``out -= clean`` in place.  A sparse clean block is read at its
+    stored entries only, through flat indices into ``out``; it is never
+    densified."""
+    if not sp.issparse(clean):
+        out -= clean
+        return out
+    clean = clean.tocsr()
+    clean.sum_duplicates()  # one subtraction per index; the block is a copy
+    rows, cols = clean.shape
+    flat = np.repeat(np.arange(rows) * cols, np.diff(clean.indptr)) + clean.indices
+    out.reshape(-1)[flat] -= clean.data
+    return out
 
 
 def _propagate(net, X, scales=None, depth=None):
@@ -210,8 +231,9 @@ def _propagate(net, X, scales=None, depth=None):
     outputs = [X]
     raws = [X]
     for l in range(1, depth + 1):
-        act = expit(outputs[-1] @ net.weights[l - 1] + net.biases[l - 1])
-        raws.append(act)
+        act = outputs[-1] @ net.weights[l - 1]
+        act += net.biases[l - 1]
+        raws.append(_sigmoid(act))
         outputs.append(act * scales[l] if scales and l in scales else act)
     return ForwardTrace(outputs, raws)
 
@@ -270,13 +292,16 @@ def gradients(net, x0, xc, item_factors, lambda_v, lambda_n, lambda_w, mask=None
         for l in range(1, L + 1):
             if not np.isfinite(raws[l]).all():
                 raise NumericError(f"non-finite activation at layer {l}")
-        g = lambda_n * (outs[L] - _dense(Xc))
+        g = _subtract_clean(outs[L].copy(), Xc)
+        g *= lambda_n
         for l in range(L, 0, -1):
             if l == mid:
-                g = g + lambda_v * (outs[l] - V)
+                g += lambda_v * (outs[l] - V)
             if l in scales:
-                g = g * scales[l]
-            delta = g * raws[l] * (1.0 - raws[l])
+                g *= scales[l]
+            delta = g  # g * raw * (1 - raw), in place; raws[l] is read no more
+            delta *= raws[l]
+            delta *= np.subtract(1.0, raws[l], out=raws[l])
             grads_w[l - 1] -= outs[l - 1].T @ delta
             grads_b[l - 1] -= delta.sum(axis=0)
             if l > 1:
@@ -292,9 +317,9 @@ def coupling_residuals(net, x0, xc, item_factors):
     for _, X0, Xc, V in _row_blocks(net, x0, xc, item_factors):
         trace = _propagate(net, X0)
         enc_diff = trace.layer_outputs[net.middle] - V
-        rec_diff = trace.layer_outputs[net.num_layers] - _dense(Xc)
+        rec_diff = _subtract_clean(trace.layer_outputs[net.num_layers], Xc).reshape(-1)
         enc_ss += float(np.sum(enc_diff * enc_diff))
-        rec_ss += float(np.sum(rec_diff * rec_diff))
+        rec_ss += float(rec_diff @ rec_diff)
     return enc_ss, rec_ss
 
 

@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from cdl import sdae
 from cdl.exceptions import ArgumentError, NumericError, ParseError, ShapeError
@@ -318,6 +320,100 @@ class TestRowBlocks:
             xc = xc[:1]
         with pytest.raises(ShapeError):
             sdae.coupling_residuals(net, x0, xc, V)
+
+
+class TestSigmoid:
+    """sdae's in-place sigmoid against scipy's expit, and the output layer
+    that subtracts clean content at its stored entries."""
+
+    def test_matches_expit_within_four_ulp(self):
+        from scipy.special import expit
+        z = np.concatenate([np.linspace(-800.0, 800.0, 160_001),
+                            [709.8, -709.8, 745.0, -745.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = sdae._sigmoid(z.copy())
+        want = expit(z)
+        np.testing.assert_array_max_ulp(got, want, maxulp=4)
+        # exp(-z) overflows below about -709.78: both give exactly 0 there
+        assert np.all(got[z < -709.79] == 0.0) and np.all(want[z < -709.79] == 0.0)
+
+    def test_infinities_and_nan(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = sdae._sigmoid(np.array([np.inf, -np.inf, np.nan]))
+        assert got[0] == 1.0 and got[1] == 0.0 and np.isnan(got[2])
+
+    def test_saturated_network_stays_finite_without_warnings(self):
+        # every pre-activation is at most -1000, so every activation is 0
+        widths = [5, 4, 3, 4, 5]
+        net = sdae.SdaeNetwork(
+            [np.full((widths[l - 1], widths[l]), -1000.0) for l in range(1, 5)],
+            [np.full(widths[l], -1000.0) for l in range(1, 5)],
+        )
+        _, x0, xc, V, lam_v, lam_n, lam_w = random_instance(widths, 6, seed=25)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gw, gb = sdae.gradients(net, x0, xc, V, lam_v, lam_n, lam_w)
+            enc_ss, rec_ss = sdae.coupling_residuals(net, x0, xc, V)
+        for l in range(net.num_layers):
+            np.testing.assert_array_equal(gw[l], -lam_w * net.weights[l])
+            np.testing.assert_array_equal(gb[l], -lam_w * net.biases[l])
+        np.testing.assert_allclose([enc_ss, rec_ss],
+                                   [np.sum(V * V), np.sum(xc * xc)], rtol=1e-14)
+
+    def test_sparse_clean_content_equals_dense_bit_for_bit(self, monkeypatch):
+        net, x0, xc, V, lam_v, lam_n, lam_w = random_instance([5, 4, 3, 4, 5], 10, seed=23)
+        xc[xc < 0.5] = 0.0
+        xc[[0, 4, 9]] = 0.0  # empty rows, one in the partial last block
+        clean = sp.csr_matrix(xc)
+        mask = sdae.dropout_mask(net.widths, 10, 0.2, seed=5)
+        monkeypatch.setattr(sdae, "BLOCK_ROWS", 3)
+        for inputs in (x0, sp.csr_matrix(x0)):
+            dense = sdae.gradients(net, inputs, xc, V, lam_v, lam_n, lam_w, mask=mask)
+            sparse = sdae.gradients(net, inputs, clean, V, lam_v, lam_n, lam_w, mask=mask)
+            for a, b in zip(dense[0] + dense[1], sparse[0] + sparse[1]):
+                np.testing.assert_array_equal(a, b)
+            assert (sdae.coupling_residuals(net, inputs, xc, V)
+                    == sdae.coupling_residuals(net, inputs, clean, V))
+        np.testing.assert_array_equal(clean.toarray(), xc)
+
+    def test_repeated_sparse_entries_are_summed(self):
+        net, x0, xc, V, _, _, _ = random_instance([4, 2, 4], 3, seed=26)
+        coo = sp.coo_matrix(xc)
+        twice = np.repeat(np.arange(coo.nnz), 2)
+        indptr = np.concatenate([[0], np.cumsum(2 * np.bincount(coo.row, minlength=3))])
+        halves = sp.csr_matrix((coo.data[twice] / 2, coo.col[twice], indptr), shape=xc.shape)
+        assert not halves.has_canonical_format
+        np.testing.assert_allclose(sdae.coupling_residuals(net, x0, halves, V),
+                                   sdae.coupling_residuals(net, x0, xc, V), rtol=1e-14)
+
+    def test_peak_memory_with_sparse_clean_content(self, monkeypatch):
+        import tracemalloc
+        rows, words = 1024, 400
+        net, _, _, V, lam_v, lam_n, lam_w = random_instance(
+            [words, 30, 8, 30, words], rows, seed=24)
+        rng = np.random.default_rng(24)
+        content = rng.random((rows, words))
+        content[rng.random((rows, words)) >= 0.05] = 0.0
+        clean = sp.csr_matrix(content)
+        monkeypatch.setattr(sdae, "BLOCK_ROWS", 64)
+        block = 64 * words * 8
+        # in blocks: about 4 and 3; densifying the clean block and forming
+        # the output arithmetic out of place takes about 6.5 and 5
+        calls = {
+            "gradients": (5.5, lambda: sdae.gradients(net, clean, clean, V,
+                                                      lam_v, lam_n, lam_w)),
+            "coupling_residuals": (4.0, lambda: sdae.coupling_residuals(net, clean, clean, V)),
+        }
+        for name, (bound, call) in calls.items():
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound * block, f"{name} peaked at {peak / block:.2f} blocks"
 
 
 class TestDropout:
