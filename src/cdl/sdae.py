@@ -155,11 +155,12 @@ def sample_network(widths, lambda_w, rng):
 
 
 def _as_matrix(x):
-    """Accept ContentMatrix, scipy sparse, or ndarray; return a 2-D operand."""
+    """Accept ContentMatrix, scipy sparse, or ndarray; return a 2-D operand,
+    CSR when sparse, so that its row blocks can be sliced."""
     if hasattr(x, "matrix"):
         return x.matrix
     if sp.issparse(x):
-        return x
+        return x.tocsr()
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim == 1:
         arr = arr.reshape(1, -1)
@@ -213,7 +214,6 @@ def _subtract_clean(out, clean):
     if not sp.issparse(clean):
         out -= clean
         return out
-    clean = clean.tocsr()
     clean.sum_duplicates()  # one subtraction per index; the block is a copy
     rows, cols = clean.shape
     flat = np.repeat(np.arange(rows) * cols, np.diff(clean.indptr)) + clean.indices
@@ -249,9 +249,10 @@ def forward(net, x0, mask=None):
 
 def _output_at(net, x, depth):
     one_row = np.ndim(x) == 1 and not sp.issparse(x) and not hasattr(x, "matrix")
-    out = np.empty((_as_matrix(x).shape[0], net.widths[depth]))
-    for rows, X in _row_blocks(net, x):
-        out[rows] = _propagate(net, X, depth=depth).layer_outputs[-1]
+    X = _as_matrix(x)
+    out = np.empty((X.shape[0], net.widths[depth]))
+    for rows, block in _row_blocks(net, X):
+        out[rows] = _propagate(net, block, depth=depth).layer_outputs[-1]
     return out[0] if one_row else out
 
 

@@ -1,7 +1,13 @@
 import math
+import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cdl import data
 from cdl.exceptions import ArgumentError, ParseError, ValidationError
@@ -43,8 +49,10 @@ class TestLoadRatings:
         ("0\t1\n0\t0\n0\t1\n0\t0\n", 3, "duplicate rating pair (0, 1)"),
         ("# users=2 items=2\n0\t1\n\n1\t5\n", 4, "pair (1, 5) outside"),
         ("# users=2 items=2\n2\t0\n", 2, "pair (2, 0) outside"),
+        ("0\t1\n99999999999999999999\t2\n", 2, "id outside int64"),
+        ("# users=2 items=2\n0\t-99999999999999999999\n", 2, "id outside int64"),
     ], ids=["duplicate", "first-duplicate-in-file", "item-outside-header",
-            "user-outside-header"])
+            "user-outside-header", "id-beyond-int64", "id-below-int64"])
     def test_rejected_pair_names_file_and_line(self, tmp_path, text, lineno, reason):
         path = write(tmp_path, "r.tsv", text)
         with pytest.raises(ValidationError) as info:
@@ -63,6 +71,35 @@ class TestLoadRatings:
         back = data.load_ratings(path)
         assert back.num_users == 4 and back.num_items == 6
         assert np.array_equal(back.pairs, ratings.pairs)
+
+    def test_save_writes_the_bytes_of_a_line_loop(self, tmp_path):
+        rng = np.random.default_rng(4)
+        for num_users, num_items, nnz in ((0, 0, 0), (3, 4, 0), (120, 900, 3000)):
+            flat = rng.choice(num_users * num_items, size=nnz, replace=False)
+            ratings = data.RatingsMatrix(num_users, num_items,
+                                         np.column_stack(np.divmod(flat, max(num_items, 1))))
+            path, reference = tmp_path / "out.tsv", tmp_path / "loop.tsv"
+            data.save_ratings(ratings, path)
+            with open(reference, "w", encoding="utf-8") as fh:
+                fh.write(f"# users={ratings.num_users} items={ratings.num_items}\n")
+                for u, j in ratings.pairs:
+                    fh.write(f"{u}\t{j}\n")
+            assert path.read_bytes() == reference.read_bytes()
+
+    def test_sorted_and_shuffled_pairs_give_one_matrix(self):
+        rng = np.random.default_rng(6)
+        flat = np.sort(rng.choice(40 * 50, size=300, replace=False))
+        pairs = np.column_stack(np.divmod(flat, 50))
+        shuffled = pairs[rng.permutation(len(pairs))]
+        a = data.RatingsMatrix(40, 50, pairs)
+        b = data.RatingsMatrix(40, 50, shuffled)
+        assert np.array_equal(a.pairs, pairs) and np.array_equal(b.pairs, pairs)
+        assert np.array_equal(a.users_of(7), b.users_of(7))
+        with pytest.raises(ValidationError, match="duplicate"):
+            data.RatingsMatrix(40, 50, np.repeat(pairs, 2, axis=0))
+        pairs[0] = (39, 49)  # the matrix keeps a copy, not the caller's array
+        assert a.pairs[0].tolist() == [0, int(flat[0])]
+        assert pairs.flags.writeable
 
     def test_row_and_column_access(self):
         ratings = data.RatingsMatrix(3, 4, [[0, 1], [0, 3], [2, 1]])
@@ -111,6 +148,23 @@ class TestLoadContent:
                 with pytest.raises(ValidationError, match=f"{name}:2: count must be positive and finite"):
                     data.load_content(path, mode=mode)
 
+    def test_id_beyond_int64_names_file_and_line(self, tmp_path):
+        path = write(tmp_path, "c.tsv", "0\t1\t1\n0\t99999999999999999999\t1\n")
+        with pytest.raises(ValidationError) as info:
+            data.load_content(path)
+        assert str(info.value).startswith(f"{path}:2: id outside int64")
+        path = write(tmp_path, "one.tsv", "99999999999999999999\t1\n")
+        with pytest.raises(ValidationError) as info:
+            data.load_content(path, item_column=False)
+        assert str(info.value).startswith(f"{path}:1: id outside int64")
+
+    def test_non_finite_content_values_rejected(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValidationError, match=r"\[0, 1\]"):
+                data.ContentMatrix(sp.csr_matrix([[bad, 0.5]]))
+            with pytest.raises(ValidationError, match=r"\[0, 1\]"):
+                data.ContentMatrix(np.array([[0.0, bad]]))
+
     def test_values_stay_in_unit_interval(self, tmp_path):
         rng = np.random.default_rng(0)
         lines = [
@@ -118,7 +172,7 @@ class TestLoadContent:
             for i in range(20)
             for w in rng.choice(30, size=5, replace=False)
         ]
-        path = write(tmp_path, "c.tsv", "\n".join(lines) + "\n")
+        path = _new_file(tmp_path, "\n".join(lines) + "\n")
         for mode in (data.BINARY_PRESENCE, data.COUNT_MAXNORM):
             content = data.load_content(path, mode=mode)
             assert content.matrix.data.min() >= 0.0
@@ -332,3 +386,153 @@ class TestGenerateSynthetic:
         _, content, _, _, _ = data.generate_synthetic(10, 20, 8, 4, hyper, seed=3)
         dense = content.toarray()
         assert dense.min() >= 0.0 and dense.max() <= 1.0
+
+
+def _new_file(tmp_path, text=""):
+    """A new file holding ``text``: on filesystems that discard freed blocks,
+    truncating a written file can take tens of milliseconds."""
+    fd, name = tempfile.mkstemp(suffix=".tsv", dir=tmp_path)
+    with os.fdopen(fd, "wb") as fh:
+        fh.write(text.encode("utf-8"))
+    return Path(name)
+
+
+def _same_outcome(bulk, walk):
+    """Both readers' results, or both readers' exception class and message.
+    Any exception: an id of 2**63 - 1 with no shape given asks both readers
+    for a dimension of 2**63, which scipy and numpy refuse with their own."""
+    outcomes = []
+    for read in (bulk, walk):
+        try:
+            outcomes.append(("ok", read()))
+        except Exception as exc:
+            outcomes.append((type(exc), str(exc)))
+    (kind_a, a), (kind_b, b) = outcomes
+    assert kind_a == kind_b, (a, b)
+    return (a, b) if kind_a == "ok" else None
+
+
+def _assert_same_content(a, b):
+    assert a.matrix.shape == b.matrix.shape
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(a.matrix, name), getattr(b.matrix, name))
+
+
+@st.composite
+def _canonical_ratings(draw):
+    """(lines, num_users, num_items) of a file save_ratings could write,
+    header first, or without the header."""
+    num_users, num_items = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    flat = draw(st.lists(st.integers(0, num_users * num_items - 1), min_size=1,
+                         max_size=12, unique=True))
+    lines = [f"{u}\t{j}" for u, j in sorted(divmod(k, num_items) for k in flat)]
+    if draw(st.booleans()):
+        lines.insert(0, f"# users={num_users} items={num_items}")
+    return lines, num_users, num_items
+
+
+@st.composite
+def _canonical_content(draw):
+    """(lines, triples, item_column) of a content file in the writers' layout."""
+    item_column = draw(st.booleans())
+    counts = st.one_of(st.integers(1, 50).map(float),
+                       st.floats(1e-3, 1e3, allow_nan=False, allow_infinity=False))
+    triples = draw(st.lists(st.tuples(st.integers(0, 4) if item_column else st.just(0),
+                                      st.integers(0, 6), counts), min_size=1, max_size=12))
+    if item_column:
+        lines = [f"{i}\t{w}\t{c!r}" for i, w, c in triples]
+    else:
+        lines = [f"{w}\t{c!r}" for _, w, c in triples]
+    return lines, triples, item_column
+
+
+# Field texts that int() or float() and loadtxt may judge differently.
+_ODD_FIELDS = st.sampled_from(
+    ["+1", " 1", "1 ", "1_0", "1.0", "1e3", "-1", "-0", "0x1", "١", "１",
+     str(2**63), str(2**63 - 1), str(-2**63 - 1), "nan", "inf", "-inf", "0", "1 # x",
+     "", " ", "\x0c1", "1\x0b", "Infinity", "1e400", ".5", "5."])
+
+
+@st.composite
+def _mutation(draw, lines, columns):
+    """``lines`` with one change, as text."""
+    lines = list(lines)
+    k = draw(st.integers(0, len(lines) - 1))
+    kind = draw(st.sampled_from(["blank", "comment", "crlf", "cr", "field", "fields",
+                                 "repeat", "none"]))
+    if kind == "blank":
+        lines.insert(k, draw(st.sampled_from(["", " ", "\t"])))
+    elif kind == "comment":
+        lines.insert(k, draw(st.sampled_from(["# x", "# users=9 items=9", "#"])))
+    elif kind == "fields":
+        fields = lines[k].split("\t")
+        lines[k] = "\t".join(fields[:1] if draw(st.booleans()) else fields + ["0"])
+    elif kind == "repeat":
+        lines.insert(k, lines[k])
+    elif kind == "field" and not lines[k].startswith("#"):
+        fields = lines[k].split("\t")
+        column = draw(st.integers(0, min(columns, len(fields)) - 1))
+        fields[column] = draw(st.one_of(_ODD_FIELDS, st.integers(-3, 12).map(str),
+                                        st.text("0123456789+-._ eE#nainf\t", max_size=4)))
+        lines[k] = "\t".join(fields)
+    newline = {"crlf": "\r\n", "cr": "\r"}.get(kind, "\n")
+    return newline.join(lines) + draw(st.sampled_from([newline, ""]))
+
+
+class TestBulkReaders:
+    """The bulk readers against the line walk they fall back to, which is the
+    reference: equal matrices, or the same error naming the same line."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=_canonical_ratings())
+    def test_ratings_round_trip(self, tmp_path, case):
+        _, num_users, num_items = case
+        lines = case[0][1:] if case[0][0].startswith("#") else case[0]
+        pairs = [tuple(map(int, line.split("\t"))) for line in lines]
+        ratings = data.RatingsMatrix(num_users, num_items, pairs)
+        path = _new_file(tmp_path)
+        data.save_ratings(ratings, path)
+        back = data.load_ratings(path)
+        assert (back.num_users, back.num_items) == (num_users, num_items)
+        assert back.pairs.dtype == np.int64 and np.array_equal(back.pairs, ratings.pairs)
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=_canonical_content(), mode=st.sampled_from([data.BINARY_PRESENCE,
+                                                             data.COUNT_MAXNORM]),
+           dims=st.booleans())
+    def test_content_round_trip(self, tmp_path, case, mode, dims):
+        lines, triples, item_column = case
+        shape = dict(num_items=5, vocab_size=7) if dims else {}
+        path = _new_file(tmp_path, "\n".join(lines) + "\n")
+        _assert_same_content(
+            data.load_content(path, mode=mode, item_column=item_column, **shape),
+            data.content_from_triples(triples, mode, **shape))
+
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data_=st.data())
+    def test_mutated_ratings_read_as_the_line_walk_reads_them(self, tmp_path, data_):
+        lines, _, _ = data_.draw(_canonical_ratings())
+        path = _new_file(tmp_path, data_.draw(_mutation(lines, 2)))
+        both = _same_outcome(lambda: data.load_ratings(path), lambda: data._walk_ratings(path))
+        if both:
+            a, b = both
+            assert (a.num_users, a.num_items) == (b.num_users, b.num_items)
+            assert np.array_equal(a.pairs, b.pairs)
+
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data_=st.data(), mode=st.sampled_from([data.BINARY_PRESENCE, data.COUNT_MAXNORM]),
+           dims=st.booleans())
+    def test_mutated_content_reads_as_the_line_walk_reads_it(self, tmp_path, data_, mode, dims):
+        lines, _, item_column = data_.draw(_canonical_content())
+        shape = dict(num_items=5, vocab_size=7) if dims else {}
+        path = _new_file(tmp_path, data_.draw(_mutation(lines, 3 if item_column else 2)))
+        both = _same_outcome(
+            lambda: data.load_content(path, mode=mode, item_column=item_column, **shape),
+            lambda: data.content_from_triples(
+                data._walk_triples(path, item_column=item_column, **shape), mode, **shape))
+        if both:
+            _assert_same_content(*both)

@@ -311,6 +311,21 @@ class TestRowBlocks:
                 tracemalloc.stop()
             assert peak < one_array, f"{name} peaked at {peak} bytes"
 
+    @pytest.mark.parametrize("fmt", ["coo", "csc"])
+    def test_any_sparse_format_gives_the_csr_outputs(self, fmt):
+        net, x0, xc, V, lam_v, lam_n, lam_w = random_instance([4, 2, 4], 4, seed=27)
+        xc[xc < 0.5] = 0.0
+        csr0, csrc = sp.csr_matrix(x0), sp.csr_matrix(xc)
+        other0, otherc = csr0.asformat(fmt), csrc.asformat(fmt)
+        np.testing.assert_array_equal(sdae.encode(net, other0), sdae.encode(net, csr0))
+        np.testing.assert_array_equal(sdae.reconstruct(net, other0), sdae.reconstruct(net, csr0))
+        got = sdae.gradients(net, other0, otherc, V, lam_v, lam_n, lam_w)
+        want = sdae.gradients(net, csr0, csrc, V, lam_v, lam_n, lam_w)
+        for a, b in zip(got[0] + got[1], want[0] + want[1]):
+            np.testing.assert_array_equal(a, b)
+        assert (sdae.coupling_residuals(net, other0, otherc, V)
+                == sdae.coupling_residuals(net, csr0, csrc, V))
+
     @pytest.mark.parametrize("one_row", ["item_factors", "clean"])
     def test_residuals_reject_one_row_operand(self, one_row):
         net, x0, xc, V, _, _, _ = random_instance([5, 3, 5], 4, seed=22)
