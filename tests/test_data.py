@@ -399,8 +399,8 @@ def _new_file(tmp_path, text=""):
 
 def _same_outcome(bulk, walk):
     """Both readers' results, or both readers' exception class and message.
-    Any exception: an id of 2**63 - 1 with no shape given asks both readers
-    for a dimension of 2**63, which scipy and numpy refuse with their own."""
+    Any exception: a content id of 2**63 - 1 with no shape given asks both
+    readers for a dimension of 2**63, which scipy refuses with OverflowError."""
     outcomes = []
     for read in (bulk, walk):
         try:
