@@ -625,9 +625,8 @@ def generate_synthetic(num_users, num_items, vocab_size, n_factors, hyper, seed,
     net = sdae.sample_network(widths, hyper.lambda_w, rngs[0])
 
     x_seed = (rngs[1].random((num_items, vocab_size)) < input_density).astype(np.float64)
-    trace = sdae.forward(net, x_seed)
-    codes = trace.layer_outputs[net.middle]
-    clean = trace.layer_outputs[net.num_layers]
+    outputs = sdae.forward(net, x_seed)
+    codes, clean = outputs[net.middle], outputs[net.num_layers]
     if math.isfinite(hyper.lambda_n):
         clean = clean + rngs[2].normal(scale=hyper.lambda_n ** -0.5, size=clean.shape)
     content = ContentMatrix(np.clip(clean, 0.0, 1.0), RAW)

@@ -311,8 +311,7 @@ def run_chain(ratings, content, hyper, iters, burn_in, thin=1,
     widths = hyper.network_widths(content.vocab_size)
     net = sdae.init_network(widths, net_seed, hyper.lambda_w)
     x0 = corrupt(content, hyper.noise_level, noise_seed)
-    trace = sdae.forward(net, x0)
-    layers = [x0.matrix.toarray()] + [out.copy() for out in trace.raw_outputs[1:]]
+    layers = [x0.matrix.toarray()] + sdae.forward(net, x0)[1:]
     state = SamplerState(
         net=net, layers=layers,
         U=np.zeros((ratings.num_users, hyper.n_factors)),

@@ -9,7 +9,7 @@ assembled by reverse accumulation through the sigmoid chain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -82,33 +82,14 @@ class SdaeNetwork:
             )
 
 
-@dataclass
-class ForwardTrace:
-    """Per-layer outputs of one forward pass.
-
-    ``layer_outputs[l]`` is the value propagated to the next layer (dropout
-    applied where a mask exists); ``raw_outputs[l]`` is the plain sigmoid
-    activation.  The two lists share objects at layers without a mask.
-    """
-
-    layer_outputs: list
-    raw_outputs: list
-
-
-@dataclass
-class DropoutMask:
-    """Inverted-scaling dropout masks for the hidden, non-code layers.
+def dropout_mask(widths, num_rows, rate, seed):
+    """Inverted-scaling dropout masks, ``{layer: scales}``, for every hidden
+    layer except the code layer.
 
     ``scales[l]`` holds 0 or 1/keep entries; layers 0, L/2, and L never get a
     mask.  Rate 0 yields all-ones masks, reproducing the unmasked forward
     pass bit-exactly.
     """
-
-    scales: dict = field(default_factory=dict)
-
-
-def dropout_mask(widths, num_rows, rate, seed):
-    """Draw masks for every hidden layer except the code layer."""
     if not 0.0 <= rate < 1.0:
         raise ArgumentError(f"dropout rate must lie in [0, 1), got {rate}")
     L = len(widths) - 1
@@ -119,7 +100,7 @@ def dropout_mask(widths, num_rows, rate, seed):
             continue
         keep = rng.random((num_rows, widths[l])) >= rate
         scales[l] = keep / (1.0 - rate)
-    return DropoutMask(scales)
+    return scales
 
 
 def init_network(widths, seed, lambda_w=1.0):
@@ -225,7 +206,9 @@ def _propagate(net, X, scales=None, depth=None):
     """The sigmoid layer recursion through layer ``depth`` (default: all).
 
     ``scales`` maps a layer to the dropout scales multiplied into its
-    output; layers without an entry pass the plain activation on.
+    output; layers without an entry pass the plain activation on.  Returns
+    (outputs, raws), input first; raws, the plain sigmoid activations, share
+    objects with outputs at layers without scales.
     """
     depth = net.num_layers if depth is None else depth
     outputs = [X]
@@ -235,16 +218,16 @@ def _propagate(net, X, scales=None, depth=None):
         act += net.biases[l - 1]
         raws.append(_sigmoid(act))
         outputs.append(act * scales[l] if scales and l in scales else act)
-    return ForwardTrace(outputs, raws)
+    return outputs, raws
 
 
 def forward(net, x0, mask=None):
-    """Row-wise forward pass; returns the full :class:`ForwardTrace`.
+    """Row-wise forward pass; returns the list of layer outputs, input first.
 
-    ``mask`` applies inverted-scaling dropout to its layers (training path);
-    without a mask every activation is the plain sigmoid.
+    ``mask``, a dict from :func:`dropout_mask`, applies inverted-scaling
+    dropout (training path); without one every output is the plain sigmoid.
     """
-    return _propagate(net, _input(net, x0), mask.scales if mask is not None else None)
+    return _propagate(net, _input(net, x0), mask)[0]
 
 
 def _output_at(net, x, depth):
@@ -252,7 +235,7 @@ def _output_at(net, x, depth):
     X = _as_matrix(x)
     out = np.empty((X.shape[0], net.widths[depth]))
     for rows, block in _row_blocks(net, X):
-        out[rows] = _propagate(net, block, depth=depth).layer_outputs[-1]
+        out[rows] = _propagate(net, block, depth=depth)[0][-1]
     return out[0] if one_row else out
 
 
@@ -280,16 +263,15 @@ def gradients(net, x0, xc, item_factors, lambda_v, lambda_n, lambda_w, mask=None
         x0: corrupted input rows (items x vocab), sparse or dense.
         xc: clean content rows of the same shape.
         item_factors: items x code_size matrix the codes are pulled toward.
-        mask: optional DropoutMask drawn for all rows of x0.
+        mask: optional dropout_mask dict drawn for all rows of x0.
     """
     L = net.num_layers
     mid = net.middle
     grads_w = [-lambda_w * w for w in net.weights]
     grads_b = [-lambda_w * b for b in net.biases]
     for rows, X0, Xc, V in _row_blocks(net, x0, xc, item_factors):
-        scales = {} if mask is None else {l: arr[rows] for l, arr in mask.scales.items()}
-        trace = _propagate(net, X0, scales)
-        outs, raws = trace.layer_outputs, trace.raw_outputs
+        scales = {} if mask is None else {l: arr[rows] for l, arr in mask.items()}
+        outs, raws = _propagate(net, X0, scales)
         for l in range(1, L + 1):
             if not np.isfinite(raws[l]).all():
                 raise NumericError(f"non-finite activation at layer {l}")
@@ -316,9 +298,9 @@ def coupling_residuals(net, x0, xc, item_factors):
     enc_ss = 0.0
     rec_ss = 0.0
     for _, X0, Xc, V in _row_blocks(net, x0, xc, item_factors):
-        trace = _propagate(net, X0)
-        enc_diff = trace.layer_outputs[net.middle] - V
-        rec_diff = _subtract_clean(trace.layer_outputs[net.num_layers], Xc).reshape(-1)
+        outs = _propagate(net, X0)[0]
+        enc_diff = outs[net.middle] - V
+        rec_diff = _subtract_clean(outs[net.num_layers], Xc).reshape(-1)
         enc_ss += float(np.sum(enc_diff * enc_diff))
         rec_ss += float(rec_diff @ rec_diff)
     return enc_ss, rec_ss

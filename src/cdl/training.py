@@ -29,11 +29,6 @@ from .factors import ConfidenceParams, LatentFactors
 
 MAX_LR_HALVINGS = 5
 
-REPORT_COLUMNS = (
-    "sweep", "total", "user_prior", "weight_prior", "item_offset",
-    "reconstruction", "rating", "seconds",
-)
-
 
 @dataclass
 class HyperParams:
@@ -209,6 +204,9 @@ class SweepRow:
     seconds: float
 
 
+REPORT_COLUMNS = tuple(f.name for f in fields(SweepRow))
+
+
 @dataclass
 class TrainReport:
     """Per-sweep objective values with the five-term breakdown.
@@ -226,9 +224,7 @@ class TrainReport:
 
     def write_tsv(self, path):
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\t".join(REPORT_COLUMNS) + "\n")
-            for row in self.rows:
-                fh.write(_row_tsv(row))
+            fh.write(_report_text(self.rows, header=True))
 
     @staticmethod
     def read_tsv(path):
@@ -248,29 +244,14 @@ class TrainReport:
         return TrainReport(rows)
 
 
-def _row_tsv(row):
-    vals = [str(row.sweep)] + [
-        format(getattr(row, name), ".17g") for name in REPORT_COLUMNS[1:]
-    ]
-    return "\t".join(vals) + "\n"
-
-
-class _ReportWriter:
-    """Appends rows to a report and streams each to an append-only TSV."""
-
-    def __init__(self, path):
-        self.path = path
-        self.report = TrainReport()
-
-    def write(self, row):
-        self.report.rows.append(row)
-        if self.path is None:
-            return
-        first = len(self.report.rows) == 1
-        with open(self.path, "w" if first else "a", encoding="utf-8") as fh:
-            if first:
-                fh.write("\t".join(REPORT_COLUMNS) + "\n")
-            fh.write(_row_tsv(row))
+def _report_text(rows, header):
+    """The TSV lines of ``rows``, after the column header when ``header``."""
+    lines = ["\t".join(REPORT_COLUMNS)] if header else []
+    for row in rows:
+        lines.append("\t".join([str(row.sweep)] + [
+            format(getattr(row, name), ".17g") for name in REPORT_COLUMNS[1:]
+        ]))
+    return "".join(line + "\n" for line in lines)
 
 
 def objective_terms(ratings, U, V, conf, lambda_u, lambda_v, lambda_n, lambda_w,
@@ -320,50 +301,27 @@ def objective(ratings, U, V, conf, lambda_u, lambda_v, lambda_n, lambda_w,
     return total, terms
 
 
-class _MomentumState:
-    """Heavy-ball velocities for every weight and bias."""
-
-    def __init__(self, net):
-        self.vel_w = [np.zeros_like(w) for w in net.weights]
-        self.vel_b = [np.zeros_like(b) for b in net.biases]
-
-    def step(self, net, grads_w, grads_b, learning_rate, momentum):
-        for l in range(len(net.weights)):
-            self.vel_w[l] = momentum * self.vel_w[l] + learning_rate * grads_w[l]
-            self.vel_b[l] = momentum * self.vel_b[l] + learning_rate * grads_b[l]
-            net.weights[l] += self.vel_w[l]
-            net.biases[l] += self.vel_b[l]
-
-    def copy(self):
-        dup = object.__new__(_MomentumState)
-        dup.vel_w = [v.copy() for v in self.vel_w]
-        dup.vel_b = [v.copy() for v in self.vel_b]
-        return dup
-
-
 @dataclass
 class _State:
-    """What a sweep replaces: the factors, the network with its velocities,
-    and the corrupted input the network last trained on."""
+    """What a sweep replaces: the factors, the network with its heavy-ball
+    velocities (one per weight and bias, in ``net.weights + net.biases``
+    order), and the corrupted input the network last trained on."""
 
     U: np.ndarray
     V: np.ndarray
     net: sdae.SdaeNetwork | None = None
-    momentum: _MomentumState | None = None
+    velocities: list | None = None
     x0: object = None
 
     def copy(self):
         return _State(self.U.copy(), self.V.copy(), self.net.copy(),
-                      self.momentum.copy(), self.x0)
+                      [v.copy() for v in self.velocities], self.x0)
 
 
-def _next_seed(seedseq):
-    return seedseq.spawn(1)[0]
-
-
-def _sweep_loop(writer, state, step, evaluate, hyper, trains_network, may_stop):
+def _sweep_loop(report, path, state, step, evaluate, hyper, trains_network, may_stop):
     """Run ``hyper.max_sweeps`` sweeps of ``step(state, learning_rate)`` and
-    report ``evaluate(state)``, a (total, terms) pair, after each one.
+    append ``evaluate(state)``, a (total, terms) pair, to ``report`` after
+    each one; with a ``path``, each row is also appended to that TSV file.
 
     Sweep numbers continue the report; an empty report first gets row 0, the
     state before any sweep.  When the step trains the network, a NumericError
@@ -374,10 +332,16 @@ def _sweep_loop(writer, state, step, evaluate, hyper, trains_network, may_stop):
     consecutive sweeps whose relative objective change is below
     ``early_stop_tol``.  Returns the final state.
     """
-    report = writer.report
+    def record(row):
+        report.rows.append(row)
+        if path is not None:
+            first = len(report.rows) == 1
+            with open(path, "w" if first else "a", encoding="utf-8") as fh:
+                fh.write(_report_text([row], header=first))
+
     if not report.rows:
         total, terms = evaluate(state)
-        writer.write(SweepRow(0, total, **terms, seconds=0.0))
+        record(SweepRow(0, total, **terms, seconds=0.0))
     end = len(report.rows) + hyper.max_sweeps
     lr = hyper.learning_rate
     halvings = 0
@@ -407,7 +371,7 @@ def _sweep_loop(writer, state, step, evaluate, hyper, trains_network, may_stop):
                 )
             lr *= 0.5
             continue
-        writer.write(SweepRow(len(report.rows), total, **terms, seconds=seconds))
+        record(SweepRow(len(report.rows), total, **terms, seconds=seconds))
         if not may_stop:
             continue
         prev = report.rows[-2].total
@@ -437,20 +401,25 @@ def _network_setup(ratings, content, hyper):
     widths = hyper.network_widths(content.vocab_size)
     net_seed, noise_seq, mask_seq = np.random.SeedSequence(hyper.seed).spawn(3)
     net = sdae.init_network(widths, net_seed, hyper.lambda_w)
-    x0 = corrupt(content, hyper.noise_level, _next_seed(noise_seq))
-    state = _State(np.zeros((ratings.num_users, hyper.n_factors)),
-                   sdae.encode(net, x0), net, _MomentumState(net), x0)
+    x0 = corrupt(content, hyper.noise_level, noise_seq.spawn(1)[0])
+    state = _State(np.zeros((ratings.num_users, hyper.n_factors)), sdae.encode(net, x0),
+                   net, [np.zeros_like(p) for p in net.weights + net.biases], x0)
 
     def train_block(state, lr, V, lambda_v, lambda_n):
         for _ in range(hyper.epochs_per_block):
-            state.x0 = corrupt(content, hyper.noise_level, _next_seed(noise_seq))
+            state.x0 = corrupt(content, hyper.noise_level, noise_seq.spawn(1)[0])
             mask = None
             if hyper.dropout_rate > 0:
                 mask = sdae.dropout_mask(widths, ratings.num_items,
-                                         hyper.dropout_rate, _next_seed(mask_seq))
+                                         hyper.dropout_rate, mask_seq.spawn(1)[0])
             grads_w, grads_b = sdae.gradients(state.net, state.x0, content, V, lambda_v,
                                               lambda_n, hyper.lambda_w, mask=mask)
-            state.momentum.step(state.net, grads_w, grads_b, lr, hyper.momentum)
+            # heavy ball, v = momentum * v + lr * g, updated in place
+            for p, v, g in zip(state.net.weights + state.net.biases, state.velocities,
+                               grads_w + grads_b):
+                v *= hyper.momentum
+                v += lr * g
+                p += v
 
     return state, train_block
 
@@ -470,10 +439,10 @@ def _joint_fit(ratings, content, hyper, lambda_n, report_path=None):
             content=content, check=False,
         )
 
-    writer = _ReportWriter(report_path)
-    state = _sweep_loop(writer, state, step, evaluate, hyper,
+    report = TrainReport()
+    state = _sweep_loop(report, report_path, state, step, evaluate, hyper,
                         trains_network=True, may_stop=True)
-    return state.net, LatentFactors(state.U, state.V), writer.report
+    return state.net, LatentFactors(state.U, state.V), report
 
 
 def fit(ratings, content, hyper, report_path=None, batch_size=sdae.BLOCK_ROWS):
@@ -503,7 +472,7 @@ def fit_two_step(ratings, content, hyper, report_path=None):
     state, train_block = _network_setup(ratings, content, hyper)
     conf = hyper.confidence()
     zero_v = np.zeros_like(state.V)
-    writer = _ReportWriter(report_path)
+    report = TrainReport()
 
     # reconstruction phase: the item prior tracks the current encodings, so
     # the offset term stays 0 while only the autoencoder trains
@@ -518,29 +487,28 @@ def fit_two_step(ratings, content, hyper, report_path=None):
             content=content, v_prior_mean=state.V, check=False,
         )
 
-    state = _sweep_loop(writer, state, train_network, network_objective, hyper,
-                        trains_network=True, may_stop=False)
+    state = _sweep_loop(report, report_path, state, train_network, network_objective,
+                        hyper, trains_network=True, may_stop=False)
 
-    # factor phase with frozen encodings: the network is fixed, so its
-    # reconstruction term is computed once
-    encodings = sdae.encode(state.net, state.x0)
-    _, rec_ss = sdae.coupling_residuals(state.net, state.x0, content, encodings)
-    state.V = encodings.copy()
+    # frozen factor phase: phase one leaves state.V = encode(net, x0), even
+    # after a rollback, and its last row holds the reconstruction term
+    encodings = state.V
+    reconstruction = report.rows[-1].reconstruction
 
     def factor_objective(state):
         terms = objective_terms(
             ratings, state.U, state.V, conf, hyper.lambda_u, hyper.lambda_v, 0.0,
             hyper.lambda_w, net=state.net, v_prior_mean=encodings,
         )
-        terms["reconstruction"] = -0.5 * hyper.lambda_n * rec_ss
+        terms["reconstruction"] = reconstruction
         return sum(terms.values()), terms
 
     state = _sweep_loop(
-        writer, state,
+        report, report_path, state,
         lambda state, lr: _factor_sweep(state, ratings, conf, hyper, encodings),
         factor_objective, hyper, trains_network=False, may_stop=False,
     )
-    return state.net, LatentFactors(state.U, state.V), writer.report
+    return state.net, LatentFactors(state.U, state.V), report
 
 
 def fit_mf_baseline(ratings, hyper, report_path=None):
@@ -562,10 +530,10 @@ def fit_mf_baseline(ratings, hyper, report_path=None):
             hyper.lambda_n, hyper.lambda_w, v_prior_mean=zero_mean,
         )
 
-    writer = _ReportWriter(report_path)
+    report = TrainReport()
     state = _sweep_loop(
-        writer, _State(np.zeros((ratings.num_users, hyper.n_factors)), V),
+        report, report_path, _State(np.zeros((ratings.num_users, hyper.n_factors)), V),
         lambda state, lr: _factor_sweep(state, ratings, conf, hyper, zero_mean),
         evaluate, hyper, trains_network=False, may_stop=True,
     )
-    return LatentFactors(state.U, state.V), writer.report
+    return LatentFactors(state.U, state.V), report

@@ -360,7 +360,7 @@ class TestGenerateSynthetic:
         # regenerate the seed input through the recorded generator stages
         rngs = np.random.SeedSequence(1).spawn(5)
         x_seed = (np.random.default_rng(rngs[1]).random((15, 8)) < 0.2).astype(float)
-        codes = sdae.forward(net, x_seed).layer_outputs[net.middle]
+        codes = sdae.forward(net, x_seed)[net.middle]
         np.testing.assert_array_equal(V, codes)
 
     def test_fixed_seed_bitwise_identical(self):

@@ -313,7 +313,7 @@ class TestMetropolisKernel:
         net = sdae.init_network(hyper.widths, root.spawn(1)[0], hyper.lambda_w)
         x0 = data.corrupt(content, 0.3, 1)
         trace = sdae.forward(net, x0)
-        layers = [x0.matrix.toarray()] + [o.copy() for o in trace.raw_outputs[1:]]
+        layers = [x0.matrix.toarray()] + [o.copy() for o in trace[1:]]
         state = sampling.SamplerState(
             net=net, layers=layers,
             U=np.zeros((5, 2)), V=layers[net.middle].copy(),
@@ -337,7 +337,7 @@ class TestMetropolisKernel:
         net = sdae.init_network(hyper.widths, np.random.SeedSequence(0), hyper.lambda_w)
         x0 = data.corrupt(content, 0.3, 1)
         layers = [x0.matrix.toarray()] + [o.copy() for o in
-                                          sdae.forward(net, x0).raw_outputs[1:]]
+                                          sdae.forward(net, x0)[1:]]
         state = sampling.SamplerState(
             net=net, layers=layers, U=np.zeros((5, 2)), V=layers[net.middle].copy(),
             steps={f"{kind}{l}": 0.1 for kind in "wx" for l in range(1, 5)})
@@ -473,7 +473,7 @@ class TestLogJoint:
         trace = sdae.forward(net, x0)
         rng = np.random.default_rng(31)
         layers = [x0.matrix.toarray()] + [o + 0.01 * rng.normal(size=o.shape)
-                                          for o in trace.raw_outputs[1:]]
+                                          for o in trace[1:]]
         state = sampling.SamplerState(
             net=net, layers=layers,
             U=rng.normal(size=(5, 2)), V=rng.normal(size=(5, 2)),

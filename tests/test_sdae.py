@@ -36,8 +36,8 @@ def network_objective(net, x0, xc, V, lam_v, lam_n, lam_w):
 
 def masked_objective(net, x0, xc, V, lam_v, lam_n, lam_w, mask):
     trace = sdae.forward(net, x0, mask)
-    enc = trace.layer_outputs[net.middle] - V
-    rec = trace.layer_outputs[net.num_layers] - xc
+    enc = trace[net.middle] - V
+    rec = trace[net.num_layers] - xc
     return (-0.5 * lam_w * net.squared_norm()
             - 0.5 * lam_v * float(np.sum(enc * enc))
             - 0.5 * lam_n * float(np.sum(rec * rec)))
@@ -124,7 +124,7 @@ class TestForward:
         net = zero_net([3, 2, 3])
         X0 = np.random.default_rng(0).random((4, 3))
         trace = sdae.forward(net, X0)
-        for out in trace.layer_outputs[1:]:
+        for out in trace[1:]:
             np.testing.assert_array_equal(out, np.full(out.shape, 0.5))
 
     def test_two_one_two_midpoint(self):
@@ -133,7 +133,7 @@ class TestForward:
             [np.zeros(1), np.zeros(2)],
         )
         trace = sdae.forward(net, np.array([[0.0, 0.0]]))
-        assert trace.layer_outputs[1][0, 0] == 0.5
+        assert trace[1][0, 0] == 0.5
 
     def test_matches_independent_single_row_evaluator(self):
         # second implementation: pure-python per-row loop
@@ -149,7 +149,7 @@ class TestForward:
                     nxt.append(1.0 / (1.0 + math.exp(-z)))
                 row = nxt
                 np.testing.assert_allclose(
-                    trace.layer_outputs[l][r], row, atol=1e-12, rtol=0,
+                    trace[l][r], row, atol=1e-12, rtol=0,
                 )
 
     def test_sparse_input_equals_dense(self):
@@ -157,7 +157,7 @@ class TestForward:
         net, x0, _, _, _, _, _ = random_instance([6, 3, 6], 4, seed=1)
         dense = sdae.forward(net, x0)
         sparse = sdae.forward(net, sp.csr_matrix(x0))
-        for a, b in zip(dense.layer_outputs[1:], sparse.layer_outputs[1:]):
+        for a, b in zip(dense[1:], sparse[1:]):
             np.testing.assert_array_equal(a, b)
 
     def test_dimension_mismatch(self):
@@ -168,7 +168,7 @@ class TestForward:
     def test_activations_in_open_unit_interval(self):
         net, x0, _, _, _, _, _ = random_instance([6, 4, 2, 4, 6], 8, seed=9)
         trace = sdae.forward(net, x0)
-        for out in trace.layer_outputs[1:]:
+        for out in trace[1:]:
             assert np.all(out > 0.0) and np.all(out < 1.0)
 
 
@@ -177,13 +177,13 @@ class TestEncodeReconstruct:
         net, x0, _, _, _, _, _ = random_instance([5, 4, 3, 2, 3, 4, 5], 3, seed=2)
         assert net.num_layers == 6
         trace = sdae.forward(net, x0)
-        np.testing.assert_array_equal(sdae.encode(net, x0), trace.layer_outputs[3])
-        np.testing.assert_array_equal(sdae.reconstruct(net, x0), trace.layer_outputs[6])
+        np.testing.assert_array_equal(sdae.encode(net, x0), trace[3])
+        np.testing.assert_array_equal(sdae.reconstruct(net, x0), trace[6])
 
     def test_encode_matches_trace_exactly(self):
         net, x0, _, _, _, _, _ = random_instance([6, 2, 6], 4, seed=3)
         trace = sdae.forward(net, x0)
-        np.testing.assert_array_equal(sdae.encode(net, x0), trace.layer_outputs[net.middle])
+        np.testing.assert_array_equal(sdae.encode(net, x0), trace[net.middle])
 
     def test_single_row_shapes(self):
         net, x0, _, _, _, _, _ = random_instance([6, 4, 2, 4, 6], 3, seed=4)
@@ -437,19 +437,19 @@ class TestDropout:
         mask = sdae.dropout_mask(net.widths, 5, 0.0, seed=3)
         with_mask = sdae.forward(net, x0, mask)
         without = sdae.forward(net, x0)
-        for a, b in zip(with_mask.layer_outputs, without.layer_outputs):
+        for a, b in zip(with_mask, without):
             np.testing.assert_array_equal(np.asarray(a.todense()) if hasattr(a, "todense") else a,
                                           np.asarray(b.todense()) if hasattr(b, "todense") else b)
 
     def test_mask_skips_input_code_output_layers(self):
         mask = sdae.dropout_mask([6, 4, 2, 4, 6], 5, 0.5, seed=1)
-        assert set(mask.scales) == {1, 3}
+        assert set(mask) == {1, 3}
         mask2 = sdae.dropout_mask([6, 2, 6], 5, 0.5, seed=1)
-        assert set(mask2.scales) == set()
+        assert set(mask2) == set()
 
     def test_inverted_scaling_values(self):
         mask = sdae.dropout_mask([6, 4, 2, 4, 6], 50, 0.2, seed=2)
-        values = np.unique(mask.scales[1])
+        values = np.unique(mask[1])
         np.testing.assert_allclose(values, [0.0, 1.0 / 0.8])
 
     def test_bad_rate_rejected(self):

@@ -43,3 +43,20 @@ def test_fit_accepts_the_benchmark_batch_size(monkeypatch):
     ratings, content, *_ = data.generate_synthetic(10, 12, 8, 3, hyper, seed=2)
     _, factors, _ = training.fit(ratings, content, hyper, batch_size=fit_batch)
     assert factors.V.shape == (12, 3)
+
+
+def test_traced_fits_count_sweeps_and_no_retries(monkeypatch):
+    # the benchmark's training.diverged_sweeps counts objective calls beyond
+    # one per report row, with none in two-step's frozen phase; a trainer
+    # that calls the objective otherwise would read as retried sweeps
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # harness imports tracing, workloads
+    harness = _perfbench_module("harness")
+    hyper = HyperParams(n_factors=3, widths=(8, 3, 8), max_sweeps=2, epochs_per_block=1,
+                        learning_rate=1e-3, early_stop_tol=0.0)
+    ratings, content, *_ = data.generate_synthetic(10, 12, 8, 3, hyper, seed=2)
+    with harness.Tracer() as tracer:
+        training.fit(ratings, content, hyper)
+        training.fit_two_step(ratings, content, hyper)
+        training.fit_mf_baseline(ratings, hyper)
+    _, sweeps, retried = harness._fit_sweeps(tracer)
+    assert (sweeps, retried) == (4 * hyper.max_sweeps, 0)

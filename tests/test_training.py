@@ -179,6 +179,20 @@ class TestFit:
         # two failures plus the three successful network sweeps
         assert calls["n"] == 5
 
+    def test_state_copy_shares_no_array(self):
+        # velocities are updated in place, so a rollback is sound only if the
+        # saved state owns every array it restores
+        ratings, content = tiny_dataset(seed=13)
+        state, train_block = training._network_setup(ratings, content, tiny_hyper())
+        train_block(state, 1e-3, state.V, 10.0, 50.0)
+        saved = state.copy()
+        arrays = [[s.U, s.V, *s.net.weights, *s.net.biases, *s.velocities]
+                  for s in (state, saved)]
+        assert len(arrays[0]) == 2 + 4 * len(state.net.weights)
+        for live, copy in zip(*arrays):
+            assert not np.shares_memory(live, copy)
+            np.testing.assert_array_equal(live, copy)
+
     def test_shape_mismatch_rejected(self):
         ratings, content = tiny_dataset(seed=15)
         bad = data.ContentMatrix(np.zeros((ratings.num_items + 1, 12)), data.RAW)
@@ -254,6 +268,28 @@ class TestVariants:
             V = mf.sweep_items(U, ratings, conf, hyper.lambda_v, encodings)
         np.testing.assert_array_equal(factors.U, U)
         np.testing.assert_array_equal(factors.V, V)
+
+    def test_two_step_frozen_phase_reuses_phase_one(self, monkeypatch):
+        # the frozen phase takes phase one's codes and reconstruction term:
+        # one encode and one residual pass for row 0 and for each sweep
+        ratings, content = tiny_dataset(seed=25)
+        hyper = tiny_hyper(max_sweeps=3)
+        calls = {"encode": 0, "coupling_residuals": 0}
+
+        def counted(name, real):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(sdae, name, counted(name, getattr(sdae, name)))
+        _, _, report = training.fit_two_step(ratings, content, hyper)
+        assert calls == {name: hyper.max_sweeps + 1 for name in calls}
+        last = report.rows[hyper.max_sweeps].reconstruction
+        frozen = [row.reconstruction for row in report.rows[hyper.max_sweeps + 1:]]
+        assert len(frozen) == hyper.max_sweeps
+        assert all(value.hex() == last.hex() for value in frozen)
 
     def test_mf_baseline_matches_zero_encoder_sweeps(self):
         ratings, _ = tiny_dataset(seed=27)
@@ -352,6 +388,9 @@ class TestReport:
                                     report_path=path)
         streamed = training.TrainReport.read_tsv(path)
         np.testing.assert_array_equal(streamed.totals(), report.totals())
+        written = tmp_path / "written.tsv"
+        report.write_tsv(written)
+        assert path.read_bytes() == written.read_bytes()
 
     @pytest.mark.parametrize("row", [
         "1\t-3.5\t-1",
