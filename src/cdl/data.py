@@ -60,8 +60,9 @@ class RatingsMatrix:
     def __init__(self, num_users, num_items, pairs):
         num_users = int(num_users)
         num_items = int(num_items)
-        if num_users < 0 or num_items < 0:
-            raise ValidationError("matrix dimensions must be non-negative")
+        if not (0 <= num_users <= _INT64_MAX and 0 <= num_items <= _INT64_MAX):
+            raise ValidationError(f"matrix dimensions {num_users} x {num_items} "
+                                  "outside [0, 2**63)")
         pairs = np.array(pairs, dtype=np.int64).reshape(-1, 2)  # a copy, owned here
         if pairs.size:
             if pairs.min() < 0:
@@ -272,31 +273,40 @@ def _walk_ratings(path):
         num_items = int(arr[:, 1].max()) + 1 if len(arr) else 0
     try:
         return RatingsMatrix(num_users, num_items, arr)
-    except ValidationError:
-        raise ValidationError(_bad_pair_line(path, num_users, num_items)) from None
+    except ValidationError as exc:
+        raise ValidationError(_bad_pair_line(path, num_users, num_items)
+                              or f"{path}: {exc}") from None
 
 
 def _bad_pair_line(path, num_users, num_items):
-    """``file:line: reason`` of the first pair RatingsMatrix rejects; the file
-    is read again, so only a rejected file pays for line numbers."""
+    """``file:line: reason`` of the first pair line (one holding a tab) that
+    RatingsMatrix rejects, or None; the file is read again, so only a
+    rejected file pays for line numbers."""
     seen = set()
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
-            if line.strip() and not line.startswith("#"):
+            if "\t" in line and not line.startswith("#"):
                 u, j = (int(field) for field in line.split("\t"))
                 if (u, j) in seen:
                     return f"{path}:{lineno}: duplicate rating pair ({u}, {j})"
                 if not (0 <= u < num_users and 0 <= j < num_items):
                     return (f"{path}:{lineno}: pair ({u}, {j}) outside "
                             f"[0, {num_users}) x [0, {num_items})")
+                if _INT64_MAX in (u, j):
+                    return f"{path}:{lineno}: id {_INT64_MAX} sizes the matrix beyond int64"
                 seen.add((u, j))
+
+
+def _pairs_text(pairs):
+    """``user<TAB>item`` lines of an (n, 2) pair array."""
+    return "".join([f"{u}\t{j}\n" for u, j in pairs.tolist()])
 
 
 def save_ratings(ratings, path):
     """Write a ratings file with a shape header (round-trips via load_ratings)."""
-    body = "".join([f"{u}\t{j}\n" for u, j in ratings.pairs.tolist()])
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# users={ratings.num_users} items={ratings.num_items}\n{body}")
+        fh.write(f"# users={ratings.num_users} items={ratings.num_items}\n"
+                 + _pairs_text(ratings.pairs))
 
 
 def read_npz(path, build):
@@ -333,8 +343,8 @@ def load_content(path, mode=BINARY_PRESENCE, num_items=None, vocab_size=None,
         # the line walk's checks, all at once; the walk names a failure's line
         if not len(rows) or (
                 ((counts > 0) & (counts < np.inf)).all()
-                and (num_items is None or items.max() < num_items)
-                and (vocab_size is None or words.max() < vocab_size)
+                and items.max() < (_INT64_MAX if num_items is None else num_items)
+                and words.max() < (_INT64_MAX if vocab_size is None else vocab_size)
                 and min(items.min(), words.min()) >= 0):
             return _content_from_arrays(items, words, counts, mode, num_items, vocab_size)
     return content_from_triples(_walk_triples(path, num_items, vocab_size, item_column),
@@ -376,6 +386,10 @@ def _walk_triples(path, num_items=None, vocab_size=None, item_column=True):
                 raise ValidationError(f"{path}:{lineno}: negative id")
             if max(item, word) > _INT64_MAX:
                 raise ValidationError(f"{path}:{lineno}: id outside int64 in {line!r}")
+            if ((num_items is None and item == _INT64_MAX)
+                    or (vocab_size is None and word == _INT64_MAX)):
+                raise ValidationError(
+                    f"{path}:{lineno}: id {_INT64_MAX} sizes the matrix beyond int64")
             triples.append((item, word, count))
     return triples
 
@@ -471,12 +485,8 @@ def split_repetitions(ratings, spec):
 def write_split_manifest(path, train, spec):
     """Record seed, P, and the train pair list so a split can be reproduced."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"seed={spec.seed}\n")
-        fh.write(f"P={spec.P}\n")
-        fh.write(f"users={train.num_users}\n")
-        fh.write(f"items={train.num_items}\n")
-        for u, j in train.pairs:
-            fh.write(f"{u}\t{j}\n")
+        fh.write(f"seed={spec.seed}\nP={spec.P}\nusers={train.num_users}\n"
+                 f"items={train.num_items}\n" + _pairs_text(train.pairs))
 
 
 def read_split_manifest(path):
@@ -496,16 +506,20 @@ def read_split_manifest(path):
                 fields = line.split("\t")
                 if len(fields) != 2:
                     raise ValueError
-                pairs.append((int(fields[0]), int(fields[1])))
+                pair = int(fields[0]), int(fields[1])
             except ValueError:
                 raise ParseError(f"{path}:{lineno}: bad manifest line {line!r}") from None
+            if not _INT64_MIN <= min(pair) <= max(pair) <= _INT64_MAX:
+                raise ValidationError(f"{path}:{lineno}: id outside int64 in {line!r}")
+            pairs.append(pair)
     missing = [key for key in ("users", "items") if key not in meta]
     if missing:
         raise ParseError(f"{path}: no {'/'.join(k + '=' for k in missing)} line")
     try:
         return RatingsMatrix(meta["users"], meta["items"], pairs), meta
     except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
+        raise ValidationError(_bad_pair_line(path, meta["users"], meta["items"])
+                              or f"{path}: {exc}") from None
 
 
 class Vocabulary:

@@ -84,6 +84,18 @@ class TestSplitCommand:
         assert code == 1
         assert f"{ratings}:3: duplicate rating pair (0, 1)" in capsys.readouterr().err
 
+    def test_id_sizing_beyond_int64_named_without_traceback(self, tmp_path, capsys):
+        # without a header the largest id sizes the matrix: 2**63 - 1 asks
+        # for a dimension of 2**63
+        ratings = tmp_path / "huge.tsv"
+        ratings.write_text("0\t1\n9223372036854775807\t2\n")
+        code = run_cli("split", "--ratings", ratings, "--P", 1, "--out", tmp_path / "o")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert (f"error: {ratings}:2: id 9223372036854775807 sizes the matrix beyond int64"
+                in err)
+        assert "Traceback" not in err
+
 
 class TestTrainCommand:
     def test_cdl_variant_writes_artifacts(self, dataset, tmp_path):

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cdl import data
-from cdl.exceptions import ArgumentError, ParseError, ValidationError
+from cdl.exceptions import ArgumentError, CdlError, ParseError, ValidationError
 from cdl.training import HyperParams
 
 
@@ -51,8 +51,12 @@ class TestLoadRatings:
         ("# users=2 items=2\n2\t0\n", 2, "pair (2, 0) outside"),
         ("0\t1\n99999999999999999999\t2\n", 2, "id outside int64"),
         ("# users=2 items=2\n0\t-99999999999999999999\n", 2, "id outside int64"),
+        ("0\t1\n9223372036854775807\t2\n", 2,
+         "id 9223372036854775807 sizes the matrix beyond int64"),
+        ("0\t9223372036854775807\n", 1, "id 9223372036854775807 sizes the matrix beyond int64"),
     ], ids=["duplicate", "first-duplicate-in-file", "item-outside-header",
-            "user-outside-header", "id-beyond-int64", "id-below-int64"])
+            "user-outside-header", "id-beyond-int64", "id-below-int64",
+            "user-id-sizes-beyond-int64", "item-id-sizes-beyond-int64"])
     def test_rejected_pair_names_file_and_line(self, tmp_path, text, lineno, reason):
         path = write(tmp_path, "r.tsv", text)
         with pytest.raises(ValidationError) as info:
@@ -157,6 +161,19 @@ class TestLoadContent:
         with pytest.raises(ValidationError) as info:
             data.load_content(path, item_column=False)
         assert str(info.value).startswith(f"{path}:1: id outside int64")
+
+    @pytest.mark.parametrize("text, item_column", [
+        ("0\t9223372036854775807\t1\n", True),
+        ("0\t1\t1\n9223372036854775807\t0\t1\n", True),
+        ("9223372036854775807\t1\n", False),
+    ], ids=["word", "item", "word-without-item-column"])
+    def test_id_sizing_beyond_int64_names_file_and_line(self, tmp_path, text, item_column):
+        path = write(tmp_path, "c.tsv", text)
+        with pytest.raises(ValidationError) as info:
+            data.load_content(path, item_column=item_column)
+        lineno = text.count("\n")
+        assert str(info.value) == (
+            f"{path}:{lineno}: id 9223372036854775807 sizes the matrix beyond int64")
 
     def test_non_finite_content_values_rejected(self):
         for bad in (np.nan, np.inf, -np.inf):
@@ -278,6 +295,11 @@ class TestSplit:
         back, meta = data.read_split_manifest(path)
         assert meta == {"seed": 13, "P": 2, "users": 30, "items": 50}
         assert np.array_equal(back.pairs, train.pairs)
+        # the per-pair loop the writer had, kept as the byte reference
+        expected = f"seed=13\nP=2\nusers={train.num_users}\nitems={train.num_items}\n"
+        for u, j in train.pairs:
+            expected += f"{u}\t{j}\n"
+        assert path.read_bytes() == expected.encode("utf-8")
 
     @pytest.mark.parametrize("text, where, error", [
         ("seed=1\nP=1\n0\t1\n", "", "no users=/items= line"),
@@ -285,8 +307,13 @@ class TestSplit:
         ("seed=x\nusers=2\nitems=2\n", ":1", "bad manifest line"),
         ("seed=1\nusers=2\nitems=2\n0\ta\n", ":4", "bad manifest line"),
         ("seed=1\nusers=2\nitems=2\n0\t1\t1\n", ":4", "bad manifest line"),
-        ("seed=1\nusers=2\nitems=2\n5\t0\n", "", "user id 5 outside"),
-    ], ids=["no-header", "no-items", "bad-seed", "bad-id", "three-fields", "id-outside"])
+        ("seed=1\nusers=2\nitems=2\n5\t0\n", ":4", r"pair \(5, 0\) outside"),
+        ("seed=1\nusers=2\nitems=2\n0\t1\n\n1\t1\n0\t1\n", ":7",
+         r"duplicate rating pair \(0, 1\)"),
+        ("seed=1\nusers=2\nitems=2\n0\t1\n9223372036854775808\t0\n", ":5",
+         "id outside int64"),
+    ], ids=["no-header", "no-items", "bad-seed", "bad-id", "three-fields", "id-outside",
+            "duplicate", "id-beyond-int64"])
     def test_bad_manifest_names_file_and_line(self, tmp_path, text, where, error):
         path = write(tmp_path, "split.txt", text)
         with pytest.raises((ParseError, ValidationError), match=error) as info:
@@ -398,14 +425,13 @@ def _new_file(tmp_path, text=""):
 
 
 def _same_outcome(bulk, walk):
-    """Both readers' results, or both readers' exception class and message.
-    Any exception: a content id of 2**63 - 1 with no shape given asks both
-    readers for a dimension of 2**63, which scipy refuses with OverflowError."""
+    """Both readers' results, or both readers' CdlError class and message; any
+    other exception is a bug in a reader and fails the test."""
     outcomes = []
     for read in (bulk, walk):
         try:
             outcomes.append(("ok", read()))
-        except Exception as exc:
+        except CdlError as exc:
             outcomes.append((type(exc), str(exc)))
     (kind_a, a), (kind_b, b) = outcomes
     assert kind_a == kind_b, (a, b)
