@@ -9,6 +9,7 @@ the log level (error, warn, info, debug).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -165,8 +166,7 @@ def cmd_train(args):
     ratings_path = _require_file(args.ratings, "ratings")
     hyper = training.load_config(config_path)
     if args.seed is not None:
-        hyper.seed = args.seed
-        hyper.validate()
+        hyper = dataclasses.replace(hyper, seed=args.seed)
     ratings = data.load_ratings(ratings_path)
     inputs = [config_path, ratings_path]
 
@@ -334,8 +334,7 @@ def cmd_sample(args):
     ratings_path = _require_file(args.ratings, "ratings")
     hyper = training.load_config(config_path)
     if args.seed is not None:
-        hyper.seed = args.seed
-        hyper.validate()
+        hyper = dataclasses.replace(hyper, seed=args.seed)
     ratings = data.load_ratings(ratings_path)
     content_path, content = _load_content(args, ratings, hyper)
     out = Path(args.out)
@@ -424,11 +423,8 @@ def cmd_grid(args):
 
     def run_one(task):
         point_idx, fold_idx, hyper = task
-        run_hyper = training.HyperParams(**{
-            **{name: getattr(hyper, name) for name in training.CONFIG_FIELDS},
-            "seed": int(np.random.SeedSequence(
-                [hyper.seed, point_idx, fold_idx]).generate_state(1)[0]) % (2 ** 31),
-        })
+        run_hyper = dataclasses.replace(hyper, seed=int(np.random.SeedSequence(
+            [hyper.seed, point_idx, fold_idx]).generate_state(1)[0]) % (2 ** 31))
         train, held = folds[fold_idx]
         _, factors, _ = _train_one(train, content, run_hyper, args.variant)
         ranked = metrics.rank(factors.U, factors.V, train,
@@ -455,8 +451,7 @@ def cmd_grid(args):
     for pi, (combo, hyper) in enumerate(points):
         vals = [value for (qi, _, _), value in zip(tasks, results) if qi == pi]
         means.append((sum(vals) / len(vals), pi, combo, hyper))
-    # stable sort keeps enumeration order among ties; argmax below prefers
-    # the first enumerated point
+    # best first, ties in enumeration order: table[0] is the first best point
     table = sorted(means, key=lambda rec: (-rec[0], rec[1]))
     results_path = out / "grid_results.tsv"
     with open(results_path, "w", encoding="utf-8") as fh:
@@ -465,7 +460,7 @@ def cmd_grid(args):
             cells = [str(pi)] + [repr(getattr(hyper, k)) for k in GRID_KEYS]
             cells.append(format(value, ".10g"))
             fh.write("\t".join(cells) + "\n")
-    best = max(means, key=lambda rec: (rec[0], -rec[1]))
+    best = table[0]
     best_path = out / "best_config.txt"
     with open(best_path, "w", encoding="utf-8") as fh:
         fh.write(training.config_text(best[3]))
