@@ -12,7 +12,6 @@ from .data import (
     ContentMatrix,
     RatingsMatrix,
     SplitSpec,
-    Vocabulary,
     corrupt,
     generate_synthetic,
     load_content,
@@ -64,7 +63,6 @@ __all__ = [
     "TrainReport",
     "TrainingError",
     "ValidationError",
-    "Vocabulary",
     "aggregate",
     "corrupt",
     "encode",

@@ -127,9 +127,8 @@ def cmd_split(args):
         rep_dir.mkdir(exist_ok=True)
         data.save_ratings(train, rep_dir / "train.tsv")
         data.save_ratings(test, rep_dir / "test.tsv")
-        rep_seed = int(np.random.SeedSequence([spec.seed, rep]).generate_state(1)[0])
         data.write_split_manifest(rep_dir / "split_manifest.txt", train,
-                                  data.SplitSpec(spec.P, rep_seed))
+                                  spec.repetition(rep))
         outputs += [rep_dir / "train.tsv", rep_dir / "test.tsv",
                     rep_dir / "split_manifest.txt"]
         log.info("rep %d: %d train / %d test pairs, %d eval users",
@@ -384,24 +383,19 @@ def _grid_points(raw_config, path):
 
 
 def _round_robin_folds(ratings, n_folds, seed):
-    """Per-user round-robin fold assignment over a seeded item shuffle."""
+    """Per-user round-robin fold assignment over a seeded item shuffle: each
+    user's i-th shuffled item is held out in fold i % n_folds."""
     rng = np.random.default_rng(seed)
-    fold_pairs = [[] for _ in range(n_folds)]
-    for user in range(ratings.num_users):
-        items = np.array(ratings.items_of(user))
-        rng.shuffle(items)
-        for k in range(n_folds):
-            for item in items[k::n_folds]:
-                fold_pairs[k].append((user, item))
-    folds = []
-    for k in range(n_folds):
-        held = fold_pairs[k]
-        rest = [p for kk in range(n_folds) if kk != k for p in fold_pairs[kk]]
-        folds.append((
-            data.RatingsMatrix(ratings.num_users, ratings.num_items, rest),
-            data.RatingsMatrix(ratings.num_users, ratings.num_items, held),
-        ))
-    return folds
+    users = ratings.pairs[:, 0]
+    items = ratings.pairs[:, 1].copy()
+    bounds = np.searchsorted(users, np.arange(ratings.num_users + 1))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        rng.shuffle(items[lo:hi])
+    fold = (np.arange(len(users)) - np.searchsorted(users, users)) % n_folds
+    pairs = np.column_stack((users, items))
+    return [(data.RatingsMatrix(ratings.num_users, ratings.num_items, pairs[fold != k]),
+             data.RatingsMatrix(ratings.num_users, ratings.num_items, pairs[fold == k]))
+            for k in range(n_folds)]
 
 
 def cmd_grid(args):

@@ -5,7 +5,6 @@ File formats are plain UTF-8 text:
 * ratings:    one ``user<TAB>item`` pair per line; an optional leading
               ``# users=I items=J`` header pins the matrix shape.
 * content:    ``item<TAB>word<TAB>count`` triples with positive counts.
-* vocabulary: ``token<TAB>word_id`` lines with dense ids from 0.
 
 Loaders and the splitter are pure functions of (input, seed); returned
 matrices are immutable after construction.
@@ -27,7 +26,6 @@ import logging
 import math
 import re
 import zipfile
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,10 +86,17 @@ class RatingsMatrix:
         self.num_users = num_users
         self.num_items = num_items
         self._pairs = pairs
-        self._user_ptr = np.searchsorted(pairs[:, 0], np.arange(num_users + 1))
         by_item = pairs[np.lexsort((pairs[:, 0], pairs[:, 1]))]
         self._item_users = np.ascontiguousarray(by_item[:, 0])
-        self._item_ptr = np.searchsorted(by_item[:, 1], np.arange(num_items + 1))
+        try:
+            self._user_ptr = np.searchsorted(pairs[:, 0], np.arange(num_users + 1))
+            self._item_ptr = np.searchsorted(by_item[:, 1], np.arange(num_items + 1))
+        except (MemoryError, ValueError):  # the allocation fails or its byte size overflows
+            self._user_ptr = self._item_ptr = ()
+        # np.arange(2**63) comes back empty rather than raising
+        if (len(self._user_ptr), len(self._item_ptr)) != (num_users + 1, num_items + 1):
+            raise ValidationError(f"matrix dimensions {num_users} x {num_items} "
+                                  "too large to index")
         for arr in (self._pairs, self._user_ptr, self._item_users, self._item_ptr):
             arr.setflags(write=False)
 
@@ -174,6 +179,11 @@ class SplitSpec:
             raise ArgumentError("P must be at least 1")
         if self.repetitions < 1:
             raise ArgumentError("repetitions must be at least 1")
+
+    def repetition(self, rep):
+        """The one-repetition spec of repetition ``rep``, seeded from (seed, rep)."""
+        seed = int(np.random.SeedSequence([self.seed, rep]).generate_state(1)[0])
+        return SplitSpec(self.P, seed)
 
 
 @contextlib.contextmanager
@@ -267,6 +277,7 @@ def _walk_ratings(path):
                 raise ValidationError(f"{path}:{lineno}: id outside int64 in {line!r}")
             pairs.append(pair)
     arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    sized = num_users is None  # no header: the largest ids size the matrix
     if num_users is None:
         num_users = int(arr[:, 0].max()) + 1 if len(arr) else 0
     if num_items is None:
@@ -274,15 +285,17 @@ def _walk_ratings(path):
     try:
         return RatingsMatrix(num_users, num_items, arr)
     except ValidationError as exc:
-        raise ValidationError(_bad_pair_line(path, num_users, num_items)
+        raise ValidationError(_bad_pair_line(path, num_users, num_items, sized)
                               or f"{path}: {exc}") from None
 
 
-def _bad_pair_line(path, num_users, num_items):
+def _bad_pair_line(path, num_users, num_items, sized):
     """``file:line: reason`` of the first pair line (one holding a tab) that
     RatingsMatrix rejects, or None; the file is read again, so only a
-    rejected file pays for line numbers."""
+    rejected file pays for line numbers.  When no pair is at fault and the
+    largest ids ``sized`` the matrix, it names the largest id's first line."""
     seen = set()
+    largest, lineno_of_largest = -1, None
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             if "\t" in line and not line.startswith("#"):
@@ -292,9 +305,12 @@ def _bad_pair_line(path, num_users, num_items):
                 if not (0 <= u < num_users and 0 <= j < num_items):
                     return (f"{path}:{lineno}: pair ({u}, {j}) outside "
                             f"[0, {num_users}) x [0, {num_items})")
-                if _INT64_MAX in (u, j):
-                    return f"{path}:{lineno}: id {_INT64_MAX} sizes the matrix beyond int64"
                 seen.add((u, j))
+                if max(u, j) > largest:
+                    largest, lineno_of_largest = max(u, j), lineno
+    if sized and lineno_of_largest:
+        beyond = "beyond int64" if largest == _INT64_MAX else "too large to index"
+        return f"{path}:{lineno_of_largest}: id {largest} sizes the matrix {beyond}"
 
 
 def _pairs_text(pairs):
@@ -478,8 +494,7 @@ def split(ratings, spec):
 def split_repetitions(ratings, spec):
     """Yield ``spec.repetitions`` independent splits with derived seeds."""
     for rep in range(spec.repetitions):
-        seed = int(np.random.SeedSequence([spec.seed, rep]).generate_state(1)[0])
-        yield split(ratings, SplitSpec(spec.P, seed))
+        yield split(ratings, spec.repetition(rep))
 
 
 def write_split_manifest(path, train, spec):
@@ -487,133 +502,6 @@ def write_split_manifest(path, train, spec):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"seed={spec.seed}\nP={spec.P}\nusers={train.num_users}\n"
                  f"items={train.num_items}\n" + _pairs_text(train.pairs))
-
-
-def read_split_manifest(path):
-    """Read back (train RatingsMatrix, meta dict) written by write_split_manifest."""
-    meta = {}
-    pairs = []
-    with open_text(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            try:
-                if "=" in line and "\t" not in line:
-                    key, value = line.split("=", 1)
-                    meta[key.strip()] = int(value)
-                    continue
-                fields = line.split("\t")
-                if len(fields) != 2:
-                    raise ValueError
-                pair = int(fields[0]), int(fields[1])
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: bad manifest line {line!r}") from None
-            if not _INT64_MIN <= min(pair) <= max(pair) <= _INT64_MAX:
-                raise ValidationError(f"{path}:{lineno}: id outside int64 in {line!r}")
-            pairs.append(pair)
-    missing = [key for key in ("users", "items") if key not in meta]
-    if missing:
-        raise ParseError(f"{path}: no {'/'.join(k + '=' for k in missing)} line")
-    try:
-        return RatingsMatrix(meta["users"], meta["items"], pairs), meta
-    except ValidationError as exc:
-        raise ValidationError(_bad_pair_line(path, meta["users"], meta["items"])
-                              or f"{path}: {exc}") from None
-
-
-class Vocabulary:
-    """Top-S vocabulary selected by tf-idf.
-
-    ``terms`` is a list of (token, document_frequency, tfidf) ordered by word
-    id.  tf is the raw corpus count, idf is ln(num_docs / df), and ties are
-    broken lexicographically.
-    """
-
-    def __init__(self, terms):
-        self.terms = [(str(t), int(df), float(score)) for t, df, score in terms]
-        self._ids = {t: i for i, (t, _, _) in enumerate(self.terms)}
-        if len(self._ids) != len(self.terms):
-            raise ValidationError("duplicate token in vocabulary")
-
-    @property
-    def selected_size(self):
-        return len(self.terms)
-
-    def word_id(self, token):
-        return self._ids[token]
-
-    def __contains__(self, token):
-        return token in self._ids
-
-    def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            for word_id, (token, _, _) in enumerate(self.terms):
-                fh.write(f"{token}\t{word_id}\n")
-
-    @staticmethod
-    def load(path):
-        """Read a token<TAB>word_id file; df/tfidf metadata is not stored."""
-        tokens = {}
-        names = set()
-        with open_text(path) as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.rstrip("\n")
-                if not line.strip():
-                    continue
-                fields = line.split("\t")
-                try:
-                    if len(fields) != 2:
-                        raise ValueError
-                    word_id = int(fields[1])
-                except ValueError:
-                    raise ParseError(f"{path}:{lineno}: bad vocabulary line {line!r}") from None
-                if word_id in tokens or fields[0] in names:
-                    raise ValidationError(
-                        f"{path}:{lineno}: repeated word id or token in {line!r}")
-                tokens[word_id] = fields[0]
-                names.add(fields[0])
-        if sorted(tokens) != list(range(len(tokens))):
-            raise ValidationError(f"{path}: word ids are not dense from 0")
-        return Vocabulary([(tokens[i], 0, 0.0) for i in range(len(tokens))])
-
-
-def build_vocabulary(token_triples, size):
-    """Select the top-``size`` tokens by tf-idf from (doc, token, count) triples.
-
-    tf is the total raw count over the corpus and idf = ln(num_docs / df);
-    score ties are broken by lexicographic token order.
-    """
-    if size < 1:
-        raise ArgumentError("vocabulary size must be at least 1")
-    tf = defaultdict(float)
-    docs_of = defaultdict(set)
-    docs = set()
-    for doc, token, count in token_triples:
-        if count <= 0:
-            raise ValidationError(f"count must be positive, got {count}")
-        token = str(token)
-        tf[token] += count
-        docs_of[token].add(doc)
-        docs.add(doc)
-    num_docs = len(docs)
-    scored = [
-        (token, len(docs_of[token]), tf[token] * math.log(num_docs / len(docs_of[token])))
-        for token in tf
-    ]
-    scored.sort(key=lambda rec: (-rec[2], rec[0]))
-    return Vocabulary(scored[:size])
-
-
-def apply_vocabulary(token_triples, vocab):
-    """Map (doc, token, count) triples to (doc, word_id, count), dropping
-    tokens outside the vocabulary."""
-    out = []
-    for doc, token, count in token_triples:
-        token = str(token)
-        if token in vocab:
-            out.append((doc, vocab.word_id(token), count))
-    return out
 
 
 def generate_synthetic(num_users, num_items, vocab_size, n_factors, hyper, seed,

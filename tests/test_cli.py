@@ -96,6 +96,30 @@ class TestSplitCommand:
                 in err)
         assert "Traceback" not in err
 
+    # without a header the largest id sizes the matrix: 10**12 asks for a
+    # 7.28 TiB index, and np.arange(2**63) for 2**63 - 2 comes back empty
+    @pytest.mark.parametrize("user", [10**12, 2**63 - 2], ids=["beyond-memory", "empty-arange"])
+    def test_id_too_large_to_index_named_without_traceback(self, tmp_path, capsys, user):
+        ratings = tmp_path / "huge.tsv"
+        ratings.write_text(f"0\t1\n{user}\t2\n")
+        code = run_cli("split", "--ratings", ratings, "--P", 1, "--out", tmp_path / "o")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"error: {ratings}:2: id {user} sizes the matrix too large to index" in err
+        assert "Traceback" not in err
+
+    def test_manifest_records_each_repetition_seed(self, dataset, tmp_path):
+        out = tmp_path / "s"
+        run_cli("split", "--ratings", dataset["ratings"], "--P", 1,
+                "--seed", 3, "--reps", 2, "--out", out)
+        spec = data.SplitSpec(P=1, seed=3, repetitions=2)
+        for rep in range(2):
+            rep_dir = out / f"rep_{rep:02d}"
+            expected = tmp_path / f"manifest_{rep}.txt"
+            data.write_split_manifest(expected, data.load_ratings(rep_dir / "train.tsv"),
+                                      spec.repetition(rep))
+            assert (rep_dir / "split_manifest.txt").read_bytes() == expected.read_bytes()
+
 
 class TestTrainCommand:
     def test_cdl_variant_writes_artifacts(self, dataset, tmp_path):
@@ -502,6 +526,35 @@ class TestGridCommand:
         assert code == 1
         assert "--select-m" in capsys.readouterr().err
         assert not out.exists()
+
+
+def _round_robin_folds_loop(ratings, n_folds, seed):
+    """The per-pair loop cli._round_robin_folds had, kept as its reference."""
+    rng = np.random.default_rng(seed)
+    fold_pairs = [[] for _ in range(n_folds)]
+    for user in range(ratings.num_users):
+        items = np.array(ratings.items_of(user))
+        rng.shuffle(items)
+        for k in range(n_folds):
+            for item in items[k::n_folds]:
+                fold_pairs[k].append((user, item))
+    return [(data.RatingsMatrix(ratings.num_users, ratings.num_items,
+                                [p for kk in range(n_folds) if kk != k for p in fold_pairs[kk]]),
+             data.RatingsMatrix(ratings.num_users, ratings.num_items, fold_pairs[k]))
+            for k in range(n_folds)]
+
+
+@pytest.mark.parametrize("n_folds", [2, 3, 5])
+def test_round_robin_folds_match_the_pair_loop(n_folds):
+    hyper = HyperParams(n_factors=3)
+    for seed in range(5):
+        # over these seeds: users with no, one and up to 30 items
+        ratings, *_ = data.generate_synthetic(25, 30, 6, 3, hyper, seed=seed)
+        for got, want in zip(cli._round_robin_folds(ratings, n_folds, seed),
+                             _round_robin_folds_loop(ratings, n_folds, seed), strict=True):
+            for a, b in zip(got, want):
+                assert (a.num_users, a.num_items) == (b.num_users, b.num_items)
+                assert np.array_equal(a.pairs, b.pairs)
 
 
 class TestManifest:
