@@ -362,9 +362,17 @@ def load_content(path, mode=BINARY_PRESENCE, num_items=None, vocab_size=None,
                 and items.max() < (_INT64_MAX if num_items is None else num_items)
                 and words.max() < (_INT64_MAX if vocab_size is None else vocab_size)
                 and min(items.min(), words.min()) >= 0):
-            return _content_from_arrays(items, words, counts, mode, num_items, vocab_size)
-    return content_from_triples(_walk_triples(path, num_items, vocab_size, item_column),
-                                mode, num_items=num_items, vocab_size=vocab_size)
+            try:
+                return _content_from_arrays(items, words, counts, mode, num_items, vocab_size)
+            except ValidationError:
+                pass  # too large to index: the line walk names the line
+    triples = _walk_triples(path, num_items, vocab_size, item_column)
+    try:
+        return content_from_triples(triples, mode, num_items=num_items, vocab_size=vocab_size)
+    except ValidationError as exc:
+        if num_items is None and item_column:  # the largest item id sized the matrix
+            raise ValidationError(_largest_item_line(path)) from None
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def _walk_triples(path, num_items=None, vocab_size=None, item_column=True):
@@ -410,6 +418,21 @@ def _walk_triples(path, num_items=None, vocab_size=None, item_column=True):
     return triples
 
 
+def _largest_item_line(path):
+    """``file:line: reason`` naming the first line that holds the largest
+    item id of a content file the line walk accepted, when that id sized the
+    matrix too large to index; the file is read again, so only a rejected
+    file pays for line numbers."""
+    largest, lineno_of_largest = -1, None
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if line.strip() and not line.startswith("#"):
+                item = int(line.split("\t")[0])
+                if item > largest:
+                    largest, lineno_of_largest = item, lineno
+    return f"{path}:{lineno_of_largest}: id {largest} sizes the matrix too large to index"
+
+
 def content_from_triples(triples, mode=BINARY_PRESENCE, num_items=None, vocab_size=None):
     """Build a normalized :class:`ContentMatrix` from (item, word, count) triples."""
     triples = list(triples)
@@ -427,7 +450,12 @@ def _content_from_arrays(items, words, counts, mode, num_items, vocab_size):
         num_items = int(items.max()) + 1 if len(items) else 0
     if vocab_size is None:
         vocab_size = int(words.max()) + 1 if len(words) else 0
-    counts = sp.csr_matrix((counts, (items, words)), shape=(num_items, vocab_size))
+    coo = sp.coo_matrix((counts, (items, words)), shape=(num_items, vocab_size))
+    try:
+        counts = coo.tocsr()
+    except (MemoryError, ValueError):  # the row pointers cannot be allocated
+        raise ValidationError(f"matrix dimensions {num_items} x {vocab_size} "
+                              "too large to index") from None
     counts.sum_duplicates()
     lengths = np.diff(counts.indptr)
     if mode == BINARY_PRESENCE:
@@ -445,15 +473,18 @@ def _content_from_arrays(items, words, counts, mode, num_items, vocab_size):
 def corrupt(content, noise_level, seed):
     """Masking noise: zero each nonzero entry independently with probability
     ``noise_level``; zeros are never changed and unmasked entries keep their
-    clean value.  Deterministic for a fixed seed."""
+    clean value.  Deterministic for a fixed seed.
+
+    One uniform draw per stored entry decides it; the kept entries (stored
+    zeros never among them) are compacted straight into a new CSR, so the
+    clean matrix is neither copied nor changed."""
     if not 0.0 <= noise_level <= 1.0:
         raise ArgumentError(f"noise level must lie in [0, 1], got {noise_level}")
     rng = np.random.default_rng(seed)
-    csr = content.matrix.copy()
-    if csr.nnz:
-        keep = rng.random(csr.nnz) >= noise_level
-        csr.data = csr.data * keep
-        csr.eliminate_zeros()
+    clean = content.matrix
+    kept = np.flatnonzero((rng.random(clean.nnz) >= noise_level) & (clean.data != 0))
+    csr = sp.csr_matrix((clean.data[kept], clean.indices[kept],
+                         np.searchsorted(kept, clean.indptr)), shape=clean.shape)
     return ContentMatrix(csr, content.normalization_mode)
 
 

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .data import read_npz
-from .exceptions import ArgumentError, NumericError, ShapeError
+from .exceptions import ArgumentError, NumericError, ShapeError, ValidationError
 
 # rows evaluated at once by gradients, coupling_residuals, encode and
 # reconstruct: their working memory is one block's activations
@@ -114,10 +114,14 @@ def init_network(widths, seed, lambda_w=1.0):
         raise ArgumentError("all layer widths must be positive")
     rng = np.random.default_rng(seed)
     weights, biases = [], []
-    for l in range(1, L + 1):
-        scale = min(lambda_w ** -0.5, widths[l - 1] ** -0.5)
-        weights.append(rng.normal(0.0, scale, size=(widths[l - 1], widths[l])))
-        biases.append(np.zeros(widths[l]))
+    try:
+        for l in range(1, L + 1):
+            scale = min(lambda_w ** -0.5, widths[l - 1] ** -0.5)
+            weights.append(rng.normal(0.0, scale, size=(widths[l - 1], widths[l])))
+            biases.append(np.zeros(widths[l]))
+    except (MemoryError, ValueError):  # the allocation fails or its byte size overflows
+        raise ValidationError(f"layer widths {'-'.join(map(str, widths))} "
+                              "too large to allocate") from None
     return SdaeNetwork(weights, biases)
 
 
@@ -137,11 +141,17 @@ def sample_network(widths, lambda_w, rng):
 
 def _as_matrix(x):
     """Accept ContentMatrix, scipy sparse, or ndarray; return a 2-D operand,
-    CSR when sparse, so that its row blocks can be sliced."""
+    CSR when sparse, so that its row blocks can be sliced.  A sparse operand
+    comes back canonical (no repeated entries, sorted indices); it is copied
+    only when it is not, so the caller's matrix is never changed."""
     if hasattr(x, "matrix"):
-        return x.matrix
+        x = x.matrix
     if sp.issparse(x):
-        return x.tocsr()
+        x = x.tocsr()
+        if not x.has_canonical_format:
+            x = x.copy()
+            x.sum_duplicates()
+        return x
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim == 1:
         arr = arr.reshape(1, -1)
@@ -160,7 +170,9 @@ def _input(net, x):
 def _row_blocks(net, x0, xc=None, item_factors=None):
     """Check the operands' shapes, then yield (rows, input rows[, clean rows,
     item factor rows]) for each block of BLOCK_ROWS rows, in order.  Sparse
-    clean rows stay sparse: the caller subtracts them at their stored entries."""
+    clean rows stay sparse: the caller subtracts them at their stored entries.
+    When one block covers every row the operands themselves are yielded; a
+    CSR row slice is a copy."""
     X0 = _input(net, x0)
     num_rows = X0.shape[0]
     operands = [X0]
@@ -174,7 +186,7 @@ def _row_blocks(net, x0, xc=None, item_factors=None):
         operands += [Xc, V]
     for start in range(0, num_rows, BLOCK_ROWS):
         rows = slice(start, start + BLOCK_ROWS)
-        yield rows, *(m[rows] for m in operands)
+        yield rows, *(operands if num_rows <= BLOCK_ROWS else [m[rows] for m in operands])
 
 
 def _sigmoid(z):
@@ -191,11 +203,11 @@ def _sigmoid(z):
 def _subtract_clean(out, clean):
     """``out -= clean`` in place.  A sparse clean block is read at its
     stored entries only, through flat indices into ``out``; it is never
-    densified."""
+    densified.  It must be canonical, as _as_matrix makes it and as every
+    row slice of it stays: a repeated index would be subtracted once."""
     if not sp.issparse(clean):
         out -= clean
         return out
-    clean.sum_duplicates()  # one subtraction per index; the block is a copy
     rows, cols = clean.shape
     flat = np.repeat(np.arange(rows) * cols, np.diff(clean.indptr)) + clean.indices
     out.reshape(-1)[flat] -= clean.data

@@ -167,6 +167,26 @@ class TestTrainCommand:
         assert code == 1
         assert "lambda_v" in capsys.readouterr().err
 
+    # without a shape the largest ids size the content: an item id beyond
+    # the ratings is named at its line, and with widths=auto a word id of
+    # 10**12 asks for a 36 TiB first weight matrix
+    @pytest.mark.parametrize("text, reason", [
+        ("0\t1\t1\n1000000000000\t2\t1\n",
+         "{content}:2: item id 1000000000000 outside [0, 20)"),
+        ("0\t1\t1\n1\t1000000000000\t1\n",
+         "layer widths 1000000000001-3-1000000000001 too large to allocate"),
+    ], ids=["item-id", "word-id"])
+    def test_content_id_too_large_named_without_traceback(self, dataset, tmp_path, capsys,
+                                                          text, reason):
+        content = tmp_path / "huge.tsv"
+        content.write_text(text)
+        code = run_cli("train", "--config", dataset["config"], "--ratings", dataset["ratings"],
+                       "--content", content, "--out", tmp_path / "o")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"error: {reason.format(content=content)}" in err
+        assert "Traceback" not in err
+
     def test_variants_all_trainable(self, dataset, tmp_path):
         for variant in ("two-step", "encoder-only"):
             out = tmp_path / variant

@@ -185,18 +185,35 @@ class TestLoadContent:
             data.load_content(path, item_column=False)
         assert str(info.value).startswith(f"{path}:1: id outside int64")
 
-    @pytest.mark.parametrize("text, item_column", [
-        ("0\t9223372036854775807\t1\n", True),
-        ("0\t1\t1\n9223372036854775807\t0\t1\n", True),
-        ("9223372036854775807\t1\n", False),
-    ], ids=["word", "item", "word-without-item-column"])
-    def test_id_sizing_beyond_int64_names_file_and_line(self, tmp_path, text, item_column):
+    # without a shape the largest item id sizes the matrix: 10**12 asks for
+    # a 7.28 TiB row pointer array, 2**63 - 2 for more entries than numpy allows
+    @pytest.mark.parametrize("text, item_column, reason", [
+        ("0\t9223372036854775807\t1\n", True,
+         "id 9223372036854775807 sizes the matrix beyond int64"),
+        ("0\t1\t1\n9223372036854775807\t0\t1\n", True,
+         "id 9223372036854775807 sizes the matrix beyond int64"),
+        ("9223372036854775807\t1\n", False,
+         "id 9223372036854775807 sizes the matrix beyond int64"),
+        ("0\t1\t1\n1000000000000\t2\t1\n", True,
+         "id 1000000000000 sizes the matrix too large to index"),
+        ("0\t1\t1\n9223372036854775806\t2\t1\n", True,
+         "id 9223372036854775806 sizes the matrix too large to index"),
+    ], ids=["word", "item", "word-without-item-column", "item-beyond-memory",
+            "item-beyond-numpy-dimension"])
+    def test_id_sizing_beyond_int64_names_file_and_line(self, tmp_path, text, item_column,
+                                                        reason):
         path = write(tmp_path, "c.tsv", text)
         with pytest.raises(ValidationError) as info:
             data.load_content(path, item_column=item_column)
         lineno = text.count("\n")
-        assert str(info.value) == (
-            f"{path}:{lineno}: id 9223372036854775807 sizes the matrix beyond int64")
+        assert str(info.value) == f"{path}:{lineno}: {reason}"
+
+    def test_shape_too_large_to_index_names_file(self, tmp_path):
+        path = write(tmp_path, "c.tsv", "0\t1\t1\n")
+        with pytest.raises(ValidationError) as info:
+            data.load_content(path, num_items=10**12)
+        assert str(info.value) == (f"{path}: matrix dimensions 1000000000000 x 2 "
+                                   "too large to index")
 
     def test_non_finite_content_values_rejected(self):
         for bad in (np.nan, np.inf, -np.inf):
@@ -262,6 +279,40 @@ class TestCorrupt:
     def test_bad_noise_level(self):
         with pytest.raises(ArgumentError):
             data.corrupt(self.make_content(), 1.5, seed=0)
+
+    @staticmethod
+    def copy_multiply_eliminate(content, noise_level, seed):
+        """corrupt as a copy of the clean matrix, multiplied by the keep mask,
+        with the zeros then eliminated: the reference for the compaction."""
+        rng = np.random.default_rng(seed)
+        csr = content.matrix.copy()
+        if csr.nnz:
+            keep = rng.random(csr.nnz) >= noise_level
+            csr.data = csr.data * keep
+            csr.eliminate_zeros()
+        return data.ContentMatrix(csr, content.normalization_mode)
+
+    def test_matches_copy_multiply_eliminate_bit_for_bit(self):
+        # explicit stored zeros in the clean content are dropped, as
+        # eliminate_zeros drops them
+        with_zeros = self.make_content(seed=5).matrix.copy()
+        with_zeros.data[::4] = 0.0
+        contents = [self.make_content(seed=6), self.make_content(seed=7, shape=(90, 300)),
+                    data.ContentMatrix(with_zeros), data.ContentMatrix(sp.csr_matrix((6, 9)))]
+        assert (contents[2].matrix.data == 0.0).any() and contents[3].nnz == 0
+        for content in contents:
+            for noise_level in (0.0, 0.3, 1.0):
+                for seed in range(6):
+                    got = data.corrupt(content, noise_level, seed).matrix
+                    want = self.copy_multiply_eliminate(content, noise_level, seed).matrix
+                    assert got.shape == want.shape
+                    assert np.array_equal(got.data.view(np.uint64), want.data.view(np.uint64))
+                    for name in ("indices", "indptr"):
+                        a, b = getattr(got, name), getattr(want, name)
+                        assert a.dtype == b.dtype and np.array_equal(a, b)
+                    for name in ("data", "indices", "indptr"):
+                        assert not np.shares_memory(getattr(got, name),
+                                                    getattr(content.matrix, name))
 
 
 class TestSplit:

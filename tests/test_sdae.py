@@ -27,6 +27,17 @@ def random_instance(widths, num_rows, seed):
     return net, x0, xc, V, float(lams[0]), float(lams[1]), float(lams[2])
 
 
+def halved_repeats(dense):
+    """CSR of ``dense`` with every stored entry written twice, as two halves:
+    not canonical, and summing its repeats gives ``dense`` exactly."""
+    coo = sp.coo_matrix(dense)
+    twice = np.repeat(np.arange(coo.nnz), 2)
+    indptr = np.concatenate([[0], np.cumsum(2 * np.bincount(coo.row, minlength=dense.shape[0]))])
+    halves = sp.csr_matrix((coo.data[twice] / 2, coo.col[twice], indptr), shape=dense.shape)
+    assert not halves.has_canonical_format
+    return halves
+
+
 def network_objective(net, x0, xc, V, lam_v, lam_n, lam_w):
     """Network-dependent part of the joint objective, via forward passes only."""
     enc_ss, rec_ss = sdae.coupling_residuals(net, x0, xc, V)
@@ -326,6 +337,27 @@ class TestRowBlocks:
         assert (sdae.coupling_residuals(net, other0, otherc, V)
                 == sdae.coupling_residuals(net, csr0, csrc, V))
 
+    def test_one_block_leaves_a_non_canonical_operand_unchanged(self):
+        # the rows fit one block, so no slice copies the operands: a
+        # non-canonical CSR is summed in a copy, never in the caller's matrix
+        net, _, xc, V, lam_v, lam_n, lam_w = random_instance([4, 3, 2, 3, 4], 5, seed=29)
+        assert xc.shape[0] <= sdae.BLOCK_ROWS
+        halves = halved_repeats(xc)
+        before = [halves.data.copy(), halves.indices.copy(), halves.indptr.copy()]
+        canonical = halves.copy()
+        canonical.sum_duplicates()
+
+        def outputs(x):
+            grads_w, grads_b = sdae.gradients(net, x, x, V, lam_v, lam_n, lam_w)
+            return [*grads_w, *grads_b, np.array(sdae.coupling_residuals(net, x, x, V)),
+                    sdae.encode(net, x)]
+
+        got = outputs(halves)
+        for arr, old in zip((halves.data, halves.indices, halves.indptr), before):
+            np.testing.assert_array_equal(arr, old)
+        for a, b in zip(got, outputs(canonical)):
+            np.testing.assert_array_equal(a, b)
+
     @pytest.mark.parametrize("one_row", ["item_factors", "clean"])
     def test_residuals_reject_one_row_operand(self, one_row):
         net, x0, xc, V, _, _, _ = random_instance([5, 3, 5], 4, seed=22)
@@ -395,11 +427,7 @@ class TestSigmoid:
 
     def test_repeated_sparse_entries_are_summed(self):
         net, x0, xc, V, _, _, _ = random_instance([4, 2, 4], 3, seed=26)
-        coo = sp.coo_matrix(xc)
-        twice = np.repeat(np.arange(coo.nnz), 2)
-        indptr = np.concatenate([[0], np.cumsum(2 * np.bincount(coo.row, minlength=3))])
-        halves = sp.csr_matrix((coo.data[twice] / 2, coo.col[twice], indptr), shape=xc.shape)
-        assert not halves.has_canonical_format
+        halves = halved_repeats(xc)
         np.testing.assert_allclose(sdae.coupling_residuals(net, x0, halves, V),
                                    sdae.coupling_residuals(net, x0, xc, V), rtol=1e-14)
 
