@@ -9,6 +9,7 @@ the log level (error, warn, info, debug).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import itertools
@@ -23,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, data, factors as mf, metrics, sampling, sdae, training
-from .exceptions import ArgumentError, CdlError, ConfigError, ParseError
+from .exceptions import ArgumentError, CdlError, ConfigError, ParseError, ValidationError
 
 log = logging.getLogger(__name__)
 
@@ -49,6 +50,15 @@ def _version_string():
     return f"cdl {__version__}"
 
 
+class _VersionAction(argparse.Action):
+    """``--version``: print the version string, which runs ``git describe``,
+    only when the flag is given, and exit."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        print(_version_string())
+        parser.exit()
+
+
 def _sha256(path):
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -69,7 +79,7 @@ def write_manifest(out_dir, command, args, inputs, outputs, seed=None, config=No
         "version": _version_string(),
     }
     path = Path(out_dir) / "manifest.json"
-    with open(path, "w", encoding="utf-8") as fh:
+    with data.open_output(path) as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True, default=str)
         fh.write("\n")
     return path
@@ -147,6 +157,19 @@ def _load_content(args, ratings, hyper):
                                    num_items=ratings.num_items, vocab_size=vocab_size)
 
 
+@contextlib.contextmanager
+def _vocabulary_named(content_path, hyper):
+    """Run the body; with widths=auto the largest word id of ``content_path``
+    sizes the network, and a network too large to allocate (training and
+    sampling raise no other ValidationError) is named at that id's line."""
+    try:
+        yield
+    except ValidationError as exc:
+        if content_path is None or hyper.widths is not None:
+            raise
+        raise ValidationError(data.largest_id_line(content_path, 1, exc)) from None
+
+
 def _train_one(ratings, content, hyper, variant, report_path=None):
     if variant == "cdl":
         return training.fit(ratings, content, hyper, report_path=report_path)
@@ -169,7 +192,7 @@ def cmd_train(args):
     ratings = data.load_ratings(ratings_path)
     inputs = [config_path, ratings_path]
 
-    content = None
+    content = content_path = None
     if args.variant == "mf":
         if args.content:
             log.warning("variant 'mf' is content-free; ignoring %s", args.content)
@@ -182,8 +205,9 @@ def cmd_train(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     report_path = out / "report.tsv"
-    net, factors, _report = _train_one(ratings, content, hyper, args.variant,
-                                       report_path=report_path)
+    with _vocabulary_named(content_path, hyper):
+        net, factors, _report = _train_one(ratings, content, hyper, args.variant,
+                                           report_path=report_path)
     outputs = [report_path]
     if net is not None:
         sdae.save_network(net, out / "network.npz",
@@ -191,7 +215,7 @@ def cmd_train(args):
         outputs.append(out / "network.npz")
     mf.save_factors(factors, out / "factors.npz")
     outputs.append(out / "factors.npz")
-    with open(out / "config.txt", "w", encoding="utf-8") as fh:
+    with data.open_output(out / "config.txt") as fh:
         fh.write(training.config_text(hyper))
     outputs.append(out / "config.txt")
     write_manifest(out, "train", args, inputs, outputs, seed=hyper.seed,
@@ -314,7 +338,7 @@ def cmd_predict(args):
         scores = factors.V[items] @ u
         lines += [f"{item}\t{score:.17g}" for item, score in zip(items, scores)]
     pred_path = out / "predictions.tsv"
-    with open(pred_path, "w", encoding="utf-8") as fh:
+    with data.open_output(pred_path) as fh:
         fh.write("item\tscore\n")
         for line in lines:
             fh.write(line + "\n")
@@ -338,11 +362,12 @@ def cmd_sample(args):
     content_path, content = _load_content(args, ratings, hyper)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    summary = sampling.run_chain(ratings, content, hyper,
-                                 iters=args.iters, burn_in=args.burn_in,
-                                 thin=args.thin)
+    with _vocabulary_named(content_path, hyper):
+        summary = sampling.run_chain(ratings, content, hyper,
+                                     iters=args.iters, burn_in=args.burn_in,
+                                     thin=args.thin)
     summary.write_tsv(out / "chain.tsv")
-    with open(out / "chain_summary.json", "w", encoding="utf-8") as fh:
+    with data.open_output(out / "chain_summary.json") as fh:
         json.dump({
             "acceptance": summary.acceptance,
             "step_sizes": summary.step_sizes,
@@ -429,11 +454,12 @@ def cmd_grid(args):
     tasks = [(pi, fi, hyper)
              for pi, (_, hyper) in enumerate(points)
              for fi in range(len(folds))]
-    with ThreadPoolExecutor(max_workers=max(args.threads, 1)) as pool:
+    with (_vocabulary_named(content_path, points[0][1]),
+          ThreadPoolExecutor(max_workers=max(args.threads, 1)) as pool):
         results = list(pool.map(run_one, tasks))
 
     runs_path = out / "grid_runs.tsv"
-    with open(runs_path, "w", encoding="utf-8") as fh:
+    with data.open_output(runs_path) as fh:
         fh.write("point\tfold\t" + "\t".join(GRID_KEYS) + f"\t{metric_name}\n")
         for (pi, fi, hyper), value in zip(tasks, results):
             cells = [str(pi), str(fi)]
@@ -448,7 +474,7 @@ def cmd_grid(args):
     # best first, ties in enumeration order: table[0] is the first best point
     table = sorted(means, key=lambda rec: (-rec[0], rec[1]))
     results_path = out / "grid_results.tsv"
-    with open(results_path, "w", encoding="utf-8") as fh:
+    with data.open_output(results_path) as fh:
         fh.write("point\t" + "\t".join(GRID_KEYS) + f"\tmean_{metric_name}\n")
         for value, pi, combo, hyper in table:
             cells = [str(pi)] + [repr(getattr(hyper, k)) for k in GRID_KEYS]
@@ -456,7 +482,7 @@ def cmd_grid(args):
             fh.write("\t".join(cells) + "\n")
     best = table[0]
     best_path = out / "best_config.txt"
-    with open(best_path, "w", encoding="utf-8") as fh:
+    with data.open_output(best_path) as fh:
         fh.write(training.config_text(best[3]))
     write_manifest(out, "grid", args, [config_path, ratings_path, content_path],
                    [runs_path, results_path, best_path], seed=points[0][1].seed)
@@ -469,7 +495,9 @@ def build_parser():
         prog="cdl",
         description="Collaborative deep learning recommender toolkit",
     )
-    parser.add_argument("--version", action="version", version=_version_string())
+    parser.add_argument("--version", action=_VersionAction, nargs=0,
+                        default=argparse.SUPPRESS,
+                        help="show program's version number and exit")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("split", help="per-user train/test splits")

@@ -24,6 +24,7 @@ from __future__ import annotations
 import contextlib
 import logging
 import math
+import os
 import re
 import zipfile
 from dataclasses import dataclass
@@ -197,6 +198,23 @@ def open_text(path):
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
+def open_output(path, mode="w"):
+    """``path`` opened for writing, as a new file for ``"w"`` (UTF-8 text)
+    and ``"wb"``, or at its end for ``"a"``; every writer of the package
+    opens its files here.
+
+    A file already at ``path`` is unlinked, not truncated, so a symlink or
+    hard link there is replaced, not written through.  On ext4 (with its
+    default ``auto_da_alloc``) a truncating rewrite, and a rename over the
+    old file too, forces the new contents to disk, and the next rewrite must
+    free those blocks: ~40 ms for a 20-byte file on a ``discard`` mount,
+    against ~0.03 ms for unlink then create.  Nothing is fsynced."""
+    if mode != "a":
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(path)
+    return open(path, mode, encoding=None if "b" in mode else "utf-8")
+
+
 def load_ratings(path):
     """Read a ratings file into a validated :class:`RatingsMatrix`.
 
@@ -320,9 +338,19 @@ def _pairs_text(pairs):
 
 def save_ratings(ratings, path):
     """Write a ratings file with a shape header (round-trips via load_ratings)."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         fh.write(f"# users={ratings.num_users} items={ratings.num_items}\n"
                  + _pairs_text(ratings.pairs))
+
+
+def write_npz(path, **arrays):
+    """Save ``arrays`` uncompressed as an npz checkpoint at ``path``, with
+    ``.npz`` appended to a path without it, as ``np.savez`` does."""
+    path = os.fspath(path)
+    if not path.endswith(".npz"):
+        path += ".npz"
+    with open_output(path, "wb") as fh:
+        np.savez(fh, **arrays)
 
 
 def read_npz(path, build):
@@ -371,7 +399,8 @@ def load_content(path, mode=BINARY_PRESENCE, num_items=None, vocab_size=None,
         return content_from_triples(triples, mode, num_items=num_items, vocab_size=vocab_size)
     except ValidationError as exc:
         if num_items is None and item_column:  # the largest item id sized the matrix
-            raise ValidationError(_largest_item_line(path)) from None
+            raise ValidationError(
+                largest_id_line(path, 0, "the matrix too large to index")) from None
         raise ValidationError(f"{path}: {exc}") from None
 
 
@@ -418,19 +447,19 @@ def _walk_triples(path, num_items=None, vocab_size=None, item_column=True):
     return triples
 
 
-def _largest_item_line(path):
-    """``file:line: reason`` naming the first line that holds the largest
-    item id of a content file the line walk accepted, when that id sized the
-    matrix too large to index; the file is read again, so only a rejected
-    file pays for line numbers."""
+def largest_id_line(path, column, reason):
+    """``file:line: id N sizes <reason>``, naming the first line that holds
+    the largest id N of ``column`` (0 for items, 1 for words) in a content
+    file the line walk accepted, when that id sized what ``reason`` rejects;
+    the file is read again, so only a rejected file pays for line numbers."""
     largest, lineno_of_largest = -1, None
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, 1):
             if line.strip() and not line.startswith("#"):
-                item = int(line.split("\t")[0])
-                if item > largest:
-                    largest, lineno_of_largest = item, lineno
-    return f"{path}:{lineno_of_largest}: id {largest} sizes the matrix too large to index"
+                value = int(line.split("\t")[column])
+                if value > largest:
+                    largest, lineno_of_largest = value, lineno
+    return f"{path}:{lineno_of_largest}: id {largest} sizes {reason}"
 
 
 def content_from_triples(triples, mode=BINARY_PRESENCE, num_items=None, vocab_size=None):
@@ -530,7 +559,7 @@ def split_repetitions(ratings, spec):
 
 def write_split_manifest(path, train, spec):
     """Record seed, P, and the train pair list so a split can be reproduced."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         fh.write(f"seed={spec.seed}\nP={spec.P}\nusers={train.num_users}\n"
                  f"items={train.num_items}\n" + _pairs_text(train.pairs))
 

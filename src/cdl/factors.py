@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .data import read_npz
+from .data import open_output, read_npz, write_npz
 from .exceptions import NumericError, ShapeError, ValidationError
 
 CHUNK_ROWS = 128  # rows per stacked Gram: a chunk holds CHUNK_ROWS K x K systems
@@ -285,7 +285,7 @@ def rating_objective(U, V, ratings, conf):
 
 def save_factors(factors, path):
     """Checkpoint U and V; the round trip through load_factors is bit-exact."""
-    np.savez(path, U=factors.U, V=factors.V)
+    write_npz(path, U=factors.U, V=factors.V)
 
 
 def load_factors(path):
@@ -294,7 +294,7 @@ def load_factors(path):
 
 def export_factors_text(factors, path):
     """Human-readable factor dump for inspection."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         fh.write(
             f"# users={factors.U.shape[0]} items={factors.V.shape[0]} "
             f"n_factors={factors.n_factors}\n"

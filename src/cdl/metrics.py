@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import open_output
 from .exceptions import ArgumentError, NumericError, ShapeError
 
 EXCLUDE_TRAIN = "exclude-train"
@@ -129,13 +130,15 @@ def _mean(values):
     return sum(values) / len(values) if values else 0.0
 
 
-def _recalls(ranked, test, m_grid):
-    """Per-user recall (held-out users only) at every M of the grid."""
+def _recalls(ranked, test, m_grid, hits=None):
+    """Per-user recall (held-out users only) at every M of the grid, read
+    from ``hits`` when given (see recall_curve)."""
     m_grid = [int(m) for m in m_grid]
     if any(m < 1 for m in m_grid):
         raise ArgumentError("M must be at least 1")
-    hits, liked = _hit_matrix(ranked, test, max(m_grid, default=0))
-    found = np.cumsum(hits, axis=1)
+    widest = max(m_grid, default=0)
+    hits, liked = hits or _hit_matrix(ranked, test, widest)
+    found = np.cumsum(hits[:, :widest], axis=1)
     users = np.flatnonzero(liked)
     out = {}
     for m in m_grid:
@@ -151,10 +154,14 @@ def recall_at_m(ranked, test, m):
     return per_user, _mean(list(per_user.values()))
 
 
-def recall_curve(ranked, test, m_grid=DEFAULT_M_GRID):
-    """Mean recall at every M of the grid; non-decreasing in M."""
+def recall_curve(ranked, test, m_grid=DEFAULT_M_GRID, *, hits=None):
+    """Mean recall at every M of the grid; non-decreasing in M.
+
+    ``hits`` is the ``_hit_matrix(ranked, test, width)`` pair of this
+    ranking and test set, for any width of at least max(m_grid): a caller
+    that also needs mAP builds it once.  It is built here when None."""
     return {m: _mean(list(per_user.values()))
-            for m, per_user in _recalls(ranked, test, m_grid).items()}
+            for m, per_user in _recalls(ranked, test, m_grid, hits).items()}
 
 
 def _average_precisions(hits, liked):
@@ -184,12 +191,13 @@ def average_precision(ranked_items, liked, cutoff=MAP_CUTOFF):
     return float(_average_precisions(hits.reshape(1, -1), np.array([len(liked)]))[0])
 
 
-def map_at_500(ranked, test, cutoff=MAP_CUTOFF):
-    """Mean average precision with a per-user rank cutoff (500 by default)."""
+def map_at_500(ranked, test, cutoff=MAP_CUTOFF, *, hits=None):
+    """Mean average precision with a per-user rank cutoff (500 by default).
+    ``hits`` is as for recall_curve, at least ``cutoff`` wide."""
     _check_cutoff(cutoff)
-    hits, liked = _hit_matrix(ranked, test, cutoff)
+    hits, liked = hits or _hit_matrix(ranked, test, cutoff)
     users = liked > 0
-    return _mean(_average_precisions(hits[users], liked[users]).tolist())
+    return _mean(_average_precisions(hits[users, :cutoff], liked[users]).tolist())
 
 
 @dataclass
@@ -206,7 +214,7 @@ class MetricReport:
 
     def write_tsv(self, path):
         names = self.metric_names
-        with open(path, "w", encoding="utf-8") as fh:
+        with open_output(path) as fh:
             fh.write("repetition\t" + "\t".join(names) + "\n")
             for idx, rep in enumerate(self.per_rep):
                 fh.write(str(idx) + "\t"
@@ -220,8 +228,10 @@ def evaluate_run(factors, train, test, m_grid=DEFAULT_M_GRID, cutoff=MAP_CUTOFF,
     """Metric dict (recall@M per grid point plus mAP) for one train/test pair."""
     limit = max(max(m_grid), cutoff)
     ranked = rank(factors.U, factors.V, train, policy=policy, limit=limit)
-    values = {f"recall@{m}": r for m, r in recall_curve(ranked, test, m_grid).items()}
-    values[f"map@{cutoff}"] = map_at_500(ranked, test, cutoff)
+    hits = _hit_matrix(ranked, test, limit)  # one build, read by both metrics
+    values = {f"recall@{m}": r
+              for m, r in recall_curve(ranked, test, m_grid, hits=hits).items()}
+    values[f"map@{cutoff}"] = map_at_500(ranked, test, cutoff, hits=hits)
     return values
 
 

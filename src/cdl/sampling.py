@@ -20,7 +20,7 @@ from scipy.linalg.lapack import dtrtrs
 from scipy.special import expit
 
 from . import sdae
-from .data import corrupt
+from .data import corrupt, open_output
 from .exceptions import ArgumentError, NumericError
 from .factors import (_grouped_solves, _item_rows, _item_system, _solve_spd,
                       _user_rows, _user_system, rating_objective)
@@ -194,7 +194,7 @@ class ChainSummary:
     def write_tsv(self, path):
         names = sorted(self.tracked)
         blocks = sorted(self.running_acceptance)
-        with open(path, "w", encoding="utf-8") as fh:
+        with open_output(path) as fh:
             fh.write("iteration\t" + "\t".join(f"accept_{b}" for b in blocks)
                      + "\t" + "\t".join(names) + "\n")
             for k, it in enumerate(self.iterations):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .data import read_npz
+from .data import read_npz, write_npz
 from .exceptions import ArgumentError, NumericError, ShapeError, ValidationError
 
 # rows evaluated at once by gradients, coupling_residuals, encode and
@@ -327,7 +327,7 @@ def save_network(net, path, config=None):
         arrays[f"bias_{l}"] = net.biases[l - 1]
     if config is not None:
         arrays["config"] = np.asarray(str(config))
-    np.savez(path, widths=np.asarray(net.widths, dtype=np.int64), **arrays)
+    write_npz(path, widths=np.asarray(net.widths, dtype=np.int64), **arrays)
 
 
 def load_network(path):

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import factors as mf
 from . import sdae
-from .data import corrupt, open_text
+from .data import corrupt, open_output, open_text
 from .exceptions import (
     ArgumentError,
     ConfigError,
@@ -223,7 +223,7 @@ class TrainReport:
         return np.array([getattr(row, name) for row in self.rows])
 
     def write_tsv(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
+        with open_output(path) as fh:
             fh.write(_report_text(self.rows, header=True))
 
     @staticmethod
@@ -336,7 +336,7 @@ def _sweep_loop(report, path, state, step, evaluate, hyper, trains_network, may_
         report.rows.append(row)
         if path is not None:
             first = len(report.rows) == 1
-            with open(path, "w" if first else "a", encoding="utf-8") as fh:
+            with open_output(path, "w" if first else "a") as fh:
                 fh.write(_report_text([row], header=first))
 
     if not report.rows:

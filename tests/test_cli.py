@@ -174,6 +174,7 @@ class TestTrainCommand:
         ("0\t1\t1\n1000000000000\t2\t1\n",
          "{content}:2: item id 1000000000000 outside [0, 20)"),
         ("0\t1\t1\n1\t1000000000000\t1\n",
+         "{content}:2: id 1000000000000 sizes "
          "layer widths 1000000000001-3-1000000000001 too large to allocate"),
     ], ids=["item-id", "word-id"])
     def test_content_id_too_large_named_without_traceback(self, dataset, tmp_path, capsys,
@@ -186,6 +187,27 @@ class TestTrainCommand:
         assert code == 1
         assert f"error: {reason.format(content=content)}" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["sample", "grid"])
+    def test_word_id_sizing_the_network_named_at_its_line(self, dataset, tmp_path, capsys,
+                                                          command):
+        # as the word-id case above, for the other commands that size a
+        # network from the content; the largest id's first line is named
+        content = tmp_path / "huge.tsv"
+        content.write_text(dataset["content"].read_text()
+                           + "1\t1000000000000\t1\n2\t1000000000000\t1\n3\t5\t1\n")
+        lineno = len(content.read_text().splitlines()) - 2
+        config = tmp_path / "config.txt"
+        config.write_text(dataset["config"].read_text().replace("lambda_s=inf",
+                                                                "lambda_s=100.0"))
+        argv = {"sample": ("--iters", 4, "--burn-in", 2),
+                "grid": ("--folds", 2, "--select-m", 5)}[command]
+        code = run_cli(command, "--config", config, "--ratings", dataset["ratings"],
+                       "--content", content, *argv, "--out", tmp_path / "o")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == (f"error: {content}:{lineno}: id 1000000000000 sizes layer widths "
+                       "1000000000001-3-1000000000001 too large to allocate\n")
 
     def test_variants_all_trainable(self, dataset, tmp_path):
         for variant in ("two-step", "encoder-only"):
@@ -587,6 +609,127 @@ class TestManifest:
             assert manifest["inputs"]
             for digest in manifest["inputs"].values():
                 assert len(digest) == 64
+
+
+class TestOutputsAreNewFiles:
+    """Every artifact is written as a new file: one at the output path is
+    removed first, never truncated in place."""
+
+    @staticmethod
+    def _train_and_eval(trained, out, seed=None):
+        seeded = () if seed is None else ("--seed", seed)
+        assert run_cli("train", "--variant", "mf", "--config", trained["config"],
+                       "--ratings", trained["split"] / "train.tsv", *seeded,
+                       "--out", out) == 0
+        assert run_cli("eval", "--model", out, "--test", trained["split"] / "test.tsv",
+                       "--m-grid", "2:10:2", "--out", out) == 0
+
+    @staticmethod
+    def _snapshot(out):
+        names = ("factors.npz", "report.tsv", "config.txt", "metrics.tsv")
+        files = {name: (out / name).read_bytes() for name in names}
+        # the seconds column of report.tsv is a wall time
+        seconds = training.REPORT_COLUMNS.index("seconds")
+        files["report.tsv"] = [line.split(b"\t")[:seconds] + line.split(b"\t")[seconds + 1:]
+                               for line in files["report.tsv"].splitlines()]
+        return files
+
+    def test_rerun_into_the_same_out_gives_the_same_bytes(self, trained, tmp_path):
+        out = tmp_path / "run"
+        self._train_and_eval(trained, out)
+        first = self._snapshot(out)
+        self._train_and_eval(trained, out)
+        assert self._snapshot(out) == first
+
+    def test_links_to_old_artifacts_keep_the_old_bytes(self, trained, tmp_path):
+        out = tmp_path / "run"
+        self._train_and_eval(trained, out, seed=1)
+        names = ["factors.npz", "report.tsv", "config.txt", "metrics.tsv", "manifest.json"]
+        old = {name: (out / name).read_bytes() for name in names}
+        (tmp_path / "links").mkdir()
+        for name in names:
+            os.link(out / name, tmp_path / "links" / name)
+        self._train_and_eval(trained, out, seed=2)
+        for name in names:
+            assert (tmp_path / "links" / name).read_bytes() == old[name], name
+        assert (out / "factors.npz").read_bytes() != old["factors.npz"]
+
+    @pytest.mark.parametrize("command", ["split", "train", "eval", "predict", "sample",
+                                         "grid"])
+    def test_rerun_replaces_every_output_file(self, trained, tmp_path, command):
+        # a file rewritten in place keeps its inode, so each output must be
+        # a new file, while its hard link to the first run's file survives
+        sample_config = tmp_path / "chain_config.txt"
+        sample_config.write_text(trained["config"].read_text().replace("lambda_s=inf",
+                                                                       "lambda_s=100.0"))
+        inputs = ("--ratings", trained["split"] / "train.tsv", "--content", trained["content"])
+        argv = {
+            "split": ("--ratings", trained["ratings"], "--P", 2, "--reps", 2),
+            "train": ("--config", trained["config"]) + inputs,
+            "eval": ("--model", trained["model"], "--test", trained["split"] / "test.tsv"),
+            "predict": ("--model", trained["model"], "--user", 0),
+            "sample": ("--config", sample_config, *inputs, "--iters", 4, "--burn-in", 2),
+            "grid": ("--config", trained["config"], *inputs, "--folds", 2, "--select-m", 5),
+        }[command]
+        out, links = tmp_path / "run", tmp_path / "links"
+        assert run_cli(command, *argv, "--out", out) == 0
+        first = sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file())
+        for rel in first:
+            (links / rel).parent.mkdir(parents=True, exist_ok=True)
+            os.link(out / rel, links / rel)
+        assert run_cli(command, *argv, "--out", out) == 0
+        assert sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file()) == first
+        for rel in first:
+            assert not (out / rel).samefile(links / rel), rel
+
+    @pytest.mark.parametrize("command, name", [("train", "config.txt"),
+                                               ("train", "factors.npz"),
+                                               ("eval", "metrics.tsv")])
+    def test_directory_at_an_output_path_named_without_traceback(self, trained, tmp_path,
+                                                                 capsys, command, name):
+        out = tmp_path / "run"
+        (out / name).mkdir(parents=True)
+        argv = {"train": ("--variant", "mf", "--config", trained["config"],
+                          "--ratings", trained["split"] / "train.tsv"),
+                "eval": ("--model", trained["model"],
+                         "--test", trained["split"] / "test.tsv")}[command]
+        code = run_cli(command, *argv, "--out", out)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and str(out / name) in err
+        assert "Traceback" not in err
+        assert (out / name).is_dir()
+
+
+class TestVersion:
+    def test_eval_runs_git_describe_once(self, trained, tmp_path, monkeypatch):
+        calls = []
+        real_run = subprocess.run
+
+        def counting_run(*args, **kwargs):
+            calls.append(args)
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(cli.subprocess, "run", counting_run)
+        assert run_cli("eval", "--model", trained["model"],
+                       "--test", trained["split"] / "test.tsv",
+                       "--m-grid", "2:10:2", "--out", tmp_path / "eval") == 0
+        assert len(calls) == 1  # the manifest's version
+
+    def test_version_flag_prints_version_and_description(self, monkeypatch, capsys):
+        def described(argv, **kwargs):
+            assert argv[:2] == ["git", "describe"]
+            return subprocess.CompletedProcess(argv, 0, stdout="abc1234\n", stderr="")
+
+        monkeypatch.setattr(cli.subprocess, "run", described)
+        with pytest.raises(SystemExit) as info:
+            cli.main(["--version"])
+        assert info.value.code == 0
+        assert capsys.readouterr().out == f"cdl {cli.__version__} (abc1234)\n"
+
+    def test_manifest_args_hold_no_version_key(self, trained):
+        manifest = json.loads((trained["model"] / "manifest.json").read_text())
+        assert "version" not in manifest["args"]
 
 
 def test_damaged_network_read_only_for_cold_start(trained, tmp_path, capsys):

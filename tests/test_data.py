@@ -572,3 +572,39 @@ class TestBulkReaders:
                 data._walk_triples(path, item_column=item_column, **shape), mode, **shape))
         if both:
             _assert_same_content(*both)
+
+
+class TestOpenOutput:
+    def test_replaces_a_linked_file_instead_of_writing_through(self, tmp_path):
+        path, hard, target = tmp_path / "out.tsv", tmp_path / "hard", tmp_path / "target"
+        path.write_text("old\n")
+        os.link(path, hard)
+        target.write_text("target\n")
+        symlinked = tmp_path / "sym.tsv"
+        symlinked.symlink_to(target)
+        for out in (path, symlinked):
+            with data.open_output(out) as fh:
+                fh.write("new\n")
+            assert out.read_text() == "new\n" and not out.is_symlink()
+        assert hard.read_text() == "old\n"
+        assert target.read_text() == "target\n"
+
+    def test_modes(self, tmp_path):
+        path = tmp_path / "out"
+        with data.open_output(path) as fh:
+            fh.write("é\n")
+        with data.open_output(path, "a") as fh:
+            fh.write("b\n")
+        assert path.read_bytes() == "é\nb\n".encode()
+        with data.open_output(path, "wb") as fh:
+            fh.write(b"\xff")
+        assert path.read_bytes() == b"\xff"
+        with data.open_output(tmp_path / "new", "a") as fh:
+            fh.write("x")
+        assert (tmp_path / "new").read_text() == "x"
+
+    def test_directory_at_the_path_raises_os_error(self, tmp_path):
+        (tmp_path / "d").mkdir()
+        with pytest.raises(OSError):
+            data.open_output(tmp_path / "d")
+        assert (tmp_path / "d").is_dir()

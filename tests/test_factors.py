@@ -318,6 +318,20 @@ class TestFactorIO:
         np.testing.assert_array_equal(back.U, factors.U)
         np.testing.assert_array_equal(back.V, factors.V)
 
+    @pytest.mark.parametrize("name", ["factors.npz", "factors", "factors.bin"])
+    def test_file_name_and_bytes_as_np_savez_gives_them(self, tmp_path, name):
+        # ".npz" is appended to a path without it, as np.savez does for a
+        # path, and the archive's bytes are those np.savez writes to a path
+        rng = np.random.default_rng(12)
+        factors = mf.LatentFactors(rng.normal(size=(4, 3)), rng.normal(size=(6, 3)))
+        (tmp_path / "ref").mkdir()
+        np.savez(tmp_path / "ref" / name, U=factors.U, V=factors.V)
+        (written,) = (tmp_path / "ref").iterdir()
+        for path in (tmp_path / name, str(tmp_path / name)):
+            mf.save_factors(factors, path)
+            assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["ref", written.name])
+            assert (tmp_path / written.name).read_bytes() == written.read_bytes()
+
     def test_text_export_has_header(self, tmp_path):
         factors = mf.LatentFactors(np.ones((2, 2)), np.zeros((3, 2)))
         path = tmp_path / "factors.tsv"

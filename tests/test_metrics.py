@@ -333,3 +333,23 @@ class TestEvaluateRun:
                                       m_grid=(2, 5), cutoff=10)
         assert set(values) == {"recall@2", "recall@5", "map@10"}
         assert all(0.0 <= v <= 1.0 for v in values.values())
+
+    @pytest.mark.parametrize("m_grid, cutoff", [
+        ((2, 5), 10), ((3, 12, 30), 7), ((1,), 1), ((40, 8), 40)])
+    def test_equals_separate_recall_curve_and_map(self, m_grid, cutoff):
+        # one hit matrix, max(max(m_grid), cutoff) wide, serves both metrics;
+        # M beyond the cutoff and lists shorter than M (30 items, some of
+        # them excluded as training items) read exactly as separate calls
+        rng = np.random.default_rng(21)
+        for policy in (metrics.EXCLUDE_TRAIN, metrics.ALL_ITEMS):
+            U, V, train, test = random_instance(rng, 9, 30)
+            values = metrics.evaluate_run(LatentFactors(U, V), train, test,
+                                          m_grid=m_grid, cutoff=cutoff, policy=policy)
+            ranked = metrics.rank(U, V, train, policy=policy,
+                                  limit=max(max(m_grid), cutoff))
+            expected = {f"recall@{m}": r
+                        for m, r in metrics.recall_curve(ranked, test, m_grid).items()}
+            expected[f"map@{cutoff}"] = metrics.map_at_500(ranked, test, cutoff)
+            assert list(values) == list(expected)
+            for name, value in values.items():
+                assert value.hex() == expected[name].hex(), name

@@ -506,6 +506,16 @@ class TestCheckpoint:
             np.testing.assert_array_equal(a, b)
         assert sdae.load_network_config(path) is None
 
+    @pytest.mark.parametrize("name", ["net.npz", "net"])
+    def test_file_name_and_bytes_as_np_savez_gives_them(self, tmp_path, name):
+        net, _, _, _, _, _, _ = random_instance([5, 2, 5], 3, seed=18)
+        sdae.save_network(net, tmp_path / name, config="n_factors=2\n")
+        np.savez(tmp_path / "ref", widths=np.asarray(net.widths, dtype=np.int64),
+                 weight_1=net.weights[0], bias_1=net.biases[0], weight_2=net.weights[1],
+                 bias_2=net.biases[1], config=np.asarray("n_factors=2\n"))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["net.npz", "ref.npz"]
+        assert (tmp_path / "net.npz").read_bytes() == (tmp_path / "ref.npz").read_bytes()
+
     def test_embedded_config_round_trips(self, tmp_path):
         net, _, _, _, _, _, _ = random_instance([5, 2, 5], 3, seed=17)
         path = tmp_path / "net.npz"
