@@ -446,10 +446,9 @@ def cmd_grid(args):
             [hyper.seed, point_idx, fold_idx]).generate_state(1)[0]) % (2 ** 31))
         train, held = folds[fold_idx]
         _, factors, _ = _train_one(train, content, run_hyper, args.variant)
-        ranked = metrics.rank(factors.U, factors.V, train,
-                              policy=metrics.EXCLUDE_TRAIN, limit=args.select_m)
-        _, mean_recall = metrics.recall_at_m(ranked, held, args.select_m)
-        return mean_recall
+        # a cutoff of M keeps the ranking M deep; the mAP beside it is unused
+        return metrics.evaluate_run(factors, train, held, (args.select_m,),
+                                    cutoff=args.select_m)[metric_name]
 
     tasks = [(pi, fi, hyper)
              for pi, (_, hyper) in enumerate(points)

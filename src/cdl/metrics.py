@@ -4,10 +4,13 @@ Per-user lists are sorted by predicted rating descending with ties broken by
 ascending item id, so ranking is a pure function of its inputs.  Users with
 no held-out liked items are excluded from every mean.
 
-Ranking scores users in blocks of ``BLOCK_USERS`` with one matrix product,
-so its working memory is bounded by one block of scores; each list is cut to
-the limit by a partial sort.  The metrics read one users x positions hit
-matrix instead of intersecting lists user by user.
+Users are scored in blocks of ``BLOCK_USERS`` with one matrix product, so
+working memory is bounded by one block of scores.  The metrics read one
+users x positions hit matrix instead of intersecting lists user by user.
+``evaluate_run`` builds it from where each held-out item falls in the order,
+sorting only each block's top scores, and builds no list; ``rank`` builds
+the lists themselves (for ``cdl predict``), each cut to its limit by a
+partial sort.
 """
 
 from __future__ import annotations
@@ -41,20 +44,16 @@ class RankedList:
         return len(self.items)
 
 
-def rank(U, V, train=None, policy=EXCLUDE_TRAIN, limit=None):
-    """Rank items for every user by predicted rating.
-
-    Under the default exclude-train policy the user's training items are
-    removed from the candidates; ``limit`` truncates each list after sorting
-    (keep it >= max(M, cutoff) for downstream metrics).  Every score must be
-    finite: a non-finite one raises :class:`NumericError`.
-    """
+def _scored_blocks(U, V, train, policy):
+    """Yield (first user, scores) for each block of ``BLOCK_USERS`` users:
+    one matrix product per block, with the user's training items at -inf
+    under exclude-train.  The arguments are checked before the first block
+    is scored; a non-finite score raises :class:`NumericError` naming its
+    user."""
     if policy not in (EXCLUDE_TRAIN, ALL_ITEMS):
         raise ArgumentError(f"unknown candidate policy {policy!r}")
     if policy == EXCLUDE_TRAIN and train is None:
         raise ArgumentError("exclude-train policy needs the training matrix")
-    if limit is not None and limit < 0:
-        raise ArgumentError(f"limit must be non-negative, got {limit}")
     U = np.asarray(U, dtype=np.float64)
     V = np.asarray(V, dtype=np.float64)
     if U.shape[1] != V.shape[1]:
@@ -66,9 +65,7 @@ def rank(U, V, train=None, policy=EXCLUDE_TRAIN, limit=None):
             f"training matrix {train.num_users} x {train.num_items} does not "
             f"cover {num_users} users x {num_items} items"
         )
-    keep = num_items if limit is None else min(limit, num_items)
     pairs = train.pairs if exclude else None
-    lists = []
     for lo in range(0, num_users, BLOCK_USERS):
         hi = min(lo + BLOCK_USERS, num_users)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -80,9 +77,26 @@ def rank(U, V, train=None, policy=EXCLUDE_TRAIN, limit=None):
         if exclude:
             seen = pairs[np.searchsorted(pairs[:, 0], lo):np.searchsorted(pairs[:, 0], hi)]
             scores[seen[:, 0] - lo, seen[:, 1]] = -np.inf
+        yield lo, scores
+
+
+def rank(U, V, train=None, policy=EXCLUDE_TRAIN, limit=None):
+    """Rank items for every user by predicted rating.
+
+    Under the default exclude-train policy the user's training items are
+    removed from the candidates; ``limit`` truncates each list after sorting
+    (keep it >= max(M, cutoff) for downstream metrics).  Every score must be
+    finite: a non-finite one raises :class:`NumericError`.
+    """
+    if limit is not None and limit < 0:
+        raise ArgumentError(f"limit must be non-negative, got {limit}")
+    lists = []
+    for lo, scores in _scored_blocks(U, V, train, policy):
+        num_items = scores.shape[1]
+        keep = num_items if limit is None else min(limit, num_items)
         # every candidate scoring at least the keep-th largest score survives,
         # ties at the cut included, so the id tie-break decides who is cut
-        cut = np.full(hi - lo, _LOWEST if keep else np.inf)
+        cut = np.full(len(scores), _LOWEST if keep else np.inf)
         if 0 < keep < num_items:
             cut = np.maximum(
                 np.partition(scores, num_items - keep, axis=1)[:, num_items - keep], _LOWEST)
@@ -90,9 +104,9 @@ def rank(U, V, train=None, policy=EXCLUDE_TRAIN, limit=None):
         rows, cols = np.divmod(flat, num_items)
         # lay the survivors out one row per user, ids ascending, padded with
         # +inf; a stable sort on -score then breaks ties by ascending id
-        counts = np.bincount(rows, minlength=hi - lo)
+        counts = np.bincount(rows, minlength=len(scores))
         at = np.arange(flat.size) - (np.cumsum(counts) - counts)[rows]
-        neg = np.full((hi - lo, counts.max()), np.inf)
+        neg = np.full((len(scores), counts.max()), np.inf)
         neg[rows, at] = -scores.ravel()[flat]
         ids = np.zeros(neg.shape, dtype=np.int64)
         ids[rows, at] = cols
@@ -107,8 +121,7 @@ def _hit_matrix(ranked, test, width):
     user's list held out for them?) over the first ``width`` positions, cut to
     the longest list, with the number of held-out items per user."""
     num_users = ranked.num_users
-    if num_users > test.num_users:
-        raise ShapeError(f"{num_users} ranked users but the test matrix has {test.num_users}")
+    liked = _liked(num_users, test)
     heads = [np.asarray(items[:width], dtype=np.int64) for items in ranked.items]
     lengths = np.array([len(h) for h in heads], dtype=np.int64)
     flat = np.concatenate(heads) if heads else np.empty(0, dtype=np.int64)
@@ -122,7 +135,76 @@ def _hit_matrix(ranked, test, width):
     np.bitwise_or.at(bits, held >> 3, (1 << (held & 7)).astype(np.uint8))
     keys = rows * base + flat
     hits[rows, cols] = (bits[keys >> 3] >> (keys & 7)) & 1
-    liked = np.bincount(test.pairs[:, 0], minlength=test.num_users)[:num_users]
+    return hits, liked
+
+
+def _liked(num_users, test):
+    """Held-out items of each of the first ``num_users`` users of ``test``."""
+    if num_users > test.num_users:
+        raise ShapeError(f"{num_users} ranked users but the test matrix has {test.num_users}")
+    return np.bincount(test.pairs[:, 0], minlength=test.num_users)[:num_users]
+
+
+def _count_below(sorted_rows, rows, values):
+    """For each value, the number of entries below it in its row of
+    ``sorted_rows`` (rows ascending): one binary search for all values, in
+    steps of falling powers of two."""
+    width = sorted_rows.shape[1]
+    flat = sorted_rows.ravel()
+    before = rows * width - 1  # the flat index just before each value's row
+    below = np.zeros(len(values), dtype=np.intp)
+    step = 1 << (width.bit_length() - 1)
+    while step:
+        probe = below + step
+        below += step * ((probe <= width)
+                         & (flat[before + np.minimum(probe, width)] < values))
+        step >>= 1
+    return below
+
+
+def _held_out_hits(U, V, train, test, policy, width):
+    """The hit matrix and held-out counts of ``_hit_matrix`` for
+    ``rank(U, V, train, policy, width)``, read from the held-out items'
+    positions instead of from lists, ``min(width, len(V))`` columns wide.
+
+    An item's position is the number of candidates scoring higher plus the
+    number scoring the same with a lower id, which is rank's order.  Per
+    block of users only the ``width`` highest scores are sorted; a row
+    holding a held-out item tied with another candidate is ordered whole
+    once."""
+    num_users, num_items = len(U), len(V)
+    liked = _liked(num_users, test)
+    width = min(width, num_items)
+    hits = np.zeros((num_users, width), dtype=bool)
+    held = test.pairs[test.pairs[:, 1] < num_items]
+    for lo, scores in _scored_blocks(U, V, train, policy):
+        block = held[np.searchsorted(held[:, 0], lo):
+                     np.searchsorted(held[:, 0], lo + len(scores))]
+        if not (width and len(block)):
+            continue
+        # in negated scores ascending order is rank's order, and a training
+        # item (+inf) sorts after every candidate
+        neg = np.negative(scores, out=scores)
+        top = np.sort(np.partition(neg, width - 1, axis=1)[:, :width], axis=1)
+        cut = np.minimum(top[:, -1], -_LOWEST)
+        rows, items = block[:, 0] - lo, block[:, 1]
+        value = neg[rows, items]
+        near = value <= cut[rows]
+        rows, items, value = rows[near], items[near], value[near]
+        # every candidate scoring higher is in the top, so counting there
+        # places an item with no tie; a tie shows as the same value next in
+        # the top, and a value at the cut, whose equals may lie past the top,
+        # always reads as tied (the next place is clamped to the cut)
+        pos = _count_below(top, rows, value)
+        tied = top[rows, np.minimum(pos + 1, width - 1)] == value
+        if tied.any():
+            tie_rows, at = np.unique(rows[tied], return_inverse=True)
+            order = np.argsort(neg[tie_rows], axis=1, kind="stable")
+            place = np.empty_like(order)
+            np.put_along_axis(place, order, np.arange(num_items), axis=1)
+            pos[tied] = place[at, items[tied]]
+        listed = pos < width
+        hits[lo + rows[listed], pos[listed]] = True
     return hits, liked
 
 
@@ -130,12 +212,17 @@ def _mean(values):
     return sum(values) / len(values) if values else 0.0
 
 
-def _recalls(ranked, test, m_grid, hits=None):
-    """Per-user recall (held-out users only) at every M of the grid, read
-    from ``hits`` when given (see recall_curve)."""
+def _checked_grid(m_grid):
     m_grid = [int(m) for m in m_grid]
     if any(m < 1 for m in m_grid):
         raise ArgumentError("M must be at least 1")
+    return m_grid
+
+
+def _recalls(ranked, test, m_grid, hits=None):
+    """Per-user recall (held-out users only) at every M of the grid, read
+    from ``hits`` when given (see recall_curve)."""
+    m_grid = _checked_grid(m_grid)
     widest = max(m_grid, default=0)
     hits, liked = hits or _hit_matrix(ranked, test, widest)
     found = np.cumsum(hits[:, :widest], axis=1)
@@ -158,8 +245,9 @@ def recall_curve(ranked, test, m_grid=DEFAULT_M_GRID, *, hits=None):
     """Mean recall at every M of the grid; non-decreasing in M.
 
     ``hits`` is the ``_hit_matrix(ranked, test, width)`` pair of this
-    ranking and test set, for any width of at least max(m_grid): a caller
-    that also needs mAP builds it once.  It is built here when None."""
+    ranking and test set, or its ``_held_out_hits`` equal, for any width of
+    at least max(m_grid): a caller that also needs mAP builds it once, and
+    ``ranked`` is then unused.  It is built here when None."""
     return {m: _mean(list(per_user.values()))
             for m, per_user in _recalls(ranked, test, m_grid, hits).items()}
 
@@ -225,13 +313,21 @@ class MetricReport:
 
 def evaluate_run(factors, train, test, m_grid=DEFAULT_M_GRID, cutoff=MAP_CUTOFF,
                  policy=EXCLUDE_TRAIN):
-    """Metric dict (recall@M per grid point plus mAP) for one train/test pair."""
-    limit = max(max(m_grid), cutoff)
-    ranked = rank(factors.U, factors.V, train, policy=policy, limit=limit)
-    hits = _hit_matrix(ranked, test, limit)  # one build, read by both metrics
+    """Metric dict (recall@M per grid point plus mAP) for one train/test pair.
+
+    The values are those of ``rank`` followed by ``recall_curve`` and
+    ``map_at_500``, but no list is built: one hit matrix, read from where
+    each held-out item falls in its user's ranking, serves both metrics.
+    The grid and the cutoff are checked before any user is scored."""
+    m_grid = _checked_grid(m_grid)
+    if not m_grid:
+        raise ArgumentError("the M grid is empty")
+    _check_cutoff(cutoff)
+    hits = _held_out_hits(factors.U, factors.V, train, test, policy,
+                          max(max(m_grid), cutoff))
     values = {f"recall@{m}": r
-              for m, r in recall_curve(ranked, test, m_grid, hits=hits).items()}
-    values[f"map@{cutoff}"] = map_at_500(ranked, test, cutoff, hits=hits)
+              for m, r in recall_curve(None, test, m_grid, hits=hits).items()}
+    values[f"map@{cutoff}"] = map_at_500(None, test, cutoff, hits=hits)
     return values
 
 

@@ -537,6 +537,32 @@ class TestGridCommand:
             outs.append((out / "grid_runs.tsv").read_text())
         assert outs[0] == outs[1]
 
+    def test_fold_scores_equal_rank_then_recall_at_m(self, dataset, tmp_path, monkeypatch):
+        # each fold's score is read from held-out positions; it must be the
+        # value rank + recall_at_m give for the same model and fold, bit for
+        # bit, so the table is the bytes those values format to
+        text = dataset["config"].read_text().replace("lambda_u=1.0", "lambda_u=0.5,2.0")
+        config = tmp_path / "pinned.txt"
+        config.write_text(text.replace("max_sweeps=3", "max_sweeps=1"))
+        real, expected = metrics.evaluate_run, []
+
+        def evaluate_run(factors, train, held, m_grid, **kwargs):
+            value = real(factors, train, held, m_grid, **kwargs)[f"recall@{m_grid[0]}"]
+            ranked = metrics.rank(factors.U, factors.V, train, limit=m_grid[0])
+            _, mean = metrics.recall_at_m(ranked, held, m_grid[0])
+            assert value.hex() == mean.hex()
+            expected.append(format(mean, ".10g"))
+            return {f"recall@{m_grid[0]}": value}
+
+        monkeypatch.setattr(metrics, "evaluate_run", evaluate_run)
+        out = tmp_path / "pinned"
+        assert run_cli("grid", "--config", config, "--ratings", dataset["ratings"],
+                       "--content", dataset["content"], "--folds", 3,
+                       "--select-m", 5, "--out", out) == 0
+        runs = (out / "grid_runs.tsv").read_text().splitlines()
+        assert len(expected) == 2 * 3
+        assert [line.split("\t")[-1] for line in runs[1:]] == expected
+
 
     @pytest.mark.parametrize("folds", [0, 1])
     def test_fewer_than_two_folds_rejected(self, dataset, tmp_path, capsys, folds):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from cdl import data, metrics
-from cdl.exceptions import ArgumentError, NumericError
+from cdl.exceptions import ArgumentError, NumericError, ShapeError
 from cdl.factors import LatentFactors
 
 
@@ -125,7 +127,9 @@ class TestRank:
 @st.composite
 def tied_instances(draw):
     """Integer-valued factors (scores are exact and tie often) on user counts
-    on both sides of a block boundary; the last user has every item in train."""
+    on both sides of a block boundary; the last user has every item in train.
+    Some user and item rows are all zero (every score of the row ties), and
+    some test matrices are empty."""
     num_users = draw(st.one_of(
         st.integers(1, 4),
         st.integers(metrics.BLOCK_USERS - 1, 2 * metrics.BLOCK_USERS + 1)))
@@ -133,11 +137,15 @@ def tied_instances(draw):
     k = draw(st.integers(1, 3))
     U = draw(hnp.arrays(np.int8, (num_users, k), elements=st.integers(-2, 2)))
     V = draw(hnp.arrays(np.int8, (num_items, k), elements=st.integers(-2, 2)))
-    # 0: unrated, 1: train, 2: held out
-    state = draw(hnp.arrays(np.int8, (num_users, num_items), elements=st.integers(0, 2)))
-    state[-1] = 1
-    train = data.RatingsMatrix(num_users, num_items, np.argwhere(state == 1))
-    test = data.RatingsMatrix(num_users, num_items, np.argwhere(state == 2))
+    U[draw(hnp.arrays(bool, num_users))] = 0
+    V[draw(hnp.arrays(bool, num_items))] = 0
+    # bit 0: train, bit 1: held out (both: held out but never a candidate)
+    state = draw(hnp.arrays(np.int8, (num_users, num_items), elements=st.integers(0, 3)))
+    state[-1] |= 1
+    if draw(st.integers(0, 4)) == 0:
+        state &= 1
+    train = data.RatingsMatrix(num_users, num_items, np.argwhere(state & 1))
+    test = data.RatingsMatrix(num_users, num_items, np.argwhere(state & 2))
     limit = draw(st.one_of(st.none(), st.sampled_from([0, 1, num_items + 2]),
                            st.integers(0, num_items)))
     policy = draw(st.sampled_from([metrics.EXCLUDE_TRAIN, metrics.ALL_ITEMS]))
@@ -165,6 +173,34 @@ class TestRankProperty:
             aps = [naive_ap(orders[u], test.items_of(u), cutoff) for u in held]
             want = sum(aps) / len(aps) if aps else 0.0
             assert metrics.map_at_500(ranked, test, cutoff) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(tied_instances())
+    def test_evaluate_run_matches_naive_oracle(self, instance):
+        U, V, train, test, _, policy = instance
+        orders = [naive_rank(U, V, train, policy, u) for u in range(len(U))]
+        held = [u for u in range(len(U)) if len(test.items_of(u))]
+        # widths max(max(grid), cutoff) from 1 to above the item count
+        for grid, cutoff in itertools.product(((1,), (2, 1), (1, 2, V.shape[0] + 1)),
+                                              (1, 3, 500)):
+            values = metrics.evaluate_run(LatentFactors(U, V), train, test, grid,
+                                          cutoff=cutoff, policy=policy)
+            want = {}
+            for m in grid:
+                recalls = [naive_recall(orders[u], test.items_of(u), m) for u in held]
+                want[f"recall@{m}"] = sum(recalls) / len(held) if held else 0.0
+            aps = [naive_ap(orders[u], test.items_of(u), cutoff) for u in held]
+            want[f"map@{cutoff}"] = sum(aps) / len(aps) if aps else 0.0
+            assert {n: v.hex() for n, v in values.items()} == \
+                {n: v.hex() for n, v in want.items()}
+            # the positions mark exactly the hits of rank's lists
+            width = max(max(grid), cutoff)
+            hits, liked = metrics._held_out_hits(U, V, train, test, policy, width)
+            ranked = metrics.rank(U, V, train, policy=policy, limit=width)
+            listed, listed_liked = metrics._hit_matrix(ranked, test, width)
+            np.testing.assert_array_equal(hits[:, :listed.shape[1]], listed)
+            assert not hits[:, listed.shape[1]:].any()
+            np.testing.assert_array_equal(liked, listed_liked)
 
 
 class TestRecall:
@@ -353,3 +389,53 @@ class TestEvaluateRun:
             assert list(values) == list(expected)
             for name, value in values.items():
                 assert value.hex() == expected[name].hex(), name
+
+    @pytest.mark.parametrize("user", [1, metrics.BLOCK_USERS + 2])
+    def test_non_finite_score_raises_as_rank_does(self, user):
+        # 1e200 * 1e200 overflows; the user holds no test item, and is named
+        # all the same
+        U = np.ones((user + 2, 1))
+        U[user] = 1e200
+        V = np.array([[1.0], [1e200], [2.0]])
+        test = data.RatingsMatrix(len(U), 3, [[0, 2]])
+        message = f"non-finite predicted score for user {user}$"
+        with pytest.raises(NumericError, match=message):
+            metrics.rank(U, V, policy=metrics.ALL_ITEMS)
+        with pytest.raises(NumericError, match=message):
+            metrics.evaluate_run(LatentFactors(U, V), None, test, (1,),
+                                 policy=metrics.ALL_ITEMS)
+
+    def test_test_matrix_with_fewer_users_raises_as_the_list_path_does(self):
+        rng = np.random.default_rng(22)
+        U, V, train, test = random_instance(rng, 5, 8)
+        short = data.RatingsMatrix(4, 8, test.pairs[test.pairs[:, 0] < 4])
+        ranked = metrics.rank(U, V, train)
+        message = "5 ranked users but the test matrix has 4"
+        with pytest.raises(ShapeError, match=message):
+            metrics.recall_curve(ranked, short, (1,))
+        with pytest.raises(ShapeError, match=message):
+            metrics.evaluate_run(LatentFactors(U, V), train, short, (1,))
+
+    def test_held_out_items_past_the_model_count_but_never_hit(self):
+        rng = np.random.default_rng(23)
+        U, V, train, test = random_instance(rng, 6, 8)
+        wide = data.RatingsMatrix(6, 10, np.vstack([test.pairs, [[0, 9], [3, 8]]]))
+        values = metrics.evaluate_run(LatentFactors(U, V), train, wide, (2, 4), 5)
+        ranked = metrics.rank(U, V, train, limit=5)
+        expected = {f"recall@{m}": r for m, r in metrics.recall_curve(ranked, wide, (2, 4)).items()}
+        expected["map@5"] = metrics.map_at_500(ranked, wide, 5)
+        assert {n: v.hex() for n, v in values.items()} == \
+            {n: v.hex() for n, v in expected.items()}
+
+    @pytest.mark.parametrize("m_grid, cutoff, message", [
+        ((), 500, "M grid is empty"), ((5, 0), 500, "M must be at least 1"),
+        ((5,), 0, "cutoff must be at least 1")])
+    def test_bad_grid_or_cutoff_rejected_before_scoring(self, m_grid, cutoff, message):
+        # user 1's score overflows: an argument error raised first was
+        # raised before anyone was scored
+        U = np.array([[1.0], [1e200]])
+        V = np.array([[1.0], [1e200]])
+        test = data.RatingsMatrix(2, 2, [[0, 0]])
+        with pytest.raises(ArgumentError, match=message):
+            metrics.evaluate_run(LatentFactors(U, V), None, test, m_grid, cutoff,
+                                 policy=metrics.ALL_ITEMS)
