@@ -180,6 +180,8 @@ class SplitSpec:
             raise ArgumentError("P must be at least 1")
         if self.repetitions < 1:
             raise ArgumentError("repetitions must be at least 1")
+        if self.seed < 0:
+            raise ArgumentError("seed must be non-negative")
 
     def repetition(self, rep):
         """The one-repetition spec of repetition ``rep``, seeded from (seed, rep)."""

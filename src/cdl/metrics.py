@@ -8,9 +8,9 @@ Users are scored in blocks of ``BLOCK_USERS`` with one matrix product, so
 working memory is bounded by one block of scores.  The metrics read one
 users x positions hit matrix instead of intersecting lists user by user.
 ``evaluate_run`` builds it from where each held-out item falls in the order,
-sorting only each block's top scores, and builds no list; ``rank`` builds
-the lists themselves (for ``cdl predict``), each cut to its limit by a
-partial sort.
+sorting only each block's top scores, and builds no list.  ``rank`` builds
+the lists themselves (for ``cdl predict``) with one stable sort of each
+block.
 """
 
 from __future__ import annotations
@@ -85,34 +85,20 @@ def rank(U, V, train=None, policy=EXCLUDE_TRAIN, limit=None):
 
     Under the default exclude-train policy the user's training items are
     removed from the candidates; ``limit`` truncates each list after sorting
-    (keep it >= max(M, cutoff) for downstream metrics).  Every score must be
-    finite: a non-finite one raises :class:`NumericError`.
+    (keep it >= max(M, cutoff) for downstream metrics).  Each block of users
+    is sorted whole, stably, so ties go to the lower item id.  Every score
+    must be finite: a non-finite one raises :class:`NumericError`.
     """
     if limit is not None and limit < 0:
         raise ArgumentError(f"limit must be non-negative, got {limit}")
     lists = []
-    for lo, scores in _scored_blocks(U, V, train, policy):
-        num_items = scores.shape[1]
-        keep = num_items if limit is None else min(limit, num_items)
-        # every candidate scoring at least the keep-th largest score survives,
-        # ties at the cut included, so the id tie-break decides who is cut
-        cut = np.full(len(scores), _LOWEST if keep else np.inf)
-        if 0 < keep < num_items:
-            cut = np.maximum(
-                np.partition(scores, num_items - keep, axis=1)[:, num_items - keep], _LOWEST)
-        flat = np.flatnonzero(scores >= cut[:, None])
-        rows, cols = np.divmod(flat, num_items)
-        # lay the survivors out one row per user, ids ascending, padded with
-        # +inf; a stable sort on -score then breaks ties by ascending id
-        counts = np.bincount(rows, minlength=len(scores))
-        at = np.arange(flat.size) - (np.cumsum(counts) - counts)[rows]
-        neg = np.full((len(scores), counts.max()), np.inf)
-        neg[rows, at] = -scores.ravel()[flat]
-        ids = np.zeros(neg.shape, dtype=np.int64)
-        ids[rows, at] = cols
-        order = np.argsort(neg, axis=1, kind="stable")[:, :keep]
-        ranked = np.take_along_axis(ids, order, axis=1)
-        lists.extend(ranked[row, :min(count, keep)].copy() for row, count in enumerate(counts))
+    for _, scores in _scored_blocks(U, V, train, policy):
+        # training items are -inf, so they sort after every candidate
+        order = np.argsort(-scores, axis=1, kind="stable")
+        keep = np.isfinite(scores).sum(axis=1)
+        if limit is not None:
+            keep = np.minimum(keep, limit)
+        lists.extend(row[:count].copy() for row, count in zip(order, keep))
     return RankedList(lists, policy)
 
 
@@ -120,21 +106,11 @@ def _hit_matrix(ranked, test, width):
     """Boolean users x positions matrix (is the item at that position of the
     user's list held out for them?) over the first ``width`` positions, cut to
     the longest list, with the number of held-out items per user."""
-    num_users = ranked.num_users
-    liked = _liked(num_users, test)
-    heads = [np.asarray(items[:width], dtype=np.int64) for items in ranked.items]
-    lengths = np.array([len(h) for h in heads], dtype=np.int64)
-    flat = np.concatenate(heads) if heads else np.empty(0, dtype=np.int64)
-    hits = np.zeros((num_users, int(lengths.max(initial=0))), dtype=bool)
-    rows = np.repeat(np.arange(num_users), lengths)
-    cols = np.arange(flat.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    # held-out (user, item) pairs as a bit set over user * base + item
-    base = max(test.num_items, int(flat.max(initial=-1)) + 1)
-    held = test.pairs[:, 0] * base + test.pairs[:, 1]
-    bits = np.zeros((test.num_users * base + 7) // 8, dtype=np.uint8)
-    np.bitwise_or.at(bits, held >> 3, (1 << (held & 7)).astype(np.uint8))
-    keys = rows * base + flat
-    hits[rows, cols] = (bits[keys >> 3] >> (keys & 7)) & 1
+    liked = _liked(ranked.num_users, test)
+    heads = [items[:width] for items in ranked.items]
+    hits = np.zeros((len(heads), max(map(len, heads), default=0)), dtype=bool)
+    for user, head in enumerate(heads):
+        hits[user, :len(head)] = np.isin(head, test.items_of(user))
     return hits, liked
 
 
@@ -255,12 +231,14 @@ def recall_curve(ranked, test, m_grid=DEFAULT_M_GRID, *, hits=None):
 def _average_precisions(hits, liked):
     """AP of each row of a hit matrix: precision at each hit, summed in rank
     order, over the row's number of liked items."""
-    if hits.shape[1] == 0:
-        return np.zeros(hits.shape[0])
-    found = np.cumsum(hits, axis=1)
-    gains = np.where(hits, found / np.arange(1, hits.shape[1] + 1), 0.0)
-    # cumsum adds left to right, as the scalar loop did; sum() would pair terms
-    return np.cumsum(gains, axis=1)[:, -1] / liked
+    counts = hits.sum(axis=1)
+    rows, pos = np.divmod(np.flatnonzero(hits), hits.shape[1])  # in rank order
+    # a row's n-th hit, at position p, adds n / (p + 1); add.at adds them one
+    # at a time, left to right, as the scalar loop did
+    nth = np.arange(1, len(rows) + 1) - np.repeat(np.cumsum(counts) - counts, counts)
+    total = np.zeros(hits.shape[0])
+    np.add.at(total, rows, nth / (pos + 1))
+    return total / liked
 
 
 def _check_cutoff(cutoff):

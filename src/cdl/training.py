@@ -75,8 +75,10 @@ class HyperParams:
             raise ArgumentError("momentum must lie in [0, 1)")
         if self.epochs_per_block < 0 or self.max_sweeps < 1:
             raise ArgumentError("epochs_per_block >= 0 and max_sweeps >= 1 required")
-        if self.early_stop_tol < 0 or self.early_stop_patience < 1:
+        if not self.early_stop_tol >= 0 or self.early_stop_patience < 1:
             raise ArgumentError("bad early-stop settings")
+        if self.seed < 0:
+            raise ArgumentError("seed must be non-negative")
         if self.widths is not None:
             self.widths = tuple(int(w) for w in self.widths)
             L = len(self.widths) - 1

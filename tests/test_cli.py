@@ -10,6 +10,7 @@ import pytest
 
 from cdl import cli, data, factors as mf, metrics, sdae, training
 from cdl.training import HyperParams
+from test_metrics import naive_rank
 
 
 @pytest.fixture()
@@ -326,6 +327,25 @@ class TestPredictCommand:
         train = data.load_ratings(trained["split"] / "train.tsv")
         assert len(lines) == 20 - len(train.items_of(0))
 
+    @pytest.mark.parametrize("tied", [False, True], ids=["trained", "tied"])
+    @pytest.mark.parametrize("top", [5, 10_000])
+    def test_order_and_scores_match_naive_rank(self, trained, tmp_path, top, tied):
+        model = trained["model"]
+        factors = mf.load_factors(model / "factors.npz")
+        U, V = factors.U, factors.V.copy()
+        train = data.load_ratings(trained["split"] / "train.tsv")
+        if tied:
+            # every even item scores as the best candidate does, so the head
+            # of the list is one tie, broken by the lower item id
+            V[::2] = V[naive_rank(U, V, train, metrics.EXCLUDE_TRAIN, 0)[0]]
+            mf.save_factors(mf.LatentFactors(U, V), model / "factors.npz")
+        out = tmp_path / "pred"
+        assert run_cli("predict", "--model", model, "--user", 0, "--top", top,
+                       "--out", out) == 0
+        order = naive_rank(U, V, train, metrics.EXCLUDE_TRAIN, 0)[:top]
+        rows = [f"{j}\t{score:.17g}" for j, score in zip(order, V[order] @ U[0])]
+        assert (out / "predictions.tsv").read_text().splitlines() == ["item\tscore"] + rows
+
     def test_cold_start_score_matches_library(self, trained, tmp_path, capsys):
         item_file = tmp_path / "new_item.tsv"
         item_file.write_text("0\t2\n3\t1\n")
@@ -427,6 +447,29 @@ def test_bad_input_named_without_traceback(trained, tmp_path, capsys, command, b
     err = capsys.readouterr().err
     assert code == 1
     assert f"error: {path}: " in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, where", [
+    ("split", "flag"), ("train", "flag"), ("train", "config"),
+    ("sample", "flag"), ("sample", "config"), ("grid", "config")])
+def test_negative_seed_named_without_traceback(dataset, tmp_path, capsys, command, where):
+    # the sampler needs a finite lambda_s, so the seed is the one bad value
+    text = dataset["config"].read_text().replace("lambda_s=inf", "lambda_s=100.0")
+    if where == "config":
+        text = text.replace("\nseed=0\n", "\nseed=-1\n")
+    config = tmp_path / "seed_config.txt"
+    config.write_text(text)
+    inputs = ("--config", config, "--ratings", dataset["ratings"],
+              "--content", dataset["content"])
+    argv = {"split": ("--ratings", dataset["ratings"], "--P", 1),
+            "train": inputs, "sample": inputs, "grid": inputs + ("--folds", 2)}[command]
+    if where == "flag":
+        argv += ("--seed", -1)
+    code = run_cli(command, *argv, "--out", tmp_path / "o")
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "error: seed must be non-negative" in err
     assert "Traceback" not in err
 
 

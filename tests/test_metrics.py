@@ -50,6 +50,17 @@ def naive_ap(order, liked, cutoff):
     return total / len(liked)
 
 
+
+def cumsum_average_precisions(hits, liked):
+    """The former ``_average_precisions``: a running hit count, a gains
+    matrix and a running sum over every position, hits or not."""
+    if hits.shape[1] == 0:
+        return np.zeros(hits.shape[0])
+    found = np.cumsum(hits, axis=1)
+    gains = np.where(hits, found / np.arange(1, hits.shape[1] + 1), 0.0)
+    return np.cumsum(gains, axis=1)[:, -1] / liked
+
+
 class TestRank:
     def test_three_scalar_items(self):
         U = np.array([[1.0]])
@@ -240,6 +251,23 @@ class TestRecall:
         values = [curve[m] for m in range(1, 15)]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
+    def test_list_metrics_on_a_huge_sparse_test_matrix(self):
+        # two held-out pairs in a 10**6 x 10**6 matrix: the metrics must not
+        # size anything by users x items (a bit set would need 116 GiB)
+        n = 10**6
+        test = data.RatingsMatrix(n, n, [(0, n - 1), (2, 7)])
+        orders = [[n - 1, 3], [5], [1, n - 2, 7]]
+        ranked = metrics.RankedList([np.array(o) for o in orders], metrics.EXCLUDE_TRAIN)
+        grid = (1, 2, 3)
+        want = {m: {u: naive_recall(orders[u], test.items_of(u), m) for u in (0, 2)}
+                for m in grid}
+        for m in grid:
+            assert metrics.recall_at_m(ranked, test, m) == (want[m], sum(want[m].values()) / 2)
+        assert metrics.recall_curve(ranked, test, grid) == \
+            {m: sum(want[m].values()) / 2 for m in grid}
+        aps = [naive_ap(orders[u], test.items_of(u), 500) for u in (0, 2)]
+        assert metrics.map_at_500(ranked, test) == sum(aps) / 2
+
 
 class TestAveragePrecision:
     def test_single_liked_at_rank_one(self):
@@ -271,6 +299,16 @@ class TestAveragePrecision:
             liked = rng.choice(30, size=rng.integers(1, 6), replace=False)
             ap = metrics.average_precision(order, liked)
             assert 0.0 <= ap <= 1.0
+
+    def test_hit_sum_matches_the_cumsum_form_bit_for_bit(self):
+        rng = np.random.default_rng(13)
+        for width in (0, 1, 2, 7, 64, 500, 600):
+            for density in (0.0, 0.05, 0.5, 1.0):
+                hits = rng.random((30, width)) < density
+                liked = hits.sum(axis=1) + rng.integers(1, 4, size=30)
+                got = metrics._average_precisions(hits, liked)
+                want = cumsum_average_precisions(hits, liked)
+                assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
 class TestBruteForceOracle:

@@ -363,6 +363,11 @@ class TestConfig:
         path.write_text(training.config_text(hyper))
         assert training.load_config(path) == hyper
 
+    def test_nan_early_stop_tol_rejected(self):
+        # nan compares false to every bound, which would turn early stopping off
+        with pytest.raises(ArgumentError, match="bad early-stop settings"):
+            tiny_hyper(early_stop_tol=math.nan)
+
     def test_widths_middle_must_match_n_factors(self):
         with pytest.raises(ArgumentError):
             tiny_hyper(widths=(12, 5, 12))
