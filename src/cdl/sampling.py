@@ -224,58 +224,62 @@ def log_joint(state, ratings, content, hyper):
     return value
 
 
+def _mala_rows(rows, density_of, step, rng):
+    """One Langevin Metropolis step per row of ``rows``, in place, with row i's
+    density from ``density_of(i)``; returns (accepted, proposed)."""
+    accepted = 0
+    for i, row in enumerate(rows):
+        new, ok = _mala_update(row, density_of(i), step, rng)
+        if ok:
+            rows[i] = new
+            accepted += 1
+    return accepted, len(rows)
+
+
+def _x_row_densities(state, l, xc, hyper):
+    """density_of(j) for the hidden rows of layer l; each row's incoming mean
+    is computed once, when its density is built."""
+    net = state.net
+    L = net.num_layers
+
+    def density_of(j):
+        if l == L:
+            kw = {"xc_row": xc[j], "lambda_n": hyper.lambda_n}
+        else:
+            kw = {"w_out": net.weights[l], "b_out": net.biases[l],
+                  "next_row": state.layers[l + 1][j]}
+        if l == net.middle:
+            kw.update(v_row=state.V[j], lambda_v=hyper.lambda_v)
+        mean_in = expit(state.layers[l - 1][j] @ net.weights[l - 1] + net.biases[l - 1])
+        return lambda x: _x_row_density(l, L, x, mean_in, hyper.lambda_s, **kw)
+    return density_of
+
+
 def mwg_step(state, ratings, content, hyper, rng,
              blocks=("w", "x", "v", "u")):
     """One full scan; returns per-block (accepted, proposed) counts."""
     net = state.net
     L = net.num_layers
-    mid = net.middle
     conf = hyper.confidence()
-    lam_s = hyper.lambda_s
     counts = {}
     if "w" in blocks:
         for l in range(1, L + 1):
-            x_prev = state.layers[l - 1]
-            x_cur = state.layers[l]
-            step = state.steps[f"w{l}"]
-            accepted = 0
-            width = net.weights[l - 1].shape[1]
-            for n in range(width):
-                col = np.append(net.weights[l - 1][:, n], net.biases[l - 1][n])
-                x_col = x_cur[:, n]
-                new, ok = _mala_update(
-                    col, lambda w: _w_col_density(w, x_prev, x_col, hyper.lambda_w, lam_s),
-                    step, rng)
-                if ok:
-                    net.weights[l - 1][:, n] = new[:-1]
-                    net.biases[l - 1][n] = new[-1]
-                    accepted += 1
-            counts[f"w{l}"] = (accepted, width)
+            W, b = net.weights[l - 1], net.biases[l - 1]
+            x_prev, x_cur = state.layers[l - 1], state.layers[l]
+            cols = np.hstack([W.T, b[:, None]])  # row n: column n with its bias
+            counts[f"w{l}"] = _mala_rows(
+                cols, lambda n: lambda w: _w_col_density(w, x_prev, x_cur[:, n],
+                                                         hyper.lambda_w, hyper.lambda_s),
+                state.steps[f"w{l}"], rng)
+            W[:], b[:] = cols[:, :-1].T, cols[:, -1]
     if "x" in blocks:
         xc = content.toarray()
         for l in range(1, L + 1):
-            step = state.steps[f"x{l}"]
-            accepted = 0
-            w_in, b_in = net.weights[l - 1], net.biases[l - 1]
-            for j in range(ratings.num_items):
-                if l == L:
-                    kw = {"xc_row": xc[j], "lambda_n": hyper.lambda_n}
-                else:
-                    kw = {"w_out": net.weights[l], "b_out": net.biases[l],
-                          "next_row": state.layers[l + 1][j]}
-                if l == mid:
-                    kw.update(v_row=state.V[j], lambda_v=hyper.lambda_v)
-                mean_in = expit(state.layers[l - 1][j] @ w_in + b_in)
-                new, ok = _mala_update(
-                    state.layers[l][j],
-                    lambda x: _x_row_density(l, L, x, mean_in, lam_s, **kw), step, rng)
-                if ok:
-                    state.layers[l][j] = new
-                    accepted += 1
-            counts[f"x{l}"] = (accepted, ratings.num_items)
+            counts[f"x{l}"] = _mala_rows(state.layers[l], _x_row_densities(state, l, xc, hyper),
+                                         state.steps[f"x{l}"], rng)
     if "v" in blocks:
         _draw_rows(state.V, state.U, *_item_rows(ratings), conf, hyper.lambda_v, rng,
-                   priors=state.layers[mid])
+                   priors=state.layers[net.middle])
     if "u" in blocks:
         _draw_rows(state.U, state.V, *_user_rows(ratings), conf, hyper.lambda_u, rng)
     return counts
@@ -320,37 +324,33 @@ def run_chain(ratings, content, hyper, iters, burn_in, thin=1,
                for kind in "wx" for l in range(1, net.num_layers + 1)},
     )
 
-    post_counts = {}
-    adapt_counts = {}
-    kept_iters = []
-    tracked = {name: [] for name in
-               ("u_0_0", "v_0_0", "w1_0_0", "x_mid_0_0", "log_joint")}
-    running = {}
-    kept_U, kept_V = [], []
-    for it in range(iters):
-        counts = mwg_step(state, ratings, content, hyper, rng, blocks=blocks)
-        totals = adapt_counts if it < burn_in else post_counts
+    def scan(totals):
+        for block, pair in mwg_step(state, ratings, content, hyper, rng,
+                                    blocks=blocks).items():
+            totals[block] = [t + c for t, c in zip(totals.get(block, (0, 0)), pair)]
+
+    for window, start in enumerate(range(0, burn_in, ADAPT_INTERVAL)):
+        counts = {}
+        for _ in range(min(ADAPT_INTERVAL, burn_in - start)):
+            scan(counts)
         for block, (acc, prop) in counts.items():
-            tot = totals.setdefault(block, [0, 0])
-            tot[0] += acc
-            tot[1] += prop
-        if it < burn_in:
-            if (it + 1) % ADAPT_INTERVAL == 0 or it + 1 == burn_in:
-                window = it // ADAPT_INTERVAL
-                for block, (acc, prop) in adapt_counts.items():
-                    _adapt(state.steps, block, acc, prop, window)
-                adapt_counts = {}
-        elif (it - burn_in) % thin == 0:
-            kept_iters.append(it)
-            tracked["u_0_0"].append(state.U[0, 0])
-            tracked["v_0_0"].append(state.V[0, 0])
-            tracked["w1_0_0"].append(state.net.weights[0][0, 0])
-            tracked["x_mid_0_0"].append(state.layers[net.middle][0, 0])
-            tracked["log_joint"].append(log_joint(state, ratings, content, hyper))
-            kept_U.append(state.U.copy())
-            kept_V.append(state.V.copy())
-            for block, (acc, prop) in post_counts.items():
-                running.setdefault(block, []).append(acc / prop if prop else 0.0)
+            _adapt(state.steps, block, acc, prop, window)
+
+    reads = {"u_0_0": lambda: state.U[0, 0],
+             "v_0_0": lambda: state.V[0, 0],
+             "w1_0_0": lambda: net.weights[0][0, 0],
+             "x_mid_0_0": lambda: state.layers[net.middle][0, 0],
+             "log_joint": lambda: log_joint(state, ratings, content, hyper)}
+    post_counts, running, kept = {}, {}, []
+    for it in range(burn_in, iters):
+        scan(post_counts)
+        if (it - burn_in) % thin:
+            continue
+        kept.append((it, state.U.copy(), state.V.copy(), *(read() for read in reads.values())))
+        for block, (acc, prop) in post_counts.items():
+            running.setdefault(block, []).append(acc / prop if prop else 0.0)
+    iterations, kept_U, kept_V, *columns = map(np.asarray, zip(*kept))
+    tracked = dict(zip(reads, columns))
 
     acceptance = {block: (acc / prop if prop else 0.0)
                   for block, (acc, prop) in post_counts.items()}
@@ -358,11 +358,10 @@ def run_chain(ratings, content, hyper, iters, burn_in, thin=1,
         f"block {block} acceptance pinned at {rate:.2f} after adaptation"
         for block, rate in acceptance.items() if rate <= 0.0 or rate >= 1.0
     ]
-    tracked = {name: np.asarray(vals) for name, vals in tracked.items()}
     return ChainSummary(
         tracked=tracked,
-        kept_U=np.asarray(kept_U),
-        kept_V=np.asarray(kept_V),
+        kept_U=kept_U,
+        kept_V=kept_V,
         acceptance=acceptance,
         running_acceptance={b: np.asarray(v) for b, v in running.items()},
         step_sizes=dict(state.steps),
@@ -370,5 +369,5 @@ def run_chain(ratings, content, hyper, iters, burn_in, thin=1,
         posterior_var={n: float(v.var(ddof=1)) if len(v) > 1 else 0.0
                        for n, v in tracked.items()},
         warnings=warnings,
-        iterations=np.asarray(kept_iters),
+        iterations=iterations,
     )

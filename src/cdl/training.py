@@ -392,9 +392,11 @@ def _factor_sweep(state, ratings, conf, hyper, prior_mean):
     state.V = mf.sweep_items(state.U, ratings, conf, hyper.lambda_v, prior_mean)
 
 
-def _network_setup(ratings, content, hyper):
-    """Seeded network and first corruption, plus the epoch block that trains
-    the network toward given item factors (joint and two-step share both)."""
+def _network_setup(ratings, content, hyper, lambda_n):
+    """Seeded network and first corruption, the epoch block that trains the
+    network toward given item factors, and the objective reported while the
+    network trains, both with reconstruction weight ``lambda_n`` (joint and
+    two-step share all three)."""
     hyper.require_finite("lambda_u", "lambda_v", "lambda_n", "lambda_w")
     if content.num_items != ratings.num_items:
         raise ShapeError(
@@ -407,7 +409,7 @@ def _network_setup(ratings, content, hyper):
     state = _State(np.zeros((ratings.num_users, hyper.n_factors)), sdae.encode(net, x0),
                    net, [np.zeros_like(p) for p in net.weights + net.biases], x0)
 
-    def train_block(state, lr, V, lambda_v, lambda_n):
+    def train_block(state, lr, V, lambda_v):
         for _ in range(hyper.epochs_per_block):
             state.x0 = corrupt(content, hyper.noise_level, noise_seq.spawn(1)[0])
             mask = None
@@ -423,16 +425,7 @@ def _network_setup(ratings, content, hyper):
                 v += lr * g
                 p += v
 
-    return state, train_block
-
-
-def _joint_fit(ratings, content, hyper, lambda_n, report_path=None):
-    state, train_block = _network_setup(ratings, content, hyper)
     conf = hyper.confidence()
-
-    def step(state, lr):
-        _factor_sweep(state, ratings, conf, hyper, sdae.encode(state.net, state.x0))
-        train_block(state, lr, state.V, hyper.lambda_v, lambda_n)
 
     def evaluate(state):
         return objective(
@@ -440,6 +433,17 @@ def _joint_fit(ratings, content, hyper, lambda_n, report_path=None):
             lambda_n, hyper.lambda_w, net=state.net, x0=state.x0,
             content=content, check=False,
         )
+
+    return state, train_block, evaluate
+
+
+def _joint_fit(ratings, content, hyper, lambda_n, report_path=None):
+    state, train_block, evaluate = _network_setup(ratings, content, hyper, lambda_n)
+    conf = hyper.confidence()
+
+    def step(state, lr):
+        _factor_sweep(state, ratings, conf, hyper, sdae.encode(state.net, state.x0))
+        train_block(state, lr, state.V, hyper.lambda_v)
 
     report = TrainReport()
     state = _sweep_loop(report, report_path, state, step, evaluate, hyper,
@@ -471,23 +475,18 @@ def fit_two_step(ratings, content, hyper, report_path=None):
     """Degenerate variant that first trains the autoencoder on reconstruction
     alone (ratings never enter), freezes the encodings, then runs factor
     sweeps with the frozen encodings as the item-prior mean."""
-    state, train_block = _network_setup(ratings, content, hyper)
+    state, train_block, network_objective = _network_setup(ratings, content, hyper,
+                                                           hyper.lambda_n)
     conf = hyper.confidence()
     zero_v = np.zeros_like(state.V)
     report = TrainReport()
 
     # reconstruction phase: the item prior tracks the current encodings, so
-    # the offset term stays 0 while only the autoencoder trains
+    # the offset term, measured from the same codes, is exactly 0 while only
+    # the autoencoder trains
     def train_network(state, lr):
-        train_block(state, lr, zero_v, 0.0, hyper.lambda_n)
+        train_block(state, lr, zero_v, 0.0)
         state.V = sdae.encode(state.net, state.x0)
-
-    def network_objective(state):
-        return objective(
-            ratings, state.U, state.V, conf, hyper.lambda_u, hyper.lambda_v,
-            hyper.lambda_n, hyper.lambda_w, net=state.net, x0=state.x0,
-            content=content, v_prior_mean=state.V, check=False,
-        )
 
     state = _sweep_loop(report, report_path, state, train_network, network_objective,
                         hyper, trains_network=True, may_stop=False)

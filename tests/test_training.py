@@ -183,8 +183,8 @@ class TestFit:
         # velocities are updated in place, so a rollback is sound only if the
         # saved state owns every array it restores
         ratings, content = tiny_dataset(seed=13)
-        state, train_block = training._network_setup(ratings, content, tiny_hyper())
-        train_block(state, 1e-3, state.V, 10.0, 50.0)
+        state, train_block, _ = training._network_setup(ratings, content, tiny_hyper(), 50.0)
+        train_block(state, 1e-3, state.V, 10.0)
         saved = state.copy()
         arrays = [[s.U, s.V, *s.net.weights, *s.net.biases, *s.velocities]
                   for s in (state, saved)]
