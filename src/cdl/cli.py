@@ -121,16 +121,27 @@ def _parse_m_grid(text):
     return tuple(grid)
 
 
+@contextlib.contextmanager
+def _flag_named(flag):
+    """Run the body; an ArgumentError from it is named at ``flag``, the one
+    flag whose value it checks."""
+    try:
+        yield
+    except ArgumentError as exc:
+        raise ArgumentError(f"{flag}: {exc}") from None
+
+
 def cmd_split(args):
     if args.P < 1:
         raise ArgumentError(f"--P must be at least 1, got {args.P}")
     if args.reps < 1:
         raise ArgumentError(f"--reps must be at least 1, got {args.reps}")
+    with _flag_named("--seed"):
+        spec = data.SplitSpec(args.P, args.seed, args.reps)
     ratings_path = _require_file(args.ratings, "ratings")
     ratings = data.load_ratings(ratings_path)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    spec = data.SplitSpec(args.P, args.seed, args.reps)
     outputs = []
     for rep, (train, test, eval_users) in enumerate(data.split_repetitions(ratings, spec)):
         rep_dir = out / f"rep_{rep:02d}"
@@ -188,7 +199,8 @@ def cmd_train(args):
     ratings_path = _require_file(args.ratings, "ratings")
     hyper = training.load_config(config_path)
     if args.seed is not None:
-        hyper = dataclasses.replace(hyper, seed=args.seed)
+        with _flag_named("--seed"):
+            hyper = dataclasses.replace(hyper, seed=args.seed)
     ratings = data.load_ratings(ratings_path)
     inputs = [config_path, ratings_path]
 
@@ -351,13 +363,16 @@ def cmd_predict(args):
 def cmd_sample(args):
     if args.thin < 1:
         raise ArgumentError(f"--thin must be at least 1, got {args.thin}")
+    if args.burn_in < 0:
+        raise ArgumentError(f"--burn-in must be non-negative, got {args.burn_in}")
     if args.iters <= args.burn_in:
         raise ArgumentError(f"--iters {args.iters} must exceed --burn-in {args.burn_in}")
     config_path = _require_file(args.config, "config")
     ratings_path = _require_file(args.ratings, "ratings")
     hyper = training.load_config(config_path)
     if args.seed is not None:
-        hyper = dataclasses.replace(hyper, seed=args.seed)
+        with _flag_named("--seed"):
+            hyper = dataclasses.replace(hyper, seed=args.seed)
     ratings = data.load_ratings(ratings_path)
     content_path, content = _load_content(args, ratings, hyper)
     out = Path(args.out)

@@ -14,7 +14,12 @@ class ValidationError(CdlError):
 
 
 class ArgumentError(CdlError):
-    """An argument lies outside its documented domain."""
+    """An argument lies outside its documented domain; ``fields`` names the
+    offending hyperparameter fields, when the argument is one."""
+
+    def __init__(self, message, fields=()):
+        super().__init__(message)
+        self.fields = tuple(fields)
 
 
 class ShapeError(CdlError):

@@ -305,6 +305,8 @@ def run_chain(ratings, content, hyper, iters, burn_in, thin=1,
     """
     if not math.isfinite(hyper.lambda_s):
         raise ArgumentError("the sampler needs a finite lambda_s")
+    if burn_in < 0:
+        raise ArgumentError("burn_in must be non-negative")
     if iters <= burn_in:
         raise ArgumentError("iters must exceed burn_in")
     if thin < 1:

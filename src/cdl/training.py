@@ -24,6 +24,7 @@ from .exceptions import (
     ParseError,
     ShapeError,
     TrainingError,
+    ValidationError,
 )
 from .factors import ConfidenceParams, LatentFactors
 
@@ -61,32 +62,39 @@ class HyperParams:
         # fitters check finiteness where they need it
         for name in ("lambda_u", "lambda_v", "lambda_n", "lambda_w", "lambda_s"):
             if not getattr(self, name) > 0:
-                raise ArgumentError(f"{name} must be positive")
-        ConfidenceParams(self.conf_a, self.conf_b)
+                raise ArgumentError(f"{name} must be positive", [name])
+        try:
+            ConfidenceParams(self.conf_a, self.conf_b)
+        except ValidationError as exc:
+            raise ArgumentError(str(exc), ["conf_a", "conf_b"]) from None
         if self.n_factors < 1:
-            raise ArgumentError("n_factors must be at least 1")
+            raise ArgumentError("n_factors must be at least 1", ["n_factors"])
         if not 0.0 <= self.noise_level <= 1.0:
-            raise ArgumentError("noise_level must lie in [0, 1]")
+            raise ArgumentError("noise_level must lie in [0, 1]", ["noise_level"])
         if not 0.0 <= self.dropout_rate < 1.0:
-            raise ArgumentError("dropout_rate must lie in [0, 1)")
+            raise ArgumentError("dropout_rate must lie in [0, 1)", ["dropout_rate"])
         if not self.learning_rate >= 0.0:
-            raise ArgumentError("learning_rate must be non-negative")
+            raise ArgumentError("learning_rate must be non-negative", ["learning_rate"])
         if not 0.0 <= self.momentum < 1.0:
-            raise ArgumentError("momentum must lie in [0, 1)")
+            raise ArgumentError("momentum must lie in [0, 1)", ["momentum"])
         if self.epochs_per_block < 0 or self.max_sweeps < 1:
-            raise ArgumentError("epochs_per_block >= 0 and max_sweeps >= 1 required")
+            bad = "epochs_per_block" if self.epochs_per_block < 0 else "max_sweeps"
+            raise ArgumentError("epochs_per_block >= 0 and max_sweeps >= 1 required", [bad])
         if not self.early_stop_tol >= 0 or self.early_stop_patience < 1:
-            raise ArgumentError("bad early-stop settings")
+            bad = "early_stop_patience" if self.early_stop_tol >= 0 else "early_stop_tol"
+            raise ArgumentError("bad early-stop settings", [bad])
         if self.seed < 0:
-            raise ArgumentError("seed must be non-negative")
+            raise ArgumentError("seed must be non-negative", ["seed"])
         if self.widths is not None:
             self.widths = tuple(int(w) for w in self.widths)
             L = len(self.widths) - 1
             if L < 2 or L % 2:
-                raise ArgumentError("widths must describe an even layer count >= 2")
+                raise ArgumentError("widths must describe an even layer count >= 2",
+                                    ["widths"])
             if self.widths[L // 2] != self.n_factors:
                 raise ArgumentError(
-                    f"middle width {self.widths[L // 2]} must equal n_factors {self.n_factors}"
+                    f"middle width {self.widths[L // 2]} must equal n_factors {self.n_factors}",
+                    ["widths", "n_factors"],
                 )
 
     def confidence(self):
@@ -155,7 +163,8 @@ def config_lines(text, path="<config>"):
 def hyper_from_config(raw, path="<config>"):
     """HyperParams from config_lines' {key: (value text, line number)}.
 
-    Missing and unknown keys are rejected together, listing every offender.
+    Missing and unknown keys are rejected together, listing every offender;
+    a value outside its domain is named at its line.
     """
     unknown = sorted(set(raw) - set(CONFIG_FIELDS))
     missing = sorted(set(CONFIG_FIELDS) - set(raw))
@@ -174,7 +183,10 @@ def hyper_from_config(raw, path="<config>"):
         except ValueError:
             raise ConfigError(f"{path}:{lineno}: bad value for {name}: {value!r}",
                               [name]) from None
-    return HyperParams(**kwargs)
+    try:
+        return HyperParams(**kwargs)
+    except ArgumentError as exc:  # named at the line of its first field
+        raise ArgumentError(f"{path}:{raw[exc.fields[0]][1]}: {exc}", exc.fields) from None
 
 
 def config_from_text(text, path="<config>"):

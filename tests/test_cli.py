@@ -469,7 +469,34 @@ def test_negative_seed_named_without_traceback(dataset, tmp_path, capsys, comman
     code = run_cli(command, *argv, "--out", tmp_path / "o")
     err = capsys.readouterr().err
     assert code == 1
-    assert "error: seed must be non-negative" in err
+    if where == "flag":
+        source = "--seed"
+    else:
+        source = f"{config}:{text.splitlines().index('seed=-1') + 1}"
+    assert f"error: {source}: seed must be non-negative" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, key, value, message", [
+    ("train", "noise_level", "2.0", "noise_level must lie in [0, 1]"),
+    ("grid", "noise_level", "2.0", "noise_level must lie in [0, 1]"),
+    ("train", "max_sweeps", "0", "epochs_per_block >= 0 and max_sweeps >= 1 required"),
+    ("grid", "lambda_u", "0.5,-1.0", "lambda_u must be positive"),
+], ids=["train-noise-level", "grid-noise-level", "train-max-sweeps", "grid-point"])
+def test_bad_config_value_named_at_its_line(dataset, tmp_path, capsys,
+                                            command, key, value, message):
+    # the value parses but lies outside its domain: the error names its line
+    lines = dataset["config"].read_text().splitlines()
+    lineno = next(i for i, line in enumerate(lines, 1) if line.startswith(f"{key}="))
+    lines[lineno - 1] = f"{key}={value}"
+    config = tmp_path / "bad_config.txt"
+    config.write_text("\n".join(lines) + "\n")
+    argv = ("--folds", 2) if command == "grid" else ()
+    code = run_cli(command, "--config", config, "--ratings", dataset["ratings"],
+                   "--content", dataset["content"], *argv, "--out", tmp_path / "o")
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"error: {config}:{lineno}: {message}" in err
     assert "Traceback" not in err
 
 
@@ -505,6 +532,8 @@ class TestSampleCommand:
     @pytest.mark.parametrize("iters, burn_in, thin, flag", [
         (30, 15, 0, "--thin must be at least 1"),
         (15, 15, 1, "--iters 15 must exceed --burn-in 15"),
+        (4, -1, 1, "--burn-in must be non-negative, got -1"),
+        (0, -1, 1, "--burn-in must be non-negative, got -1"),
     ])
     def test_bad_chain_lengths_rejected_up_front(self, tmp_path, capsys,
                                                  iters, burn_in, thin, flag):
@@ -514,6 +543,7 @@ class TestSampleCommand:
                        "--burn-in", burn_in, "--thin", thin, "--out", tmp_path / "o")
         assert code == 1
         assert flag in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_chain_outputs(self, dataset, tmp_path):
         config = tmp_path / "chain_config.txt"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -441,6 +442,14 @@ class TestRunChain:
         with pytest.raises(ArgumentError):
             sampling.run_chain(ratings, content, chain_hyper(), iters=5, burn_in=5)
 
+    @pytest.mark.parametrize("iters", [0, 4])
+    def test_negative_burn_in_rejected(self, iters):
+        # a negative burn-in would keep no scan at iters 0 and shift the
+        # kept scans otherwise
+        ratings, content = tiny_chain_data()
+        with pytest.raises(ArgumentError, match="burn_in must be non-negative"):
+            sampling.run_chain(ratings, content, chain_hyper(), iters=iters, burn_in=-1)
+
     def test_pinned_acceptance_warns(self):
         # a huge frozen step rejects everything, which must surface as a
         # diagnostics warning
@@ -489,3 +498,206 @@ class TestLogJoint:
             expected += -0.5 * hyper.lambda_s * np.sum((layers[l] - mean) ** 2)
         expected += mf.rating_objective(state.U, state.V, ratings, hyper.confidence())
         np.testing.assert_allclose(got, expected, rtol=1e-12)
+
+
+def reference_mwg_step(state, ratings, content, hyper, rng, blocks=("w", "x", "v", "u")):
+    """The scan as written before both Metropolis blocks shared one row
+    loop: a propose/accept/write-back/count loop per block, each weight
+    column copied out with its bias and written back when accepted."""
+    net = state.net
+    L = net.num_layers
+    mid = net.middle
+    conf = hyper.confidence()
+    lam_s = hyper.lambda_s
+    counts = {}
+    if "w" in blocks:
+        for l in range(1, L + 1):
+            x_prev = state.layers[l - 1]
+            x_cur = state.layers[l]
+            step = state.steps[f"w{l}"]
+            accepted = 0
+            width = net.weights[l - 1].shape[1]
+            for n in range(width):
+                col = np.append(net.weights[l - 1][:, n], net.biases[l - 1][n])
+                x_col = x_cur[:, n]
+                new, ok = sampling._mala_update(
+                    col, lambda w: sampling._w_col_density(w, x_prev, x_col,
+                                                           hyper.lambda_w, lam_s),
+                    step, rng)
+                if ok:
+                    net.weights[l - 1][:, n] = new[:-1]
+                    net.biases[l - 1][n] = new[-1]
+                    accepted += 1
+            counts[f"w{l}"] = (accepted, width)
+    if "x" in blocks:
+        xc = content.toarray()
+        for l in range(1, L + 1):
+            step = state.steps[f"x{l}"]
+            accepted = 0
+            w_in, b_in = net.weights[l - 1], net.biases[l - 1]
+            for j in range(ratings.num_items):
+                if l == L:
+                    kw = {"xc_row": xc[j], "lambda_n": hyper.lambda_n}
+                else:
+                    kw = {"w_out": net.weights[l], "b_out": net.biases[l],
+                          "next_row": state.layers[l + 1][j]}
+                if l == mid:
+                    kw.update(v_row=state.V[j], lambda_v=hyper.lambda_v)
+                mean_in = sampling.expit(state.layers[l - 1][j] @ w_in + b_in)
+                new, ok = sampling._mala_update(
+                    state.layers[l][j],
+                    lambda x: sampling._x_row_density(l, L, x, mean_in, lam_s, **kw),
+                    step, rng)
+                if ok:
+                    state.layers[l][j] = new
+                    accepted += 1
+            counts[f"x{l}"] = (accepted, ratings.num_items)
+    if "v" in blocks:
+        sampling._draw_rows(state.V, state.U, *mf._item_rows(ratings), conf,
+                            hyper.lambda_v, rng, priors=state.layers[mid])
+    if "u" in blocks:
+        sampling._draw_rows(state.U, state.V, *mf._user_rows(ratings), conf,
+                            hyper.lambda_u, rng)
+    return counts
+
+
+def reference_run_chain(ratings, content, hyper, iters, burn_in, thin=1,
+                        blocks=("w", "x", "v", "u"), initial_step=0.1):
+    """The chain as written before burn-in and kept scans were two loops:
+    one loop over all scans, on the reference scan."""
+    root = np.random.SeedSequence(hyper.seed)
+    net_seed, noise_seed, chain_seed = root.spawn(3)
+    rng = np.random.default_rng(chain_seed)
+    widths = hyper.network_widths(content.vocab_size)
+    net = sdae.init_network(widths, net_seed, hyper.lambda_w)
+    x0 = data.corrupt(content, hyper.noise_level, noise_seed)
+    layers = [x0.matrix.toarray()] + sdae.forward(net, x0)[1:]
+    state = sampling.SamplerState(
+        net=net, layers=layers,
+        U=np.zeros((ratings.num_users, hyper.n_factors)),
+        V=layers[net.middle].copy(),
+        steps={f"{kind}{l}": initial_step
+               for kind in "wx" for l in range(1, net.num_layers + 1)},
+    )
+    post_counts = {}
+    adapt_counts = {}
+    kept_iters = []
+    tracked = {name: [] for name in
+               ("u_0_0", "v_0_0", "w1_0_0", "x_mid_0_0", "log_joint")}
+    running = {}
+    kept_U, kept_V = [], []
+    for it in range(iters):
+        counts = reference_mwg_step(state, ratings, content, hyper, rng, blocks=blocks)
+        totals = adapt_counts if it < burn_in else post_counts
+        for block, (acc, prop) in counts.items():
+            tot = totals.setdefault(block, [0, 0])
+            tot[0] += acc
+            tot[1] += prop
+        if it < burn_in:
+            if (it + 1) % sampling.ADAPT_INTERVAL == 0 or it + 1 == burn_in:
+                window = it // sampling.ADAPT_INTERVAL
+                for block, (acc, prop) in adapt_counts.items():
+                    sampling._adapt(state.steps, block, acc, prop, window)
+                adapt_counts = {}
+        elif (it - burn_in) % thin == 0:
+            kept_iters.append(it)
+            tracked["u_0_0"].append(state.U[0, 0])
+            tracked["v_0_0"].append(state.V[0, 0])
+            tracked["w1_0_0"].append(state.net.weights[0][0, 0])
+            tracked["x_mid_0_0"].append(state.layers[net.middle][0, 0])
+            tracked["log_joint"].append(sampling.log_joint(state, ratings, content, hyper))
+            kept_U.append(state.U.copy())
+            kept_V.append(state.V.copy())
+            for block, (acc, prop) in post_counts.items():
+                running.setdefault(block, []).append(acc / prop if prop else 0.0)
+    acceptance = {block: (acc / prop if prop else 0.0)
+                  for block, (acc, prop) in post_counts.items()}
+    warnings = [
+        f"block {block} acceptance pinned at {rate:.2f} after adaptation"
+        for block, rate in acceptance.items() if rate <= 0.0 or rate >= 1.0
+    ]
+    tracked = {name: np.asarray(vals) for name, vals in tracked.items()}
+    return sampling.ChainSummary(
+        tracked=tracked,
+        kept_U=np.asarray(kept_U),
+        kept_V=np.asarray(kept_V),
+        acceptance=acceptance,
+        running_acceptance={b: np.asarray(v) for b, v in running.items()},
+        step_sizes=dict(state.steps),
+        posterior_mean={n: float(v.mean()) for n, v in tracked.items()},
+        posterior_var={n: float(v.var(ddof=1)) if len(v) > 1 else 0.0
+                       for n, v in tracked.items()},
+        warnings=warnings,
+        iterations=np.asarray(kept_iters),
+    )
+
+
+def assert_same_bits(a, b):
+    """Equal values with equal types, arrays down to dtype, shape and bytes,
+    dicts down to key order."""
+    assert type(a) is type(b)
+    if isinstance(a, np.ndarray):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+    elif isinstance(a, dict):
+        assert list(a) == list(b)
+        for key in a:
+            assert_same_bits(a[key], b[key])
+    elif isinstance(a, (list, tuple)):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            assert_same_bits(x, y)
+    elif isinstance(a, float):
+        assert a.hex() == b.hex()
+    else:
+        assert a == b
+
+
+CHAIN_BLOCKS = [("w", "x", "v", "u"), ("w", "x"), ("u",)]
+
+
+class TestAgainstReferenceLoops:
+    """mwg_step and run_chain give the bits of the per-block loops above."""
+
+    @pytest.mark.parametrize("blocks", CHAIN_BLOCKS, ids="".join)
+    @pytest.mark.parametrize("seed", [11, 12, 13])
+    def test_scan_matches_reference(self, seed, blocks):
+        ratings, content = tiny_chain_data(seed=seed)
+        hyper = chain_hyper(seed=seed)
+        net = sdae.init_network(hyper.widths, np.random.SeedSequence(seed), hyper.lambda_w)
+        x0 = data.corrupt(content, 0.3, seed)
+        layers = [x0.matrix.toarray()] + sdae.forward(net, x0)[1:]
+        steps = {f"{kind}{l}": step for kind in "wx"
+                 for l, step in zip(range(1, 5), (0.05, 0.2, 0.5, 1.0))}
+        states = [sampling.SamplerState(
+            net=net.copy(), layers=[x.copy() for x in layers],
+            U=np.zeros((ratings.num_users, 2)), V=layers[net.middle].copy(),
+            steps=dict(steps)) for _ in range(2)]
+        rngs = [np.random.default_rng(seed) for _ in range(2)]
+        for _ in range(4):
+            counts = [sampling.mwg_step(states[0], ratings, content, hyper, rngs[0],
+                                        blocks=blocks),
+                      reference_mwg_step(states[1], ratings, content, hyper, rngs[1],
+                                         blocks=blocks)]
+            assert_same_bits(*counts)
+            new, ref = states
+            assert_same_bits(new.net.weights, ref.net.weights)
+            assert_same_bits(new.net.biases, ref.net.biases)
+            assert_same_bits(new.layers, ref.layers)
+            assert_same_bits(new.U, ref.U)
+            assert_same_bits(new.V, ref.V)
+            assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+        accepted = sum(acc for acc, _ in counts[0].values())
+        proposed = sum(prop for _, prop in counts[0].values())
+        if "w" in blocks:  # both outcomes of a proposal are exercised
+            assert 0 < accepted < proposed
+
+    @pytest.mark.parametrize("blocks", CHAIN_BLOCKS, ids="".join)
+    @pytest.mark.parametrize("seed", [11, 12, 13])
+    @pytest.mark.parametrize("iters, burn_in, thin",
+                             [(25, 11, 2), (14, 0, 3), (31, 20, 1), (23, 10, 3)])
+    def test_chain_matches_reference(self, seed, blocks, iters, burn_in, thin):
+        ratings, content = tiny_chain_data(seed=seed)
+        args = (ratings, content, chain_hyper(seed=seed), iters, burn_in, thin, blocks)
+        new, ref = sampling.run_chain(*args), reference_run_chain(*args)
+        for f in dataclasses.fields(sampling.ChainSummary):
+            assert_same_bits(getattr(new, f.name), getattr(ref, f.name))

@@ -291,6 +291,31 @@ class TestVariants:
         assert len(frozen) == hyper.max_sweeps
         assert all(value.hex() == last.hex() for value in frozen)
 
+    def test_two_step_phase_one_terms_across_row_blocks(self, monkeypatch):
+        # phase one measures V = encode(net, x0) against the codes that
+        # coupling_residuals computes; over several row blocks these are the
+        # same codes, so every term has the bits of measuring V against
+        # itself (v_prior_mean=V), and the offset term is exactly -0.0
+        ratings, content = random_dataset(41, num_items=2 * sdae.BLOCK_ROWS + 100)
+        hyper = tiny_hyper(max_sweeps=2)
+        real = training.objective
+        expected = []
+
+        def spy(ratings, U, V, *args, **kwargs):
+            if kwargs.get("net") is not None:
+                expected.append(real(ratings, U, V, *args, **{**kwargs, "v_prior_mean": V}))
+            return real(ratings, U, V, *args, **kwargs)
+
+        monkeypatch.setattr(training, "objective", spy)
+        _, _, report = training.fit_two_step(ratings, content, hyper)
+        phase_one = report.rows[:hyper.max_sweeps + 1]
+        assert len(expected) == len(phase_one)
+        for row, (total, terms) in zip(phase_one, expected):
+            assert row.total.hex() == total.hex()
+            for name, value in terms.items():
+                assert getattr(row, name).hex() == value.hex()
+            assert row.item_offset.hex() == (-0.0).hex()
+
     def test_mf_baseline_matches_zero_encoder_sweeps(self):
         ratings, _ = tiny_dataset(seed=27)
         hyper = tiny_hyper(max_sweeps=3)
@@ -367,6 +392,22 @@ class TestConfig:
         # nan compares false to every bound, which would turn early stopping off
         with pytest.raises(ArgumentError, match="bad early-stop settings"):
             tiny_hyper(early_stop_tol=math.nan)
+
+    @pytest.mark.parametrize("key, value, fields", [
+        ("noise_level", "2.0", ("noise_level",)),
+        ("conf_b", "5.0", ("conf_a", "conf_b")),
+        ("early_stop_patience", "0", ("early_stop_patience",)),
+        ("seed", "-1", ("seed",)),
+        ("widths", "12,5,12", ("widths", "n_factors")),
+    ])
+    def test_rejected_value_named_at_its_first_fields_line(self, key, value, fields):
+        lines = training.config_text(tiny_hyper()).splitlines()
+        lines[training.CONFIG_FIELDS.index(key)] = f"{key}={value}"
+        with pytest.raises(ArgumentError) as err:
+            training.config_from_text("\n".join(lines), path="c.txt")
+        assert err.value.fields == fields
+        first = training.CONFIG_FIELDS.index(fields[0]) + 1
+        assert str(err.value).startswith(f"c.txt:{first}: ")
 
     def test_widths_middle_must_match_n_factors(self):
         with pytest.raises(ArgumentError):
