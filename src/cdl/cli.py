@@ -16,8 +16,10 @@ import itertools
 import json
 import logging
 import os
+import resource
 import subprocess
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -67,16 +69,28 @@ def _sha256(path):
     return digest.hexdigest()
 
 
+def _peak_rss_mb():
+    """Peak resident set of the whole process so far, in MB; ru_maxrss is in
+    KiB on Linux and in bytes on macOS."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (2**20 if sys.platform == "darwin" else 2**10)
+
+
 def write_manifest(out_dir, command, args, inputs, outputs, seed=None, config=None):
-    """Record what produced the artifacts in ``out_dir``."""
+    """Record what produced the artifacts in ``out_dir``, with the wall time
+    since ``main`` started and the peak RSS of the whole process, which
+    includes whatever ran in it before ``main``."""
     manifest = {
         "command": command,
-        "args": {k: v for k, v in sorted(vars(args).items()) if k != "func"},
+        "args": {k: v for k, v in sorted(vars(args).items())
+                 if k not in ("func", "started")},
         "inputs": {str(p): _sha256(p) for p in inputs},
         "outputs": [str(p) for p in outputs],
         "seed": seed,
         "config": config,
         "version": _version_string(),
+        "wall_seconds": time.perf_counter() - args.started,
+        "peak_rss_mb": _peak_rss_mb(),
     }
     path = Path(out_dir) / "manifest.json"
     with data.open_output(path) as fh:
@@ -588,11 +602,13 @@ def build_parser():
 
 
 def main(argv=None):
+    started = time.perf_counter()
     level = os.environ.get("CDL_LOG_LEVEL", "warn").lower()
     logging.basicConfig(level=_LOG_LEVELS.get(level, logging.WARNING),
                         format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.started = started
     try:
         return args.func(args)
     except CdlError as exc:

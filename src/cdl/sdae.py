@@ -18,8 +18,12 @@ from .data import read_npz, write_npz
 from .exceptions import ArgumentError, NumericError, ShapeError, ValidationError
 
 # rows evaluated at once by gradients, coupling_residuals, encode and
-# reconstruct: their working memory is one block's activations
+# reconstruct: their working memory is one block's activations, and each
+# block is freed before the next is evaluated
 BLOCK_ROWS = 2048
+# bytes of output-layer rows that gradients forms its output error over at
+# once; the output layer's delta is written into that layer's activations
+CHUNK_BYTES = 4 << 20
 
 
 @dataclass
@@ -277,19 +281,27 @@ def gradients(net, x0, xc, item_factors, lambda_v, lambda_n, lambda_w, mask=None
         item_factors: items x code_size matrix the codes are pulled toward.
         mask: optional dropout_mask dict drawn for all rows of x0.
     """
-    L = net.num_layers
-    mid = net.middle
     grads_w = [-lambda_w * w for w in net.weights]
     grads_b = [-lambda_w * b for b in net.biases]
     for rows, X0, Xc, V in _row_blocks(net, x0, xc, item_factors):
         scales = {} if mask is None else {l: arr[rows] for l, arr in mask.items()}
-        outs, raws = _propagate(net, X0, scales)
-        for l in range(1, L + 1):
-            if not np.isfinite(raws[l]).all():
-                raise NumericError(f"non-finite activation at layer {l}")
-        g = _subtract_clean(outs[L].copy(), Xc)
-        g *= lambda_n
-        for l in range(L, 0, -1):
+        _block_gradients(net, X0, Xc, V, scales, lambda_v, lambda_n, grads_w, grads_b)
+    return grads_w, grads_b
+
+
+def _block_gradients(net, X0, Xc, V, scales, lambda_v, lambda_n, grads_w, grads_b):
+    """Add one row block's reconstruction and coupling terms into grads_w
+    and grads_b.  The block's activations are its only block-sized arrays,
+    and they are freed on return."""
+    L = net.num_layers
+    mid = net.middle
+    outs, raws = _propagate(net, X0, scales)
+    for l in range(1, L + 1):
+        if not np.isfinite(raws[l]).all():
+            raise NumericError(f"non-finite activation at layer {l}")
+    delta = _output_delta(outs[L], raws[L], Xc, lambda_n, scales.get(L))
+    for l in range(L, 0, -1):
+        if l < L:
             if l == mid:
                 g += lambda_v * (outs[l] - V)
             if l in scales:
@@ -297,11 +309,30 @@ def gradients(net, x0, xc, item_factors, lambda_v, lambda_n, lambda_w, mask=None
             delta = g  # g * raw * (1 - raw), in place; raws[l] is read no more
             delta *= raws[l]
             delta *= np.subtract(1.0, raws[l], out=raws[l])
-            grads_w[l - 1] -= outs[l - 1].T @ delta
-            grads_b[l - 1] -= delta.sum(axis=0)
-            if l > 1:
-                g = delta @ net.weights[l - 1].T
-    return grads_w, grads_b
+        grads_w[l - 1] -= outs[l - 1].T @ delta
+        grads_b[l - 1] -= delta.sum(axis=0)
+        if l > 1:
+            g = delta @ net.weights[l - 1].T
+
+
+def _output_delta(out, raw, clean, lambda_n, scale):
+    """The output layer's delta ``(out - clean) * lambda_n [* scale] * raw *
+    (1 - raw)``, written into ``raw``, which is read no more.  It is formed
+    over chunks of CHUNK_BYTES of rows, so the only other array it needs is
+    one chunk's error; the products are those of a whole-block error, in
+    the same order up to commuting the last one, so the bits are too."""
+    step = max(1, CHUNK_BYTES // (raw.itemsize * raw.shape[1]))
+    for start in range(0, raw.shape[0], step):
+        rows = slice(start, start + step)
+        g = _subtract_clean(out[rows].copy(),
+                            clean if step >= raw.shape[0] else clean[rows])
+        g *= lambda_n
+        if scale is not None:
+            g *= scale[rows]
+        g *= raw[rows]
+        chunk = np.subtract(1.0, raw[rows], out=raw[rows])
+        chunk *= g
+    return raw
 
 
 def coupling_residuals(net, x0, xc, item_factors):
@@ -310,12 +341,19 @@ def coupling_residuals(net, x0, xc, item_factors):
     enc_ss = 0.0
     rec_ss = 0.0
     for _, X0, Xc, V in _row_blocks(net, x0, xc, item_factors):
-        outs = _propagate(net, X0)[0]
-        enc_diff = outs[net.middle] - V
-        rec_diff = _subtract_clean(outs[net.num_layers], Xc).reshape(-1)
-        enc_ss += float(np.sum(enc_diff * enc_diff))
-        rec_ss += float(rec_diff @ rec_diff)
+        enc, rec = _block_residuals(net, X0, Xc, V)
+        enc_ss += enc
+        rec_ss += rec
     return enc_ss, rec_ss
+
+
+def _block_residuals(net, X0, Xc, V):
+    """One row block's squared-residual sums; its activations are freed on
+    return."""
+    outs = _propagate(net, X0)[0]
+    enc_diff = outs[net.middle] - V
+    rec_diff = _subtract_clean(outs[net.num_layers], Xc).reshape(-1)
+    return float(np.sum(enc_diff * enc_diff)), float(rec_diff @ rec_diff)
 
 
 def save_network(net, path, config=None):

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -709,6 +710,17 @@ class TestManifest:
             for digest in manifest["inputs"].values():
                 assert len(digest) == 64
 
+    def test_train_and_eval_record_wall_time_and_peak_rss(self, trained, tmp_path):
+        out = tmp_path / "eval"
+        assert run_cli("eval", "--model", trained["model"], "--test",
+                       trained["split"] / "test.tsv", "--m-grid", "2:10:2", "--out", out) == 0
+        for sub in (trained["model"], out):
+            manifest = json.loads((sub / "manifest.json").read_text())
+            for key in ("wall_seconds", "peak_rss_mb"):
+                assert isinstance(manifest[key], float), key
+                assert math.isfinite(manifest[key]) and manifest[key] > 0, key
+            assert "started" not in manifest["args"]
+
 
 class TestOutputsAreNewFiles:
     """Every artifact is written as a new file: one at the output path is
@@ -854,7 +866,7 @@ def test_damaged_network_read_only_for_cold_start(trained, tmp_path, capsys):
 # peak RSS of `cdl train --variant cdl` at citeulike-a's shape (5551 users,
 # 16980 items, an 8000-word vocabulary, widths 8000-200-50-200-8000); the
 # README quotes this bound
-FULL_SHAPE_RSS_BOUND_MB = 1200
+FULL_SHAPE_RSS_BOUND_MB = 560
 REPO = Path(__file__).resolve().parent.parent
 
 

@@ -3,8 +3,9 @@ import warnings
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cdl import data, factors as mf
 from cdl.exceptions import NumericError, ShapeError, ValidationError
@@ -317,6 +318,21 @@ class TestFactorIO:
         back = mf.load_factors(path)
         np.testing.assert_array_equal(back.U, factors.U)
         np.testing.assert_array_equal(back.V, factors.V)
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data_=st.data(), num_users=st.integers(0, 6), num_items=st.integers(0, 6),
+           K=st.integers(1, 4))
+    def test_any_factors_round_trip_bit_exact(self, tmp_path, data_, num_users, num_items, K):
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        factors = mf.LatentFactors(
+            data_.draw(hnp.arrays(np.float64, (num_users, K), elements=finite)),
+            data_.draw(hnp.arrays(np.float64, (num_items, K), elements=finite)))
+        mf.save_factors(factors, tmp_path / "factors.npz")
+        back = mf.load_factors(tmp_path / "factors.npz")
+        for got, want in ((back.U, factors.U), (back.V, factors.V)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("name", ["factors.npz", "factors", "factors.bin"])
     def test_file_name_and_bytes_as_np_savez_gives_them(self, tmp_path, name):

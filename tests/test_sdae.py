@@ -4,9 +4,13 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from cdl import sdae
+from cdl import sdae, training
 from cdl.exceptions import ArgumentError, NumericError, ParseError, ShapeError
+from test_training import hyper_params
 
 
 def zero_net(widths):
@@ -36,6 +40,58 @@ def halved_repeats(dense):
     halves = sp.csr_matrix((coo.data[twice] / 2, coo.col[twice], indptr), shape=dense.shape)
     assert not halves.has_canonical_format
     return halves
+
+
+def reference_gradients(net, x0, xc, item_factors, lambda_v, lambda_n, lambda_w, mask=None):
+    """sdae.gradients as a loop whose blocks stay alive until the next one
+    replaces them, and whose output-layer error is a full copy of that layer."""
+    L = net.num_layers
+    mid = net.middle
+    grads_w = [-lambda_w * w for w in net.weights]
+    grads_b = [-lambda_w * b for b in net.biases]
+    for rows, X0, Xc, V in sdae._row_blocks(net, x0, xc, item_factors):
+        scales = {} if mask is None else {l: arr[rows] for l, arr in mask.items()}
+        outs, raws = sdae._propagate(net, X0, scales)
+        for l in range(1, L + 1):
+            if not np.isfinite(raws[l]).all():
+                raise NumericError(f"non-finite activation at layer {l}")
+        g = sdae._subtract_clean(outs[L].copy(), Xc)
+        g *= lambda_n
+        for l in range(L, 0, -1):
+            if l == mid:
+                g += lambda_v * (outs[l] - V)
+            if l in scales:
+                g *= scales[l]
+            delta = g
+            delta *= raws[l]
+            delta *= np.subtract(1.0, raws[l], out=raws[l])
+            grads_w[l - 1] -= outs[l - 1].T @ delta
+            grads_b[l - 1] -= delta.sum(axis=0)
+            if l > 1:
+                g = delta @ net.weights[l - 1].T
+    return grads_w, grads_b
+
+
+def reference_coupling_residuals(net, x0, xc, item_factors):
+    """sdae.coupling_residuals as a loop whose blocks stay alive until the
+    next one replaces them."""
+    enc_ss = 0.0
+    rec_ss = 0.0
+    for _, X0, Xc, V in sdae._row_blocks(net, x0, xc, item_factors):
+        outs = sdae._propagate(net, X0)[0]
+        enc_diff = outs[net.middle] - V
+        rec_diff = sdae._subtract_clean(outs[net.num_layers], Xc).reshape(-1)
+        enc_ss += float(np.sum(enc_diff * enc_diff))
+        rec_ss += float(rec_diff @ rec_diff)
+    return enc_ss, rec_ss
+
+
+def assert_same_bits(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        np.testing.assert_array_equal(a, b)
+        assert [v.hex() for v in a.ravel().tolist()] == [v.hex() for v in b.ravel().tolist()]
 
 
 def network_objective(net, x0, xc, V, lam_v, lam_n, lam_w):
@@ -369,6 +425,63 @@ class TestRowBlocks:
             sdae.coupling_residuals(net, x0, xc, V)
 
 
+class TestAgainstReferenceLoops:
+    """gradients and coupling_residuals free each row block before the next
+    and form the output-layer delta in place, over chunks of CHUNK_BYTES;
+    their outputs keep the reference loops' bits."""
+
+    @pytest.mark.parametrize("clean_format", ["dense", "csr"])
+    @pytest.mark.parametrize("dropout", [0.0, 0.3])
+    @pytest.mark.parametrize("block_rows,chunk_rows", [
+        (5, 2), (5, 3), (5, 1), (5, 5), (5, 64), (4, 3), (64, 7)])
+    def test_bits_match_reference(self, monkeypatch, clean_format, dropout,
+                                  block_rows, chunk_rows):
+        # 23 rows: every block size leaves a partial last block, and no
+        # chunk size but 1 divides it
+        widths = [30, 7, 3, 7, 30]
+        net, x0, xc, V, lam_v, lam_n, lam_w = random_instance(widths, 23, seed=41)
+        xc[xc < 0.4] = 0.0
+        xc[[2, 22]] = 0.0
+        clean = sp.csr_matrix(xc) if clean_format == "csr" else xc
+        mask = sdae.dropout_mask(widths, 23, dropout, seed=8) if dropout else None
+        monkeypatch.setattr(sdae, "BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(sdae, "CHUNK_BYTES", chunk_rows * widths[-1] * 8)
+        for inputs in (x0, sp.csr_matrix(x0)):
+            got = sdae.gradients(net, inputs, clean, V, lam_v, lam_n, lam_w, mask=mask)
+            want = reference_gradients(net, inputs, clean, V, lam_v, lam_n, lam_w, mask=mask)
+            assert_same_bits(got[0] + got[1], want[0] + want[1])
+            got_ss = sdae.coupling_residuals(net, inputs, clean, V)
+            want_ss = reference_coupling_residuals(net, inputs, clean, V)
+            assert [v.hex() for v in got_ss] == [v.hex() for v in want_ss]
+
+    def test_bits_match_reference_across_default_blocks(self, monkeypatch):
+        # more rows than one default block, chunked at 300 rows, which
+        # divides neither the block nor the partial last block
+        widths = [40, 8, 3, 8, 40]
+        rows = sdae.BLOCK_ROWS + 301
+        net, x0, xc, V, lam_v, lam_n, lam_w = random_instance(widths, rows, seed=43)
+        mask = sdae.dropout_mask(widths, rows, 0.1, seed=9)
+        for chunk_bytes in (sdae.CHUNK_BYTES, 300 * widths[-1] * 8):
+            monkeypatch.setattr(sdae, "CHUNK_BYTES", chunk_bytes)
+            got = sdae.gradients(net, x0, xc, V, lam_v, lam_n, lam_w, mask=mask)
+            want = reference_gradients(net, x0, xc, V, lam_v, lam_n, lam_w, mask=mask)
+            assert_same_bits(got[0] + got[1], want[0] + want[1])
+        assert ([v.hex() for v in sdae.coupling_residuals(net, x0, xc, V)]
+                == [v.hex() for v in reference_coupling_residuals(net, x0, xc, V)])
+
+    def test_output_layer_mask_is_applied(self, monkeypatch):
+        # dropout_mask never scales the output layer, but a caller's mask may
+        widths = [6, 3, 6]
+        net, x0, xc, V, lam_v, lam_n, lam_w = random_instance(widths, 9, seed=44)
+        rng = np.random.default_rng(3)
+        mask = {1: rng.random((9, 3)) * 2, 2: rng.random((9, 6)) * 2}
+        monkeypatch.setattr(sdae, "BLOCK_ROWS", 4)
+        monkeypatch.setattr(sdae, "CHUNK_BYTES", 3 * widths[-1] * 8)
+        got = sdae.gradients(net, x0, xc, V, lam_v, lam_n, lam_w, mask=mask)
+        want = reference_gradients(net, x0, xc, V, lam_v, lam_n, lam_w, mask=mask)
+        assert_same_bits(got[0] + got[1], want[0] + want[1])
+
+
 class TestSigmoid:
     """sdae's in-place sigmoid against scipy's expit, and the output layer
     that subtracts clean content at its stored entries."""
@@ -441,13 +554,15 @@ class TestSigmoid:
         content[rng.random((rows, words)) >= 0.05] = 0.0
         clean = sp.csr_matrix(content)
         monkeypatch.setattr(sdae, "BLOCK_ROWS", 64)
+        monkeypatch.setattr(sdae, "CHUNK_BYTES", 8 * words * 8)
         block = 64 * words * 8
-        # in blocks: about 4 and 3; densifying the clean block and forming
-        # the output arithmetic out of place takes about 6.5 and 5
+        # in blocks: about 3 and 1.7; keeping the previous block alive while
+        # the next one is evaluated, and copying the whole output layer for
+        # its error, takes about 4 and 3
         calls = {
-            "gradients": (5.5, lambda: sdae.gradients(net, clean, clean, V,
+            "gradients": (3.5, lambda: sdae.gradients(net, clean, clean, V,
                                                       lam_v, lam_n, lam_w)),
-            "coupling_residuals": (4.0, lambda: sdae.coupling_residuals(net, clean, clean, V)),
+            "coupling_residuals": (2.0, lambda: sdae.coupling_residuals(net, clean, clean, V)),
         }
         for name, (bound, call) in calls.items():
             tracemalloc.start()
@@ -495,6 +610,21 @@ class TestDropout:
         assert rel < 1e-5
 
 
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def networks(draw):
+    """Any network of 2 or 4 layers, with every finite weight and bias."""
+    widths = draw(st.lists(st.integers(1, 5), min_size=3, max_size=5)
+                  .filter(lambda w: len(w) % 2))
+    return sdae.SdaeNetwork(
+        [draw(hnp.arrays(np.float64, (widths[l], widths[l + 1]), elements=FINITE))
+         for l in range(len(widths) - 1)],
+        [draw(hnp.arrays(np.float64, widths[l + 1], elements=FINITE))
+         for l in range(len(widths) - 1)])
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         net, _, _, _, _, _, _ = random_instance([7, 4, 2, 4, 7], 3, seed=16)
@@ -505,6 +635,17 @@ class TestCheckpoint:
         for a, b in zip(net.weights + net.biases, back.weights + back.biases):
             np.testing.assert_array_equal(a, b)
         assert sdae.load_network_config(path) is None
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(net=networks(), hyper=st.none() | hyper_params())
+    def test_any_network_round_trips_bit_exact(self, tmp_path, net, hyper):
+        config = None if hyper is None else training.config_text(hyper)
+        path = tmp_path / "net.npz"
+        sdae.save_network(net, path, config=config)
+        back = sdae.load_network(path)
+        assert_same_bits(back.weights + back.biases, net.weights + net.biases)
+        assert sdae.load_network_config(path) == config
 
     @pytest.mark.parametrize("name", ["net.npz", "net"])
     def test_file_name_and_bytes_as_np_savez_gives_them(self, tmp_path, name):

@@ -3,6 +3,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cdl import data, factors as mf, sdae, training
 from cdl.exceptions import (ArgumentError, ConfigError, NumericError, ParseError, ShapeError,
@@ -350,12 +352,51 @@ class TestVariants:
         np.testing.assert_array_equal(r1.totals(), r2.totals())
 
 
+@st.composite
+def hyper_params(draw):
+    """Any valid HyperParams: each float over its whole domain (infinities,
+    subnormals and -0.0 where the domain allows them), widths auto or a list
+    whose middle is n_factors."""
+    def floats(low, high=None, exclude_low=False, exclude_high=False):
+        return draw(st.floats(low, high, exclude_min=exclude_low, exclude_max=exclude_high,
+                              allow_nan=False, allow_infinity=high is None))
+    conf_b = floats(-0.0, 1e300)
+    n_factors = draw(st.integers(1, 2**40))
+    half = draw(st.integers(1, 3))
+    widths = draw(st.none() | st.tuples(
+        *[st.integers(1, 2**40)] * half, st.just(n_factors), *[st.integers(1, 2**40)] * half))
+    return HyperParams(
+        **{name: floats(0.0, exclude_low=True)
+           for name in ("lambda_u", "lambda_v", "lambda_n", "lambda_w", "lambda_s")},
+        conf_a=draw(st.floats(abs(conf_b), exclude_min=True, allow_nan=False)), conf_b=conf_b,
+        n_factors=n_factors, widths=widths, noise_level=floats(-0.0, 1.0),
+        dropout_rate=floats(-0.0, 1.0, exclude_high=True), learning_rate=floats(-0.0),
+        momentum=floats(-0.0, 1.0, exclude_high=True),
+        epochs_per_block=draw(st.integers(0, 2**63)), max_sweeps=draw(st.integers(1, 2**63)),
+        early_stop_tol=floats(-0.0), early_stop_patience=draw(st.integers(1, 2**63)),
+        seed=draw(st.integers(0, 2**64)))
+
+
+def assert_same_hyper(got, want):
+    """Equal field by field, floats to the bit."""
+    for name in training.CONFIG_FIELDS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert type(a) is type(b), name
+        assert (a.hex() == b.hex()) if isinstance(a, float) else a == b, name
+
+
 class TestConfig:
     def test_round_trip(self):
         hyper = tiny_hyper(widths=(12, 6, 3, 6, 12))
         text = training.config_text(hyper)
         back = training.config_from_text(text)
         assert back == hyper
+
+    @settings(max_examples=300, deadline=None)
+    @given(hyper=hyper_params())
+    @example(hyper=HyperParams())  # lambda_s=inf, widths=auto
+    def test_any_config_round_trips_bit_exact(self, hyper):
+        assert_same_hyper(training.config_from_text(training.config_text(hyper)), hyper)
 
     def test_missing_key_named(self):
         hyper = tiny_hyper()
