@@ -192,7 +192,7 @@ def _vocabulary_named(content_path, hyper):
     except ValidationError as exc:
         if content_path is None or hyper.widths is not None:
             raise
-        raise ValidationError(data.largest_id_line(content_path, 1, exc)) from None
+        raise ValidationError(data.largest_id_line(content_path, "word", exc)) from None
 
 
 def _train_one(ratings, content, hyper, variant, report_path=None):

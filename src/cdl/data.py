@@ -9,18 +9,21 @@ File formats are plain UTF-8 text:
 Loaders and the splitter are pure functions of (input, seed); returned
 matrices are immutable after construction.
 
-Ratings and content files in the layout the writers produce (an optional
-``#`` first line, then tab-separated numbers only) are parsed by one
-``np.loadtxt`` call each and checked with array tests.  Any other file, and
-any file those tests reject, is read one line at a time by the line walk,
-which names the first bad line as ``file:line``; both give the same matrix
-or the same error.  At citeulike-a's shape (one BLAS thread, 2 vCPUs),
-reading a 152,267-pair ratings file takes ~20 ms in bulk against ~110 ms by
-the line walk, and a 1.12M-line content file ~0.08 s against ~0.9 s.
+A file in the layout the writers produce (an optional ``#`` first line,
+then tab-separated numbers only) is parsed by one ``np.loadtxt`` call, any
+other by the line walk, the one reader that decides which lines hold data
+and which line each row came from.  Either way the rows pass one set of
+array tests, and a rejected row is named as ``file:line`` from the walk's
+line numbers, walking the text already read if need be.  At citeulike-a's
+shape (one BLAS thread, 2 vCPUs), a 152,000-pair ratings file reads in
+~20 ms in bulk against ~90 ms by the walk, a 1.12M-line content file in
+~0.1 s against ~0.75 s.
 """
 
 from __future__ import annotations
 
+import array
+import collections
 import contextlib
 import logging
 import math
@@ -44,8 +47,18 @@ NORMALIZATION_MODES = (BINARY_PRESENCE, COUNT_MAXNORM, RAW)
 
 _HEADER_RE = re.compile(r"#\s*users=(\d+)\s+items=(\d+)\s*$")
 _INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
-_PAIR_FIELDS = [("user", np.int64), ("item", np.int64)]
-_TRIPLE_FIELDS = [("item", np.int64), ("word", np.int64), ("count", np.float64)]
+
+# A data line's fields (names and dtypes), the layout and the bad-field
+# wording that its parse errors name, and its row from its tab-split fields.
+_Layout = collections.namedtuple("_Layout", "fields text bad_field parse")
+_PAIRS = _Layout([("user", np.int64), ("item", np.int64)], "user<TAB>item",
+                 "non-integer id", lambda f: (int(f[0]), int(f[1])))
+_TRIPLES = _Layout([("item", np.int64), ("word", np.int64), ("count", np.float64)],
+                   "item<TAB>word<TAB>count", "bad field",
+                   lambda f: (int(f[0]), int(f[1]), float(f[2])))
+_WORD_COUNTS = _Layout(_TRIPLES.fields[1:], "word<TAB>count", "bad field",
+                       lambda f: (int(f[0]), float(f[1])))
+_Walk = collections.namedtuple("_Walk", "rows linenos header fault")
 
 
 class RatingsMatrix:
@@ -223,114 +236,126 @@ def load_ratings(path):
     Dimensions come from a ``# users=I items=J`` header when present,
     otherwise from max id + 1.
     """
-    bulk = _read_bulk(path, _PAIR_FIELDS)
-    if bulk is None:
-        return _walk_ratings(path)
-    head, rows = bulk
-    header = _HEADER_RE.match(head)
+    return _ratings(path, *_read_bulk(path, _PAIRS))
+
+
+def _ratings(path, text, read):
+    """load_ratings on ``text``, the contents of ``path``, with the rows and
+    header of ``read``, what _read_bulk returned, or of the line walk when
+    ``read`` is None."""
+    read = read or _walk(path, text, _PAIRS)
+    if read.fault:  # at once: a later header line could still reshape the matrix
+        raise read.fault
+    rows, header = read.rows, read.header
     if header:
         num_users, num_items = int(header.group(1)), int(header.group(2))
-    else:
+    else:  # the largest ids size the matrix
         num_users = int(rows["user"].max()) + 1 if len(rows) else 0
         num_items = int(rows["item"].max()) + 1 if len(rows) else 0
+    pairs = np.column_stack((rows["user"], rows["item"]))
     try:
-        return RatingsMatrix(num_users, num_items,
-                             np.column_stack((rows["user"], rows["item"])))
-    except ValidationError:
-        return _walk_ratings(path)
+        return RatingsMatrix(num_users, num_items, pairs)
+    except ValidationError as exc:
+        fault = _pair_fault(pairs, num_users, num_items, sized=header is None)
+        if fault is None:
+            raise ValidationError(f"{path}: {exc}") from None
+        raise _located(path, text, read, _PAIRS, *fault) from None
 
 
-def _read_bulk(path, fields):
-    """``(first line, rows)`` of a file in the layout the writers produce:
-    an optional ``#`` first line, then lines of tab-separated ``fields``,
-    parsed by one ``np.loadtxt`` call into a structured array.  None when the
-    body does not parse, and the caller walks the file line by line instead.
-
-    The line walk stays the only error locator: the caller also walks a file
-    whose rows fail its checks.  With ``comments=None`` a ``#`` anywhere in
-    the body fails to parse, as do a whitespace-only line among rows, ids
-    of 2**63 and beyond, and ``1_0`` or non-ASCII digits, which ``int()``
-    takes.  Empty lines are skipped, as the line walk skips them.
+def _read_bulk(path, layout):
+    """``(text, read)``: the contents of ``path`` and, for a file in the
+    layout the writers produce (an optional ``#`` first line, then lines of
+    tab-separated ``layout.fields``), the line walk's result without line
+    numbers, its rows parsed by one ``np.loadtxt`` call; ``read`` is None
+    when the body does not parse.  With ``comments=None`` a ``#`` anywhere
+    in the body fails, as do a whitespace-only line among rows, ids of 2**63
+    and beyond, and ``1_0`` or non-ASCII digits, which ``int()`` takes.
+    Empty lines are skipped, as the line walk skips them.
     """
     with open_text(path) as fh:
         text = fh.read()
     skip = text.startswith("#")
     head, _, body = text.partition("\n") if skip else ("", "", text)
-    dtype = np.dtype(fields)
+    dtype = np.dtype(layout.fields)
+    header = _HEADER_RE.match(head)
     if not body or body.isspace():  # loadtxt warns on a body without rows
-        return head, np.empty(0, dtype)
+        return text, _Walk(np.empty(0, dtype), None, header, None)
     try:
-        return head, np.loadtxt(path, dtype=dtype, delimiter="\t", comments=None,
-                                skiprows=int(skip), ndmin=1,
-                                encoding="utf-8")
+        rows = np.loadtxt(path, dtype=dtype, delimiter="\t", comments=None,
+                          skiprows=int(skip), ndmin=1, encoding="utf-8")
     except ValueError:
-        return None
+        return text, None
+    return text, _Walk(rows, None, header, None)
 
 
-def _walk_ratings(path):
-    """load_ratings one line at a time: a rejected file raises an error that
-    names its first bad line."""
-    pairs = []
-    num_users = num_items = None
-    with open_text(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            if line.startswith("#"):
-                m = _HEADER_RE.match(line)
-                if m:
-                    num_users, num_items = int(m.group(1)), int(m.group(2))
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise ParseError(
-                    f"{path}:{lineno}: expected 'user<TAB>item', got {line!r}"
-                )
-            try:
-                pair = int(fields[0]), int(fields[1])
-            except ValueError:
-                raise ParseError(
-                    f"{path}:{lineno}: non-integer id in {line!r}"
-                ) from None
-            if not _INT64_MIN <= min(pair) <= max(pair) <= _INT64_MAX:
-                raise ValidationError(f"{path}:{lineno}: id outside int64 in {line!r}")
-            pairs.append(pair)
-    arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    sized = num_users is None  # no header: the largest ids size the matrix
-    if num_users is None:
-        num_users = int(arr[:, 0].max()) + 1 if len(arr) else 0
-    if num_items is None:
-        num_items = int(arr[:, 1].max()) + 1 if len(arr) else 0
+def _walk(path, text, layout):
+    """The line walk over ``text``, the contents of ``path``: the one reader
+    that decides which lines hold data and which line each row came from.
+
+    A blank line or one that starts with ``#`` holds none; the last
+    ``# users=I items=J`` line is the header.  Every other line is a row of
+    ``layout``, up to the first that does not parse or holds an id outside
+    int64.  Returns ``_Walk(rows, linenos, header, fault)``: a structured
+    array, each row's line number, the header's match, and that first bad
+    line's error, which the caller raises (None when there is no header or
+    no bad line).
+    """
+    rows, linenos, header, fault = [], array.array("q"), None, None
+    for lineno, line in enumerate(text.split("\n"), 1):  # text mode: "\r\n", "\r" are "\n"
+        if not line.strip():
+            continue
+        if line[0] == "#":
+            header = _HEADER_RE.match(line) or header
+            continue
+        fields = line.split("\t")
+        if len(fields) != len(layout.fields):
+            fault = ParseError(f"{path}:{lineno}: expected '{layout.text}', got {line!r}")
+            break
+        try:
+            rows.append(layout.parse(fields))
+        except ValueError:
+            fault = ParseError(f"{path}:{lineno}: {layout.bad_field} in {line!r}")
+            break
+        linenos.append(lineno)
     try:
-        return RatingsMatrix(num_users, num_items, arr)
-    except ValidationError as exc:
-        raise ValidationError(_bad_pair_line(path, num_users, num_items, sized)
-                              or f"{path}: {exc}") from None
+        table = np.array(rows, layout.fields)
+    except OverflowError:  # the first id outside int64 ends the rows
+        ids = np.array(rows, object)[:, [kind is np.int64 for _, kind in layout.fields]]
+        k = int(((ids < _INT64_MIN) | (ids > _INT64_MAX)).any(axis=1).argmax())
+        line = text.split("\n")[linenos[k] - 1]
+        fault = ValidationError(f"{path}:{linenos[k]}: id outside int64 in {line!r}")
+        table, linenos = np.array(rows[:k], layout.fields), linenos[:k]
+    return _Walk(table, linenos, header, fault)
 
 
-def _bad_pair_line(path, num_users, num_items, sized):
-    """``file:line: reason`` of the first pair line (one holding a tab) that
-    RatingsMatrix rejects, or None; the file is read again, so only a
-    rejected file pays for line numbers.  When no pair is at fault and the
-    largest ids ``sized`` the matrix, it names the largest id's first line."""
-    seen = set()
-    largest, lineno_of_largest = -1, None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if "\t" in line and not line.startswith("#"):
-                u, j = (int(field) for field in line.split("\t"))
-                if (u, j) in seen:
-                    return f"{path}:{lineno}: duplicate rating pair ({u}, {j})"
-                if not (0 <= u < num_users and 0 <= j < num_items):
-                    return (f"{path}:{lineno}: pair ({u}, {j}) outside "
-                            f"[0, {num_users}) x [0, {num_items})")
-                seen.add((u, j))
-                if max(u, j) > largest:
-                    largest, lineno_of_largest = max(u, j), lineno
-    if sized and lineno_of_largest:
+def _located(path, text, read, layout, row, reason):
+    """ValidationError ``file:line: reason`` naming the line of ``row``; a
+    file that ``np.loadtxt`` read is walked, in memory, for line numbers."""
+    linenos = _walk(path, text, layout).linenos if read.linenos is None else read.linenos
+    return ValidationError(f"{path}:{linenos[row]}: {reason}")
+
+
+def _pair_fault(pairs, num_users, num_items, sized):
+    """``(row, reason)`` of the first pair in file order that RatingsMatrix
+    rejects, a repeat or one outside the shape, or None.  When no pair is at
+    fault and the largest ids ``sized`` the matrix, the first row holding the
+    largest id."""
+    user, item = pairs[:, 0], pairs[:, 1]
+    order = np.lexsort((item, user))  # stable: a repeat follows its first row
+    repeat = np.zeros(len(pairs), bool)
+    repeat[order[1:]] = (pairs[order[1:]] == pairs[order[:-1]]).all(axis=1)
+    bad = repeat | (user < 0) | (user >= num_users) | (item < 0) | (item >= num_items)
+    if bad.any():
+        k = int(bad.argmax())
+        if repeat[k]:
+            return k, f"duplicate rating pair ({user[k]}, {item[k]})"
+        return k, (f"pair ({user[k]}, {item[k]}) outside "
+                   f"[0, {num_users}) x [0, {num_items})")
+    if sized and len(pairs):
+        k = int(pairs.max(axis=1).argmax())
+        largest = int(pairs[k].max())
         beyond = "beyond int64" if largest == _INT64_MAX else "too large to index"
-        return f"{path}:{lineno_of_largest}: id {largest} sizes the matrix {beyond}"
+        return k, f"id {largest} sizes the matrix {beyond}"
 
 
 def _pairs_text(pairs):
@@ -381,95 +406,67 @@ def load_content(path, mode=BINARY_PRESENCE, num_items=None, vocab_size=None,
     warning.  With ``item_column=False`` each line is ``word<TAB>count`` and
     belongs to item 0: the content of one new item.
     """
-    bulk = _read_bulk(path, _TRIPLE_FIELDS if item_column else _TRIPLE_FIELDS[1:])
-    if bulk is not None:
-        rows = bulk[1]
-        words, counts = rows["word"], rows["count"]
-        items = rows["item"] if item_column else np.zeros(len(rows), np.int64)
-        # the line walk's checks, all at once; the walk names a failure's line
-        if not len(rows) or (
-                ((counts > 0) & (counts < np.inf)).all()
-                and items.max() < (_INT64_MAX if num_items is None else num_items)
-                and words.max() < (_INT64_MAX if vocab_size is None else vocab_size)
-                and min(items.min(), words.min()) >= 0):
-            try:
-                return _content_from_arrays(items, words, counts, mode, num_items, vocab_size)
-            except ValidationError:
-                pass  # too large to index: the line walk names the line
-    triples = _walk_triples(path, num_items, vocab_size, item_column)
-    try:
-        return content_from_triples(triples, mode, num_items=num_items, vocab_size=vocab_size)
-    except ValidationError as exc:
-        if num_items is None and item_column:  # the largest item id sized the matrix
-            raise ValidationError(
-                largest_id_line(path, 0, "the matrix too large to index")) from None
-        raise ValidationError(f"{path}: {exc}") from None
+    layout = _TRIPLES if item_column else _WORD_COUNTS
+    return _content(path, *_read_bulk(path, layout), layout, mode, num_items, vocab_size)
 
 
-def _walk_triples(path, num_items=None, vocab_size=None, item_column=True):
-    """load_content's (item, word, count) triples, one line at a time: a
-    rejected file raises an error that names its first bad line."""
-    layout = "item<TAB>word<TAB>count" if item_column else "word<TAB>count"
-    triples = []
-    with open_text(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if not item_column:
-                fields = ["0"] + fields
-            if len(fields) != 3:
-                raise ParseError(f"{path}:{lineno}: expected '{layout}', got {line!r}")
-            try:
-                item, word, count = int(fields[0]), int(fields[1]), float(fields[2])
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: bad field in {line!r}") from None
-            if not (count > 0 and math.isfinite(count)):
-                raise ValidationError(
-                    f"{path}:{lineno}: count must be positive and finite, got {count}"
-                )
-            if num_items is not None and item >= num_items:
-                raise ValidationError(
-                    f"{path}:{lineno}: item id {item} outside [0, {num_items})"
-                )
-            if vocab_size is not None and word >= vocab_size:
-                raise ValidationError(
-                    f"{path}:{lineno}: word id {word} outside vocabulary of size {vocab_size}"
-                )
-            if item < 0 or word < 0:
-                raise ValidationError(f"{path}:{lineno}: negative id")
-            if max(item, word) > _INT64_MAX:
-                raise ValidationError(f"{path}:{lineno}: id outside int64 in {line!r}")
-            if ((num_items is None and item == _INT64_MAX)
-                    or (vocab_size is None and word == _INT64_MAX)):
-                raise ValidationError(
-                    f"{path}:{lineno}: id {_INT64_MAX} sizes the matrix beyond int64")
-            triples.append((item, word, count))
-    return triples
+def _content(path, text, read, layout, mode, num_items, vocab_size):
+    """load_content on ``text``, the contents of ``path``, with the rows of
+    ``read``, what _read_bulk returned, or of the line walk when ``read`` is
+    None; the walk's fault is raised once the rows before it pass the rules."""
+    read = read or _walk(path, text, layout)
+    rows = read.rows
+    words, counts = rows["word"], rows["count"]
+    items = rows["item"] if layout is _TRIPLES else np.zeros(len(rows), np.int64)
+    fault = _content_fault(items, words, counts, num_items, vocab_size)
+    if fault is None:
+        if read.fault:
+            raise read.fault
+        try:
+            return _content_from_arrays(items, words, counts, mode, num_items, vocab_size)
+        except ValidationError as exc:
+            if num_items is not None or layout is not _TRIPLES:
+                raise ValidationError(f"{path}: {exc}") from None
+            k = int(items.argmax())  # the largest item id sized the matrix
+            fault = k, f"id {items[k]} sizes the matrix too large to index"
+    raise _located(path, text, read, layout, *fault) from None
+
+
+def _content_fault(items, words, counts, num_items, vocab_size):
+    """``(row, reason)`` of the first row that breaks a content rule, or None.
+    The rules, in the order one row is checked: a positive, finite count;
+    ids inside the given shape; ids non-negative; and, where no shape is
+    given, no id of 2**63 - 1, which would size the matrix beyond int64."""
+    rules = [(~((counts > 0) & (counts < np.inf)),
+              lambda k: f"count must be positive and finite, got {counts[k]}")]
+    if num_items is not None:
+        rules.append((items >= num_items,
+                      lambda k: f"item id {items[k]} outside [0, {num_items})"))
+    if vocab_size is not None:
+        rules.append((words >= vocab_size, lambda k: f"word id {words[k]} outside "
+                                                     f"vocabulary of size {vocab_size}"))
+    rules.append(((items < 0) | (words < 0), lambda k: "negative id"))
+    rules += [(ids == _INT64_MAX, lambda k: f"id {_INT64_MAX} sizes the matrix beyond int64")
+              for ids, size in ((items, num_items), (words, vocab_size)) if size is None]
+    firsts = [mask.argmax() if mask.any() else len(counts) for mask, _ in rules]
+    k = min(firsts)
+    return (k, rules[firsts.index(k)][1](k)) if k < len(counts) else None
 
 
 def largest_id_line(path, column, reason):
     """``file:line: id N sizes <reason>``, naming the first line that holds
-    the largest id N of ``column`` (0 for items, 1 for words) in a content
-    file the line walk accepted, when that id sized what ``reason`` rejects;
-    the file is read again, so only a rejected file pays for line numbers."""
-    largest, lineno_of_largest = -1, None
+    the largest id N of ``column`` ("item" or "word") in a content file
+    that load_content accepted, when that id sized what ``reason`` rejects."""
     with open_text(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            if line.strip() and not line.startswith("#"):
-                value = int(line.split("\t")[column])
-                if value > largest:
-                    largest, lineno_of_largest = value, lineno
-    return f"{path}:{lineno_of_largest}: id {largest} sizes {reason}"
+        walk = _walk(path, fh.read(), _TRIPLES)
+    k = int(walk.rows[column].argmax())
+    return f"{path}:{walk.linenos[k]}: id {walk.rows[column][k]} sizes {reason}"
 
 
 def content_from_triples(triples, mode=BINARY_PRESENCE, num_items=None, vocab_size=None):
     """Build a normalized :class:`ContentMatrix` from (item, word, count) triples."""
-    triples = list(triples)
-    return _content_from_arrays(np.array([t[0] for t in triples], dtype=np.int64),
-                                np.array([t[1] for t in triples], dtype=np.int64),
-                                np.array([t[2] for t in triples], dtype=np.float64),
+    rows = np.array([tuple(t) for t in triples], _TRIPLES.fields)
+    return _content_from_arrays(rows["item"], rows["word"], rows["count"],
                                 mode, num_items, vocab_size)
 
 
@@ -579,7 +576,7 @@ def generate_synthetic(num_users, num_items, vocab_size, n_factors, hyper, seed,
 
     Returns (ratings, content, user_factors, item_factors, network).
     """
-    from . import sdae  # local import: sdae does not depend on this module
+    from . import sdae  # local import: sdae imports read_npz and write_npz from here
 
     if min(num_users, num_items, vocab_size, n_factors) < 1:
         raise ArgumentError("all dimensions must be positive")

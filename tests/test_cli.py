@@ -4,10 +4,13 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from cdl import cli, data, factors as mf, metrics, sdae, training
 from cdl.training import HyperParams
@@ -85,6 +88,15 @@ class TestSplitCommand:
         code = run_cli("split", "--ratings", ratings, "--P", 1, "--out", tmp_path / "o")
         assert code == 1
         assert f"{ratings}:3: duplicate rating pair (0, 1)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("blank", ["\t", " \t "], ids=["tab", "spaced-tab"])
+    def test_tab_only_line_before_a_duplicate_named_without_traceback(self, tmp_path, capsys,
+                                                                      blank):
+        ratings = tmp_path / "r.tsv"
+        ratings.write_text(f"0\t1\n{blank}\n0\t1\n")
+        code = run_cli("split", "--ratings", ratings, "--P", 1, "--out", tmp_path / "o")
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {ratings}:3: duplicate rating pair (0, 1)\n"
 
     def test_id_sizing_beyond_int64_named_without_traceback(self, tmp_path, capsys):
         # without a header the largest id sizes the matrix: 2**63 - 1 asks
@@ -527,6 +539,40 @@ def test_config_widths_size_the_content_vocabulary(dataset, tmp_path, capsys,
     else:
         assert code == 1
         assert f"{content}:{len(lines)}: word id 12 outside vocabulary of size 12" in err
+
+
+# Lines of small ratings files: pairs (a line drawn twice is a duplicate),
+# blank and tab-only lines, comments, headers, and negative and 10**12 ids.
+_RATINGS_LINES = ["0\t1", "1\t0", "1\t2", "2\t2", "", " ", "\t", " \t ", "#", "# x",
+                  "# users=3 items=3", "# users=2 items=2", "-1\t0", "0\t-1",
+                  "1000000000000\t1", "0\t1000000000000"]
+_ratings_texts = st.lists(st.sampled_from(_RATINGS_LINES), max_size=6).map(
+    lambda lines: "".join(line + "\n" for line in lines))
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(ratings=_ratings_texts, test=_ratings_texts)
+@example(ratings="0\t1\n\t\n0\t1\n", test="1\t0\n")
+def test_commands_on_small_ratings_files_exit_without_traceback(dataset, tmp_path, ratings,
+                                                                test):
+    # split, train --variant mf, eval and predict each return 0 or 1 and
+    # raise nothing; eval and predict use the model trained on the drawn
+    # ratings, or one trained on the fixture's when that training fails
+    work = Path(tempfile.mkdtemp(dir=tmp_path))
+    (work / "r.tsv").write_text(ratings)
+    (work / "t.tsv").write_text(test)
+    codes = [run_cli("split", "--ratings", work / "r.tsv", "--P", 1, "--out", work / "s"),
+             run_cli("train", "--variant", "mf", "--config", dataset["config"],
+                     "--ratings", work / "r.tsv", "--out", work / "m")]
+    if codes[-1] != 0:
+        assert run_cli("train", "--variant", "mf", "--config", dataset["config"],
+                       "--ratings", dataset["ratings"], "--out", work / "m") == 0
+    codes += [run_cli("eval", "--model", work / "m", "--test", work / "t.tsv",
+                      "--train", work / "r.tsv", "--out", work / "e"),
+              run_cli("predict", "--model", work / "m", "--user", 0,
+                      "--train", work / "r.tsv", "--out", work / "p")]
+    assert set(codes) <= {0, 1}
 
 
 class TestSampleCommand:

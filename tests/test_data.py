@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from cdl import data
@@ -58,10 +58,16 @@ class TestLoadRatings:
         ("0\t1\n1000000000000\t2\n", 2, "id 1000000000000 sizes the matrix too large to index"),
         ("0\t1\n9223372036854775806\t2\n", 2,
          "id 9223372036854775806 sizes the matrix too large to index"),
+        # a whitespace-only line holding a tab is skipped, not read as a pair
+        ("0\t1\n\t\n0\t1\n", 3, "duplicate rating pair (0, 1)"),
+        ("0\t1\n \t \n0\t1\n", 3, "duplicate rating pair (0, 1)"),
+        ("# users=2 items=2\n\t\n0\t1\n\t\t\n-1\t0\n", 5, "pair (-1, 0) outside"),
     ], ids=["duplicate", "first-duplicate-in-file", "item-outside-header",
             "user-outside-header", "id-beyond-int64", "id-below-int64",
             "user-id-sizes-beyond-int64", "item-id-sizes-beyond-int64",
-            "user-id-sizes-beyond-memory", "user-id-sizes-empty-arange"])
+            "user-id-sizes-beyond-memory", "user-id-sizes-empty-arange",
+            "tab-line-before-duplicate", "spaced-tab-line-before-duplicate",
+            "tab-lines-before-negative-id"])
     def test_rejected_pair_names_file_and_line(self, tmp_path, text, lineno, reason):
         path = write(tmp_path, "r.tsv", text)
         with pytest.raises(ValidationError) as info:
@@ -491,28 +497,34 @@ _ODD_FIELDS = st.sampled_from(
 
 @st.composite
 def _mutation(draw, lines, columns):
-    """``lines`` with one change, as text."""
-    lines = list(lines)
-    k = draw(st.integers(0, len(lines) - 1))
-    kind = draw(st.sampled_from(["blank", "comment", "crlf", "cr", "field", "fields",
-                                 "repeat", "none"]))
-    if kind == "blank":
-        lines.insert(k, draw(st.sampled_from(["", " ", "\t"])))
-    elif kind == "comment":
-        lines.insert(k, draw(st.sampled_from(["# x", "# users=9 items=9", "#"])))
-    elif kind == "fields":
-        fields = lines[k].split("\t")
-        lines[k] = "\t".join(fields[:1] if draw(st.booleans()) else fields + ["0"])
-    elif kind == "repeat":
-        lines.insert(k, lines[k])
-    elif kind == "field" and not lines[k].startswith("#"):
-        fields = lines[k].split("\t")
-        column = draw(st.integers(0, min(columns, len(fields)) - 1))
-        fields[column] = draw(st.one_of(_ODD_FIELDS, st.integers(-3, 12).map(str),
-                                        st.text("0123456789+-._ eE#nainf\t", max_size=4)))
-        lines[k] = "\t".join(fields)
-    newline = {"crlf": "\r\n", "cr": "\r"}.get(kind, "\n")
+    """``lines`` with one or two changes, as text."""
+    lines, newline = list(lines), "\n"
+    for _ in range(draw(st.integers(1, 2))):
+        k = draw(st.integers(0, len(lines) - 1))
+        kind = draw(st.sampled_from(["blank", "comment", "crlf", "cr", "field", "fields",
+                                     "repeat", "none"]))
+        if kind == "blank":
+            lines.insert(k, draw(st.sampled_from(["", " ", "\t", " \t "])))
+        elif kind == "comment":
+            lines.insert(k, draw(st.sampled_from(["# x", "# users=9 items=9", "#"])))
+        elif kind == "fields":
+            fields = lines[k].split("\t")
+            lines[k] = "\t".join(fields[:1] if draw(st.booleans()) else fields + ["0"])
+        elif kind == "repeat":
+            lines.insert(k, lines[k])
+        elif kind == "field" and not lines[k].startswith("#"):
+            fields = lines[k].split("\t")
+            column = draw(st.integers(0, min(columns, len(fields)) - 1))
+            fields[column] = draw(st.one_of(_ODD_FIELDS, st.integers(-3, 12).map(str),
+                                            st.text("0123456789+-._ eE#nainf\t", max_size=4)))
+            lines[k] = "\t".join(fields)
+        newline = {"crlf": "\r\n", "cr": "\r"}.get(kind, newline)
     return newline.join(lines) + draw(st.sampled_from([newline, ""]))
+
+
+@st.composite
+def _mutated_ratings(draw):
+    return draw(_mutation(draw(_canonical_ratings())[0], 2))
 
 
 class TestBulkReaders:
@@ -548,11 +560,15 @@ class TestBulkReaders:
 
     @settings(max_examples=400, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(data_=st.data())
-    def test_mutated_ratings_read_as_the_line_walk_reads_them(self, tmp_path, data_):
-        lines, _, _ = data_.draw(_canonical_ratings())
-        path = _new_file(tmp_path, data_.draw(_mutation(lines, 2)))
-        both = _same_outcome(lambda: data.load_ratings(path), lambda: data._walk_ratings(path))
+    @given(text=_mutated_ratings())
+    # a whitespace-only line holding a tab, with a repeat or a negative id
+    @example(text="0\t1\n\t\n0\t1\n")
+    @example(text="0\t1\n \t \n0\t1\n")
+    @example(text="# users=2 items=2\n\t\n0\t-1\n")
+    def test_mutated_ratings_read_as_the_line_walk_reads_them(self, tmp_path, text):
+        path = _new_file(tmp_path, text)
+        both = _same_outcome(lambda: data.load_ratings(path),
+                             lambda: data._ratings(path, path.read_text(encoding="utf-8"), None))
         if both:
             a, b = both
             assert (a.num_users, a.num_items) == (b.num_users, b.num_items)
@@ -568,8 +584,9 @@ class TestBulkReaders:
         path = _new_file(tmp_path, data_.draw(_mutation(lines, 3 if item_column else 2)))
         both = _same_outcome(
             lambda: data.load_content(path, mode=mode, item_column=item_column, **shape),
-            lambda: data.content_from_triples(
-                data._walk_triples(path, item_column=item_column, **shape), mode, **shape))
+            lambda: data._content(path, path.read_text(encoding="utf-8"), None,
+                                  data._TRIPLES if item_column else data._WORD_COUNTS,
+                                  mode, shape.get("num_items"), shape.get("vocab_size")))
         if both:
             _assert_same_content(*both)
 
