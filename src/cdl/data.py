@@ -418,18 +418,22 @@ def _content(path, text, read, layout, mode, num_items, vocab_size):
     rows = read.rows
     words, counts = rows["word"], rows["count"]
     items = rows["item"] if layout is _TRIPLES else np.zeros(len(rows), np.int64)
+
+    def located(k, reason):
+        if k is None and (num_items is not None or layout is not _TRIPLES):
+            return ValidationError(f"{path}: {reason}")
+        if k is None:
+            k = int(items.argmax())  # the largest item id sized the matrix
+            reason = f"id {items[k]} sizes the matrix too large to index"
+        return _located(path, text, read, layout, k, reason)
+
     fault = _content_fault(items, words, counts, num_items, vocab_size)
     if fault is None:
         if read.fault:
             raise read.fault
-        try:
-            return _content_from_arrays(items, words, counts, mode, num_items, vocab_size)
-        except ValidationError as exc:
-            if num_items is not None or layout is not _TRIPLES:
-                raise ValidationError(f"{path}: {exc}") from None
-            k = int(items.argmax())  # the largest item id sized the matrix
-            fault = k, f"id {items[k]} sizes the matrix too large to index"
-    raise _located(path, text, read, layout, *fault) from None
+        return _content_from_arrays(items, words, counts, mode, num_items, vocab_size,
+                                    located)
+    raise located(*fault) from None
 
 
 def _content_fault(items, words, counts, num_items, vocab_size):
@@ -466,12 +470,14 @@ def largest_id_line(path, column, reason):
 def content_from_triples(triples, mode=BINARY_PRESENCE, num_items=None, vocab_size=None):
     """Build a normalized :class:`ContentMatrix` from (item, word, count) triples."""
     rows = np.array([tuple(t) for t in triples], _TRIPLES.fields)
-    return _content_from_arrays(rows["item"], rows["word"], rows["count"],
-                                mode, num_items, vocab_size)
+    return _content_from_arrays(
+        rows["item"], rows["word"], rows["count"], mode, num_items, vocab_size,
+        lambda k, reason: ValidationError(reason if k is None else f"triple {k}: {reason}"))
 
 
-def _content_from_arrays(items, words, counts, mode, num_items, vocab_size):
-    """content_from_triples on the triples' three columns."""
+def _content_from_arrays(items, words, counts, mode, num_items, vocab_size, located):
+    """content_from_triples on the triples' three columns; ``located(row,
+    reason)`` is the error naming a rejected row, or the shape for row None."""
     if mode not in (BINARY_PRESENCE, COUNT_MAXNORM):
         raise ArgumentError(f"unknown normalization mode {mode!r}")
     if num_items is None:
@@ -482,9 +488,13 @@ def _content_from_arrays(items, words, counts, mode, num_items, vocab_size):
     try:
         counts = coo.tocsr()
     except (MemoryError, ValueError):  # the row pointers cannot be allocated
-        raise ValidationError(f"matrix dimensions {num_items} x {vocab_size} "
-                              "too large to index") from None
+        raise located(None, f"matrix dimensions {num_items} x {vocab_size} "
+                            "too large to index") from None
     counts.sum_duplicates()
+    if not np.isfinite(counts.data).all():
+        summed = counts[items, words].A1  # each row's pair total, in file order
+        k = int(np.argmax(~np.isfinite(summed)))
+        raise located(k, f"counts of item {items[k]}, word {words[k]} sum to {summed[k]}")
     lengths = np.diff(counts.indptr)
     if mode == BINARY_PRESENCE:
         counts.data = np.ones_like(counts.data)

@@ -2,13 +2,12 @@
 
 User and item vectors have conjugate Gaussian conditionals and are drawn
 exactly, a whole block per pass through the MAP sweeps' grouped solves.
-Weight columns (with their bias entry) and per-item hidden rows are updated
-by Langevin Metropolis steps whose acceptance ratio carries the
-asymmetric-proposal correction, so the kernel targets the exact conditional.
-Each conditional is one function returning (log density, gradient), evaluated
-once at the current point and once at the proposal.  Step sizes adapt toward
-a 20-40% acceptance band during burn-in and are then frozen.
-"""
+Given the weights and adjacent layers, one layer's hidden rows are
+conditionally independent, as are one layer's weight columns with their
+biases, so each such block takes one batched Langevin Metropolis step: a
+proposal per row in array ops, with the asymmetric-proposal correction and
+a per-row accept/reject.  Step sizes adapt toward a 20-40% acceptance band
+during burn-in and are then frozen."""
 
 from __future__ import annotations
 
@@ -31,76 +30,81 @@ ADAPT_DECAY = 0.6
 ADAPT_INTERVAL = 10   # scans pooled per adaptation window
 
 
-def _w_col_density(w, x_prev, x_col, lambda_w, lambda_s):
-    """(log density, gradient) of one weight column with its bias entry.
+def _sq_rows(a):
+    """Squared Euclidean norm of each row."""
+    return np.einsum("ij,ij->i", a, a)
 
-    ``w`` is the column stacked with its bias as last entry; ``x_prev`` holds
-    the previous layer's rows (items x width) and ``x_col`` the current
-    layer's column the weights feed.  Constant terms are dropped.
-    """
-    w = np.asarray(w, dtype=np.float64)
-    if not np.isfinite(w).all():
+
+def _w_col_density(cols, x_prev, x_cur, lambda_w, lambda_s):
+    """(log densities, gradients) of weight columns: row n of ``cols`` is
+    column n with its bias as last entry, feeding column n of ``x_cur`` (1-D
+    for one column) from the previous layer's rows ``x_prev``.  Constant
+    terms are dropped."""
+    cols = np.asarray(cols, dtype=np.float64)
+    if not np.isfinite(cols).all():
         raise NumericError("non-finite weight column")
-    s = expit(x_prev @ w[:-1] + w[-1])
-    resid = x_col - s
+    s = expit(x_prev @ cols[:, :-1].T + cols[:, -1])
+    resid = np.reshape(x_cur, s.shape) - s
     back = lambda_s * resid * s * (1.0 - s)
-    value = -0.5 * lambda_w * float(w @ w) - 0.5 * lambda_s * float(resid @ resid)
-    return value, np.append(x_prev.T @ back, back.sum()) - lambda_w * w
+    value = -0.5 * lambda_w * _sq_rows(cols) - 0.5 * lambda_s * _sq_rows(resid.T)
+    return value, np.hstack([back.T @ x_prev, back.sum(axis=0)[:, None]]) - lambda_w * cols
 
 
 def _x_row_density(layer, num_layers, x, mean_in, lambda_s, *, w_out=None,
                    b_out=None, next_row=None, xc_row=None, lambda_n=None,
                    v_row=None, lambda_v=None):
-    """(log density, gradient) of one hidden row at the given layer: the
-    Gaussian around its incoming mean ``mean_in``, then the outgoing Gaussian
-    toward the next layer, or on the last layer the clean content row with
-    precision ``lambda_n``, and at the middle layer the item-vector coupling."""
+    """(log densities, gradients) of hidden rows at the given layer, one per
+    row of ``x``: the Gaussian around its incoming mean (row of ``mean_in``),
+    then the outgoing Gaussian toward its row of the next layer, or on the
+    last layer its clean content row with precision ``lambda_n``, and at the
+    middle layer the item-vector coupling.  The row arguments hold one row
+    per row of ``x``; a single 1-D row is shared by all."""
     if not 1 <= layer <= num_layers:
         raise ArgumentError(f"layer must lie in [1, {num_layers}], got {layer}")
     x = np.asarray(x, dtype=np.float64)
     diff = x - mean_in
-    value = -0.5 * lambda_s * float(diff @ diff)
+    value = -0.5 * lambda_s * _sq_rows(diff)
     grad = -lambda_s * diff
     if layer == num_layers:
         if xc_row is None or lambda_n is None:
             raise ArgumentError("last layer needs xc_row and lambda_n")
         diff = xc_row - x
-        value += -0.5 * lambda_n * float(diff @ diff)
+        value -= 0.5 * lambda_n * _sq_rows(diff)
         grad += lambda_n * diff
     else:
         if w_out is None or b_out is None or next_row is None:
             raise ArgumentError(f"layer {layer} needs w_out, b_out and next_row")
         s = expit(x @ w_out + b_out)
         diff = next_row - s
-        value += -0.5 * lambda_s * float(diff @ diff)
-        grad += lambda_s * (w_out @ (diff * s * (1.0 - s)))
+        value -= 0.5 * lambda_s * _sq_rows(diff)
+        grad += lambda_s * ((diff * s * (1.0 - s)) @ w_out.T)
     if layer == num_layers // 2:
         if v_row is None or lambda_v is None:
             raise ArgumentError("middle layer needs v_row and lambda_v")
         diff = v_row - x
-        value += -0.5 * lambda_v * float(diff @ diff)
+        value -= 0.5 * lambda_v * _sq_rows(diff)
         grad += lambda_v * diff
     return value, grad
 
 
 def logpost_w_col(w_col_plus, x_prev, x_col, lambda_w, lambda_s):
     """Unnormalized log conditional of one weight column with its bias entry."""
-    return _w_col_density(w_col_plus, x_prev, x_col, lambda_w, lambda_s)[0]
+    return _w_col_density([w_col_plus], x_prev, x_col, lambda_w, lambda_s)[0][0]
 
 
 def grad_logpost_w_col(w_col_plus, x_prev, x_col, lambda_w, lambda_s):
-    return _w_col_density(w_col_plus, x_prev, x_col, lambda_w, lambda_s)[1]
+    return _w_col_density([w_col_plus], x_prev, x_col, lambda_w, lambda_s)[1][0]
 
 
 def logpost_x_row(layer, num_layers, x, prev_row, w_in, b_in, lambda_s, **couplings):
     """Unnormalized log conditional of one hidden row; see ``_x_row_density``."""
     mean_in = expit(prev_row @ w_in + b_in)
-    return _x_row_density(layer, num_layers, x, mean_in, lambda_s, **couplings)[0]
+    return _x_row_density(layer, num_layers, [x], mean_in, lambda_s, **couplings)[0][0]
 
 
 def grad_logpost_x_row(layer, num_layers, x, prev_row, w_in, b_in, lambda_s, **couplings):
     mean_in = expit(prev_row @ w_in + b_in)
-    return _x_row_density(layer, num_layers, x, mean_in, lambda_s, **couplings)[1]
+    return _x_row_density(layer, num_layers, [x], mean_in, lambda_s, **couplings)[1][0]
 
 
 def _gaussian_draw(mean, upper, z):
@@ -137,32 +141,34 @@ def _draw_rows(out, F, ptr, cols, conf, lam, rng, priors=None):
 
 
 def _log_ratio(x, here, proposal, there, step):
-    """mala_log_ratio from the (log density, gradient) pairs at both points."""
+    """Metropolis-Hastings log acceptance ratio of each row's Langevin
+    proposal, from the (log density, gradient) pairs at both points."""
     half = 0.5 * step * step
     fwd = proposal - x - half * here[1]
     rev = x - proposal - half * there[1]
-    return (there[0] - here[0]
-            + (float(fwd @ fwd) - float(rev @ rev)) / (2.0 * step * step))
+    return there[0] - here[0] + (_sq_rows(fwd) - _sq_rows(rev)) / (2.0 * step * step)
 
 
 def mala_log_ratio(logpost, grad, x, proposal, step):
-    """Metropolis-Hastings log acceptance ratio for a Langevin proposal.
+    """Metropolis-Hastings log acceptance ratio for one Langevin proposal.
 
     Swapping (x, proposal) flips the sign exactly: the kernel is reversible.
     """
-    return _log_ratio(x, (logpost(x), grad(x)), proposal,
-                      (logpost(proposal), grad(proposal)), step)
+    return _log_ratio(np.atleast_2d(x), (logpost(x), grad(x)), np.atleast_2d(proposal),
+                      (logpost(proposal), grad(proposal)), step)[0]
 
 
-def _mala_update(x, density, step, rng):
-    """One Langevin Metropolis step; ``density`` returns (log density,
-    gradient) and is evaluated at x and at the proposal only."""
-    here = density(x)
-    proposal = x + 0.5 * step * step * here[1] + step * rng.standard_normal(x.shape)
-    log_ratio = _log_ratio(x, here, proposal, density(proposal), step)
-    if log_ratio >= 0.0 or rng.random() < math.exp(log_ratio):
-        return proposal, True
-    return x, False
+def _mala_block(rows, density, step, rng):
+    """One Langevin Metropolis step for every row of ``rows``, in place;
+    ``density`` maps rows to their (log densities, gradients).  Draws one
+    normal per entry, then one uniform per row, always; row i moves iff its
+    log ratio r >= 0 or its uniform < exp(r).  Returns (accepted, proposed)."""
+    here = density(rows)
+    proposal = rows + 0.5 * step * step * here[1] + step * rng.standard_normal(rows.shape)
+    log_ratio = _log_ratio(rows, here, proposal, density(proposal), step)
+    moved = (log_ratio >= 0.0) | (rng.random(len(rows)) < np.exp(np.minimum(log_ratio, 0.0)))
+    rows[moved] = proposal[moved]
+    return int(moved.sum()), len(rows)
 
 
 @dataclass
@@ -204,9 +210,9 @@ class ChainSummary:
                 fh.write("\t".join(cells) + "\n")
 
 
-def log_joint(state, ratings, content, hyper):
+def log_joint(state, ratings, clean, hyper):
     """Finite-precision joint log density (up to a constant) of the current
-    chain state, including the per-layer consistency terms."""
+    chain state, per-layer consistency terms included; ``clean`` is dense."""
     net = state.net
     L = net.num_layers
     lam_s = hyper.lambda_s
@@ -214,7 +220,7 @@ def log_joint(state, ratings, content, hyper):
     value += -0.5 * hyper.lambda_w * net.squared_norm()
     offsets = state.V - state.layers[net.middle]
     value += -0.5 * hyper.lambda_v * float(np.sum(offsets * offsets))
-    recon = content.toarray() - state.layers[L]
+    recon = clean - state.layers[L]
     value += -0.5 * hyper.lambda_n * float(np.sum(recon * recon))
     for l in range(1, L + 1):
         mean = expit(state.layers[l - 1] @ net.weights[l - 1] + net.biases[l - 1])
@@ -224,40 +230,10 @@ def log_joint(state, ratings, content, hyper):
     return value
 
 
-def _mala_rows(rows, density_of, step, rng):
-    """One Langevin Metropolis step per row of ``rows``, in place, with row i's
-    density from ``density_of(i)``; returns (accepted, proposed)."""
-    accepted = 0
-    for i, row in enumerate(rows):
-        new, ok = _mala_update(row, density_of(i), step, rng)
-        if ok:
-            rows[i] = new
-            accepted += 1
-    return accepted, len(rows)
-
-
-def _x_row_densities(state, l, xc, hyper):
-    """density_of(j) for the hidden rows of layer l; each row's incoming mean
-    is computed once, when its density is built."""
-    net = state.net
-    L = net.num_layers
-
-    def density_of(j):
-        if l == L:
-            kw = {"xc_row": xc[j], "lambda_n": hyper.lambda_n}
-        else:
-            kw = {"w_out": net.weights[l], "b_out": net.biases[l],
-                  "next_row": state.layers[l + 1][j]}
-        if l == net.middle:
-            kw.update(v_row=state.V[j], lambda_v=hyper.lambda_v)
-        mean_in = expit(state.layers[l - 1][j] @ net.weights[l - 1] + net.biases[l - 1])
-        return lambda x: _x_row_density(l, L, x, mean_in, hyper.lambda_s, **kw)
-    return density_of
-
-
-def mwg_step(state, ratings, content, hyper, rng,
+def mwg_step(state, ratings, clean, hyper, rng,
              blocks=("w", "x", "v", "u")):
-    """One full scan; returns per-block (accepted, proposed) counts."""
+    """One full scan over the dense clean content ``clean``; returns
+    per-block (accepted, proposed) counts."""
     net = state.net
     L = net.num_layers
     conf = hyper.confidence()
@@ -267,16 +243,23 @@ def mwg_step(state, ratings, content, hyper, rng,
             W, b = net.weights[l - 1], net.biases[l - 1]
             x_prev, x_cur = state.layers[l - 1], state.layers[l]
             cols = np.hstack([W.T, b[:, None]])  # row n: column n with its bias
-            counts[f"w{l}"] = _mala_rows(
-                cols, lambda n: lambda w: _w_col_density(w, x_prev, x_cur[:, n],
-                                                         hyper.lambda_w, hyper.lambda_s),
+            counts[f"w{l}"] = _mala_block(
+                cols, lambda c: _w_col_density(c, x_prev, x_cur, hyper.lambda_w,
+                                               hyper.lambda_s),
                 state.steps[f"w{l}"], rng)
             W[:], b[:] = cols[:, :-1].T, cols[:, -1]
     if "x" in blocks:
-        xc = content.toarray()
         for l in range(1, L + 1):
-            counts[f"x{l}"] = _mala_rows(state.layers[l], _x_row_densities(state, l, xc, hyper),
-                                         state.steps[f"x{l}"], rng)
+            kw = ({"xc_row": clean, "lambda_n": hyper.lambda_n} if l == L else
+                  {"w_out": net.weights[l], "b_out": net.biases[l],
+                   "next_row": state.layers[l + 1]})
+            if l == net.middle:
+                kw.update(v_row=state.V, lambda_v=hyper.lambda_v)
+            mean_in = expit(state.layers[l - 1] @ net.weights[l - 1] + net.biases[l - 1])
+            counts[f"x{l}"] = _mala_block(
+                state.layers[l],
+                lambda x: _x_row_density(l, L, x, mean_in, hyper.lambda_s, **kw),
+                state.steps[f"x{l}"], rng)
     if "v" in blocks:
         _draw_rows(state.V, state.U, *_item_rows(ratings), conf, hyper.lambda_v, rng,
                    priors=state.layers[net.middle])
@@ -318,6 +301,7 @@ def run_chain(ratings, content, hyper, iters, burn_in, thin=1,
     net = sdae.init_network(widths, net_seed, hyper.lambda_w)
     x0 = corrupt(content, hyper.noise_level, noise_seed)
     layers = [x0.matrix.toarray()] + sdae.forward(net, x0)[1:]
+    clean = content.toarray()
     state = SamplerState(
         net=net, layers=layers,
         U=np.zeros((ratings.num_users, hyper.n_factors)),
@@ -327,7 +311,7 @@ def run_chain(ratings, content, hyper, iters, burn_in, thin=1,
     )
 
     def scan(totals):
-        for block, pair in mwg_step(state, ratings, content, hyper, rng,
+        for block, pair in mwg_step(state, ratings, clean, hyper, rng,
                                     blocks=blocks).items():
             totals[block] = [t + c for t, c in zip(totals.get(block, (0, 0)), pair)]
 
@@ -342,7 +326,7 @@ def run_chain(ratings, content, hyper, iters, burn_in, thin=1,
              "v_0_0": lambda: state.V[0, 0],
              "w1_0_0": lambda: net.weights[0][0, 0],
              "x_mid_0_0": lambda: state.layers[net.middle][0, 0],
-             "log_joint": lambda: log_joint(state, ratings, content, hyper)}
+             "log_joint": lambda: log_joint(state, ratings, clean, hyper)}
     post_counts, running, kept = {}, {}, []
     for it in range(burn_in, iters):
         scan(post_counts)

@@ -575,6 +575,50 @@ def test_commands_on_small_ratings_files_exit_without_traceback(dataset, tmp_pat
     assert set(codes) <= {0, 1}
 
 
+# Config lines for `cdl sample`: the fixture's vocabulary has 8 words and
+# n_factors=3, so widths 5,3,5 is too narrow for it, 12,3,12 wide enough,
+# and 8,2,8 and 8,3 are malformed; the other values lie outside their field's
+# domain, or on its edge.
+_SAMPLE_CONFIG_LINES = [
+    "lambda_s=inf", "lambda_s=nan", "lambda_s=-1", "lambda_s=1e-300",
+    "widths=5,3,5", "widths=12,3,12", "widths=8,2,8", "widths=8,3", "widths=8,4,3,4,8",
+    "noise_level=2.0", "noise_level=1.0", "n_factors=0", "lambda_w=0", "lambda_u=inf",
+    "lambda_v=inf", "conf_b=2.0", "conf_a=inf", "dropout_rate=1.0", "seed=-1",
+]
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lines=st.lists(st.sampled_from(_SAMPLE_CONFIG_LINES), max_size=3),
+       chain=st.one_of(st.tuples(st.integers(3, 6), st.integers(0, 2), st.integers(1, 3)),
+                       st.tuples(st.integers(-1, 6), st.integers(-2, 4), st.integers(-1, 3))))
+@example(lines=["lambda_s=inf"], chain=(4, 2, 1))
+@example(lines=["widths=5,3,5"], chain=(4, 2, 1))
+@example(lines=["noise_level=2.0"], chain=(4, 2, 1))
+@example(lines=[], chain=(2, 2, 0))
+@example(lines=[], chain=(6, 0, 5))
+def test_sample_on_bad_config_values_and_chain_lengths_exits_without_traceback(
+        dataset, tmp_path, capsys, lines, chain):
+    # each drawn line replaces its key's line in a config the sampler can
+    # run (lambda_s=100), and half the chains are valid (iters, burn-in,
+    # thin); the command returns 0, or 1 with an error line
+    config = {line.split("=")[0]: line
+              for line in dataset["config"].read_text().splitlines()}
+    config["lambda_s"] = "lambda_s=100.0"
+    config.update((line.split("=")[0], line) for line in lines)
+    work = Path(tempfile.mkdtemp(dir=tmp_path))
+    (work / "config.txt").write_text("\n".join(config.values()) + "\n")
+    capsys.readouterr()
+    code = run_cli("sample", "--config", work / "config.txt", "--ratings", dataset["ratings"],
+                   "--content", dataset["content"], "--iters", chain[0],
+                   "--burn-in", chain[1], "--thin", chain[2], "--out", work / "o")
+    err = capsys.readouterr().err
+    assert code in (0, 1)
+    assert "Traceback" not in err
+    if code:
+        assert any(line.startswith("error: ") for line in err.splitlines()), err
+
+
 class TestSampleCommand:
     @pytest.mark.parametrize("iters, burn_in, thin, flag", [
         (30, 15, 0, "--thin must be at least 1"),

@@ -181,6 +181,27 @@ class TestLoadContent:
                 with pytest.raises(ValidationError, match=f"{name}:2: count must be positive and finite"):
                     data.load_content(path, mode=mode)
 
+    # two finite counts of one pair that sum to inf: under count-maxnorm the
+    # row's max was inf, and inf / inf a NaN with a RuntimeWarning
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("mode", [data.BINARY_PRESENCE, data.COUNT_MAXNORM])
+    @pytest.mark.parametrize("shape", [{}, {"num_items": 2}, {"num_items": 2, "vocab_size": 3}])
+    def test_pair_counts_summing_past_float_range_name_first_line(self, tmp_path, mode,
+                                                                  shape):
+        reason = "counts of item 0, word 1 sum to inf"
+        path = write(tmp_path, "c.tsv", "1\t0\t1\n0\t1\t1e308\n0\t2\t1\n0\t1\t1e308\n")
+        with pytest.raises(ValidationError) as info:
+            data.load_content(path, mode=mode, **shape)
+        assert str(info.value) == f"{path}:2: {reason}"
+        path = write(tmp_path, "one.tsv", "1\t1e308\n# a note\n1\t1e308\n")
+        with pytest.raises(ValidationError) as info:
+            data.load_content(path, mode=mode, item_column=False)
+        assert str(info.value) == f"{path}:1: {reason}"
+        triples = [(1, 0, 1.0), (0, 1, 1e308), (0, 2, 1.0), (0, 1, 1e308)]
+        with pytest.raises(ValidationError) as info:
+            data.content_from_triples(triples, mode, **shape)
+        assert str(info.value) == f"triple 1: {reason}"
+
     def test_id_beyond_int64_names_file_and_line(self, tmp_path):
         path = write(tmp_path, "c.tsv", "0\t1\t1\n0\t99999999999999999999\t1\n")
         with pytest.raises(ValidationError) as info:

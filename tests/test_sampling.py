@@ -1,14 +1,19 @@
+import copy
 import dataclasses
 import math
 
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.special import expit
 
 from cdl import data, factors as mf, sampling, sdae
-from cdl.exceptions import ArgumentError
+from cdl.exceptions import ArgumentError, NumericError
 from cdl.factors import ConfidenceParams
 from cdl.training import HyperParams
+
+# an overflow or invalid value in the kernel's array ops fails the test
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def chain_hyper(**kw):
@@ -322,7 +327,7 @@ class TestMetropolisKernel:
         )
         before_w = [w.copy() for w in net.weights]
         before_x = [x.copy() for x in layers]
-        counts = sampling.mwg_step(state, ratings, content, hyper,
+        counts = sampling.mwg_step(state, ratings, content.toarray(), hyper,
                                    np.random.default_rng(2), blocks=("w", "x"))
         for acc, prop in counts.values():
             assert acc == prop
@@ -333,6 +338,8 @@ class TestMetropolisKernel:
 
 
     def test_each_proposal_evaluates_its_conditional_twice(self, monkeypatch):
+        # each block's density is evaluated twice per scan, over all of the
+        # block's rows each time: 2 x proposed rows
         ratings, content = tiny_chain_data()
         hyper = chain_hyper()
         net = sdae.init_network(hyper.widths, np.random.SeedSequence(0), hyper.lambda_w)
@@ -342,46 +349,45 @@ class TestMetropolisKernel:
         state = sampling.SamplerState(
             net=net, layers=layers, U=np.zeros((5, 2)), V=layers[net.middle].copy(),
             steps={f"{kind}{l}": 0.1 for kind in "wx" for l in range(1, 5)})
-        calls = {"w": 0, "x": 0}
+        rows = {"w": [], "x": []}  # rows evaluated, per call
 
-        def counted(kind, density):
+        def counted(kind, density, position):
             def wrapped(*args, **kwargs):
-                calls[kind] += 1
+                rows[kind].append(len(args[position]))
                 return density(*args, **kwargs)
             return wrapped
 
         monkeypatch.setattr(sampling, "_w_col_density",
-                            counted("w", sampling._w_col_density))
+                            counted("w", sampling._w_col_density, 0))
         monkeypatch.setattr(sampling, "_x_row_density",
-                            counted("x", sampling._x_row_density))
-        counts = sampling.mwg_step(state, ratings, content, hyper,
+                            counted("x", sampling._x_row_density, 2))
+        counts = sampling.mwg_step(state, ratings, content.toarray(), hyper,
                                    np.random.default_rng(3), blocks=("w", "x"))
         for kind in "wx":
-            proposed = sum(prop for block, (_, prop) in counts.items()
-                           if block.startswith(kind))
-            assert proposed > 0
-            assert calls[kind] == 2 * proposed
+            proposed = [prop for block, (_, prop) in counts.items()
+                        if block.startswith(kind)]
+            assert len(proposed) == 4 and all(proposed)
+            assert rows[kind] == [p for p in proposed for _ in range(2)]
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_langevin_kernel_leaves_gaussian_invariant(self, seed):
         # start 4000 independent points at draws from N(mu, P^-1) and take 5
-        # kernel steps each: the points must still follow the target
+        # kernel steps, all points as one block: they must still follow the
+        # target
         mu = np.array([1.0, -2.0, 0.5])
         P = np.array([[2.0, 0.6, 0.0], [0.6, 1.0, 0.3], [0.0, 0.3, 0.5]])
         cov = np.linalg.inv(P)
 
-        def density(x):
-            d = x - mu
-            return -0.5 * float(d @ P @ d), -(P @ d)
+        def density(X):
+            d = X - mu
+            return -0.5 * np.einsum("ij,jk,ik->i", d, P, d), -(d @ P)
 
         rng = np.random.default_rng(seed)
         n = 4000
         points = rng.multivariate_normal(mu, cov, size=n)
-        for i in range(n):
-            x = points[i]
-            for _ in range(5):
-                x, _ = sampling._mala_update(x, density, 0.8, rng)
-            points[i] = x
+        for _ in range(5):
+            accepted, proposed = sampling._mala_block(points, density, 0.8, rng)
+            assert proposed == n and 0 < accepted < n
         se = np.sqrt(np.diag(cov) / n)
         assert np.all(np.abs(points.mean(axis=0) - mu) < 4 * se)
         np.testing.assert_allclose(points.var(axis=0, ddof=1), np.diag(cov), rtol=0.1)
@@ -487,8 +493,7 @@ class TestLogJoint:
             net=net, layers=layers,
             U=rng.normal(size=(5, 2)), V=rng.normal(size=(5, 2)),
         )
-        got = sampling.log_joint(state, ratings, content, hyper)
-        from scipy.special import expit
+        got = sampling.log_joint(state, ratings, content.toarray(), hyper)
         expected = -0.5 * hyper.lambda_u * np.sum(state.U ** 2)
         expected += -0.5 * hyper.lambda_w * net.squared_norm()
         expected += -0.5 * hyper.lambda_v * np.sum((state.V - layers[2]) ** 2)
@@ -500,58 +505,108 @@ class TestLogJoint:
         np.testing.assert_allclose(got, expected, rtol=1e-12)
 
 
-def reference_mwg_step(state, ratings, content, hyper, rng, blocks=("w", "x", "v", "u")):
-    """The scan as written before both Metropolis blocks shared one row
-    loop: a propose/accept/write-back/count loop per block, each weight
-    column copied out with its bias and written back when accepted."""
+def row_w_col_density(w, x_prev, x_col, lambda_w, lambda_s):
+    """(log density, gradient) of one weight column with its bias as last
+    entry: the per-row form of sampling._w_col_density."""
+    s = expit(x_prev @ w[:-1] + w[-1])
+    resid = x_col - s
+    back = lambda_s * resid * s * (1.0 - s)
+    value = -0.5 * lambda_w * float(w @ w) - 0.5 * lambda_s * float(resid @ resid)
+    return value, np.append(x_prev.T @ back, back.sum()) - lambda_w * w
+
+
+def row_x_density(layer, num_layers, x, mean_in, lambda_s, w_out=None, b_out=None,
+                  next_row=None, xc_row=None, lambda_n=None, v_row=None, lambda_v=None):
+    """(log density, gradient) of one hidden row: the per-row form of
+    sampling._x_row_density."""
+    diff = x - mean_in
+    value = -0.5 * lambda_s * float(diff @ diff)
+    grad = -lambda_s * diff
+    if layer == num_layers:
+        diff = xc_row - x
+        value += -0.5 * lambda_n * float(diff @ diff)
+        grad += lambda_n * diff
+    else:
+        s = expit(x @ w_out + b_out)
+        diff = next_row - s
+        value += -0.5 * lambda_s * float(diff @ diff)
+        grad += lambda_s * (w_out @ (diff * s * (1.0 - s)))
+    if layer == num_layers // 2:
+        diff = v_row - x
+        value += -0.5 * lambda_v * float(diff @ diff)
+        grad += lambda_v * diff
+    return value, grad
+
+
+def reference_mala_rows(rows, density_of, step, rng):
+    """One Langevin Metropolis step per row, a row at a time, on the block
+    kernel's draw order: every proposal's normals, then one uniform per row.
+    Row i's density is ``density_of(i)``; returns the per-row decisions."""
+    z = rng.standard_normal(rows.shape)
+    u = rng.random(len(rows))
+    moved = np.zeros(len(rows), dtype=bool)
+    half = 0.5 * step * step
+    for i in range(len(rows)):
+        x = rows[i].copy()
+        density = density_of(i)
+        here = density(x)
+        proposal = x + half * here[1] + step * z[i]
+        there = density(proposal)
+        fwd = proposal - x - half * here[1]
+        rev = x - proposal - half * there[1]
+        log_ratio = there[0] - here[0] + (float(fwd @ fwd) - float(rev @ rev)) / (2 * step * step)
+        if log_ratio >= 0.0 or u[i] < math.exp(log_ratio):
+            rows[i] = proposal
+            moved[i] = True
+    return moved
+
+
+def reference_mwg_step(state, ratings, clean, hyper, rng, blocks=("w", "x", "v", "u"),
+                       decisions=None):
+    """The scan as a loop over rows: each weight column copied out with its
+    bias and written back when accepted, each hidden row's density built
+    alone.  Appends each Metropolis block's per-row decisions to
+    ``decisions``."""
     net = state.net
     L = net.num_layers
     mid = net.middle
     conf = hyper.confidence()
     lam_s = hyper.lambda_s
+    decisions = [] if decisions is None else decisions
     counts = {}
     if "w" in blocks:
         for l in range(1, L + 1):
-            x_prev = state.layers[l - 1]
-            x_cur = state.layers[l]
-            step = state.steps[f"w{l}"]
-            accepted = 0
-            width = net.weights[l - 1].shape[1]
-            for n in range(width):
-                col = np.append(net.weights[l - 1][:, n], net.biases[l - 1][n])
-                x_col = x_cur[:, n]
-                new, ok = sampling._mala_update(
-                    col, lambda w: sampling._w_col_density(w, x_prev, x_col,
-                                                           hyper.lambda_w, lam_s),
-                    step, rng)
-                if ok:
-                    net.weights[l - 1][:, n] = new[:-1]
-                    net.biases[l - 1][n] = new[-1]
-                    accepted += 1
-            counts[f"w{l}"] = (accepted, width)
+            W, b = net.weights[l - 1], net.biases[l - 1]
+            x_prev, x_cur = state.layers[l - 1], state.layers[l]
+            cols = np.column_stack([W.T, b])
+            moved = reference_mala_rows(
+                cols, lambda n: lambda w: row_w_col_density(w, x_prev, x_cur[:, n],
+                                                            hyper.lambda_w, lam_s),
+                state.steps[f"w{l}"], rng)
+            for n in np.flatnonzero(moved):
+                W[:, n] = cols[n, :-1]
+                b[n] = cols[n, -1]
+            decisions.append(moved)
+            counts[f"w{l}"] = (int(moved.sum()), len(moved))
     if "x" in blocks:
-        xc = content.toarray()
         for l in range(1, L + 1):
-            step = state.steps[f"x{l}"]
-            accepted = 0
             w_in, b_in = net.weights[l - 1], net.biases[l - 1]
-            for j in range(ratings.num_items):
+
+            def density_of(j):
                 if l == L:
-                    kw = {"xc_row": xc[j], "lambda_n": hyper.lambda_n}
+                    kw = {"xc_row": clean[j], "lambda_n": hyper.lambda_n}
                 else:
                     kw = {"w_out": net.weights[l], "b_out": net.biases[l],
                           "next_row": state.layers[l + 1][j]}
                 if l == mid:
                     kw.update(v_row=state.V[j], lambda_v=hyper.lambda_v)
-                mean_in = sampling.expit(state.layers[l - 1][j] @ w_in + b_in)
-                new, ok = sampling._mala_update(
-                    state.layers[l][j],
-                    lambda x: sampling._x_row_density(l, L, x, mean_in, lam_s, **kw),
-                    step, rng)
-                if ok:
-                    state.layers[l][j] = new
-                    accepted += 1
-            counts[f"x{l}"] = (accepted, ratings.num_items)
+                mean_in = expit(state.layers[l - 1][j] @ w_in + b_in)
+                return lambda x: row_x_density(l, L, x, mean_in, lam_s, **kw)
+
+            moved = reference_mala_rows(state.layers[l], density_of,
+                                        state.steps[f"x{l}"], rng)
+            decisions.append(moved)
+            counts[f"x{l}"] = (int(moved.sum()), len(moved))
     if "v" in blocks:
         sampling._draw_rows(state.V, state.U, *mf._item_rows(ratings), conf,
                             hyper.lambda_v, rng, priors=state.layers[mid])
@@ -561,15 +616,12 @@ def reference_mwg_step(state, ratings, content, hyper, rng, blocks=("w", "x", "v
     return counts
 
 
-def reference_run_chain(ratings, content, hyper, iters, burn_in, thin=1,
-                        blocks=("w", "x", "v", "u"), initial_step=0.1):
-    """The chain as written before burn-in and kept scans were two loops:
-    one loop over all scans, on the reference scan."""
+def initial_state(ratings, content, hyper, initial_step=0.1):
+    """run_chain's starting state, and its chain generator."""
     root = np.random.SeedSequence(hyper.seed)
     net_seed, noise_seed, chain_seed = root.spawn(3)
-    rng = np.random.default_rng(chain_seed)
-    widths = hyper.network_widths(content.vocab_size)
-    net = sdae.init_network(widths, net_seed, hyper.lambda_w)
+    net = sdae.init_network(hyper.network_widths(content.vocab_size), net_seed,
+                            hyper.lambda_w)
     x0 = data.corrupt(content, hyper.noise_level, noise_seed)
     layers = [x0.matrix.toarray()] + sdae.forward(net, x0)[1:]
     state = sampling.SamplerState(
@@ -579,6 +631,15 @@ def reference_run_chain(ratings, content, hyper, iters, burn_in, thin=1,
         steps={f"{kind}{l}": initial_step
                for kind in "wx" for l in range(1, net.num_layers + 1)},
     )
+    return state, np.random.default_rng(chain_seed)
+
+
+def reference_run_chain(ratings, content, hyper, iters, burn_in, thin=1,
+                        blocks=("w", "x", "v", "u"), initial_step=0.1, decisions=None):
+    """The chain as one loop over all scans, on the reference scan."""
+    state, rng = initial_state(ratings, content, hyper, initial_step)
+    net = state.net
+    clean = content.toarray()
     post_counts = {}
     adapt_counts = {}
     kept_iters = []
@@ -587,7 +648,8 @@ def reference_run_chain(ratings, content, hyper, iters, burn_in, thin=1,
     running = {}
     kept_U, kept_V = [], []
     for it in range(iters):
-        counts = reference_mwg_step(state, ratings, content, hyper, rng, blocks=blocks)
+        counts = reference_mwg_step(state, ratings, clean, hyper, rng, blocks=blocks,
+                                    decisions=decisions)
         totals = adapt_counts if it < burn_in else post_counts
         for block, (acc, prop) in counts.items():
             tot = totals.setdefault(block, [0, 0])
@@ -605,7 +667,7 @@ def reference_run_chain(ratings, content, hyper, iters, burn_in, thin=1,
             tracked["v_0_0"].append(state.V[0, 0])
             tracked["w1_0_0"].append(state.net.weights[0][0, 0])
             tracked["x_mid_0_0"].append(state.layers[net.middle][0, 0])
-            tracked["log_joint"].append(sampling.log_joint(state, ratings, content, hyper))
+            tracked["log_joint"].append(sampling.log_joint(state, ratings, clean, hyper))
             kept_U.append(state.U.copy())
             kept_V.append(state.V.copy())
             for block, (acc, prop) in post_counts.items():
@@ -632,36 +694,129 @@ def reference_run_chain(ratings, content, hyper, iters, burn_in, thin=1,
     )
 
 
-def assert_same_bits(a, b):
-    """Equal values with equal types, arrays down to dtype, shape and bytes,
-    dicts down to key order."""
+def assert_close(a, b, tol=1e-12):
+    """Equal structure, types and integers; floats and float arrays equal
+    within ``tol``, relative or absolute; dicts down to key order."""
     assert type(a) is type(b)
-    if isinstance(a, np.ndarray):
-        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+    if isinstance(a, np.ndarray) and a.dtype.kind == "f":
+        assert (a.dtype, a.shape) == (b.dtype, b.shape)
+        np.testing.assert_allclose(a, b, rtol=tol, atol=tol)
+    elif isinstance(a, np.ndarray):
+        np.testing.assert_array_equal(a, b)
+        assert a.dtype == b.dtype
     elif isinstance(a, dict):
         assert list(a) == list(b)
         for key in a:
-            assert_same_bits(a[key], b[key])
+            assert_close(a[key], b[key], tol)
     elif isinstance(a, (list, tuple)):
         assert len(a) == len(b)
         for x, y in zip(a, b):
-            assert_same_bits(x, y)
+            assert_close(x, y, tol)
     elif isinstance(a, float):
-        assert a.hex() == b.hex()
+        np.testing.assert_allclose(a, b, rtol=tol, atol=tol)
     else:
         assert a == b
 
 
+def assert_same_state(new, ref):
+    for name in ("layers", "U", "V", "steps"):
+        assert_close(getattr(new, name), getattr(ref, name))
+    assert_close(new.net.weights, ref.net.weights)
+    assert_close(new.net.biases, ref.net.biases)
+
+
+@pytest.fixture
+def block_decisions(monkeypatch):
+    """Each _mala_block call's per-row decisions, read as the rows it
+    changed (a proposal equal to its row has probability 0)."""
+    decided = []
+    block = sampling._mala_block
+
+    def recorded(rows, density, step, rng):
+        before = rows.copy()
+        counts = block(rows, density, step, rng)
+        decided.append((rows != before).any(axis=1))
+        return counts
+
+    monkeypatch.setattr(sampling, "_mala_block", recorded)
+    return decided
+
+
+def assert_same_decisions(got, expected):
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        np.testing.assert_array_equal(a, b)
+
+
 CHAIN_BLOCKS = [("w", "x", "v", "u"), ("w", "x"), ("u",)]
+CHAIN_M_HYPER = dict(lambda_u=1.0, lambda_v=10.0, lambda_n=100.0, lambda_w=1.0,
+                     lambda_s=100.0, conf_a=1.0, conf_b=0.01, n_factors=5)
+CHAIN_M_WIDTHS = (50, 20, 5, 20, 50)
+
+
+def chain_m_inputs(seed):
+    """The benchmark's sampler shape: 100 users x 150 items x 50 words,
+    widths 50-20-5-20-50, K = 5."""
+    ratings, content, *_ = data.generate_synthetic(
+        100, 150, 50, 5, HyperParams(**CHAIN_M_HYPER, seed=seed), seed=seed,
+        widths=CHAIN_M_WIDTHS)
+    train, _, _ = data.split(ratings, data.SplitSpec(P=10, seed=seed))
+    hyper = HyperParams(**CHAIN_M_HYPER, widths=CHAIN_M_WIDTHS, noise_level=0.3,
+                        dropout_rate=0.0, seed=seed)
+    return train, content, hyper
+
+
+class TestBatchedDensities:
+    """The batched conditionals equal the per-row forms row by row."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_match_per_row_forms_at_chain_m_shape(self, seed):
+        ratings, content, hyper = chain_m_inputs(seed)
+        state, rng = initial_state(ratings, content, hyper)
+        net, layers, L = state.net, state.layers, state.net.num_layers
+        clean = content.toarray()
+        for l in range(1, L + 1):
+            W, b = net.weights[l - 1], net.biases[l - 1]
+            cols = np.column_stack([W.T, b]) + 0.1 * rng.standard_normal((len(b), len(W) + 1))
+            values, grads = sampling._w_col_density(cols, layers[l - 1], layers[l],
+                                                    hyper.lambda_w, hyper.lambda_s)
+            for n, col in enumerate(cols):
+                value, grad = row_w_col_density(col, layers[l - 1], layers[l][:, n],
+                                                hyper.lambda_w, hyper.lambda_s)
+                np.testing.assert_allclose(values[n], value, rtol=1e-12)
+                np.testing.assert_allclose(grads[n], grad, rtol=1e-12, atol=1e-12)
+
+            X = layers[l] + 0.1 * rng.standard_normal(layers[l].shape)
+            mean_in = expit(layers[l - 1] @ W + b)
+            kw = ({"xc_row": clean, "lambda_n": hyper.lambda_n} if l == L else
+                  {"w_out": net.weights[l], "b_out": net.biases[l], "next_row": layers[l + 1]})
+            if l == net.middle:
+                kw.update(v_row=state.V + 0.1, lambda_v=hyper.lambda_v)
+            values, grads = sampling._x_row_density(l, L, X, mean_in, hyper.lambda_s, **kw)
+            for j, x in enumerate(X):
+                row_kw = {k: v[j] if k in ("next_row", "xc_row", "v_row") else v
+                          for k, v in kw.items()}
+                value, grad = row_x_density(l, L, x, mean_in[j], hyper.lambda_s, **row_kw)
+                np.testing.assert_allclose(values[j], value, rtol=1e-12)
+                np.testing.assert_allclose(grads[j], grad, rtol=1e-12, atol=1e-12)
+
+    def test_any_non_finite_column_raises(self):
+        rng = np.random.default_rng(3)
+        cols = rng.normal(size=(4, 3))
+        cols[2, 1] = np.nan
+        with pytest.raises(NumericError, match="non-finite weight column"):
+            sampling._w_col_density(cols, rng.random((6, 2)), rng.random((6, 4)), 1.0, 1.0)
 
 
 class TestAgainstReferenceLoops:
-    """mwg_step and run_chain give the bits of the per-block loops above."""
+    """mwg_step and run_chain make the per-row loops' decisions, and their
+    arrays within 1e-12: batched products are not bitwise per-row gemv."""
 
     @pytest.mark.parametrize("blocks", CHAIN_BLOCKS, ids="".join)
     @pytest.mark.parametrize("seed", [11, 12, 13])
-    def test_scan_matches_reference(self, seed, blocks):
+    def test_scan_matches_reference(self, seed, blocks, block_decisions):
         ratings, content = tiny_chain_data(seed=seed)
+        clean = content.toarray()
         hyper = chain_hyper(seed=seed)
         net = sdae.init_network(hyper.widths, np.random.SeedSequence(seed), hyper.lambda_w)
         x0 = data.corrupt(content, 0.3, seed)
@@ -674,30 +829,87 @@ class TestAgainstReferenceLoops:
             steps=dict(steps)) for _ in range(2)]
         rngs = [np.random.default_rng(seed) for _ in range(2)]
         for _ in range(4):
-            counts = [sampling.mwg_step(states[0], ratings, content, hyper, rngs[0],
+            expected = []
+            block_decisions.clear()
+            counts = [sampling.mwg_step(states[0], ratings, clean, hyper, rngs[0],
                                         blocks=blocks),
-                      reference_mwg_step(states[1], ratings, content, hyper, rngs[1],
-                                         blocks=blocks)]
-            assert_same_bits(*counts)
-            new, ref = states
-            assert_same_bits(new.net.weights, ref.net.weights)
-            assert_same_bits(new.net.biases, ref.net.biases)
-            assert_same_bits(new.layers, ref.layers)
-            assert_same_bits(new.U, ref.U)
-            assert_same_bits(new.V, ref.V)
+                      reference_mwg_step(states[1], ratings, clean, hyper, rngs[1],
+                                         blocks=blocks, decisions=expected)]
+            assert counts[0] == counts[1]
+            assert_same_decisions(block_decisions, expected)
+            assert_same_state(*states)
             assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
         accepted = sum(acc for acc, _ in counts[0].values())
         proposed = sum(prop for _, prop in counts[0].values())
         if "w" in blocks:  # both outcomes of a proposal are exercised
             assert 0 < accepted < proposed
 
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_scans_match_reference_at_chain_m_shape(self, seed, block_decisions):
+        # 20 scans, adapting the steps every ADAPT_INTERVAL scans as burn-in does
+        ratings, content, hyper = chain_m_inputs(seed)
+        clean = content.toarray()
+        (new, rng), (ref, ref_rng) = (initial_state(ratings, content, hyper, 0.05)
+                                      for _ in range(2))
+        totals, seen, window = {}, {}, 0
+        for scan in range(1, 21):
+            expected = []
+            block_decisions.clear()
+            counts = sampling.mwg_step(new, ratings, clean, hyper, rng)
+            assert counts == reference_mwg_step(ref, ratings, clean, hyper, ref_rng,
+                                                decisions=expected)
+            assert_same_decisions(block_decisions, expected)
+            assert_same_state(new, ref)
+            for block, pair in counts.items():
+                totals[block] = [t + c for t, c in zip(totals.get(block, (0, 0)), pair)]
+                seen[block] = [t + c for t, c in zip(seen.get(block, (0, 0)), pair)]
+            if scan % sampling.ADAPT_INTERVAL == 0:
+                for block, (acc, prop) in totals.items():
+                    sampling._adapt(new.steps, block, acc, prop, window)
+                    sampling._adapt(ref.steps, block, acc, prop, window)
+                totals, window = {}, window + 1
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert all(0 < acc < prop for acc, prop in seen.values())  # both outcomes
+
+    def test_criterion_8_chain_matches_reference_scan_by_scan(self, monkeypatch,
+                                                               block_decisions):
+        # criterion 8's data, hyperparameters and chain.  Before each of its
+        # 900 scans the per-row scan starts from copies of the chain's state
+        # and generator.  Two chains run side by side drift apart instead:
+        # the dynamics amplify rounding, from 1e-16 to 1e-5 in 200 scans.
+        ratings, content = tiny_chain_data(seed=5)
+        scan, checked = sampling.mwg_step, []
+
+        def checked_scan(state, ratings, clean, hyper, rng, blocks):
+            ref, ref_rng, expected = copy.deepcopy(state), copy.deepcopy(rng), []
+            block_decisions.clear()
+            counts = scan(state, ratings, clean, hyper, rng, blocks=blocks)
+            assert counts == reference_mwg_step(ref, ratings, clean, hyper, ref_rng,
+                                                blocks=blocks, decisions=expected)
+            assert_same_decisions(block_decisions, expected)
+            assert_same_state(state, ref)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            checked.append(counts)
+            return counts
+
+        monkeypatch.setattr(sampling, "mwg_step", checked_scan)
+        sampling.run_chain(ratings, content, chain_hyper(seed=11),
+                           iters=900, burn_in=600, thin=3)
+        assert len(checked) == 900
+        accepted = sum(acc for counts in checked for acc, _ in counts.values())
+        proposed = sum(prop for counts in checked for _, prop in counts.values())
+        assert 0 < accepted < proposed
+
     @pytest.mark.parametrize("blocks", CHAIN_BLOCKS, ids="".join)
     @pytest.mark.parametrize("seed", [11, 12, 13])
     @pytest.mark.parametrize("iters, burn_in, thin",
                              [(25, 11, 2), (14, 0, 3), (31, 20, 1), (23, 10, 3)])
-    def test_chain_matches_reference(self, seed, blocks, iters, burn_in, thin):
+    def test_chain_matches_reference(self, seed, blocks, iters, burn_in, thin,
+                                     block_decisions):
         ratings, content = tiny_chain_data(seed=seed)
         args = (ratings, content, chain_hyper(seed=seed), iters, burn_in, thin, blocks)
-        new, ref = sampling.run_chain(*args), reference_run_chain(*args)
+        expected = []
+        new, ref = sampling.run_chain(*args), reference_run_chain(*args, decisions=expected)
+        assert_same_decisions(block_decisions, expected)
         for f in dataclasses.fields(sampling.ChainSummary):
-            assert_same_bits(getattr(new, f.name), getattr(ref, f.name))
+            assert_close(getattr(new, f.name), getattr(ref, f.name))
