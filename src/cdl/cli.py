@@ -338,7 +338,7 @@ def cmd_predict(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     u = factors.U[args.user]
-    lines = []
+    rows = []
     inputs = []
     if args.item_content:
         if net is None:
@@ -348,7 +348,7 @@ def cmd_predict(args):
         x = data.load_content(content_path, mode=args.content_mode, num_items=1,
                               vocab_size=net.widths[0], item_column=False).row(0)
         score = mf.predict_new_item(u, sdae.encode(net, x))
-        lines.append(f"new\t{score:.17g}")
+        rows.append(["new", format(score, ".17g")])
     else:
         train_path = args.train or _train_path_from_manifest(args.model)
         train_path = _require_file(train_path, "train ratings")
@@ -362,15 +362,12 @@ def cmd_predict(args):
                               policy=metrics.EXCLUDE_TRAIN, limit=args.top)
         items = ranked.items[0]
         scores = factors.V[items] @ u
-        lines += [f"{item}\t{score:.17g}" for item, score in zip(items, scores)]
+        rows += [[str(item), format(score, ".17g")] for item, score in zip(items, scores)]
     pred_path = out / "predictions.tsv"
-    with data.open_output(pred_path) as fh:
-        fh.write("item\tscore\n")
-        for line in lines:
-            fh.write(line + "\n")
+    data.write_table(pred_path, ["item", "score"], rows)
     write_manifest(out, "predict", args, inputs, [pred_path])
-    for line in lines:
-        print(line)
+    for cells in rows:
+        print("\t".join(cells))
     return 0
 
 
@@ -486,14 +483,13 @@ def cmd_grid(args):
           ThreadPoolExecutor(max_workers=max(args.threads, 1)) as pool):
         results = list(pool.map(run_one, tasks))
 
+    def cells(hyper, value):
+        return [repr(getattr(hyper, k)) for k in GRID_KEYS] + [format(value, ".10g")]
+
     runs_path = out / "grid_runs.tsv"
-    with data.open_output(runs_path) as fh:
-        fh.write("point\tfold\t" + "\t".join(GRID_KEYS) + f"\t{metric_name}\n")
-        for (pi, fi, hyper), value in zip(tasks, results):
-            cells = [str(pi), str(fi)]
-            cells += [repr(getattr(hyper, k)) for k in GRID_KEYS]
-            cells.append(format(value, ".10g"))
-            fh.write("\t".join(cells) + "\n")
+    data.write_table(runs_path, ["point", "fold", *GRID_KEYS, metric_name],
+                     ([str(pi), str(fi)] + cells(hyper, value)
+                      for (pi, fi, hyper), value in zip(tasks, results)))
 
     means = []
     for pi, (combo, hyper) in enumerate(points):
@@ -502,12 +498,8 @@ def cmd_grid(args):
     # best first, ties in enumeration order: table[0] is the first best point
     table = sorted(means, key=lambda rec: (-rec[0], rec[1]))
     results_path = out / "grid_results.tsv"
-    with data.open_output(results_path) as fh:
-        fh.write("point\t" + "\t".join(GRID_KEYS) + f"\tmean_{metric_name}\n")
-        for value, pi, combo, hyper in table:
-            cells = [str(pi)] + [repr(getattr(hyper, k)) for k in GRID_KEYS]
-            cells.append(format(value, ".10g"))
-            fh.write("\t".join(cells) + "\n")
+    data.write_table(results_path, ["point", *GRID_KEYS, f"mean_{metric_name}"],
+                     ([str(pi)] + cells(hyper, value) for value, pi, _, hyper in table))
     best = table[0]
     best_path = out / "best_config.txt"
     with data.open_output(best_path) as fh:

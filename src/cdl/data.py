@@ -230,6 +230,16 @@ def open_output(path, mode="w"):
     return open(path, mode, encoding=None if "b" in mode else "utf-8")
 
 
+def write_table(path, header, rows, mode="w"):
+    """Write a tab-separated table through ``open_output(path, mode)``: the
+    ``header`` cells (none when None), then each row's cell texts, a line
+    each.  Every table artifact is written here; its caller formats the cells."""
+    with open_output(path, mode) as fh:
+        if header is not None:
+            fh.write("\t".join(header) + "\n")
+        fh.write("".join("\t".join(cells) + "\n" for cells in rows))
+
+
 def load_ratings(path):
     """Read a ratings file into a validated :class:`RatingsMatrix`.
 
@@ -574,15 +584,15 @@ def write_split_manifest(path, train, spec):
 
 
 def generate_synthetic(num_users, num_items, vocab_size, n_factors, hyper, seed,
-                       widths=None, input_density=0.2):
+                       widths=None):
     """Draw a dataset from the model's own generative story.
 
     Network weights and biases come from the N(0, 1/lambda_w) prior; content
     is produced by the deterministic sigmoid layer recursion from a random
-    binary seed matrix, plus N(0, 1/lambda_n) output noise clipped into
-    [0, 1].  Item vectors are the middle-layer codes plus N(0, 1/lambda_v)
-    offsets, user vectors are N(0, 1/lambda_u), and binary ratings come from
-    thresholding N(u.v, 1/conf_a) draws at 0.5.
+    binary seed matrix of density 0.2, plus N(0, 1/lambda_n) output noise
+    clipped into [0, 1].  Item vectors are the middle-layer codes plus
+    N(0, 1/lambda_v) offsets, user vectors are N(0, 1/lambda_u), and binary
+    ratings come from thresholding N(u.v, 1/conf_a) draws at 0.5.
 
     Returns (ratings, content, user_factors, item_factors, network).
     """
@@ -595,7 +605,7 @@ def generate_synthetic(num_users, num_items, vocab_size, n_factors, hyper, seed,
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(5)]
     net = sdae.sample_network(widths, hyper.lambda_w, rngs[0])
 
-    x_seed = (rngs[1].random((num_items, vocab_size)) < input_density).astype(np.float64)
+    x_seed = (rngs[1].random((num_items, vocab_size)) < 0.2).astype(np.float64)
     outputs = sdae.forward(net, x_seed)
     codes, clean = outputs[net.middle], outputs[net.num_layers]
     if math.isfinite(hyper.lambda_n):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import open_output
+from .data import write_table
 from .exceptions import ArgumentError, NumericError, ShapeError
 
 EXCLUDE_TRAIN = "exclude-train"
@@ -280,13 +280,10 @@ class MetricReport:
 
     def write_tsv(self, path):
         names = self.metric_names
-        with open_output(path) as fh:
-            fh.write("repetition\t" + "\t".join(names) + "\n")
-            for idx, rep in enumerate(self.per_rep):
-                fh.write(str(idx) + "\t"
-                         + "\t".join(format(rep[n], ".10g") for n in names) + "\n")
-            fh.write("mean\t" + "\t".join(format(self.mean[n], ".10g") for n in names) + "\n")
-            fh.write("std\t" + "\t".join(format(self.std[n], ".10g") for n in names) + "\n")
+        labelled = [*enumerate(self.per_rep), ("mean", self.mean), ("std", self.std)]
+        write_table(path, ["repetition"] + names,
+                    ([str(label)] + [format(values[n], ".10g") for n in names]
+                     for label, values in labelled))
 
 
 def evaluate_run(factors, train, test, m_grid=DEFAULT_M_GRID, cutoff=MAP_CUTOFF,

@@ -19,10 +19,11 @@ from scipy.linalg.lapack import dtrtrs
 from scipy.special import expit
 
 from . import sdae
-from .data import corrupt, open_output
+from .data import corrupt, write_table
 from .exceptions import ArgumentError, NumericError
 from .factors import (_grouped_solves, _item_rows, _item_system, _solve_spd,
                       _user_rows, _user_system, rating_objective)
+from .training import check_network_inputs
 
 ACCEPT_TARGET = 0.32  # inside the 20-40% adaptation band
 ADAPT_GAIN = 1.0
@@ -200,14 +201,10 @@ class ChainSummary:
     def write_tsv(self, path):
         names = sorted(self.tracked)
         blocks = sorted(self.running_acceptance)
-        with open_output(path) as fh:
-            fh.write("iteration\t" + "\t".join(f"accept_{b}" for b in blocks)
-                     + "\t" + "\t".join(names) + "\n")
-            for k, it in enumerate(self.iterations):
-                cells = [str(int(it))]
-                cells += [format(self.running_acceptance[b][k], ".6f") for b in blocks]
-                cells += [format(self.tracked[n][k], ".17g") for n in names]
-                fh.write("\t".join(cells) + "\n")
+        write_table(path, ["iteration"] + [f"accept_{b}" for b in blocks] + names, (
+            [str(int(it))] + [format(self.running_acceptance[b][k], ".6f") for b in blocks]
+            + [format(self.tracked[n][k], ".17g") for n in names]
+            for k, it in enumerate(self.iterations)))
 
 
 def log_joint(state, ratings, clean, hyper):
@@ -294,6 +291,7 @@ def run_chain(ratings, content, hyper, iters, burn_in, thin=1,
         raise ArgumentError("iters must exceed burn_in")
     if thin < 1:
         raise ArgumentError("thin must be at least 1")
+    check_network_inputs(ratings, content, hyper)
     root = np.random.SeedSequence(hyper.seed)
     net_seed, noise_seed, chain_seed = root.spawn(3)
     rng = np.random.default_rng(chain_seed)

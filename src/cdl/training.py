@@ -16,7 +16,7 @@ import numpy as np
 
 from . import factors as mf
 from . import sdae
-from .data import corrupt, open_output, open_text
+from .data import corrupt, open_text, write_table
 from .exceptions import (
     ArgumentError,
     ConfigError,
@@ -237,8 +237,7 @@ class TrainReport:
         return np.array([getattr(row, name) for row in self.rows])
 
     def write_tsv(self, path):
-        with open_output(path) as fh:
-            fh.write(_report_text(self.rows, header=True))
+        write_table(path, REPORT_COLUMNS, map(_report_cells, self.rows))
 
     @staticmethod
     def read_tsv(path):
@@ -258,14 +257,9 @@ class TrainReport:
         return TrainReport(rows)
 
 
-def _report_text(rows, header):
-    """The TSV lines of ``rows``, after the column header when ``header``."""
-    lines = ["\t".join(REPORT_COLUMNS)] if header else []
-    for row in rows:
-        lines.append("\t".join([str(row.sweep)] + [
-            format(getattr(row, name), ".17g") for name in REPORT_COLUMNS[1:]
-        ]))
-    return "".join(line + "\n" for line in lines)
+def _report_cells(row):
+    """The TSV cells of one report row, in REPORT_COLUMNS order."""
+    return [str(row.sweep)] + [format(getattr(row, n), ".17g") for n in REPORT_COLUMNS[1:]]
 
 
 def objective_terms(ratings, U, V, conf, lambda_u, lambda_v, lambda_n, lambda_w,
@@ -350,8 +344,8 @@ def _sweep_loop(report, path, state, step, evaluate, hyper, trains_network, may_
         report.rows.append(row)
         if path is not None:
             first = len(report.rows) == 1
-            with open_output(path, "w" if first else "a") as fh:
-                fh.write(_report_text([row], header=first))
+            write_table(path, REPORT_COLUMNS if first else None, [_report_cells(row)],
+                        "w" if first else "a")
 
     if not report.rows:
         total, terms = evaluate(state)
@@ -404,16 +398,19 @@ def _factor_sweep(state, ratings, conf, hyper, prior_mean):
     state.V = mf.sweep_items(state.U, ratings, conf, hyper.lambda_v, prior_mean)
 
 
+def check_network_inputs(ratings, content, hyper):
+    """Reject, before anything is allocated, inputs no MAP fit or chain can use."""
+    hyper.require_finite("lambda_u", "lambda_v", "lambda_n", "lambda_w", "conf_a")
+    if content.num_items != ratings.num_items:
+        raise ShapeError(f"content has {content.num_items} items, ratings {ratings.num_items}")
+
+
 def _network_setup(ratings, content, hyper, lambda_n):
     """Seeded network and first corruption, the epoch block that trains the
     network toward given item factors, and the objective reported while the
     network trains, both with reconstruction weight ``lambda_n`` (joint and
     two-step share all three)."""
-    hyper.require_finite("lambda_u", "lambda_v", "lambda_n", "lambda_w")
-    if content.num_items != ratings.num_items:
-        raise ShapeError(
-            f"content has {content.num_items} items, ratings {ratings.num_items}"
-        )
+    check_network_inputs(ratings, content, hyper)
     widths = hyper.network_widths(content.vocab_size)
     net_seed, noise_seq, mask_seq = np.random.SeedSequence(hyper.seed).spawn(3)
     net = sdae.init_network(widths, net_seed, hyper.lambda_w)
@@ -530,7 +527,7 @@ def fit_mf_baseline(ratings, hyper, report_path=None):
     Returns (factors, report); the weight-prior and reconstruction terms of
     the report are identically zero.
     """
-    hyper.require_finite("lambda_u", "lambda_v")
+    hyper.require_finite("lambda_u", "lambda_v", "conf_a")
     conf = hyper.confidence()
     rng = np.random.default_rng(np.random.SeedSequence(hyper.seed))
     V = rng.normal(scale=hyper.lambda_v ** -0.5,

@@ -12,9 +12,12 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from cdl import cli, data, factors as mf, metrics, sdae, training
+from cdl import cli, data, factors as mf, metrics, sampling, sdae, training
 from cdl.training import HyperParams
 from test_metrics import naive_rank
+
+# a numpy overflow or invalid value in any command fails the test
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 @pytest.fixture()
@@ -900,6 +903,50 @@ class TestOutputsAreNewFiles:
         assert err.startswith("error: ") and str(out / name) in err
         assert "Traceback" not in err
         assert (out / name).is_dir()
+
+
+@pytest.mark.parametrize("table", ["report.tsv", "chain.tsv", "conjugate-only chain.tsv",
+                                   "metrics.tsv", "predictions.tsv", "grid_runs.tsv",
+                                   "grid_results.tsv"])
+def test_every_table_header_has_as_many_fields_as_each_row(trained, tmp_path, table):
+    # a conjugate-only chain has no accept columns, so its header may not
+    # hold an empty one
+    out = tmp_path / "run"
+    chain_config = tmp_path / "chain_config.txt"
+    chain_config.write_text(trained["config"].read_text().replace("lambda_s=inf",
+                                                                  "lambda_s=100.0"))
+    grid_config = tmp_path / "grid_config.txt"
+    grid_config.write_text(trained["config"].read_text().replace("lambda_u=1.0",
+                                                                 "lambda_u=0.5,2.0"))
+    inputs = ("--ratings", trained["ratings"], "--content", trained["content"])
+    path = out / table
+    if table == "report.tsv":
+        path = trained["model"] / table
+    elif table == "chain.tsv":
+        assert run_cli("sample", "--config", chain_config, *inputs, "--iters", 6,
+                       "--burn-in", 2, "--out", out) == 0
+    elif table == "conjugate-only chain.tsv":
+        ratings = data.load_ratings(trained["ratings"])
+        summary = sampling.run_chain(
+            ratings, data.load_content(trained["content"], num_items=ratings.num_items),
+            training.load_config(chain_config), iters=6, burn_in=2, blocks=("u", "v"))
+        out.mkdir()
+        path = out / "chain.tsv"
+        summary.write_tsv(path)
+    elif table == "metrics.tsv":
+        assert run_cli("eval", "--model", trained["model"], "--test",
+                       trained["split"] / "test.tsv", "--m-grid", "2:10:2",
+                       "--out", out) == 0
+    elif table == "predictions.tsv":
+        assert run_cli("predict", "--model", trained["model"], "--user", 0,
+                       "--out", out) == 0
+    else:
+        assert run_cli("grid", "--config", grid_config, *inputs, "--variant", "mf",
+                       "--folds", 2, "--select-m", 5, "--out", out) == 0
+    header, *rows = path.read_text().splitlines()
+    assert rows
+    for row in rows:
+        assert len(row.split("\t")) == len(header.split("\t")), (header, row)
 
 
 class TestVersion:

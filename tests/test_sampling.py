@@ -8,7 +8,7 @@ import scipy.linalg
 from scipy.special import expit
 
 from cdl import data, factors as mf, sampling, sdae
-from cdl.exceptions import ArgumentError, NumericError
+from cdl.exceptions import ArgumentError, NumericError, ShapeError
 from cdl.factors import ConfidenceParams
 from cdl.training import HyperParams
 
@@ -442,6 +442,41 @@ class TestRunChain:
         with pytest.raises(ArgumentError, match="lambda_s"):
             sampling.run_chain(ratings, content, chain_hyper(lambda_s=math.inf),
                                iters=10, burn_in=5)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("case, error, match", [
+        ("5 content items", ShapeError, "content has 5 items, ratings 8"),
+        ("11 content items", ShapeError, "content has 11 items, ratings 8"),
+        ("lambda_n", ArgumentError, "lambda_n must be finite"),
+        ("lambda_u", ArgumentError, "lambda_u must be finite"),
+        ("lambda_v", ArgumentError, "lambda_v must be finite"),
+        ("lambda_w", ArgumentError, "lambda_w must be finite"),
+        ("conf_a", ArgumentError, "conf_a must be finite"),
+    ])
+    def test_bad_inputs_rejected_before_the_network_is_drawn(self, monkeypatch, case,
+                                                             error, match):
+        # the MAP fits' input checks; unchecked, too few content items end
+        # in an IndexError, too many in a ShapeError after burn-in, an
+        # infinite lambda_n in a chain of -inf log joints, and the other
+        # infinite values in numpy warnings and unnamed numeric errors
+        hyper = chain_hyper()
+        ratings, content, *_ = data.generate_synthetic(5, 8, 6, 2, hyper, seed=5,
+                                                       widths=hyper.widths)
+        dense = content.toarray()
+        if case == "5 content items":
+            content = data.ContentMatrix(dense[:5], data.RAW)
+        elif case == "11 content items":
+            content = data.ContentMatrix(np.vstack([dense, dense[:3]]), data.RAW)
+        else:
+            hyper = dataclasses.replace(hyper, **{case: math.inf})
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the chain started")
+
+        monkeypatch.setattr(sdae, "init_network", unreachable)
+        monkeypatch.setattr(sampling, "mwg_step", unreachable)
+        with pytest.raises(error, match=match):
+            sampling.run_chain(ratings, content, hyper, iters=4, burn_in=2)
 
     def test_iters_must_exceed_burn_in(self):
         ratings, content = tiny_chain_data()

@@ -201,6 +201,23 @@ class TestFit:
         with pytest.raises(ShapeError):
             training.fit(ratings, bad, tiny_hyper())
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("fit", ["fit", "fit_two_step", "fit_encoder_only",
+                                     "fit_mf_baseline"])
+    def test_infinite_conf_a_rejected_before_the_first_sweep(self, monkeypatch, fit):
+        # unchecked, the content fits end in a TrainingError after every
+        # learning-rate halving, and the baseline in a non-finite rating term
+        ratings, content = tiny_dataset(seed=15)
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(sdae, "init_network", unreachable)
+        monkeypatch.setattr(training, "_sweep_loop", unreachable)
+        inputs = (ratings,) if fit == "fit_mf_baseline" else (ratings, content)
+        with pytest.raises(ArgumentError, match="conf_a must be finite"):
+            getattr(training, fit)(*inputs, tiny_hyper(conf_a=math.inf))
+
     def test_block_size_is_accepted_as_batch_size(self):
         ratings, content = tiny_dataset(seed=15)
         hyper = tiny_hyper(max_sweeps=1)
