@@ -145,6 +145,20 @@ def _flag_named(flag):
         raise ArgumentError(f"{flag}: {exc}") from None
 
 
+@contextlib.contextmanager
+def _config_named(config_path):
+    """Run the body; an ArgumentError naming hyperparameter fields is named
+    at the line of its first field in ``config_path``."""
+    try:
+        yield
+    except ArgumentError as exc:
+        if not exc.fields:
+            raise
+        with data.open_text(config_path) as fh:
+            raw = training.config_lines(fh.read(), str(config_path))
+        raise training.named_at_line(exc, raw, config_path) from None
+
+
 def cmd_split(args):
     if args.P < 1:
         raise ArgumentError(f"--P must be at least 1, got {args.P}")
@@ -227,6 +241,8 @@ def cmd_train(args):
             raise ArgumentError(f"variant {args.variant!r} needs --content")
         content_path, content = _load_content(args, ratings, hyper)
         inputs.append(content_path)
+    with _config_named(config_path):
+        training.check_inputs(ratings, content, hyper)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -386,6 +402,8 @@ def cmd_sample(args):
             hyper = dataclasses.replace(hyper, seed=args.seed)
     ratings = data.load_ratings(ratings_path)
     content_path, content = _load_content(args, ratings, hyper)
+    with _config_named(config_path):
+        sampling.check_chain_inputs(ratings, content, hyper)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with _vocabulary_named(content_path, hyper):

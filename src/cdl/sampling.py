@@ -7,7 +7,8 @@ conditionally independent, as are one layer's weight columns with their
 biases, so each such block takes one batched Langevin Metropolis step: a
 proposal per row in array ops, with the asymmetric-proposal correction and
 a per-row accept/reject.  Step sizes adapt toward a 20-40% acceptance band
-during burn-in and are then frozen."""
+during burn-in and are then frozen.  Every layer mean is ``sdae``'s own layer
+map, and the clean content stays sparse."""
 
 from __future__ import annotations
 
@@ -16,14 +17,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg.lapack import dtrtrs
-from scipy.special import expit
 
 from . import sdae
 from .data import corrupt, write_table
 from .exceptions import ArgumentError, NumericError
 from .factors import (_grouped_solves, _item_rows, _item_system, _solve_spd,
                       _user_rows, _user_system, rating_objective)
-from .training import check_network_inputs
+from .training import check_inputs
 
 ACCEPT_TARGET = 0.32  # inside the 20-40% adaptation band
 ADAPT_GAIN = 1.0
@@ -44,7 +44,7 @@ def _w_col_density(cols, x_prev, x_cur, lambda_w, lambda_s):
     cols = np.asarray(cols, dtype=np.float64)
     if not np.isfinite(cols).all():
         raise NumericError("non-finite weight column")
-    s = expit(x_prev @ cols[:, :-1].T + cols[:, -1])
+    s = sdae._layer(x_prev, cols[:, :-1].T, cols[:, -1])
     resid = np.reshape(x_cur, s.shape) - s
     back = lambda_s * resid * s * (1.0 - s)
     value = -0.5 * lambda_w * _sq_rows(cols) - 0.5 * lambda_s * _sq_rows(resid.T)
@@ -59,7 +59,8 @@ def _x_row_density(layer, num_layers, x, mean_in, lambda_s, *, w_out=None,
     then the outgoing Gaussian toward its row of the next layer, or on the
     last layer its clean content row with precision ``lambda_n``, and at the
     middle layer the item-vector coupling.  The row arguments hold one row
-    per row of ``x``; a single 1-D row is shared by all."""
+    per row of ``x``; a single 1-D row is shared by all.  ``xc_row`` may be
+    canonical CSR, subtracted at its stored entries."""
     if not 1 <= layer <= num_layers:
         raise ArgumentError(f"layer must lie in [1, {num_layers}], got {layer}")
     x = np.asarray(x, dtype=np.float64)
@@ -69,13 +70,13 @@ def _x_row_density(layer, num_layers, x, mean_in, lambda_s, *, w_out=None,
     if layer == num_layers:
         if xc_row is None or lambda_n is None:
             raise ArgumentError("last layer needs xc_row and lambda_n")
-        diff = xc_row - x
+        diff = sdae._subtract_clean(x.copy(), xc_row)
         value -= 0.5 * lambda_n * _sq_rows(diff)
-        grad += lambda_n * diff
+        grad -= lambda_n * diff
     else:
         if w_out is None or b_out is None or next_row is None:
             raise ArgumentError(f"layer {layer} needs w_out, b_out and next_row")
-        s = expit(x @ w_out + b_out)
+        s = sdae._layer(x, w_out, b_out)
         diff = next_row - s
         value -= 0.5 * lambda_s * _sq_rows(diff)
         grad += lambda_s * ((diff * s * (1.0 - s)) @ w_out.T)
@@ -99,12 +100,12 @@ def grad_logpost_w_col(w_col_plus, x_prev, x_col, lambda_w, lambda_s):
 
 def logpost_x_row(layer, num_layers, x, prev_row, w_in, b_in, lambda_s, **couplings):
     """Unnormalized log conditional of one hidden row; see ``_x_row_density``."""
-    mean_in = expit(prev_row @ w_in + b_in)
+    mean_in = sdae._layer(prev_row, w_in, b_in)
     return _x_row_density(layer, num_layers, [x], mean_in, lambda_s, **couplings)[0][0]
 
 
 def grad_logpost_x_row(layer, num_layers, x, prev_row, w_in, b_in, lambda_s, **couplings):
-    mean_in = expit(prev_row @ w_in + b_in)
+    mean_in = sdae._layer(prev_row, w_in, b_in)
     return _x_row_density(layer, num_layers, [x], mean_in, lambda_s, **couplings)[1][0]
 
 
@@ -148,15 +149,6 @@ def _log_ratio(x, here, proposal, there, step):
     fwd = proposal - x - half * here[1]
     rev = x - proposal - half * there[1]
     return there[0] - here[0] + (_sq_rows(fwd) - _sq_rows(rev)) / (2.0 * step * step)
-
-
-def mala_log_ratio(logpost, grad, x, proposal, step):
-    """Metropolis-Hastings log acceptance ratio for one Langevin proposal.
-
-    Swapping (x, proposal) flips the sign exactly: the kernel is reversible.
-    """
-    return _log_ratio(np.atleast_2d(x), (logpost(x), grad(x)), np.atleast_2d(proposal),
-                      (logpost(proposal), grad(proposal)), step)[0]
 
 
 def _mala_block(rows, density, step, rng):
@@ -209,7 +201,8 @@ class ChainSummary:
 
 def log_joint(state, ratings, clean, hyper):
     """Finite-precision joint log density (up to a constant) of the current
-    chain state, per-layer consistency terms included; ``clean`` is dense."""
+    chain state, per-layer consistency terms included; ``clean``, the clean
+    content, is canonical CSR, as run_chain keeps it, or dense."""
     net = state.net
     L = net.num_layers
     lam_s = hyper.lambda_s
@@ -217,10 +210,10 @@ def log_joint(state, ratings, clean, hyper):
     value += -0.5 * hyper.lambda_w * net.squared_norm()
     offsets = state.V - state.layers[net.middle]
     value += -0.5 * hyper.lambda_v * float(np.sum(offsets * offsets))
-    recon = clean - state.layers[L]
+    recon = sdae._subtract_clean(state.layers[L].copy(), clean)
     value += -0.5 * hyper.lambda_n * float(np.sum(recon * recon))
     for l in range(1, L + 1):
-        mean = expit(state.layers[l - 1] @ net.weights[l - 1] + net.biases[l - 1])
+        mean = sdae._layer(state.layers[l - 1], net.weights[l - 1], net.biases[l - 1])
         diff = state.layers[l] - mean
         value += -0.5 * lam_s * float(np.sum(diff * diff))
     value += rating_objective(state.U, state.V, ratings, hyper.confidence())
@@ -229,8 +222,8 @@ def log_joint(state, ratings, clean, hyper):
 
 def mwg_step(state, ratings, clean, hyper, rng,
              blocks=("w", "x", "v", "u")):
-    """One full scan over the dense clean content ``clean``; returns
-    per-block (accepted, proposed) counts."""
+    """One full scan over the clean content ``clean``, canonical CSR or
+    dense; returns per-block (accepted, proposed) counts."""
     net = state.net
     L = net.num_layers
     conf = hyper.confidence()
@@ -252,7 +245,7 @@ def mwg_step(state, ratings, clean, hyper, rng,
                    "next_row": state.layers[l + 1]})
             if l == net.middle:
                 kw.update(v_row=state.V, lambda_v=hyper.lambda_v)
-            mean_in = expit(state.layers[l - 1] @ net.weights[l - 1] + net.biases[l - 1])
+            mean_in = sdae._layer(state.layers[l - 1], net.weights[l - 1], net.biases[l - 1])
             counts[f"x{l}"] = _mala_block(
                 state.layers[l],
                 lambda x: _x_row_density(l, L, x, mean_in, hyper.lambda_s, **kw),
@@ -275,6 +268,14 @@ def _adapt(steps, block, accepted, proposed, window):
     steps[block] *= math.exp(gain * (rate - ACCEPT_TARGET))
 
 
+def check_chain_inputs(ratings, content, hyper):
+    """Reject, before anything is allocated, inputs the chain cannot use:
+    those of the MAP fits, and an infinite lambda_s."""
+    if not math.isfinite(hyper.lambda_s):
+        raise ArgumentError("the sampler needs a finite lambda_s", ["lambda_s"])
+    check_inputs(ratings, content, hyper)
+
+
 def run_chain(ratings, content, hyper, iters, burn_in, thin=1,
               blocks=("w", "x", "v", "u"), initial_step=0.1):
     """Run the Metropolis-within-Gibbs chain and summarize it.
@@ -283,23 +284,21 @@ def run_chain(ratings, content, hyper, iters, burn_in, thin=1,
     kept iterations are every ``thin``-th post-burn-in scan.  Deterministic
     per ``hyper.seed``.
     """
-    if not math.isfinite(hyper.lambda_s):
-        raise ArgumentError("the sampler needs a finite lambda_s")
     if burn_in < 0:
         raise ArgumentError("burn_in must be non-negative")
     if iters <= burn_in:
         raise ArgumentError("iters must exceed burn_in")
     if thin < 1:
         raise ArgumentError("thin must be at least 1")
-    check_network_inputs(ratings, content, hyper)
+    check_chain_inputs(ratings, content, hyper)
     root = np.random.SeedSequence(hyper.seed)
     net_seed, noise_seed, chain_seed = root.spawn(3)
     rng = np.random.default_rng(chain_seed)
     widths = hyper.network_widths(content.vocab_size)
     net = sdae.init_network(widths, net_seed, hyper.lambda_w)
     x0 = corrupt(content, hyper.noise_level, noise_seed)
-    layers = [x0.matrix.toarray()] + sdae.forward(net, x0)[1:]
-    clean = content.toarray()
+    layers = sdae.forward(net, x0.toarray())
+    clean = sdae._as_matrix(content)
     state = SamplerState(
         net=net, layers=layers,
         U=np.zeros((ratings.num_users, hyper.n_factors)),

