@@ -479,6 +479,9 @@ def cmd_grid(args):
     ratings = data.load_ratings(ratings_path)
     content_path, content = _load_content(args, ratings, points[0][1])
     folds = _round_robin_folds(ratings, args.folds, points[0][1].seed)
+    with _config_named(config_path):
+        for _, hyper in points:
+            training.check_inputs(ratings, None if args.variant == "mf" else content, hyper)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 

@@ -8,7 +8,7 @@ biases, so each such block takes one batched Langevin Metropolis step: a
 proposal per row in array ops, with the asymmetric-proposal correction and
 a per-row accept/reject.  Step sizes adapt toward a 20-40% acceptance band
 during burn-in and are then frozen.  Every layer mean is ``sdae``'s own layer
-map, and the clean content stays sparse."""
+map, and the clean content takes the layout ``sdae`` chooses for it."""
 
 from __future__ import annotations
 
@@ -202,7 +202,7 @@ class ChainSummary:
 def log_joint(state, ratings, clean, hyper):
     """Finite-precision joint log density (up to a constant) of the current
     chain state, per-layer consistency terms included; ``clean``, the clean
-    content, is canonical CSR, as run_chain keeps it, or dense."""
+    content, is dense or canonical CSR, as sdae._as_matrix lays it out."""
     net = state.net
     L = net.num_layers
     lam_s = hyper.lambda_s

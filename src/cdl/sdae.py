@@ -144,10 +144,14 @@ def sample_network(widths, lambda_w, rng):
 
 
 def _as_matrix(x):
-    """Accept ContentMatrix, scipy sparse, or ndarray; return a 2-D operand,
-    CSR when sparse, so that its row blocks can be sliced.  A sparse operand
-    comes back canonical (no repeated entries, sorted indices); it is copied
-    only when it is not, so the caller's matrix is never changed."""
+    """Accept ContentMatrix, scipy sparse, or ndarray; return a 2-D operand
+    whose row blocks can be sliced.  A sparse operand comes back as a dense
+    array when that array is no larger than its CSR (nnz entries of value and
+    column index against rows x cols float64s: a density of at least 2/3
+    with int32 indices), since dense products and subtractions are then
+    faster at no cost in memory; otherwise as canonical CSR (no repeated
+    entries, sorted indices).  It is copied only when it is not canonical,
+    so the caller's matrix is never changed."""
     if hasattr(x, "matrix"):
         x = x.matrix
     if sp.issparse(x):
@@ -155,7 +159,9 @@ def _as_matrix(x):
         if not x.has_canonical_format:
             x = x.copy()
             x.sum_duplicates()
-        return x
+        if x.nnz * (x.data.itemsize + x.indices.itemsize) < x.shape[0] * x.shape[1] * 8:
+            return x
+        x = x.toarray()
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim == 1:
         arr = arr.reshape(1, -1)
@@ -173,10 +179,10 @@ def _input(net, x):
 
 def _row_blocks(net, x0, xc=None, item_factors=None):
     """Check the operands' shapes, then yield (rows, input rows[, clean rows,
-    item factor rows]) for each block of BLOCK_ROWS rows, in order.  Sparse
-    clean rows stay sparse: the caller subtracts them at their stored entries.
-    When one block covers every row the operands themselves are yielded; a
-    CSR row slice is a copy."""
+    item factor rows]) for each block of BLOCK_ROWS rows, in order.  Clean
+    rows kept sparse by _as_matrix stay sparse: the caller subtracts them at
+    their stored entries.  When one block covers every row the operands
+    themselves are yielded; a CSR row slice is a copy."""
     X0 = _input(net, x0)
     num_rows = X0.shape[0]
     operands = [X0]
@@ -213,10 +219,12 @@ def _layer(x, w, b):
 
 
 def _subtract_clean(out, clean):
-    """``out -= clean`` in place.  A sparse clean block is read at its
-    stored entries only, through flat indices into ``out``; it is never
-    densified.  It must be canonical, as _as_matrix makes it and as every
-    row slice of it stays: a repeated index would be subtracted once."""
+    """``out -= clean`` in place.  ``clean`` is dense or CSR as _as_matrix
+    chose it by its density; a CSR block is read at its stored entries only,
+    through flat indices into ``out``, and is never densified.  It must be
+    canonical, as _as_matrix makes it and as every row slice of it stays: a
+    repeated index would be subtracted once.  Either layout gives the same
+    bits, since subtracting an unstored 0.0 changes no value."""
     if not sp.issparse(clean):
         out -= clean
         return out

@@ -8,6 +8,7 @@ non-finite objectives trigger a restore-and-halve-learning-rate recovery.
 
 from __future__ import annotations
 
+import logging
 import math
 import time
 from dataclasses import dataclass, field, fields
@@ -29,6 +30,8 @@ from .exceptions import (
 from .factors import ConfidenceParams, LatentFactors
 
 MAX_LR_HALVINGS = 5
+
+log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -386,6 +389,8 @@ def _sweep_loop(report, path, state, step, evaluate, hyper, trains_network, may_
                                 "report": report},
                 )
             lr *= 0.5
+            log.warning("sweep %d diverged: learning rate halved to %g (halving %d of %d)",
+                        len(report.rows), lr, halvings, MAX_LR_HALVINGS)
             continue
         record(SweepRow(len(report.rows), total, **terms, seconds=seconds))
         if not may_stop:
@@ -423,6 +428,7 @@ def _network_setup(ratings, content, hyper, lambda_n):
     two-step share all three)."""
     check_inputs(ratings, content, hyper)
     widths = hyper.network_widths(content.vocab_size)
+    clean = sdae._as_matrix(content)  # laid out once per fit, not per gradients call
     net_seed, noise_seq, mask_seq = np.random.SeedSequence(hyper.seed).spawn(3)
     net = sdae.init_network(widths, net_seed, hyper.lambda_w)
     x0 = corrupt(content, hyper.noise_level, noise_seq.spawn(1)[0])
@@ -436,7 +442,7 @@ def _network_setup(ratings, content, hyper, lambda_n):
             if hyper.dropout_rate > 0:
                 mask = sdae.dropout_mask(widths, ratings.num_items,
                                          hyper.dropout_rate, mask_seq.spawn(1)[0])
-            grads_w, grads_b = sdae.gradients(state.net, state.x0, content, V, lambda_v,
+            grads_w, grads_b = sdae.gradients(state.net, state.x0, clean, V, lambda_v,
                                               lambda_n, hyper.lambda_w, mask=mask)
             # heavy ball, v = momentum * v + lr * g, updated in place
             for p, v, g in zip(state.net.weights + state.net.biases, state.velocities,
@@ -451,7 +457,7 @@ def _network_setup(ratings, content, hyper, lambda_n):
         return objective(
             ratings, state.U, state.V, conf, hyper.lambda_u, hyper.lambda_v,
             lambda_n, hyper.lambda_w, net=state.net, x0=state.x0,
-            content=content, check=False,
+            content=clean, check=False,
         )
 
     return state, train_block, evaluate

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 from scipy.special import expit
 
 from cdl import data, factors as mf, sampling, sdae
@@ -943,21 +944,22 @@ class TestAgainstReferenceLoops:
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         assert all(0 < acc < prop for acc, prop in seen.values())  # both outcomes
 
-    def test_criterion_8_chain_matches_reference_scan_by_scan(self, monkeypatch,
-                                                               block_decisions):
-        # criterion 8's data, hyperparameters and chain.  Before each of its
-        # 900 scans the per-row scan starts from copies of the chain's state
-        # and generator.  Two chains run side by side drift apart instead:
-        # the dynamics amplify rounding, from 1e-16 to 1e-5 in 200 scans.
-        ratings, content = tiny_chain_data(seed=5)
+    @staticmethod
+    def check_chain_scan_by_scan(monkeypatch, block_decisions, ratings, content):
+        # criterion 8's hyperparameters and chain.  Before each of its 900
+        # scans the per-row scan starts from copies of the chain's state and
+        # generator.  Two chains run side by side drift apart instead: the
+        # dynamics amplify rounding, from 1e-16 to 1e-5 in 200 scans.
         scan, checked = sampling.mwg_step, []
 
         def checked_scan(state, ratings, clean, hyper, rng, blocks):
             ref, ref_rng, expected = copy.deepcopy(state), copy.deepcopy(rng), []
             block_decisions.clear()
             counts = scan(state, ratings, clean, hyper, rng, blocks=blocks)
-            # the chain's clean content is sparse; the per-row scan reads dense rows
-            assert counts == reference_mwg_step(ref, ratings, clean.toarray(), hyper,
+            # the chain's clean content is dense or CSR by its density; the
+            # per-row scan reads dense rows
+            dense = clean.toarray() if scipy.sparse.issparse(clean) else clean
+            assert counts == reference_mwg_step(ref, ratings, dense, hyper,
                                                 ref_rng, blocks=blocks, decisions=expected)
             assert_same_decisions(block_decisions, expected)
             assert_same_state(state, ref)
@@ -972,6 +974,25 @@ class TestAgainstReferenceLoops:
         accepted = sum(acc for counts in checked for acc, _ in counts.values())
         proposed = sum(prop for counts in checked for _, prop in counts.values())
         assert 0 < accepted < proposed
+
+    def test_criterion_8_chain_matches_reference_scan_by_scan(self, monkeypatch,
+                                                               block_decisions):
+        # criterion 8's data: content dense enough that the chain holds it
+        # as a dense array
+        ratings, content = tiny_chain_data(seed=5)
+        assert isinstance(sdae._as_matrix(content), np.ndarray)
+        self.check_chain_scan_by_scan(monkeypatch, block_decisions, ratings, content)
+
+    def test_binary_content_chain_matches_reference_scan_by_scan(self, monkeypatch,
+                                                                 block_decisions):
+        # the same chain on binary content of density 1/2, which the chain
+        # keeps as CSR and subtracts at its stored entries
+        ratings, content = tiny_chain_data(seed=5)
+        values = content.toarray()
+        binary = data.ContentMatrix(values > np.median(values, axis=1, keepdims=True))
+        assert binary.nnz == binary.num_items * binary.vocab_size // 2
+        assert scipy.sparse.issparse(sdae._as_matrix(binary))
+        self.check_chain_scan_by_scan(monkeypatch, block_decisions, ratings, binary)
 
     @pytest.mark.parametrize("blocks", CHAIN_BLOCKS, ids="".join)
     @pytest.mark.parametrize("seed", [11, 12, 13])

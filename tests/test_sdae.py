@@ -398,7 +398,9 @@ class TestRowBlocks:
         # non-canonical CSR is summed in a copy, never in the caller's matrix
         net, _, xc, V, lam_v, lam_n, lam_w = random_instance([4, 3, 2, 3, 4], 5, seed=29)
         assert xc.shape[0] <= sdae.BLOCK_ROWS
+        xc[xc < 0.5] = 0.0  # below the dense layout's 2/3 density: it stays CSR
         halves = halved_repeats(xc)
+        assert sp.issparse(sdae._as_matrix(halves))
         before = [halves.data.copy(), halves.indices.copy(), halves.indptr.copy()]
         canonical = halves.copy()
         canonical.sum_duplicates()
@@ -423,6 +425,58 @@ class TestRowBlocks:
             xc = xc[:1]
         with pytest.raises(ShapeError):
             sdae.coupling_residuals(net, x0, xc, V)
+
+
+class TestLayout:
+    """_as_matrix holds a sparse operand dense exactly when the dense array
+    is no larger than its CSR: nnz x (value + index bytes) >= rows x cols x 8,
+    a density of 2/3 with int32 indices and 1/2 with int64 ones."""
+
+    @staticmethod
+    def csr_with(nnz, index_dtype, rows=6, cols=10):
+        rng = np.random.default_rng(nnz)
+        dense = np.zeros(rows * cols)
+        dense[rng.permutation(rows * cols)[:nnz]] = rng.uniform(0.1, 1.0, nnz)
+        csr = sp.csr_matrix(dense.reshape(rows, cols))
+        csr.indices, csr.indptr = csr.indices.astype(index_dtype), csr.indptr.astype(index_dtype)
+        return csr
+
+    @pytest.mark.parametrize("index_dtype, line, repeated", [
+        (np.int32, 40, False), (np.int64, 30, False), (np.int32, 40, True)],
+        ids=["int32", "int64", "int32-repeated"])
+    def test_dense_exactly_when_no_larger_than_csr(self, index_dtype, line, repeated):
+        # 6 x 10 float64s take 480 bytes: 40 entries of 12 bytes or 30 of 16;
+        # repeated entries are summed before they are counted
+        for nnz, dense in ((line - 1, False), (line, True)):
+            csr = self.csr_with(nnz, index_dtype)
+            given = halved_repeats(csr.toarray()) if repeated else csr
+            before = [a.copy() for a in (given.data, given.indices, given.indptr)]
+            got = sdae._as_matrix(given)
+            assert isinstance(got, np.ndarray) == dense and sp.issparse(got) != dense
+            np.testing.assert_array_equal(got if dense else got.toarray(), csr.toarray())
+            for arr, old in zip((given.data, given.indices, given.indptr), before):
+                assert arr.dtype == old.dtype
+                np.testing.assert_array_equal(arr, old)
+
+    def test_zero_rows_are_dense(self):
+        # an empty array takes no more bytes than an empty CSR
+        got = sdae._as_matrix(sp.csr_matrix((0, 5)))
+        assert isinstance(got, np.ndarray) and got.shape == (0, 5)
+
+    def test_above_the_line_gives_the_dense_bits(self, monkeypatch):
+        net, x0, xc, V, lam_v, lam_n, lam_w = random_instance([8, 4, 2, 4, 8], 9, seed=45)
+        x0[x0 == 0.0] = 0.5  # every entry stored
+        xc[0, :2] = 0.0      # 70 of 72 entries stored
+        csr0, csrc = sp.csr_matrix(x0), sp.csr_matrix(xc)
+        assert csrc.nnz == 70
+        for block_rows in (sdae.BLOCK_ROWS, 4):
+            monkeypatch.setattr(sdae, "BLOCK_ROWS", block_rows)
+            got = sdae.gradients(net, csr0, csrc, V, lam_v, lam_n, lam_w)
+            want = sdae.gradients(net, x0, xc, V, lam_v, lam_n, lam_w)
+            assert_same_bits(got[0] + got[1], want[0] + want[1])
+            assert ([v.hex() for v in sdae.coupling_residuals(net, csr0, csrc, V)]
+                    == [v.hex() for v in sdae.coupling_residuals(net, x0, xc, V)])
+            assert_same_bits([sdae.encode(net, csr0)], [sdae.encode(net, x0)])
 
 
 class TestAgainstReferenceLoops:
@@ -540,7 +594,9 @@ class TestSigmoid:
 
     def test_repeated_sparse_entries_are_summed(self):
         net, x0, xc, V, _, _, _ = random_instance([4, 2, 4], 3, seed=26)
+        xc[xc < 0.5] = 0.0  # below the dense layout's 2/3 density: it stays CSR
         halves = halved_repeats(xc)
+        assert sp.issparse(sdae._as_matrix(halves))
         np.testing.assert_allclose(sdae.coupling_residuals(net, x0, halves, V),
                                    sdae.coupling_residuals(net, x0, xc, V), rtol=1e-14)
 

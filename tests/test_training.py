@@ -1,3 +1,4 @@
+import logging
 import math
 import time
 
@@ -159,9 +160,10 @@ class TestFit:
     @pytest.mark.parametrize("fit_fn, rows", [
         (training.fit, 4), (training.fit_encoder_only, 4), (training.fit_two_step, 7),
     ], ids=["fit", "fit_encoder_only", "fit_two_step"])
-    def test_divergence_recovery_by_halving(self, monkeypatch, fit_fn, rows):
+    def test_divergence_recovery_by_halving(self, monkeypatch, caplog, fit_fn, rows):
         # force two failing epochs, then let training proceed: the policy
-        # must restore the pre-sweep state, halve the rate, and complete
+        # must restore the pre-sweep state, halve the rate, log each halving,
+        # and complete
         ratings, content = tiny_dataset(seed=13)
         hyper = tiny_hyper(momentum=0.0, epochs_per_block=1, max_sweeps=3)
         real_gradients = sdae.gradients
@@ -174,7 +176,12 @@ class TestFit:
             return real_gradients(*args, **kwargs)
 
         monkeypatch.setattr(training.sdae, "gradients", flaky_gradients)
-        _, _, report = fit_fn(ratings, content, hyper)
+        with caplog.at_level(logging.WARNING, logger="cdl.training"):
+            _, _, report = fit_fn(ratings, content, hyper)
+        # both failures are retries of sweep 1
+        assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
+            ("WARNING", f"sweep 1 diverged: learning rate halved to {lr} (halving {n} of 5)")
+            for n, lr in ((1, 0.001), (2, 0.0005))]
         assert np.isfinite(report.totals()).all()
         assert len(report.rows) == rows
         assert [row.sweep for row in report.rows] == list(range(rows))
