@@ -186,16 +186,6 @@ def cmd_split(args):
     return 0
 
 
-def _load_content(args, ratings, hyper):
-    """(path, ContentMatrix) of ``--content``, with one row per rated item and,
-    when the config fixes the widths, the network's input width as its
-    vocabulary size."""
-    path = _require_file(args.content, "content")
-    vocab_size = None if hyper.widths is None else hyper.widths[0]
-    return path, data.load_content(path, mode=args.content_mode,
-                                   num_items=ratings.num_items, vocab_size=vocab_size)
-
-
 @contextlib.contextmanager
 def _vocabulary_named(content_path, hyper):
     """Run the body; with widths=auto the largest word id of ``content_path``
@@ -222,30 +212,51 @@ def _train_one(ratings, content, hyper, variant, report_path=None):
     raise ArgumentError(f"unknown variant {variant!r}")
 
 
-def cmd_train(args):
+def _load_run(args, check, grid=False):
+    """The inputs of ``cdl train``, ``sample`` or ``grid``, checked before
+    ``--out`` is created.  The config and ratings files must exist; then the
+    hyperparameter sets are read (the grid points, or the config with
+    ``--seed`` applied), the ratings, and the content (one row per rated item,
+    and the configured input width as its vocabulary), which ``--variant mf``
+    leaves unread outside a grid.  ``check(ratings, content, hyper)`` runs on
+    every set, with content None for ``--variant mf``, named at its config
+    line.  Returns (hypers, ratings, content, content path, inputs, out)."""
     config_path = _require_file(args.config, "config")
     ratings_path = _require_file(args.ratings, "ratings")
-    hyper = training.load_config(config_path)
-    if args.seed is not None:
-        with _flag_named("--seed"):
-            hyper = dataclasses.replace(hyper, seed=args.seed)
+    if grid:
+        hypers = _grid_points(config_path)
+    else:
+        hypers = [training.load_config(config_path)]
+        if args.seed is not None:
+            with _flag_named("--seed"):
+                hypers = [dataclasses.replace(hypers[0], seed=args.seed)]
     ratings = data.load_ratings(ratings_path)
     inputs = [config_path, ratings_path]
-
     content = content_path = None
-    if args.variant == "mf":
+    content_free = getattr(args, "variant", None) == "mf"
+    if content_free and not grid:
         if args.content:
             log.warning("variant 'mf' is content-free; ignoring %s", args.content)
     else:
-        if not args.content:
+        if not args.content:  # only train's --content is optional
             raise ArgumentError(f"variant {args.variant!r} needs --content")
-        content_path, content = _load_content(args, ratings, hyper)
+        content_path = _require_file(args.content, "content")
+        widths = hypers[0].widths
+        content = data.load_content(content_path, mode=args.content_mode,
+                                    num_items=ratings.num_items,
+                                    vocab_size=None if widths is None else widths[0])
         inputs.append(content_path)
     with _config_named(config_path):
-        training.check_inputs(ratings, content, hyper)
-
+        for hyper in hypers:
+            check(ratings, None if content_free else content, hyper)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    return hypers, ratings, content, content_path, inputs, out
+
+
+def cmd_train(args):
+    (hyper,), ratings, content, content_path, inputs, out = _load_run(
+        args, training.check_inputs)
     report_path = out / "report.tsv"
     with _vocabulary_named(content_path, hyper):
         net, factors, _report = _train_one(ratings, content, hyper, args.variant,
@@ -394,18 +405,8 @@ def cmd_sample(args):
         raise ArgumentError(f"--burn-in must be non-negative, got {args.burn_in}")
     if args.iters <= args.burn_in:
         raise ArgumentError(f"--iters {args.iters} must exceed --burn-in {args.burn_in}")
-    config_path = _require_file(args.config, "config")
-    ratings_path = _require_file(args.ratings, "ratings")
-    hyper = training.load_config(config_path)
-    if args.seed is not None:
-        with _flag_named("--seed"):
-            hyper = dataclasses.replace(hyper, seed=args.seed)
-    ratings = data.load_ratings(ratings_path)
-    content_path, content = _load_content(args, ratings, hyper)
-    with _config_named(config_path):
-        sampling.check_chain_inputs(ratings, content, hyper)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    (hyper,), ratings, content, content_path, inputs, out = _load_run(
+        args, sampling.check_chain_inputs)
     with _vocabulary_named(content_path, hyper):
         summary = sampling.run_chain(ratings, content, hyper,
                                      iters=args.iters, burn_in=args.burn_in,
@@ -423,16 +424,17 @@ def cmd_sample(args):
         fh.write("\n")
     for warning in summary.warnings:
         log.warning("%s", warning)
-    write_manifest(out, "sample", args,
-                   [config_path, ratings_path, content_path],
+    write_manifest(out, "sample", args, inputs,
                    [out / "chain.tsv", out / "chain_summary.json"],
                    seed=hyper.seed, config=training.config_text(hyper))
     return 0
 
 
-def _grid_points(raw_config, path):
-    """Expand comma lists on the searched keys into the run grid."""
-    lines = training.config_lines(raw_config, path)
+def _grid_points(path):
+    """The run grid's HyperParams: the config at ``path`` with its comma lists
+    on the searched keys expanded, in Cartesian-product order."""
+    with data.open_text(path) as fh:
+        lines = training.config_lines(fh.read(), path)
     lists = {}
     for key in GRID_KEYS:
         value, lineno = lines.get(key, ("", 0))
@@ -446,8 +448,7 @@ def _grid_points(raw_config, path):
     points = []
     for combo in itertools.product(*lists.values()):
         chosen = {key: (repr(v), lines[key][1]) for key, v in zip(lists, combo)}
-        points.append((dict(zip(lists, combo)),
-                       training.hyper_from_config({**lines, **chosen}, path)))
+        points.append(training.hyper_from_config({**lines, **chosen}, path))
     return points
 
 
@@ -472,18 +473,9 @@ def cmd_grid(args):
         raise ArgumentError(f"--folds must be at least 2, got {args.folds}")
     if args.select_m < 1:
         raise ArgumentError(f"--select-m must be at least 1, got {args.select_m}")
-    config_path = _require_file(args.config, "config")
-    ratings_path = _require_file(args.ratings, "ratings")
-    with data.open_text(config_path) as fh:
-        points = _grid_points(fh.read(), config_path)
-    ratings = data.load_ratings(ratings_path)
-    content_path, content = _load_content(args, ratings, points[0][1])
-    folds = _round_robin_folds(ratings, args.folds, points[0][1].seed)
-    with _config_named(config_path):
-        for _, hyper in points:
-            training.check_inputs(ratings, None if args.variant == "mf" else content, hyper)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    points, ratings, content, content_path, inputs, out = _load_run(
+        args, training.check_inputs, grid=True)
+    folds = _round_robin_folds(ratings, args.folds, points[0].seed)
 
     metric_name = f"recall@{args.select_m}"
 
@@ -497,10 +489,8 @@ def cmd_grid(args):
         return metrics.evaluate_run(factors, train, held, (args.select_m,),
                                     cutoff=args.select_m)[metric_name]
 
-    tasks = [(pi, fi, hyper)
-             for pi, (_, hyper) in enumerate(points)
-             for fi in range(len(folds))]
-    with (_vocabulary_named(content_path, points[0][1]),
+    tasks = [(pi, fi, hyper) for pi, hyper in enumerate(points) for fi in range(len(folds))]
+    with (_vocabulary_named(content_path, points[0]),
           ThreadPoolExecutor(max_workers=max(args.threads, 1)) as pool):
         results = list(pool.map(run_one, tasks))
 
@@ -513,20 +503,20 @@ def cmd_grid(args):
                       for (pi, fi, hyper), value in zip(tasks, results)))
 
     means = []
-    for pi, (combo, hyper) in enumerate(points):
+    for pi, hyper in enumerate(points):
         vals = [value for (qi, _, _), value in zip(tasks, results) if qi == pi]
-        means.append((sum(vals) / len(vals), pi, combo, hyper))
+        means.append((sum(vals) / len(vals), pi, hyper))
     # best first, ties in enumeration order: table[0] is the first best point
     table = sorted(means, key=lambda rec: (-rec[0], rec[1]))
     results_path = out / "grid_results.tsv"
     data.write_table(results_path, ["point", *GRID_KEYS, f"mean_{metric_name}"],
-                     ([str(pi)] + cells(hyper, value) for value, pi, _, hyper in table))
+                     ([str(pi)] + cells(hyper, value) for value, pi, hyper in table))
     best = table[0]
     best_path = out / "best_config.txt"
     with data.open_output(best_path) as fh:
-        fh.write(training.config_text(best[3]))
-    write_manifest(out, "grid", args, [config_path, ratings_path, content_path],
-                   [runs_path, results_path, best_path], seed=points[0][1].seed)
+        fh.write(training.config_text(best[2]))
+    write_manifest(out, "grid", args, inputs, [runs_path, results_path, best_path],
+                   seed=points[0].seed)
     print(f"best point {best[1]}: mean {metric_name} = {best[0]:.6f}")
     return 0
 

@@ -76,27 +76,19 @@ class RatingsMatrix:
             raise ValidationError(f"matrix dimensions {num_users} x {num_items} "
                                   "outside [0, 2**63)")
         pairs = np.array(pairs, dtype=np.int64).reshape(-1, 2)  # a copy, owned here
-        if pairs.size:
-            if pairs.min() < 0:
-                raise ValidationError("negative user or item id")
-            if pairs[:, 0].max() >= num_users:
-                raise ValidationError(
-                    f"user id {pairs[:, 0].max()} outside [0, {num_users})"
-                )
-            if pairs[:, 1].max() >= num_items:
-                raise ValidationError(
-                    f"item id {pairs[:, 1].max()} outside [0, {num_items})"
-                )
+        # cheap tests first; _pair_fault names the first bad pair in input order
+        if pairs.size and (pairs.min() < 0 or pairs[:, 0].max() >= num_users
+                           or pairs[:, 1].max() >= num_items):
+            raise ValidationError(_pair_fault(pairs, num_users, num_items, sized=False)[1])
         # keys u * num_items + j rise strictly exactly when the pairs are sorted
         # by (user, item) without a repeat, as save_ratings and split give
         # them; below 2**62 the keys cannot overflow int64
         if (num_users * num_items >= 2**62
                 or not (np.diff(pairs[:, 0] * num_items + pairs[:, 1]) > 0).all()):
-            pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
-            dup = np.all(pairs[1:] == pairs[:-1], axis=1)
-            if dup.any():
-                u, j = pairs[1:][dup][0]
-                raise ValidationError(f"duplicate rating pair ({u}, {j})")
+            ordered = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+            if np.all(ordered[1:] == ordered[:-1], axis=1).any():
+                raise ValidationError(_pair_fault(pairs, num_users, num_items, sized=False)[1])
+            pairs = ordered
         self.num_users = num_users
         self.num_items = num_items
         self._pairs = pairs

@@ -38,11 +38,8 @@ class SdaeNetwork:
     biases: list
 
     def __post_init__(self):
-        L = len(self.weights)
-        if L != len(self.biases):
+        if len(self.weights) != len(self.biases):
             raise ArgumentError("weights and biases must have one entry per layer")
-        if L < 2 or L % 2:
-            raise ArgumentError(f"layer count must be even and >= 2, got {L}")
         self.weights = [np.asarray(w, dtype=np.float64) for w in self.weights]
         self.biases = [np.asarray(b, dtype=np.float64) for b in self.biases]
         for l, (w, b) in enumerate(zip(self.weights, self.biases), start=1):
@@ -52,6 +49,7 @@ class SdaeNetwork:
                 raise ShapeError(f"layer {l}: input width does not match layer {l - 1}")
             if not (np.isfinite(w).all() and np.isfinite(b).all()):
                 raise NumericError(f"layer {l}: non-finite parameter")
+        check_widths(self.widths)
 
     @property
     def num_layers(self):
@@ -63,7 +61,7 @@ class SdaeNetwork:
 
     @property
     def widths(self):
-        return [self.weights[0].shape[0]] + [w.shape[1] for w in self.weights]
+        return [w.shape[0] for w in self.weights[:1]] + [w.shape[1] for w in self.weights]
 
     @property
     def code_size(self):
@@ -84,6 +82,20 @@ class SdaeNetwork:
                 sum(np.sum(w * w) for w in self.weights)
                 + sum(np.sum(b * b) for b in self.biases)
             )
+
+
+def check_widths(widths):
+    """``widths`` as a tuple of ints, when they describe an even layer count
+    of at least 2 with every width at least 1; otherwise ArgumentError naming
+    the ``widths`` field.  Every network, configured, drawn, initialized or
+    loaded, passes this one check."""
+    widths = tuple(int(w) for w in widths)
+    L = max(len(widths) - 1, 0)
+    if L < 2 or L % 2:
+        raise ArgumentError(f"layer count must be even and >= 2, got {L}", ["widths"])
+    if min(widths) < 1:
+        raise ArgumentError("all layer widths must be positive", ["widths"])
+    return widths
 
 
 def dropout_mask(widths, num_rows, rate, seed):
@@ -110,12 +122,8 @@ def dropout_mask(widths, num_rows, rate, seed):
 def init_network(widths, seed, lambda_w=1.0):
     """Gaussian weight init with per-layer scale min(lambda_w**-0.5, fan_in**-0.5)
     and zero biases.  Deterministic per seed."""
-    widths = [int(w) for w in widths]
+    widths = check_widths(widths)
     L = len(widths) - 1
-    if L < 2 or L % 2:
-        raise ArgumentError(f"layer count must be even and >= 2, got {L}")
-    if min(widths) < 1:
-        raise ArgumentError("all layer widths must be positive")
     rng = np.random.default_rng(seed)
     weights, biases = [], []
     try:
@@ -132,10 +140,8 @@ def init_network(widths, seed, lambda_w=1.0):
 def sample_network(widths, lambda_w, rng):
     """Draw weights and biases from the N(0, 1/lambda_w) prior (used when
     synthesizing data, where biases are random too)."""
-    widths = [int(w) for w in widths]
+    widths = check_widths(widths)
     L = len(widths) - 1
-    if L < 2 or L % 2:
-        raise ArgumentError(f"layer count must be even and >= 2, got {L}")
     scale = lambda_w ** -0.5
     weights = [rng.normal(0.0, scale, size=(widths[l - 1], widths[l]))
                for l in range(1, L + 1)]

@@ -89,18 +89,11 @@ class HyperParams:
         if self.seed < 0:
             raise ArgumentError("seed must be non-negative", ["seed"])
         if self.widths is not None:
-            self.widths = tuple(int(w) for w in self.widths)
-            L = len(self.widths) - 1
-            if L < 2 or L % 2:
-                raise ArgumentError("widths must describe an even layer count >= 2",
-                                    ["widths"])
-            if min(self.widths) < 1:
-                raise ArgumentError("all layer widths must be positive", ["widths"])
-            if self.widths[L // 2] != self.n_factors:
-                raise ArgumentError(
-                    f"middle width {self.widths[L // 2]} must equal n_factors {self.n_factors}",
-                    ["widths", "n_factors"],
-                )
+            self.widths = sdae.check_widths(self.widths)
+            middle = self.widths[len(self.widths) // 2]
+            if middle != self.n_factors:
+                raise ArgumentError(f"middle width {middle} must equal n_factors "
+                                    f"{self.n_factors}", ["widths", "n_factors"])
 
     def confidence(self):
         return ConfidenceParams(self.conf_a, self.conf_b)
@@ -414,11 +407,19 @@ def _factor_sweep(state, ratings, conf, hyper, prior_mean):
 def check_inputs(ratings, content, hyper):
     """Reject, before anything is allocated, inputs no MAP fit or chain can
     use; ``content`` is None for the content-free baseline, which has no
-    network to need a finite lambda_n or lambda_w."""
+    network to need a finite lambda_n or lambda_w, or a lambda_n small enough
+    that the reconstruction term cannot overflow."""
     network = () if content is None else ("lambda_n", "lambda_w")
     hyper.require_finite("lambda_u", "lambda_v", *network, "conf_a")
-    if content is not None and content.num_items != ratings.num_items:
+    if content is None:
+        return
+    if content.num_items != ratings.num_items:
         raise ShapeError(f"content has {content.num_items} items, ratings {ratings.num_items}")
+    # every reconstruction residual lies in [-1, 1], so this bounds the term
+    if math.isinf(0.5 * hyper.lambda_n * content.num_items * content.vocab_size):
+        raise ArgumentError(f"lambda_n {hyper.lambda_n!r} overflows the reconstruction "
+                            f"term over {content.num_items} x {content.vocab_size} "
+                            "content", ["lambda_n"])
 
 
 def _network_setup(ratings, content, hyper, lambda_n):

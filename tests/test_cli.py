@@ -503,10 +503,14 @@ def test_negative_seed_named_without_traceback(dataset, tmp_path, capsys, comman
     ("sample", "conf_a", "inf", "conf_a must be finite here"),
     ("sample", "lambda_s", "inf", "the sampler needs a finite lambda_s"),
     ("grid", "lambda_u", "inf", "lambda_u must be finite here"),
+    ("train", "lambda_n", "1e308", "lambda_n 1e+308 overflows the reconstruction term"),
+    ("sample", "lambda_n", "1e308", "lambda_n 1e+308 overflows the reconstruction term"),
+    ("grid", "lambda_n", "1e308", "lambda_n 1e+308 overflows the reconstruction term"),
 ], ids=["train-noise-level", "grid-noise-level", "train-max-sweeps", "grid-point",
         "train-zero-width", "sample-negative-width", "train-lambda-u-inf",
         "sample-lambda-u-inf", "train-conf-a-inf", "sample-conf-a-inf",
-        "sample-lambda-s-inf", "grid-lambda-u-inf"])
+        "sample-lambda-s-inf", "grid-lambda-u-inf", "train-lambda-n-overflows",
+        "sample-lambda-n-overflows", "grid-lambda-n-overflows"])
 def test_bad_config_value_named_at_its_line(dataset, tmp_path, capsys,
                                             command, key, value, message):
     # the value parses but lies outside its domain, or is one the fit or

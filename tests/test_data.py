@@ -116,6 +116,24 @@ class TestLoadRatings:
         assert a.pairs[0].tolist() == [0, int(flat[0])]
         assert pairs.flags.writeable
 
+    @pytest.mark.parametrize("pairs, row, reason", [
+        ([[0, 1], [3, 0], [1, 9]], 1, "pair (3, 0) outside [0, 3) x [0, 4)"),
+        ([[0, 1], [1, 9], [3, 0]], 1, "pair (1, 9) outside [0, 3) x [0, 4)"),
+        ([[0, 1], [1, -2], [2, 0]], 1, "pair (1, -2) outside [0, 3) x [0, 4)"),
+        # sorted, (0, 3) is the first repeat; in input order, (2, 1) is
+        ([[2, 1], [0, 3], [2, 1], [0, 3]], 2, "duplicate rating pair (2, 1)"),
+    ], ids=["user-outside", "item-outside", "negative-id", "first-repeat-in-input"])
+    def test_rejected_pair_named_as_from_a_file(self, tmp_path, pairs, row, reason):
+        # the library and the file reader name the first bad pair alike
+        with pytest.raises(ValidationError) as info:
+            data.RatingsMatrix(3, 4, pairs)
+        assert str(info.value) == reason
+        path = write(tmp_path, "r.tsv", "# users=3 items=4\n"
+                     + "".join(f"{u}\t{j}\n" for u, j in pairs))
+        with pytest.raises(ValidationError) as info:
+            data.load_ratings(path)
+        assert str(info.value) == f"{path}:{row + 2}: {reason}"
+
     # 10**12 + 1 entries ask for 7.28 TiB, 2**62 + 1 overflow the byte size,
     # and np.arange(2**63) comes back empty
     @pytest.mark.parametrize("num_users, num_items", [
@@ -444,6 +462,11 @@ class TestGenerateSynthetic:
         n = U.size
         sigma = hyper.lambda_u ** -0.5 / math.sqrt(n)
         assert abs(U.mean()) < 3 * sigma
+
+    def test_zero_width_layer_rejected(self):
+        with pytest.raises(ArgumentError, match="all layer widths must be positive"):
+            data.generate_synthetic(5, 6, 4, 3, synth_hyper(n_factors=3), seed=1,
+                                    widths=(4, 0, 3, 0, 4))
 
     def test_content_in_unit_interval(self):
         hyper = synth_hyper(lambda_n=10.0)

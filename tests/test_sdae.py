@@ -174,6 +174,31 @@ class TestInit:
         with pytest.raises(ArgumentError):
             sdae.init_network([4, 3, 2, 4], seed=0)
 
+    @pytest.mark.parametrize("widths, message", [
+        ((4, 3, 2, 4), "layer count must be even and >= 2, got 3"),
+        ((4,), "layer count must be even and >= 2, got 0"),
+        ((4, 0, 3, 0, 4), "all layer widths must be positive"),
+        ((4, 3, -1), "all layer widths must be positive"),
+    ], ids=["odd", "no-layer", "zero-width", "negative-width"])
+    def test_every_network_passes_one_widths_check(self, tmp_path, widths, message):
+        # configured, initialized, drawn, built or loaded: one check, one error
+        rng = np.random.default_rng(0)
+        sized = [max(w, 0) for w in widths]
+        weights = [np.zeros(shape) for shape in zip(sized[:-1], sized[1:])]
+        biases = [np.zeros(w) for w in sized[1:]]
+        np.savez(tmp_path / "net.npz", widths=np.asarray(widths),
+                 **{f"weight_{l}": w for l, w in enumerate(weights, 1)},
+                 **{f"bias_{l}": b for l, b in enumerate(biases, 1)})
+        for make in (sdae.check_widths,
+                     lambda w: sdae.init_network(w, seed=0),
+                     lambda w: sdae.sample_network(w, 1.0, rng),
+                     lambda w: sdae.SdaeNetwork(weights, biases),
+                     lambda w: sdae.load_network(tmp_path / "net.npz")):
+            with pytest.raises(ArgumentError) as info:
+                make(widths)
+            assert str(info.value) == message
+            assert info.value.fields == ("widths",)
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):
             sdae.SdaeNetwork([np.zeros((3, 2)), np.zeros((3, 3))],

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cdl import data, factors as mf, sdae, training
+from cdl import data, factors as mf, sampling, sdae, training
 from cdl.exceptions import (ArgumentError, ConfigError, NumericError, ParseError, ShapeError,
                             TrainingError)
 from cdl.factors import ConfidenceParams
@@ -224,6 +224,25 @@ class TestFit:
         inputs = (ratings,) if fit == "fit_mf_baseline" else (ratings, content)
         with pytest.raises(ArgumentError, match="conf_a must be finite"):
             getattr(training, fit)(*inputs, tiny_hyper(conf_a=math.inf))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("run", ["fit", "fit_two_step", "fit_encoder_only",
+                                     "run_chain"])
+    def test_overflowing_lambda_n_rejected_before_the_first_sweep(self, run):
+        # 0.5 * 1e308 * 8 items * 6 words is inf: unchecked, fit halves the
+        # learning rate until it raises TrainingError, and the chain's log
+        # joint is -inf in every draw, with overflow warnings
+        hyper = tiny_hyper(n_factors=2, lambda_s=100.0)
+        ratings, content, *_ = data.generate_synthetic(5, 8, 6, 2, hyper, seed=5)
+        hyper = tiny_hyper(n_factors=2, lambda_s=100.0, lambda_n=1e308)
+        fit = getattr(sampling if run == "run_chain" else training, run)
+        kwargs = {"iters": 4, "burn_in": 2} if run == "run_chain" else {}
+        with pytest.raises(ArgumentError) as info:
+            fit(ratings, content, hyper, **kwargs)
+        assert str(info.value) == ("lambda_n 1e+308 overflows the reconstruction term "
+                                   "over 8 x 6 content")
+        assert info.value.fields == ("lambda_n",)
+        training.fit_mf_baseline(ratings, hyper)  # no network, no bound
 
     def test_block_size_is_accepted_as_batch_size(self):
         ratings, content = tiny_dataset(seed=15)
