@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .exceptions import ArgumentError, ParseError, ValidationError
+from .exceptions import ArgumentError, NumericError, ParseError, ShapeError, ValidationError
 
 log = logging.getLogger(__name__)
 
@@ -385,7 +385,10 @@ def write_npz(path, **arrays):
 def read_npz(path, build):
     """``build(arrays)`` on the dict of every array in an npz checkpoint.  A
     file that is not an npz, holds pickled (object) arrays or lacks a key
-    ``build`` looks up raises ParseError naming the path (and the key)."""
+    ``build`` looks up raises ParseError naming the path (and the key).  An
+    ArgumentError, ShapeError or NumericError from ``build`` is raised again
+    as the same class, with its fields, and the path in front of its
+    message."""
     try:
         archive = np.load(path)
         if not isinstance(archive, np.lib.npyio.NpzFile):
@@ -397,6 +400,10 @@ def read_npz(path, build):
         raise ParseError(f"{path}: no array {exc.args[0]!r} in the checkpoint") from None
     except (ValueError, EOFError, zipfile.BadZipFile) as exc:
         raise ParseError(f"{path}: unreadable checkpoint: {exc}") from None
+    except ArgumentError as exc:
+        raise ArgumentError(f"{path}: {exc}", exc.fields) from None
+    except (ShapeError, NumericError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def load_content(path, mode=BINARY_PRESENCE, num_items=None, vocab_size=None,

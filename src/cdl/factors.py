@@ -7,20 +7,28 @@ plus a-b on observed entries) splits each system into a part every row of a
 pass shares, lam*I + b*F^T F, and a Gram over the row's observed entries, so
 no dense user-item product is ever formed.
 
-A sweep groups its rows by their number of observed entries and runs each
-group in chunks of at most CHUNK_ROWS rows.  Rows with none (half the items
-of a sparse split) share one factorization of the shared part, and each of
-their chunks is one multi-right-hand-side solve.  In the other chunks one
-stacked matmul forms the Grams, and each row is factored and solved by
-LAPACK's dpotrf/dpotrs called directly.  A pass therefore costs
-O(K^2 * nnz) plus O(K^3) per row with at least one observation, plus one
-O(K^3) factorization for all the others, and its working memory is one
-chunk: CHUNK_ROWS K x K systems and the factor rows they gather.  Every
-sweep solution equals the one-row update bit for bit.
+A sweep groups its rows by their number c of observed entries and runs each
+group in chunks of at most CHUNK_ROWS rows.  The pass factors its shared
+part B = lam*I + b*F^T F once, and a row with c < K (at the paper's sparse
+settings every user and nearly every item) solves its system as a rank-c
+update of B by the Woodbury identity: a chunk's B^-1 (lam * prior) is one
+multi-right-hand-side solve, and its c x c capacitances
+I/(a-b) + F_o B^-1 F_o^T take one stacked matmul and one stacked solve.
+Such a row costs O(c^2 K + c^3), plus O(K^2) for a prior, instead of the
+O(K^3) of factoring its own system.  Rows with c = 0 are the
+multi-right-hand-side solve alone.  A row with c >= K would pay more for
+its capacitance than for its own K x K system, so one stacked matmul forms
+its chunk's Grams and LAPACK's dpotrf/dpotrs, called directly, factor and
+solve each row; so does a low-rank row whose capacitance is singular to
+working precision or whose values leave the float range.  A pass costs
+O(n K^2) for the n rows of F on top, and its working memory is F B^-1 (as
+large as F) and one chunk.  A one-row update runs as a sweep of one row, so
+every sweep solution equals it bit for bit.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +37,7 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 from .data import open_output, read_npz, write_npz
 from .exceptions import NumericError, ShapeError, ValidationError
 
-CHUNK_ROWS = 128  # rows per stacked Gram: a chunk holds CHUNK_ROWS K x K systems
+CHUNK_ROWS = 128  # rows per chunk: it holds CHUNK_ROWS K x K systems or c x c capacitances
 
 
 @dataclass(frozen=True)
@@ -96,18 +104,19 @@ def _cho_solve(upper, rhs, overwrite=False):
     return x
 
 
-def _solve_spd(A, rhs):
-    """x solving A x = rhs for SPD A, and the upper Cholesky factor of A
-    (only its upper triangle is meaningful) for callers that reuse it."""
-    _check_finite(A, rhs)
-    upper = _cholesky(A)
-    return _cho_solve(upper, rhs), upper
-
-
 def _base(F, lam, conf):
     """lam*I + b*F^T F: the part of the system every row of a pass shares."""
     _check_finite(F)
     return lam * np.eye(F.shape[1]) + conf.b * (F.T @ F)
+
+
+def _grams(Fo, conf, base):
+    """base + (a-b) F_o^T F_o of each row's gathered rows F_o (rows x c x K),
+    stacked rows x K x K."""
+    A = np.matmul(Fo.transpose(0, 2, 1), Fo)
+    A *= conf.a - conf.b
+    A += base
+    return A
 
 
 def _systems(F, observed, conf, lam, base, priors=None):
@@ -118,10 +127,7 @@ def _systems(F, observed, conf, lam, base, priors=None):
     Fo = F[observed]
     pull = conf.a * Fo.sum(axis=1)
     rhs = pull if priors is None else lam * priors + pull
-    A = np.matmul(Fo.transpose(0, 2, 1), Fo)
-    A *= conf.a - conf.b
-    A += base
-    return A, rhs
+    return _grams(Fo, conf, base), rhs
 
 
 def _row_system(F, rows, conf, lam, base, prior=None):
@@ -133,15 +139,30 @@ def _row_system(F, rows, conf, lam, base, prior=None):
     return A[0], rhs[0]
 
 
+def _encoding(U, encoding):
+    encoding = np.asarray(encoding, dtype=np.float64)
+    if encoding.shape != (U.shape[1],):
+        raise ShapeError(f"encoding width {encoding.shape} != ({U.shape[1]},)")
+    return encoding
+
+
 def _user_system(V, rated_items, conf, lambda_u):
     return _row_system(V, rated_items, conf, lambda_u, _base(V, lambda_u, conf))
 
 
 def _item_system(U, rated_users, conf, lambda_v, encoding):
-    encoding = np.asarray(encoding, dtype=np.float64)
-    if encoding.shape != (U.shape[1],):
-        raise ShapeError(f"encoding width {encoding.shape} != ({U.shape[1]},)")
-    return _row_system(U, rated_users, conf, lambda_v, _base(U, lambda_v, conf), encoding)
+    return _row_system(U, rated_users, conf, lambda_v, _base(U, lambda_v, conf),
+                       _encoding(U, encoding))
+
+
+def _solve_row(F, rated, conf, lam, prior=None, factor=False):
+    """One row's solution, and with ``factor`` the upper Cholesky factor of
+    its system: the row runs as a sweep of one, so it takes a sweep's path
+    and bits."""
+    rated = np.asarray(rated)
+    ((_, x, uppers),) = _grouped_solves(F, np.array([0, len(rated)]), rated, conf, lam,
+                                        None if prior is None else prior[None], factor)
+    return x[0], None if uppers is None else uppers[0]
 
 
 def update_user(V, rated_items, conf, lambda_u):
@@ -149,12 +170,12 @@ def update_user(V, rated_items, conf, lambda_u):
 
     ``rated_items`` are the item ids with an observed rating (value 1).
     """
-    return _solve_spd(*_user_system(V, rated_items, conf, lambda_u))[0]
+    return _solve_row(V, rated_items, conf, lambda_u)[0]
 
 
 def update_item(U, rated_users, conf, lambda_v, encoding):
     """Exact maximizer in one item vector, pulled toward its content encoding."""
-    return _solve_spd(*_item_system(U, rated_users, conf, lambda_v, encoding))[0]
+    return _solve_row(U, rated_users, conf, lambda_v, _encoding(U, encoding))[0]
 
 
 def user_gradient(u, V, rated_items, conf, lambda_u):
@@ -169,41 +190,106 @@ def item_gradient(v, U, rated_users, conf, lambda_v, encoding):
     return rhs - A @ v
 
 
-def _grouped_solves(F, ptr, cols, conf, lam, priors=None):
-    """Solve the system of every row r, whose observed rows of F are
-    ``cols[ptr[r]:ptr[r+1]]``, grouped by that count.
+def _factors(A):
+    """Upper Cholesky factors of the stacked systems A, each written over
+    its own system."""
+    _check_finite(A)
+    # each A[r] is symmetric and C-ordered, so A[r].T is the same matrix in
+    # Fortran order and dpotrf factors it in place
+    return [_cholesky(a.T, overwrite=True) for a in A]
 
-    Yields (row ids, solutions, upper factors) a chunk of at most
-    CHUNK_ROWS rows of one count at a time.  Rows with no observed entries
-    share base's factorization, and each chunk of them one
-    multi-right-hand-side solve; the other chunks form their Grams with one
-    stacked matmul.  The solutions equal the one-row ``_solve_spd`` of
-    ``_row_system`` bit for bit.
+
+def _prior_solves(shared, lam, priors, shape):
+    """base^-1 (lam * prior) of each row (rows x K), one multi-right-hand-
+    side solve through base's factor ``shared``; zero for users."""
+    if priors is None:
+        return np.zeros(shape)
+    rhs = lam * priors
+    _check_finite(rhs)
+    return _cho_solve(shared, rhs.T, overwrite=True).T
+
+
+def _low_rank_solves(Fo, Wo, shared, conf, lam, priors):
+    """Solutions of the rows whose 0 < c < K observed rows of F are ``Fo``
+    (rows x c x K), as rank-c updates of base (Woodbury).  ``shared`` is
+    base's factor and ``Wo`` the same rows of W = F base^-1:
+
+        y = base^-1 (lam * prior),
+        x = y + W_o^T (I/(a-b) + F_o W_o^T)^-1 (a/(a-b) - F_o y).
+
+    The pull a * sum(F_o) enters only through the c x c capacitance, so a
+    small lam does not leave x the difference of two large vectors.  The
+    rows' capacitances take one stacked matmul and one stacked solve.
+    Returns (x, ok): ok is False for a row whose capacitance is singular to
+    working precision or whose values leave the float range."""
+    c = Fo.shape[1]
+    y = _prior_solves(shared, lam, priors, (len(Fo), Fo.shape[2]))
+    Wo_t = Wo.transpose(0, 2, 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cap = np.matmul(Fo, Wo_t)
+        cap.reshape(len(cap), c * c)[:, ::c + 1] += 1.0 / (conf.a - conf.b)
+        pull = np.full((len(cap), c, 1), conf.a / (conf.a - conf.b))
+        if priors is not None:
+            pull -= np.matmul(Fo, y[:, :, None])
+        try:
+            t = np.linalg.solve(cap, pull)
+        except np.linalg.LinAlgError:   # solve the rows one by one, NaN if singular
+            t = np.full_like(pull, np.nan)
+            for r in range(len(cap)):
+                with contextlib.suppress(np.linalg.LinAlgError):
+                    t[r] = np.linalg.solve(cap[r:r + 1], pull[r:r + 1])[0]
+        y += np.matmul(Wo_t, t)[:, :, 0]
+    return y, np.isfinite(y).all(axis=1)
+
+
+def _grouped_solves(F, ptr, cols, conf, lam, priors=None, factor=False):
+    """Solve the system of every row r, whose observed rows of F are
+    ``cols[ptr[r]:ptr[r+1]]``, grouped by that count c.
+
+    Yields (row ids, solutions, upper factors) for at most CHUNK_ROWS rows
+    of one count at a time.  The pass factors base once if any row has
+    c < K.  Rows with c = 0 are one multi-right-hand-side solve a chunk and
+    yield base's factor; rows with 0 < c < K are low-rank updates of base
+    and yield their own systems' factors if ``factor`` is set, else None.
+    Rows with c >= K, and low-rank rows out of float range, form their
+    Grams with one stacked matmul, and each is factored and solved by
+    LAPACK's dpotrf/dpotrs called directly.
     """
     counts = np.diff(ptr)
     if not len(counts):
         return
+    K = F.shape[1]
     base = _base(F, lam, conf)
+    shared = W = None
     order = np.argsort(counts, kind="stable")
     for group in np.split(order, np.flatnonzero(np.diff(counts[order])) + 1):
         c = counts[group[0]]
-        if c == 0:
+        if c < K and shared is None:
             _check_finite(base)
             shared = _cholesky(base)
+        if 0 < c < K and W is None:
+            W = _cho_solve(shared, F.T).T
         for start in range(0, len(group), CHUNK_ROWS):
             rows = group[start:start + CHUNK_ROWS]
             prior = None if priors is None else priors[rows]
+            observed = cols[ptr[rows][:, None] + np.arange(c)]
             if c == 0:
-                rhs = np.zeros((len(rows), F.shape[1])) if prior is None else lam * prior
-                _check_finite(rhs)
-                yield rows, _cho_solve(shared, rhs.T, overwrite=True).T, [shared] * len(rows)
+                yield (rows, _prior_solves(shared, lam, prior, (len(rows), K)),
+                       [shared] * len(rows))
                 continue
-            A, rhs = _systems(F, cols[ptr[rows][:, None] + np.arange(c)], conf, lam,
-                              base, prior)
-            _check_finite(A, rhs)
-            # each A[r] is symmetric and C-ordered, so A[r].T is the same
-            # matrix in Fortran order and dpotrf factors it in place
-            uppers = [_cholesky(a.T, overwrite=True) for a in A]
+            if c < K:
+                Fo = F[observed]
+                x, ok = _low_rank_solves(Fo, W[observed], shared, conf, lam, prior)
+                if ok.any():
+                    yield (rows[ok], x[ok],
+                           _factors(_grams(Fo[ok], conf, base)) if factor else None)
+                if ok.all():
+                    continue
+                rows, observed = rows[~ok], observed[~ok]
+                prior = None if prior is None else prior[~ok]
+            A, rhs = _systems(F, observed, conf, lam, base, prior)
+            _check_finite(rhs)
+            uppers = _factors(A)
             for r, upper in enumerate(uppers):
                 rhs[r] = _cho_solve(upper, rhs[r], overwrite=True)
             yield rows, rhs, uppers

@@ -1,7 +1,10 @@
 """Posterior sampling for the finite-precision model.
 
 User and item vectors have conjugate Gaussian conditionals and are drawn
-exactly, a whole block per pass through the MAP sweeps' grouped solves.
+exactly, a whole block per pass through the MAP sweeps' grouped solves: a
+draw is the MAP mean plus R_A^-1 z, for R_A the upper Cholesky factor of the
+row's system A and standard normals z.  A row whose mean the sweep finds as
+a low-rank update is factored for that noise term alone.
 Given the weights and adjacent layers, one layer's hidden rows are
 conditionally independent, as are one layer's weight columns with their
 biases, so each such block takes one batched Langevin Metropolis step: a
@@ -21,8 +24,8 @@ from scipy.linalg.lapack import dtrtrs
 from . import sdae
 from .data import corrupt, write_table
 from .exceptions import ArgumentError, NumericError
-from .factors import (_grouped_solves, _item_rows, _item_system, _solve_spd,
-                      _user_rows, _user_system, rating_objective)
+from .factors import (_encoding, _grouped_solves, _item_rows, _solve_row, _user_rows,
+                      rating_objective)
 from .training import check_inputs
 
 ACCEPT_TARGET = 0.32  # inside the 20-40% adaptation band
@@ -120,24 +123,27 @@ def _gaussian_draw(mean, upper, z):
 
 def sample_u(V, rated_items, conf, lambda_u, rng):
     """Exact draw from the Gaussian conditional of one user vector."""
-    mean, upper = _solve_spd(*_user_system(V, rated_items, conf, lambda_u))
+    mean, upper = _solve_row(V, rated_items, conf, lambda_u, factor=True)
     return _gaussian_draw(mean, upper, rng.standard_normal(len(mean)))
 
 
 def sample_v(U, rated_users, conf, lambda_v, code_row, rng):
     """Exact draw from the Gaussian conditional of one item vector, centered
     on its middle-layer code."""
-    mean, upper = _solve_spd(*_item_system(U, rated_users, conf, lambda_v, code_row))
+    mean, upper = _solve_row(U, rated_users, conf, lambda_v, _encoding(U, code_row),
+                             factor=True)
     return _gaussian_draw(mean, upper, rng.standard_normal(len(mean)))
 
 
 def _draw_rows(out, F, ptr, cols, conf, lam, rng, priors=None):
     """Exact draws of every row of ``out`` from its Gaussian conditional,
     bit for bit the per-row sample_u/sample_v draws in row order: the MAP
-    sweeps' grouped solves give the means and factors, and one block of
-    standard normals holds each row's draw where the per-row calls took it."""
+    sweeps' grouped solves give the means and each row's factor, and one
+    block of standard normals holds each row's draw where the per-row calls
+    took it."""
     z = rng.standard_normal(out.shape)
-    for rows, means, uppers in _grouped_solves(F, ptr, cols, conf, lam, priors):
+    for rows, means, uppers in _grouped_solves(F, ptr, cols, conf, lam, priors,
+                                               factor=True):
         for r, mean, upper in zip(rows, means, uppers):
             out[r] = _gaussian_draw(mean, upper, z[r])
 

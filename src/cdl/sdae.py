@@ -389,11 +389,11 @@ def save_network(net, path, config=None):
 
 
 def load_network(path):
-    def layers(arrays):
+    def network(arrays):
         L = len(arrays["widths"]) - 1
-        return ([arrays[f"weight_{l}"] for l in range(1, L + 1)],
-                [arrays[f"bias_{l}"] for l in range(1, L + 1)])
-    return SdaeNetwork(*read_npz(path, layers))
+        return SdaeNetwork([arrays[f"weight_{l}"] for l in range(1, L + 1)],
+                           [arrays[f"bias_{l}"] for l in range(1, L + 1)])
+    return read_npz(path, network)
 
 
 def load_network_config(path):

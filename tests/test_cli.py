@@ -1017,6 +1017,41 @@ def test_damaged_network_read_only_for_cold_start(trained, tmp_path, capsys):
     assert f"error: {net_path}: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fault, message", [
+    ("zero-width", "all layer widths must be positive"),
+    ("mismatched", "layer 2: input width does not match layer 1")],
+    ids=["zero-width", "mismatched"])
+def test_rejected_network_checkpoint_named(trained, tmp_path, capsys, fault, message):
+    # the archive reads, but the network it holds is rejected
+    net_path = trained["model"] / "network.npz"
+    hidden = 0 if fault == "zero-width" else 2
+    np.savez(net_path, widths=np.array([4, hidden, 4]),
+             weight_1=np.zeros((4, hidden)), bias_1=np.zeros(hidden),
+             weight_2=np.zeros((hidden if fault == "zero-width" else 3, 4)),
+             bias_2=np.zeros(4))
+    item_file = tmp_path / "new_item.tsv"
+    item_file.write_text("0\t2\n")
+    code = run_cli("predict", "--model", trained["model"], "--user", 1,
+                   "--item-content", item_file, "--out", tmp_path / "cold")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"error: {net_path}: {message}" in err
+    assert "Traceback" not in err
+
+
+def test_non_finite_factors_checkpoint_named(trained, tmp_path, capsys):
+    path = trained["model"] / "factors.npz"
+    factors = mf.load_factors(path)
+    factors.U[0, 0] = np.nan
+    np.savez(path, U=factors.U, V=factors.V)
+    code = run_cli("eval", "--model", trained["model"], "--test",
+                   trained["split"] / "test.tsv", "--out", tmp_path / "o")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"error: {path}: non-finite latent factor" in err
+    assert "Traceback" not in err
+
+
 # peak RSS of `cdl train --variant cdl` at citeulike-a's shape (5551 users,
 # 16980 items, an 8000-word vocabulary, widths 8000-200-50-200-8000); the
 # README quotes this bound

@@ -286,6 +286,8 @@ class TestGroupedSweeps:
     @pytest.mark.parametrize("empty_users", [0, 3])
     def test_one_factorization_per_rated_row_and_one_for_the_rest(
             self, monkeypatch, empty_users):
+        # rows with at least K ratings are each factored; the rows with fewer
+        # share one factorization of the pass's base
         calls = []
 
         def counted_dpotrf(*args, **kwargs):
@@ -306,7 +308,124 @@ class TestGroupedSweeps:
         ]:
             calls.clear()
             sweep(F, ratings, conf, 0.5, *args)
-            assert len(calls) == np.count_nonzero(counts) + bool((counts == 0).any())
+            assert len(calls) == np.count_nonzero(counts >= 5) + 1
+
+    def test_no_per_row_factorization_below_k_ratings(self, monkeypatch):
+        # K = 12 exceeds every count (at most 11): one factorization a pass
+        calls = []
+
+        def counted_dpotrf(*args, **kwargs):
+            calls.append(1)
+            return dpotrf(*args, **kwargs)
+
+        dpotrf = mf.dpotrf
+        monkeypatch.setattr(mf, "dpotrf", counted_dpotrf)
+        rng = np.random.default_rng(16)
+        ratings = chunked_ratings(rng, 6, 3)
+        conf = ConfidenceParams(1.0, 0.01)
+        assert np.diff(ratings._user_ptr).max() < 12 and np.diff(ratings._item_ptr).max() < 12
+        mf.sweep_users(rng.normal(size=(ratings.num_items, 12)), ratings, conf, 0.5)
+        assert len(calls) == 1
+        mf.sweep_items(rng.normal(size=(ratings.num_users, 12)), ratings, conf, 0.5,
+                       rng.normal(size=(ratings.num_items, 12)))
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("K", [1, 4, 50])
+    def test_sweep_straddling_k_equals_single_updates(self, K):
+        # user count groups 0 .. 2K + 1, the groups K - 1 and K overflowing
+        # one chunk; items drawn by a Zipf law, so their counts straddle K
+        rng = np.random.default_rng(17 + K)
+        big = mf.CHUNK_ROWS + 5
+        user_counts = [c for c in range(2 * K + 2) for _ in range(3)]
+        user_counts += [K - 1] * big + [K] * big
+        num_items = 40 * K + 300
+        zipf = 1.0 / np.arange(1, num_items + 1)
+        pairs = [(i, int(j)) for i, c in enumerate(user_counts)
+                 for j in rng.choice(num_items, c, replace=False, p=zipf / zipf.sum())]
+        ratings = data.RatingsMatrix(len(user_counts), num_items, pairs)
+        item_counts = np.diff(ratings._item_ptr)
+        assert (item_counts == 0).any() and (0 < item_counts).any()
+        assert (item_counts < K).any() and (item_counts >= K).any()
+        conf = ConfidenceParams(1.0, 0.01)
+        U = rng.normal(size=(ratings.num_users, K))
+        V = rng.normal(size=(num_items, K))
+        enc = rng.normal(size=V.shape)
+        swept_U = mf.sweep_users(V, ratings, conf, 0.5)
+        swept_V = mf.sweep_items(U, ratings, conf, 3.0, enc)
+        for i in range(ratings.num_users):
+            assert swept_U[i].tobytes() == mf.update_user(
+                V, ratings.items_of(i), conf, 0.5).tobytes()
+        for j in range(num_items):
+            assert swept_V[j].tobytes() == mf.update_item(
+                U, ratings.users_of(j), conf, 3.0, enc[j]).tobytes()
+
+    def test_singular_capacitance_row_takes_the_per_row_path(self):
+        # a - b = 1e20 drowns I/(a-b), so user 0, who rated two items with
+        # equal rows, has a singular capacitance; the others do not
+        rng = np.random.default_rng(18)
+        V = rng.normal(size=(12, 3))
+        V[1] = V[0]
+        pairs = [(0, 0), (0, 1)] + [(u, j) for u in range(1, 6) for j in (2 * u, 2 * u + 1)]
+        ratings = data.RatingsMatrix(6, 12, pairs)
+        conf = ConfidenceParams(1e20, 0.01)
+        solves = mf._grouped_solves(V, *mf._user_rows(ratings), conf, 1.0)
+        rows, x, _ = next(solves)
+        assert list(rows) == [1, 2, 3, 4, 5]
+        for r, row in zip(rows, x):
+            assert row.tobytes() == mf.update_user(V, ratings.items_of(r), conf, 1.0).tobytes()
+        for solve in [lambda: next(solves),
+                      lambda: mf.update_user(V, ratings.items_of(0), conf, 1.0)]:
+            with pytest.raises(NumericError, match="not positive definite"):
+                solve()
+
+    def test_low_rank_rows_out_of_float_range_take_the_per_row_path(self):
+        # with b = 0 and lam = 1e-300, F base^-1 overflows: the per-row path
+        # finds the systems singular, without a warning
+        V = np.random.default_rng(19).normal(size=(6, 3)) * 1e150
+        ratings = data.RatingsMatrix(1, 6, [(0, 0), (0, 1)])
+        conf = ConfidenceParams(1.0, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for solve in [lambda: mf.sweep_users(V, ratings, conf, 1e-300),
+                          lambda: mf.update_user(V, np.array([0, 1]), conf, 1e-300),
+                          lambda: mf.update_item(V, np.array([0, 1]), conf, 1e-300,
+                                                 np.ones(3))]:
+                with pytest.raises(NumericError, match="not positive definite"):
+                    solve()
+
+
+class TestLowRankSolve:
+    """Rows with fewer ratings than factors solve as a rank-c update of the
+    shared part; checked against a dense solve of the assembled system."""
+
+    @pytest.mark.parametrize("lam", [1e-6, 1.0, 1e6])
+    @pytest.mark.parametrize("b", [0.0, 0.01])
+    @pytest.mark.parametrize("K", [1, 5, 50])
+    def test_matches_dense_solve(self, K, b, lam):
+        # the forward error of a backward-stable solve is about cond(A) * eps,
+        # which at b = 0 and lam = 1e-6 exceeds 1e-10; the backward error
+        # does not grow with cond(A)
+        rng = np.random.default_rng(K + int(100 * b) + int(np.log10(lam) + 10))
+        conf = ConfidenceParams(1.0, b)
+        eps = np.finfo(np.float64).eps
+        for c in sorted({0, 1, max(K - 1, 0), K, K + 1}):
+            for with_prior in (False, True):
+                for _ in range(3):
+                    F = rng.normal(size=(2 * K + 7, K))
+                    rated = rng.choice(len(F), size=c, replace=False)
+                    if with_prior:
+                        enc = rng.normal(size=K)
+                        x = mf.update_item(F, rated, conf, lam, enc)
+                        A, rhs = mf._item_system(F, rated, conf, lam, enc)
+                    else:
+                        x = mf.update_user(F, rated, conf, lam)
+                        A, rhs = mf._user_system(F, rated, conf, lam)
+                    dense = np.linalg.solve(A, rhs)
+                    tol = max(1e-10, 4 * np.linalg.cond(A) * eps)
+                    assert np.linalg.norm(x - dense) <= tol * np.linalg.norm(dense)
+                    residual = np.linalg.norm(rhs - A @ x)
+                    assert residual <= 1e-13 * (np.linalg.norm(A, 2) * np.linalg.norm(x)
+                                                + np.linalg.norm(rhs))
 
 
 class TestFactorIO:

@@ -181,22 +181,24 @@ class TestInit:
         ((4, 3, -1), "all layer widths must be positive"),
     ], ids=["odd", "no-layer", "zero-width", "negative-width"])
     def test_every_network_passes_one_widths_check(self, tmp_path, widths, message):
-        # configured, initialized, drawn, built or loaded: one check, one error
+        # configured, initialized, drawn, built or loaded: one check, one
+        # error, which a loaded checkpoint prefixes with its path
         rng = np.random.default_rng(0)
         sized = [max(w, 0) for w in widths]
         weights = [np.zeros(shape) for shape in zip(sized[:-1], sized[1:])]
         biases = [np.zeros(w) for w in sized[1:]]
-        np.savez(tmp_path / "net.npz", widths=np.asarray(widths),
+        path = tmp_path / "net.npz"
+        np.savez(path, widths=np.asarray(widths),
                  **{f"weight_{l}": w for l, w in enumerate(weights, 1)},
                  **{f"bias_{l}": b for l, b in enumerate(biases, 1)})
-        for make in (sdae.check_widths,
-                     lambda w: sdae.init_network(w, seed=0),
-                     lambda w: sdae.sample_network(w, 1.0, rng),
-                     lambda w: sdae.SdaeNetwork(weights, biases),
-                     lambda w: sdae.load_network(tmp_path / "net.npz")):
+        for make, prefix in ((sdae.check_widths, ""),
+                             (lambda w: sdae.init_network(w, seed=0), ""),
+                             (lambda w: sdae.sample_network(w, 1.0, rng), ""),
+                             (lambda w: sdae.SdaeNetwork(weights, biases), ""),
+                             (lambda w: sdae.load_network(path), f"{path}: ")):
             with pytest.raises(ArgumentError) as info:
                 make(widths)
-            assert str(info.value) == message
+            assert str(info.value) == prefix + message
             assert info.value.fields == ("widths",)
 
     def test_shape_mismatch_rejected(self):
