@@ -272,19 +272,20 @@ def _grouped_solves(F, ptr, cols, conf, lam, priors=None, factor=False):
         for start in range(0, len(group), CHUNK_ROWS):
             rows = group[start:start + CHUNK_ROWS]
             prior = None if priors is None else priors[rows]
-            observed = cols[ptr[rows][:, None] + np.arange(c)]
             if c == 0:
                 yield (rows, _prior_solves(shared, lam, prior, (len(rows), K)),
                        [shared] * len(rows))
                 continue
+            observed = cols[ptr[rows][:, None] + np.arange(c)]
             if c < K:
                 Fo = F[observed]
                 x, ok = _low_rank_solves(Fo, W[observed], shared, conf, lam, prior)
+                if ok.all():
+                    yield rows, x, _factors(_grams(Fo, conf, base)) if factor else None
+                    continue
                 if ok.any():
                     yield (rows[ok], x[ok],
                            _factors(_grams(Fo[ok], conf, base)) if factor else None)
-                if ok.all():
-                    continue
                 rows, observed = rows[~ok], observed[~ok]
                 prior = None if prior is None else prior[~ok]
             A, rhs = _systems(F, observed, conf, lam, base, prior)

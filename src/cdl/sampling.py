@@ -112,19 +112,19 @@ def grad_logpost_x_row(layer, num_layers, x, prev_row, w_in, b_in, lambda_s, **c
     return _x_row_density(layer, num_layers, [x], mean_in, lambda_s, **couplings)[1][0]
 
 
-def _gaussian_draw(mean, upper, z):
-    """mean + upper^-1 z: a draw from N(mean, A^-1) for A = upper^T upper
-    and standard normals z."""
+def _noise(upper, z):
+    """upper^-1 z: added to a mean, a draw from N(mean, A^-1) for
+    A = upper^T upper and standard normals z."""
     x, info = dtrtrs(upper, z, lower=0)
     if info:
         raise NumericError(f"triangular solve failed: dtrtrs info {info}")
-    return mean + x
+    return x
 
 
 def sample_u(V, rated_items, conf, lambda_u, rng):
     """Exact draw from the Gaussian conditional of one user vector."""
     mean, upper = _solve_row(V, rated_items, conf, lambda_u, factor=True)
-    return _gaussian_draw(mean, upper, rng.standard_normal(len(mean)))
+    return mean + _noise(upper, rng.standard_normal(len(mean)))
 
 
 def sample_v(U, rated_users, conf, lambda_v, code_row, rng):
@@ -132,7 +132,7 @@ def sample_v(U, rated_users, conf, lambda_v, code_row, rng):
     on its middle-layer code."""
     mean, upper = _solve_row(U, rated_users, conf, lambda_v, _encoding(U, code_row),
                              factor=True)
-    return _gaussian_draw(mean, upper, rng.standard_normal(len(mean)))
+    return mean + _noise(upper, rng.standard_normal(len(mean)))
 
 
 def _draw_rows(out, F, ptr, cols, conf, lam, rng, priors=None):
@@ -144,8 +144,10 @@ def _draw_rows(out, F, ptr, cols, conf, lam, rng, priors=None):
     z = rng.standard_normal(out.shape)
     for rows, means, uppers in _grouped_solves(F, ptr, cols, conf, lam, priors,
                                                factor=True):
-        for r, mean, upper in zip(rows, means, uppers):
-            out[r] = _gaussian_draw(mean, upper, z[r])
+        noise = z[rows]
+        for r, upper in enumerate(uppers):
+            noise[r] = _noise(upper, noise[r])
+        out[rows] = means + noise
 
 
 def _log_ratio(x, here, proposal, there, step):
