@@ -191,12 +191,19 @@ def item_gradient(v, U, rated_users, conf, lambda_v, encoding):
 
 
 def _factors(A):
-    """Upper Cholesky factors of the stacked systems A, each written over
-    its own system."""
-    _check_finite(A)
+    """Upper Cholesky factors of the stacked finite systems A, each written
+    over its own system."""
     # each A[r] is symmetric and C-ordered, so A[r].T is the same matrix in
     # Fortran order and dpotrf factors it in place
     return [_cholesky(a.T, overwrite=True) for a in A]
+
+
+def _own_factors(Fo, conf, base):
+    """Upper Cholesky factors of the systems of rows solved as low-rank
+    updates, for callers that need them."""
+    A = _grams(Fo, conf, base)
+    _check_finite(A)
+    return _factors(A)
 
 
 def _prior_solves(shared, lam, priors, shape):
@@ -281,15 +288,14 @@ def _grouped_solves(F, ptr, cols, conf, lam, priors=None, factor=False):
                 Fo = F[observed]
                 x, ok = _low_rank_solves(Fo, W[observed], shared, conf, lam, prior)
                 if ok.all():
-                    yield rows, x, _factors(_grams(Fo, conf, base)) if factor else None
+                    yield rows, x, _own_factors(Fo, conf, base) if factor else None
                     continue
                 if ok.any():
-                    yield (rows[ok], x[ok],
-                           _factors(_grams(Fo[ok], conf, base)) if factor else None)
+                    yield rows[ok], x[ok], _own_factors(Fo[ok], conf, base) if factor else None
                 rows, observed = rows[~ok], observed[~ok]
                 prior = None if prior is None else prior[~ok]
             A, rhs = _systems(F, observed, conf, lam, base, prior)
-            _check_finite(rhs)
+            _check_finite(A, rhs)
             uppers = _factors(A)
             for r, upper in enumerate(uppers):
                 rhs[r] = _cho_solve(upper, rhs[r], overwrite=True)

@@ -113,9 +113,9 @@ def grad_logpost_x_row(layer, num_layers, x, prev_row, w_in, b_in, lambda_s, **c
 
 
 def _noise(upper, z):
-    """upper^-1 z: added to a mean, a draw from N(mean, A^-1) for
-    A = upper^T upper and standard normals z."""
-    x, info = dtrtrs(upper, z, lower=0)
+    """upper^-1 z, written over z: added to a mean, a draw from
+    N(mean, A^-1) for A = upper^T upper and standard normals z."""
+    x, info = dtrtrs(upper, z, lower=0, overwrite_b=1)
     if info:
         raise NumericError(f"triangular solve failed: dtrtrs info {info}")
     return x
