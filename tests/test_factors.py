@@ -283,11 +283,13 @@ class TestGroupedSweeps:
         with pytest.raises(NumericError, match="not positive definite"):
             mf.update_user(V, ratings.items_of(ratings.num_users - 1), conf, 0.0)
 
-    @pytest.mark.parametrize("empty_users", [0, 3])
+    @pytest.mark.parametrize("empty_users, K", [(0, 5), (3, 5), (3, 12)],
+                             ids=["0", "3", "every-count-below-k"])
     def test_one_factorization_per_rated_row_and_one_for_the_rest(
-            self, monkeypatch, empty_users):
+            self, monkeypatch, empty_users, K):
         # rows with at least K ratings are each factored; the rows with fewer
-        # share one factorization of the pass's base
+        # share one factorization of the pass's base.  At K = 12, above every
+        # count (at most 11), that is the only one.
         calls = []
 
         def counted_dpotrf(*args, **kwargs):
@@ -301,34 +303,14 @@ class TestGroupedSweeps:
         conf = ConfidenceParams(1.0, 0.01)
         for sweep, counts, F, args in [
             (mf.sweep_users, np.diff(ratings._user_ptr),
-             rng.normal(size=(ratings.num_items, 5)), ()),
+             rng.normal(size=(ratings.num_items, K)), ()),
             (mf.sweep_items, np.diff(ratings._item_ptr),
-             rng.normal(size=(ratings.num_users, 5)),
-             (rng.normal(size=(ratings.num_items, 5)),)),
+             rng.normal(size=(ratings.num_users, K)),
+             (rng.normal(size=(ratings.num_items, K)),)),
         ]:
             calls.clear()
             sweep(F, ratings, conf, 0.5, *args)
-            assert len(calls) == np.count_nonzero(counts >= 5) + 1
-
-    def test_no_per_row_factorization_below_k_ratings(self, monkeypatch):
-        # K = 12 exceeds every count (at most 11): one factorization a pass
-        calls = []
-
-        def counted_dpotrf(*args, **kwargs):
-            calls.append(1)
-            return dpotrf(*args, **kwargs)
-
-        dpotrf = mf.dpotrf
-        monkeypatch.setattr(mf, "dpotrf", counted_dpotrf)
-        rng = np.random.default_rng(16)
-        ratings = chunked_ratings(rng, 6, 3)
-        conf = ConfidenceParams(1.0, 0.01)
-        assert np.diff(ratings._user_ptr).max() < 12 and np.diff(ratings._item_ptr).max() < 12
-        mf.sweep_users(rng.normal(size=(ratings.num_items, 12)), ratings, conf, 0.5)
-        assert len(calls) == 1
-        mf.sweep_items(rng.normal(size=(ratings.num_users, 12)), ratings, conf, 0.5,
-                       rng.normal(size=(ratings.num_items, 12)))
-        assert len(calls) == 2
+            assert len(calls) == np.count_nonzero(counts >= K) + 1
 
     @pytest.mark.parametrize("K", [1, 4, 50])
     def test_sweep_straddling_k_equals_single_updates(self, K):
@@ -358,6 +340,15 @@ class TestGroupedSweeps:
         for j in range(num_items):
             assert swept_V[j].tobytes() == mf.update_item(
                 U, ratings.users_of(j), conf, 3.0, enc[j]).tobytes()
+        # a row with at least K ratings keeps the Cholesky solve of its own system
+        for swept, system, rated in [
+                (swept_U, lambda i: mf._user_system(V, ratings.items_of(i), conf, 0.5),
+                 np.diff(ratings._user_ptr)),
+                (swept_V, lambda j: mf._item_system(U, ratings.users_of(j), conf, 3.0, enc[j]),
+                 item_counts)]:
+            for r in np.flatnonzero(rated >= K):
+                A, rhs = system(r)
+                assert swept[r].tobytes() == mf._cho_solve(mf._cholesky(A), rhs).tobytes()
 
     def test_singular_capacitance_row_takes_the_per_row_path(self):
         # a - b = 1e20 drowns I/(a-b), so user 0, who rated two items with
