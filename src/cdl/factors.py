@@ -24,11 +24,19 @@ working precision or whose values leave the float range.  A pass costs
 O(n K^2) for the n rows of F on top, and its working memory is F B^-1 (as
 large as F) and one chunk.  A one-row update runs as a sweep of one row, so
 every sweep solution equals it bit for bit.
+
+Given a generator, the same pass draws each row from its Gaussian
+conditional N(A^-1 rhs, A^-1) instead, by perturbation (Papandreou & Yuille,
+NIPS 2010): the row takes K + c standard normals e1, e3 and solves
+A x = rhs + R_B^T e1 + sqrt(a-b) F_o^T e3, for R_B B's Cholesky factor.  The
+added term has covariance B + (a-b) F_o^T F_o = A, so a draw needs no factor
+of A and takes each path above unchanged.
 """
 
 from __future__ import annotations
 
 import contextlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,9 +92,9 @@ def _check_finite(*arrays):
 
 def _cholesky(A, overwrite=False):
     """Upper Cholesky factor of the SPD matrix A through LAPACK's dpotrf,
-    written over A when ``overwrite`` is set and A is Fortran-ordered.  Only
-    the upper triangle is meaningful; the lower one keeps A's entries."""
-    upper, info = dpotrf(A, lower=0, clean=0, overwrite_a=int(overwrite))
+    zero below the diagonal, written over A when ``overwrite`` is set and A
+    is Fortran-ordered."""
+    upper, info = dpotrf(A, lower=0, overwrite_a=int(overwrite))
     if info:
         raise NumericError(
             f"SPD solve failed: {info}-th leading minor of the array is not "
@@ -110,32 +118,24 @@ def _base(F, lam, conf):
     return lam * np.eye(F.shape[1]) + conf.b * (F.T @ F)
 
 
-def _grams(Fo, conf, base):
-    """base + (a-b) F_o^T F_o of each row's gathered rows F_o (rows x c x K),
-    stacked rows x K x K."""
+def _systems(Fo, conf, base, rhs=None):
+    """Systems of the rows whose observed rows of F are ``Fo`` (rows x c x K,
+    c >= 1): A = base + (a-b) F_o^T F_o stacked (rows x K x K), and the
+    right-hand sides ``rhs`` (lam * prior, plus a draw's R_B^T e1; None if
+    zero) plus a * sum(F_o) (rows x K)."""
     A = np.matmul(Fo.transpose(0, 2, 1), Fo)
     A *= conf.a - conf.b
     A += base
-    return A
-
-
-def _systems(F, observed, conf, lam, base, priors=None):
-    """Systems of the rows whose observed rows of F are ``observed`` (one
-    row of ids each, all of one length c >= 1): A = base + (a-b) F_o^T F_o
-    stacked (rows x K x K), rhs = lam * prior + a * sum(F_o) (rows x K);
-    users have no prior."""
-    Fo = F[observed]
     pull = conf.a * Fo.sum(axis=1)
-    rhs = pull if priors is None else lam * priors + pull
-    return _grams(Fo, conf, base), rhs
+    return A, pull if rhs is None else rhs + pull
 
 
 def _row_system(F, rows, conf, lam, base, prior=None):
     """One row's system; with no observed ``rows`` it is base itself."""
     if not len(rows):
         return base, np.zeros(F.shape[1]) if prior is None else lam * prior
-    A, rhs = _systems(F, np.asarray(rows)[None], conf, lam, base,
-                      None if prior is None else prior[None])
+    A, rhs = _systems(F[np.asarray(rows)[None]], conf, base,
+                      None if prior is None else lam * prior[None])
     return A[0], rhs[0]
 
 
@@ -155,14 +155,13 @@ def _item_system(U, rated_users, conf, lambda_v, encoding):
                        _encoding(U, encoding))
 
 
-def _solve_row(F, rated, conf, lam, prior=None, factor=False):
-    """One row's solution, and with ``factor`` the upper Cholesky factor of
-    its system: the row runs as a sweep of one, so it takes a sweep's path
-    and bits."""
+def _solve_row(F, rated, conf, lam, prior=None, rng=None):
+    """One row's solution, or with ``rng`` its draw: the row runs as a sweep
+    of one, so it takes a sweep's path, normals and bits."""
     rated = np.asarray(rated)
-    ((_, x, uppers),) = _grouped_solves(F, np.array([0, len(rated)]), rated, conf, lam,
-                                        None if prior is None else prior[None], factor)
-    return x[0], None if uppers is None else uppers[0]
+    ((_, x),) = _grouped_solves(F, np.array([0, len(rated)]), rated, conf, lam,
+                                None if prior is None else prior[None], rng)
+    return x[0]
 
 
 def update_user(V, rated_items, conf, lambda_u):
@@ -170,12 +169,12 @@ def update_user(V, rated_items, conf, lambda_u):
 
     ``rated_items`` are the item ids with an observed rating (value 1).
     """
-    return _solve_row(V, rated_items, conf, lambda_u)[0]
+    return _solve_row(V, rated_items, conf, lambda_u)
 
 
 def update_item(U, rated_users, conf, lambda_v, encoding):
     """Exact maximizer in one item vector, pulled toward its content encoding."""
-    return _solve_row(U, rated_users, conf, lambda_v, _encoding(U, encoding))[0]
+    return _solve_row(U, rated_users, conf, lambda_v, _encoding(U, encoding))
 
 
 def user_gradient(u, V, rated_items, conf, lambda_u):
@@ -190,39 +189,25 @@ def item_gradient(v, U, rated_users, conf, lambda_v, encoding):
     return rhs - A @ v
 
 
-def _factors(A):
-    """Upper Cholesky factors of the stacked finite systems A, each written
-    over its own system."""
-    # each A[r] is symmetric and C-ordered, so A[r].T is the same matrix in
-    # Fortran order and dpotrf factors it in place
-    return [_cholesky(a.T, overwrite=True) for a in A]
-
-
-def _own_factors(Fo, conf, base):
-    """Upper Cholesky factors of the systems of rows solved as low-rank
-    updates, for callers that need them."""
-    A = _grams(Fo, conf, base)
-    _check_finite(A)
-    return _factors(A)
-
-
-def _prior_solves(shared, lam, priors, shape):
-    """base^-1 (lam * prior) of each row (rows x K), one multi-right-hand-
-    side solve through base's factor ``shared``; zero for users."""
-    if priors is None:
+def _prior_solves(shared, rhs, shape):
+    """base^-1 rhs of each row (rows x K), one multi-right-hand-side solve
+    through base's factor ``shared``; zero where ``rhs`` is None (a user's
+    MAP solve)."""
+    if rhs is None:
         return np.zeros(shape)
-    rhs = lam * priors
     _check_finite(rhs)
-    return _cho_solve(shared, rhs.T, overwrite=True).T
+    return _cho_solve(shared, rhs.T).T
 
 
-def _low_rank_solves(Fo, Wo, shared, conf, lam, priors):
+def _low_rank_solves(Fo, Wo, shared, conf, rhs, e3):
     """Solutions of the rows whose 0 < c < K observed rows of F are ``Fo``
     (rows x c x K), as rank-c updates of base (Woodbury).  ``shared`` is
-    base's factor and ``Wo`` the same rows of W = F base^-1:
+    base's factor, ``Wo`` the same rows of W = F base^-1, ``rhs`` the part of
+    the right-hand sides that base alone meets (None if zero) and ``e3`` a
+    draw's normals on the observed entries (None for a solve):
 
-        y = base^-1 (lam * prior),
-        x = y + W_o^T (I/(a-b) + F_o W_o^T)^-1 (a/(a-b) - F_o y).
+        y = base^-1 rhs,
+        x = y + W_o^T (I/(a-b) + F_o W_o^T)^-1 (a/(a-b) + e3/sqrt(a-b) - F_o y).
 
     The pull a * sum(F_o) enters only through the c x c capacitance, so a
     small lam does not leave x the difference of two large vectors.  The
@@ -230,13 +215,15 @@ def _low_rank_solves(Fo, Wo, shared, conf, lam, priors):
     Returns (x, ok): ok is False for a row whose capacitance is singular to
     working precision or whose values leave the float range."""
     c = Fo.shape[1]
-    y = _prior_solves(shared, lam, priors, (len(Fo), Fo.shape[2]))
+    y = _prior_solves(shared, rhs, (len(Fo), Fo.shape[2]))
     Wo_t = Wo.transpose(0, 2, 1)
     with np.errstate(over="ignore", invalid="ignore"):
         cap = np.matmul(Fo, Wo_t)
         cap.reshape(len(cap), c * c)[:, ::c + 1] += 1.0 / (conf.a - conf.b)
         pull = np.full((len(cap), c, 1), conf.a / (conf.a - conf.b))
-        if priors is not None:
+        if e3 is not None:
+            pull += e3[:, :, None] / math.sqrt(conf.a - conf.b)
+        if rhs is not None:
             pull -= np.matmul(Fo, y[:, :, None])
         try:
             t = np.linalg.solve(cap, pull)
@@ -249,63 +236,79 @@ def _low_rank_solves(Fo, Wo, shared, conf, lam, priors):
     return y, np.isfinite(y).all(axis=1)
 
 
-def _grouped_solves(F, ptr, cols, conf, lam, priors=None, factor=False):
-    """Solve the system of every row r, whose observed rows of F are
-    ``cols[ptr[r]:ptr[r+1]]``, grouped by that count c.
+def _grouped_solves(F, ptr, cols, conf, lam, priors=None, rng=None):
+    """Solve the system A x = rhs of every row r, whose observed rows of F
+    are ``cols[ptr[r]:ptr[r+1]]``, grouped by that count c.
 
-    Yields (row ids, solutions, upper factors) for at most CHUNK_ROWS rows
-    of one count at a time.  The pass factors base once if any row has
-    c < K.  Rows with c = 0 are one multi-right-hand-side solve a chunk and
-    yield base's factor; rows with 0 < c < K are low-rank updates of base
-    and yield their own systems' factors if ``factor`` is set, else None.
-    Rows with c >= K, and low-rank rows out of float range, form their
-    Grams with one stacked matmul, and each is factored and solved by
-    LAPACK's dpotrf/dpotrs called directly.
+    Yields (row ids, solutions) for at most CHUNK_ROWS rows of one count at
+    a time.  The pass factors base = R_B^T R_B once if any row has c < K or
+    it draws.  Rows with c = 0 are one multi-right-hand-side solve a chunk;
+    rows with 0 < c < K are low-rank updates of base.  Rows with c >= K, and
+    low-rank rows out of float range, form their systems with one stacked
+    matmul, and each is factored and solved by LAPACK's dpotrf/dpotrs called
+    directly.
+
+    With a generator ``rng`` each solution is a draw instead, perturbed as
+    the module docstring gives: one call draws every row's K + c normals,
+    rows in order, and zero normals give the solve's bits.
     """
     counts = np.diff(ptr)
     if not len(counts):
         return
     K = F.shape[1]
     base = _base(F, lam, conf)
+    z = None if rng is None else rng.standard_normal(len(counts) * K + ptr[-1])
     shared = W = None
     order = np.argsort(counts, kind="stable")
     for group in np.split(order, np.flatnonzero(np.diff(counts[order])) + 1):
         c = counts[group[0]]
-        if c < K and shared is None:
+        if shared is None and (c < K or z is not None):
             _check_finite(base)
             shared = _cholesky(base)
         if 0 < c < K and W is None:
             W = _cho_solve(shared, F.T).T
         for start in range(0, len(group), CHUNK_ROWS):
             rows = group[start:start + CHUNK_ROWS]
-            prior = None if priors is None else priors[rows]
+            rhs = None if priors is None else lam * priors[rows]
+            e3 = None
+            if z is not None:
+                at = (rows * K + ptr[rows])[:, None]
+                # one stacked one-row product per row: a chunk GEMM would
+                # change the bits with the chunk's size
+                noise = np.matmul(z[at + np.arange(K)][:, None], shared)[:, 0]
+                rhs = noise if rhs is None else rhs + noise
+                e3 = z[at + K + np.arange(c)]
             if c == 0:
-                yield (rows, _prior_solves(shared, lam, prior, (len(rows), K)),
-                       [shared] * len(rows))
+                yield rows, _prior_solves(shared, rhs, (len(rows), K))
                 continue
             observed = cols[ptr[rows][:, None] + np.arange(c)]
+            Fo = F[observed]
             if c < K:
-                Fo = F[observed]
-                x, ok = _low_rank_solves(Fo, W[observed], shared, conf, lam, prior)
+                x, ok = _low_rank_solves(Fo, W[observed], shared, conf, rhs, e3)
                 if ok.all():
-                    yield rows, x, _own_factors(Fo, conf, base) if factor else None
+                    yield rows, x
                     continue
                 if ok.any():
-                    yield rows[ok], x[ok], _own_factors(Fo[ok], conf, base) if factor else None
-                rows, observed = rows[~ok], observed[~ok]
-                prior = None if prior is None else prior[~ok]
-            A, rhs = _systems(F, observed, conf, lam, base, prior)
+                    yield rows[ok], x[ok]
+                rows, Fo = rows[~ok], Fo[~ok]
+                rhs = None if rhs is None else rhs[~ok]
+                e3 = None if e3 is None else e3[~ok]
+            A, rhs = _systems(Fo, conf, base, rhs)
+            if e3 is not None:
+                rhs += math.sqrt(conf.a - conf.b) * np.matmul(e3[:, None], Fo)[:, 0]
             _check_finite(A, rhs)
-            uppers = _factors(A)
-            for r, upper in enumerate(uppers):
-                rhs[r] = _cho_solve(upper, rhs[r], overwrite=True)
-            yield rows, rhs, uppers
+            for r, a in enumerate(A):
+                # a is symmetric and C-ordered, so a.T is the same matrix in
+                # Fortran order and dpotrf factors it in place
+                rhs[r] = _cho_solve(_cholesky(a.T, overwrite=True), rhs[r], overwrite=True)
+            yield rows, rhs
 
 
-def _sweep(F, ptr, cols, conf, lam, priors=None):
-    """Exact updates of the mutually independent rows ``ptr`` indexes."""
+def _sweep(F, ptr, cols, conf, lam, priors=None, rng=None):
+    """Exact updates of the mutually independent rows ``ptr`` indexes, or
+    with ``rng`` exact draws from their Gaussian conditionals."""
     out = np.empty((len(ptr) - 1, F.shape[1]))
-    for rows, x, _ in _grouped_solves(F, ptr, cols, conf, lam, priors):
+    for rows, x in _grouped_solves(F, ptr, cols, conf, lam, priors, rng):
         out[rows] = x
     return out
 

@@ -1,10 +1,9 @@
 """Posterior sampling for the finite-precision model.
 
 User and item vectors have conjugate Gaussian conditionals and are drawn
-exactly, a whole block per pass through the MAP sweeps' grouped solves: a
-draw is the MAP mean plus R_A^-1 z, for R_A the upper Cholesky factor of the
-row's system A and standard normals z.  A row whose mean the sweep finds as
-a low-rank update is factored for that noise term alone.
+exactly, a whole block per pass, by the MAP sweep itself: ``factors`` folds
+each row's standard normals into the right-hand side of the row's system,
+so the solution is a draw, and zero normals give the MAP update.
 Given the weights and adjacent layers, one layer's hidden rows are
 conditionally independent, as are one layer's weight columns with their
 biases, so each such block takes one batched Langevin Metropolis step: a
@@ -19,13 +18,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dtrtrs
 
 from . import sdae
 from .data import corrupt, write_table
 from .exceptions import ArgumentError, NumericError
-from .factors import (_encoding, _grouped_solves, _item_rows, _solve_row, _user_rows,
-                      rating_objective)
+from .factors import _encoding, _item_rows, _solve_row, _sweep, _user_rows, rating_objective
 from .training import check_inputs
 
 ACCEPT_TARGET = 0.32  # inside the 20-40% adaptation band
@@ -112,42 +109,15 @@ def grad_logpost_x_row(layer, num_layers, x, prev_row, w_in, b_in, lambda_s, **c
     return _x_row_density(layer, num_layers, [x], mean_in, lambda_s, **couplings)[1][0]
 
 
-def _noise(upper, z):
-    """upper^-1 z, written over z: added to a mean, a draw from
-    N(mean, A^-1) for A = upper^T upper and standard normals z."""
-    x, info = dtrtrs(upper, z, lower=0, overwrite_b=1)
-    if info:
-        raise NumericError(f"triangular solve failed: dtrtrs info {info}")
-    return x
-
-
 def sample_u(V, rated_items, conf, lambda_u, rng):
     """Exact draw from the Gaussian conditional of one user vector."""
-    mean, upper = _solve_row(V, rated_items, conf, lambda_u, factor=True)
-    return mean + _noise(upper, rng.standard_normal(len(mean)))
+    return _solve_row(V, rated_items, conf, lambda_u, rng=rng)
 
 
 def sample_v(U, rated_users, conf, lambda_v, code_row, rng):
     """Exact draw from the Gaussian conditional of one item vector, centered
     on its middle-layer code."""
-    mean, upper = _solve_row(U, rated_users, conf, lambda_v, _encoding(U, code_row),
-                             factor=True)
-    return mean + _noise(upper, rng.standard_normal(len(mean)))
-
-
-def _draw_rows(out, F, ptr, cols, conf, lam, rng, priors=None):
-    """Exact draws of every row of ``out`` from its Gaussian conditional,
-    bit for bit the per-row sample_u/sample_v draws in row order: the MAP
-    sweeps' grouped solves give the means and each row's factor, and one
-    block of standard normals holds each row's draw where the per-row calls
-    took it."""
-    z = rng.standard_normal(out.shape)
-    for rows, means, uppers in _grouped_solves(F, ptr, cols, conf, lam, priors,
-                                               factor=True):
-        noise = z[rows]
-        for r, upper in enumerate(uppers):
-            noise[r] = _noise(upper, noise[r])
-        out[rows] = means + noise
+    return _solve_row(U, rated_users, conf, lambda_v, _encoding(U, code_row), rng)
 
 
 def _log_ratio(x, here, proposal, there, step):
@@ -228,10 +198,17 @@ def log_joint(state, ratings, clean, hyper):
     return value
 
 
+def _check_blocks(blocks):
+    for block in blocks:
+        if block not in ("w", "x", "v", "u"):
+            raise ArgumentError(f"unknown block {block!r}: blocks are 'w', 'x', 'v' and 'u'")
+
+
 def mwg_step(state, ratings, clean, hyper, rng,
              blocks=("w", "x", "v", "u")):
     """One full scan over the clean content ``clean``, canonical CSR or
     dense; returns per-block (accepted, proposed) counts."""
+    _check_blocks(blocks)
     net = state.net
     L = net.num_layers
     conf = hyper.confidence()
@@ -259,10 +236,10 @@ def mwg_step(state, ratings, clean, hyper, rng,
                 lambda x: _x_row_density(l, L, x, mean_in, hyper.lambda_s, **kw),
                 state.steps[f"x{l}"], rng)
     if "v" in blocks:
-        _draw_rows(state.V, state.U, *_item_rows(ratings), conf, hyper.lambda_v, rng,
-                   priors=state.layers[net.middle])
+        state.V = _sweep(state.U, *_item_rows(ratings), conf, hyper.lambda_v,
+                         state.layers[net.middle], rng)
     if "u" in blocks:
-        _draw_rows(state.U, state.V, *_user_rows(ratings), conf, hyper.lambda_u, rng)
+        state.U = _sweep(state.V, *_user_rows(ratings), conf, hyper.lambda_u, rng=rng)
     return counts
 
 
@@ -298,6 +275,7 @@ def run_chain(ratings, content, hyper, iters, burn_in, thin=1,
         raise ArgumentError("iters must exceed burn_in")
     if thin < 1:
         raise ArgumentError("thin must be at least 1")
+    _check_blocks(blocks)
     check_chain_inputs(ratings, content, hyper)
     root = np.random.SeedSequence(hyper.seed)
     net_seed, noise_seed, chain_seed = root.spawn(3)

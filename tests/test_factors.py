@@ -289,7 +289,8 @@ class TestGroupedSweeps:
             self, monkeypatch, empty_users, K):
         # rows with at least K ratings are each factored; the rows with fewer
         # share one factorization of the pass's base.  At K = 12, above every
-        # count (at most 11), that is the only one.
+        # count (at most 11), that is the only one.  A draw factors no row's
+        # system for its noise alone.
         calls = []
 
         def counted_dpotrf(*args, **kwargs):
@@ -301,16 +302,19 @@ class TestGroupedSweeps:
         rng = np.random.default_rng(15)
         ratings = chunked_ratings(rng, 6, empty_users)
         conf = ConfidenceParams(1.0, 0.01)
-        for sweep, counts, F, args in [
-            (mf.sweep_users, np.diff(ratings._user_ptr),
+        for sweep, (ptr, cols), F, args in [
+            (mf.sweep_users, mf._user_rows(ratings),
              rng.normal(size=(ratings.num_items, K)), ()),
-            (mf.sweep_items, np.diff(ratings._item_ptr),
+            (mf.sweep_items, mf._item_rows(ratings),
              rng.normal(size=(ratings.num_users, K)),
              (rng.normal(size=(ratings.num_items, K)),)),
         ]:
-            calls.clear()
-            sweep(F, ratings, conf, 0.5, *args)
-            assert len(calls) == np.count_nonzero(counts >= K) + 1
+            for run in [lambda: sweep(F, ratings, conf, 0.5, *args),
+                        lambda: mf._sweep(F, ptr, cols, conf, 0.5, *args,
+                                          rng=np.random.default_rng(16))]:
+                calls.clear()
+                run()
+                assert len(calls) == np.count_nonzero(np.diff(ptr) >= K) + 1
 
     @pytest.mark.parametrize("K", [1, 4, 50])
     def test_sweep_straddling_k_equals_single_updates(self, K):
@@ -360,7 +364,7 @@ class TestGroupedSweeps:
         ratings = data.RatingsMatrix(6, 12, pairs)
         conf = ConfidenceParams(1e20, 0.01)
         solves = mf._grouped_solves(V, *mf._user_rows(ratings), conf, 1.0)
-        rows, x, _ = next(solves)
+        rows, x = next(solves)
         assert list(rows) == [1, 2, 3, 4, 5]
         for r, row in zip(rows, x):
             assert row.tobytes() == mf.update_user(V, ratings.items_of(r), conf, 1.0).tobytes()

@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.linalg
 import scipy.sparse
 from scipy.special import expit
 
@@ -36,6 +35,18 @@ class _ZeroNoise:
 
     def standard_normal(self, size):
         return np.zeros(size)
+
+
+class _BasisNoise:
+    """Stub rng whose Gaussian draws are the n-th basis vector."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def standard_normal(self, size):
+        z = np.zeros(size)
+        z[self.n] = 1.0
+        return z
 
 
 class TestLogpostWCol:
@@ -208,27 +219,61 @@ class TestConjugateDraws:
         np.testing.assert_array_equal(
             draw, mf.update_item(U, rated, self.scalar_conf, 2.0, enc))
 
-    @pytest.mark.parametrize("k", [5, 50])
-    def test_draw_is_map_mean_plus_cholesky_solve(self, k):
-        # one factorization serves mean and draw; pin it against a separate
-        # cholesky() of the same system, bit for bit
-        rng = np.random.default_rng(11 + k)
-        U, V = rng.normal(size=(30, k)), rng.normal(size=(40, k))
-        users, items = np.array([2, 7, 19]), np.array([0, 4, 5, 33])
+    @pytest.mark.parametrize("b", [0.0, 0.01])
+    @pytest.mark.parametrize("k", [1, 5, 50])
+    def test_draw_covariance_is_inverse_precision(self, k, b):
+        # a draw is affine in its K + c normals, x = mean + M z: basis-vector
+        # normals give M column by column, and M M^T must be A^-1
+        rng = np.random.default_rng(11 + k + int(100 * b))
+        conf = ConfidenceParams(1.0, b)
+        eps = np.finfo(np.float64).eps
+        F = rng.normal(size=(2 * k + 7, k))
         enc = rng.normal(size=k)
-        z = np.random.default_rng(3).standard_normal(k)
-        cases = [
-            (lambda r: sampling.sample_u(V, items, self.scalar_conf, 0.8, r),
-             mf._user_system(V, items, self.scalar_conf, 0.8)[0],
-             mf.update_user(V, items, self.scalar_conf, 0.8)),
-            (lambda r: sampling.sample_v(U, users, self.scalar_conf, 2.0, enc, r),
-             mf._item_system(U, users, self.scalar_conf, 2.0, enc)[0],
-             mf.update_item(U, users, self.scalar_conf, 2.0, enc)),
-        ]
-        for draw, A, mean in cases:
-            expected = mean + scipy.linalg.solve_triangular(
-                scipy.linalg.cholesky(A, lower=False), z, lower=False)
-            np.testing.assert_array_equal(draw(np.random.default_rng(3)), expected)
+        for c in sorted({0, 1, max(k - 1, 0), k, k + 1}):
+            rated = rng.choice(len(F), size=c, replace=False)
+            for draw, (A, _) in [
+                    (lambda r: sampling.sample_u(F, rated, conf, 0.8, r),
+                     mf._user_system(F, rated, conf, 0.8)),
+                    (lambda r: sampling.sample_v(F, rated, conf, 2.0, enc, r),
+                     mf._item_system(F, rated, conf, 2.0, enc))]:
+                mean = draw(_ZeroNoise())
+                M = np.column_stack([draw(_BasisNoise(n)) - mean for n in range(k + c)])
+                exact = np.linalg.inv(A)
+                tol = 16 * np.linalg.cond(A) * eps * np.linalg.norm(exact, 2)
+                assert np.linalg.norm(M @ M.T - exact, 2) <= tol
+
+    @pytest.mark.parametrize("k", [1, 5, 50])
+    def test_block_draws_equal_per_row_draws_bitwise(self, k):
+        # user counts 0 .. 2k + 1 and items drawn by a Zipf law, so both
+        # blocks hold rows with no rating and counts on both sides of k; one
+        # count group overflows a chunk
+        rng = np.random.default_rng(40 + k)
+        user_counts = [c for c in range(2 * k + 2) for _ in range(2)]
+        user_counts += [1] * (mf.CHUNK_ROWS + 3)
+        num_items = 40 * k + 300
+        zipf = 1.0 / np.arange(1, num_items + 1)
+        pairs = [(i, int(j)) for i, c in enumerate(user_counts)
+                 for j in rng.choice(num_items, c, replace=False, p=zipf / zipf.sum())]
+        ratings = data.RatingsMatrix(len(user_counts), num_items, pairs)
+        item_counts = np.diff(ratings._item_ptr)
+        assert (item_counts == 0).any() and (item_counts >= k).any()
+        assert ((0 < item_counts) & (item_counts < k)).any() or k == 1
+        conf = ConfidenceParams(1.0, 0.01)
+        U = rng.normal(size=(ratings.num_users, k))
+        V = rng.normal(size=(num_items, k))
+        codes = rng.normal(size=V.shape)
+        block = mf._sweep(V, *mf._user_rows(ratings), conf, 0.8,
+                          rng=np.random.default_rng(7))
+        one = np.random.default_rng(7)
+        rows = [sampling.sample_u(V, ratings.items_of(i), conf, 0.8, one)
+                for i in range(ratings.num_users)]
+        assert block.tobytes() == np.array(rows).tobytes()
+        block = mf._sweep(U, *mf._item_rows(ratings), conf, 2.0, codes,
+                          np.random.default_rng(8))
+        one = np.random.default_rng(8)
+        rows = [sampling.sample_v(U, ratings.users_of(j), conf, 2.0, codes[j], one)
+                for j in range(num_items)]
+        assert block.tobytes() == np.array(rows).tobytes()
 
     def test_scalar_user_monte_carlo_mean(self):
         # K=1 case with closed-form mean 1/2.01 = 0.497512...
@@ -510,6 +555,17 @@ class TestRunChain:
         with pytest.raises(ArgumentError, match="burn_in must be non-negative"):
             sampling.run_chain(ratings, content, chain_hyper(), iters=iters, burn_in=-1)
 
+    def test_unknown_block_rejected(self):
+        # a misspelt block would otherwise run a chain in which nothing moves
+        ratings, content = tiny_chain_data()
+        with pytest.raises(ArgumentError, match="unknown block 'U'"):
+            sampling.run_chain(ratings, content, chain_hyper(), iters=4, burn_in=1,
+                               blocks=("U",))
+        state, rng = initial_state(ratings, content, chain_hyper())
+        with pytest.raises(ArgumentError, match="unknown block 'x1'"):
+            sampling.mwg_step(state, ratings, content.toarray(), chain_hyper(), rng,
+                              blocks=("w", "x1"))
+
     def test_pinned_acceptance_warns(self):
         # a huge frozen step rejects everything, which must surface as a
         # diagnostics warning
@@ -662,11 +718,11 @@ def reference_mwg_step(state, ratings, clean, hyper, rng, blocks=("w", "x", "v",
             decisions.append(moved)
             counts[f"x{l}"] = (int(moved.sum()), len(moved))
     if "v" in blocks:
-        sampling._draw_rows(state.V, state.U, *mf._item_rows(ratings), conf,
-                            hyper.lambda_v, rng, priors=state.layers[mid])
+        state.V = mf._sweep(state.U, *mf._item_rows(ratings), conf,
+                            hyper.lambda_v, priors=state.layers[mid], rng=rng)
     if "u" in blocks:
-        sampling._draw_rows(state.U, state.V, *mf._user_rows(ratings), conf,
-                            hyper.lambda_u, rng)
+        state.U = mf._sweep(state.V, *mf._user_rows(ratings), conf,
+                            hyper.lambda_u, rng=rng)
     return counts
 
 
