@@ -323,19 +323,26 @@ def _item_rows(ratings):
     return ratings._item_ptr, ratings._item_users
 
 
-def sweep_users(V, ratings, conf, lambda_u):
-    """One full pass of exact user updates."""
-    return _sweep(V, *_user_rows(ratings), conf, lambda_u)
+def _check_rows(F, name, count, what):
+    if F.shape[0] != count:
+        raise ShapeError(f"{name} has {F.shape[0]} rows but the ratings have {count} {what}")
 
 
-def sweep_items(U, ratings, conf, lambda_v, encodings):
-    """One full pass of exact item updates toward the given encodings."""
+def sweep_users(V, ratings, conf, lambda_u, rng=None):
+    """One full pass of exact user updates, or with ``rng`` exact draws."""
+    _check_rows(V, "V", ratings.num_items, "items")
+    return _sweep(V, *_user_rows(ratings), conf, lambda_u, rng=rng)
+
+
+def sweep_items(U, ratings, conf, lambda_v, encodings, rng=None):
+    """One full pass of exact item updates toward the encodings, or with ``rng`` draws."""
+    _check_rows(U, "U", ratings.num_users, "users")
     encodings = np.asarray(encodings, dtype=np.float64)
     if encodings.shape != (ratings.num_items, U.shape[1]):
         raise ShapeError(
             f"encodings shape {encodings.shape} != {(ratings.num_items, U.shape[1])}"
         )
-    return _sweep(U, *_item_rows(ratings), conf, lambda_v, encodings)
+    return _sweep(U, *_item_rows(ratings), conf, lambda_v, encodings, rng)
 
 
 def predict(u, v):

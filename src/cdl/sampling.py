@@ -19,10 +19,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import factors as mf
 from . import sdae
 from .data import corrupt, write_table
 from .exceptions import ArgumentError, NumericError
-from .factors import _encoding, _item_rows, _solve_row, _sweep, _user_rows, rating_objective
+from .factors import _encoding, _solve_row, rating_objective
 from .training import check_inputs
 
 ACCEPT_TARGET = 0.32  # inside the 20-40% adaptation band
@@ -236,10 +237,10 @@ def mwg_step(state, ratings, clean, hyper, rng,
                 lambda x: _x_row_density(l, L, x, mean_in, hyper.lambda_s, **kw),
                 state.steps[f"x{l}"], rng)
     if "v" in blocks:
-        state.V = _sweep(state.U, *_item_rows(ratings), conf, hyper.lambda_v,
-                         state.layers[net.middle], rng)
+        state.V = mf.sweep_items(state.U, ratings, conf, hyper.lambda_v,
+                                 state.layers[net.middle], rng)
     if "u" in blocks:
-        state.U = _sweep(state.V, *_user_rows(ratings), conf, hyper.lambda_u, rng=rng)
+        state.U = mf.sweep_users(state.V, ratings, conf, hyper.lambda_u, rng)
     return counts
 
 

@@ -2,8 +2,8 @@
 
 Each sweep runs a full exact user pass, a full exact item pass, then a block
 of momentum gradient epochs on the autoencoder with a fresh corruption mask
-per epoch.  The objective is tracked per sweep with a per-term breakdown;
-non-finite objectives trigger a restore-and-halve-learning-rate recovery.
+per epoch.  The objective is tracked per sweep, term by term, and checked;
+a NumericError in a network sweep triggers a restore-and-halve recovery.
 """
 
 from __future__ import annotations
@@ -295,22 +295,20 @@ def objective_terms(ratings, U, V, conf, lambda_u, lambda_v, lambda_n, lambda_w,
     }
 
 
-def objective(ratings, U, V, conf, lambda_u, lambda_v, lambda_n, lambda_w,
-              net=None, x0=None, content=None, v_prior_mean=None, check=True):
-    """Joint objective value and its five-term breakdown.
-
-    With ``check`` set, a non-finite result raises NumericError naming the
-    offending term.
-    """
-    terms = objective_terms(ratings, U, V, conf, lambda_u, lambda_v, lambda_n,
-                            lambda_w, net=net, x0=x0, content=content,
-                            v_prior_mean=v_prior_mean)
+def _checked(terms):
+    """(total, terms); NumericError names a non-finite term or total."""
+    for name, value in terms.items():
+        if not math.isfinite(value):
+            raise NumericError(f"objective term {name!r} is non-finite")
     total = sum(terms.values())
-    if check:
-        for name, value in terms.items():
-            if not math.isfinite(value):
-                raise NumericError(f"objective term {name!r} is non-finite")
+    if math.isinf(total):
+        raise NumericError("objective total overflows")
     return total, terms
+
+
+def objective(*args, **kwargs):
+    """(total, terms) of the joint objective, checked; takes objective_terms' arguments."""
+    return _checked(objective_terms(*args, **kwargs))
 
 
 @dataclass
@@ -336,11 +334,12 @@ def _sweep_loop(report, path, state, step, evaluate, hyper, trains_network, may_
     each one; with a ``path``, each row is also appended to that TSV file.
 
     Sweep numbers continue the report; an empty report first gets row 0, the
-    state before any sweep.  When the step trains the network, a NumericError
-    or a non-finite objective restores the pre-sweep state and halves the
-    learning rate; after MAX_LR_HALVINGS halvings it raises TrainingError
-    carrying the last good state.  Otherwise errors propagate and every row
-    is kept.  A phase that may stop early ends after ``early_stop_patience``
+    state before any sweep.  A NumericError from the step or from
+    ``evaluate``, which checks its terms, is the one divergence signal.  In a
+    phase that trains the network it restores the pre-sweep state and halves
+    the learning rate; after MAX_LR_HALVINGS halvings it raises TrainingError
+    carrying the last good state.  At row 0 and in other phases it propagates.
+    A phase that may stop early ends after ``early_stop_patience``
     consecutive sweeps whose relative objective change is below
     ``early_stop_tol``.  Returns the final state.
     """
@@ -365,25 +364,22 @@ def _sweep_loop(report, path, state, step, evaluate, hyper, trains_network, may_
             step(state, lr)
             seconds = time.perf_counter() - start
             total, terms = evaluate(state)
-            diverged = trains_network and not math.isfinite(total)
-        except NumericError:
+        except NumericError as exc:
             if not trains_network:
                 raise
-            diverged = True
-        if diverged:
             state = saved
             halvings += 1
             if halvings > MAX_LR_HALVINGS:
                 raise TrainingError(
-                    f"objective stayed non-finite after {MAX_LR_HALVINGS} "
-                    "learning-rate halvings",
+                    f"sweep {len(report.rows)} diverged ({exc}) after "
+                    f"{MAX_LR_HALVINGS} learning-rate halvings",
                     checkpoint={"net": state.net,
                                 "factors": LatentFactors(state.U, state.V),
                                 "report": report},
-                )
+                ) from exc
             lr *= 0.5
-            log.warning("sweep %d diverged: learning rate halved to %g (halving %d of %d)",
-                        len(report.rows), lr, halvings, MAX_LR_HALVINGS)
+            log.warning("sweep %d diverged (%s): learning rate halved to %g (halving %d of %d)",
+                        len(report.rows), exc, lr, halvings, MAX_LR_HALVINGS)
             continue
         record(SweepRow(len(report.rows), total, **terms, seconds=seconds))
         if not may_stop:
@@ -411,6 +407,10 @@ def check_inputs(ratings, content, hyper):
     that the reconstruction term cannot overflow."""
     network = () if content is None else ("lambda_n", "lambda_w")
     hyper.require_finite("lambda_u", "lambda_v", *network, "conf_a")
+    # the rating term at U = 0 is -conf_a * nnz / 2
+    if math.isinf(hyper.conf_a * ratings.nnz):
+        raise ArgumentError(f"conf_a {hyper.conf_a!r} overflows the rating term over "
+                            f"{ratings.nnz} ratings", ["conf_a"])
     if content is None:
         return
     if content.num_items != ratings.num_items:
@@ -457,8 +457,7 @@ def _network_setup(ratings, content, hyper, lambda_n):
     def evaluate(state):
         return objective(
             ratings, state.U, state.V, conf, hyper.lambda_u, hyper.lambda_v,
-            lambda_n, hyper.lambda_w, net=state.net, x0=state.x0,
-            content=clean, check=False,
+            lambda_n, hyper.lambda_w, net=state.net, x0=state.x0, content=clean,
         )
 
     return state, train_block, evaluate
@@ -529,7 +528,7 @@ def fit_two_step(ratings, content, hyper, report_path=None):
             hyper.lambda_w, net=state.net, v_prior_mean=encodings,
         )
         terms["reconstruction"] = reconstruction
-        return sum(terms.values()), terms
+        return _checked(terms)
 
     state = _sweep_loop(
         report, report_path, state,

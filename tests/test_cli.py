@@ -506,11 +506,12 @@ def test_negative_seed_named_without_traceback(dataset, tmp_path, capsys, comman
     ("train", "lambda_n", "1e308", "lambda_n 1e+308 overflows the reconstruction term"),
     ("sample", "lambda_n", "1e308", "lambda_n 1e+308 overflows the reconstruction term"),
     ("grid", "lambda_n", "1e308", "lambda_n 1e+308 overflows the reconstruction term"),
+    ("sample", "conf_a", "1e308", "conf_a 1e+308 overflows the rating term"),
 ], ids=["train-noise-level", "grid-noise-level", "train-max-sweeps", "grid-point",
         "train-zero-width", "sample-negative-width", "train-lambda-u-inf",
         "sample-lambda-u-inf", "train-conf-a-inf", "sample-conf-a-inf",
         "sample-lambda-s-inf", "grid-lambda-u-inf", "train-lambda-n-overflows",
-        "sample-lambda-n-overflows", "grid-lambda-n-overflows"])
+        "sample-lambda-n-overflows", "grid-lambda-n-overflows", "sample-conf-a-overflows"])
 def test_bad_config_value_named_at_its_line(dataset, tmp_path, capsys,
                                             command, key, value, message):
     # the value parses but lies outside its domain, or is one the fit or

@@ -201,6 +201,19 @@ class TestSweeps:
             np.testing.assert_array_equal(
                 V[j], mf.update_item(U, ratings.users_of(j), conf, 2.0, enc[j]))
 
+    @pytest.mark.parametrize("v_rows, u_rows", [(3, 1), (7, 9)])
+    def test_factor_rows_must_match_the_ratings(self, v_rows, u_rows):
+        # too many rows once put phantom items into b * V^T V; too few ended
+        # in a raw IndexError
+        ratings = data.RatingsMatrix(6, 5, [(0, 4), (2, 1), (5, 3), (5, 4)])
+        conf = ConfidenceParams(1.0, 0.01)
+        with pytest.raises(ShapeError) as info:
+            mf.sweep_users(np.ones((v_rows, 2)), ratings, conf, 0.5)
+        assert str(info.value) == f"V has {v_rows} rows but the ratings have 5 items"
+        with pytest.raises(ShapeError) as info:
+            mf.sweep_items(np.ones((u_rows, 2)), ratings, conf, 2.0, np.zeros((5, 2)))
+        assert str(info.value) == f"U has {u_rows} rows but the ratings have 6 users"
+
 
 def chunked_ratings(rng, extra_users, empty_users):
     """Ratings whose count groups overflow one chunk: CHUNK_ROWS + 12 users

@@ -566,6 +566,22 @@ class TestRunChain:
             sampling.mwg_step(state, ratings, content.toarray(), chain_hyper(), rng,
                               blocks=("w", "x1"))
 
+    def test_scan_draws_factors_through_the_public_sweeps(self, monkeypatch):
+        # one item sweep, then one user sweep, each given the ratings as its
+        # second argument, as a caller counting rows reads it
+        ratings, content = tiny_chain_data()
+        hyper = chain_hyper()
+        state, rng = initial_state(ratings, content, hyper)
+        calls = []
+        for name in ("sweep_users", "sweep_items"):
+            def counted(*args, real=getattr(mf, name), name=name):
+                calls.append((name, args[1]))
+                return real(*args)
+
+            monkeypatch.setattr(mf, name, counted)
+        sampling.mwg_step(state, ratings, content.toarray(), hyper, rng)
+        assert calls == [("sweep_items", ratings), ("sweep_users", ratings)]
+
     def test_pinned_acceptance_warns(self):
         # a huge frozen step rejects everything, which must surface as a
         # diagnostics warning

@@ -84,7 +84,7 @@ class TestObjective:
         with pytest.raises(NumericError, match="user_prior"):
             training.objective(ratings, U, np.ones((1, 1)),
                                ConfidenceParams(1, 0.01), 1.0, 1.0, 0.0, 1.0,
-                               v_prior_mean=np.zeros((1, 1)), check=True)
+                               v_prior_mean=np.zeros((1, 1)))
 
 
 class TestFit:
@@ -180,13 +180,65 @@ class TestFit:
             _, _, report = fit_fn(ratings, content, hyper)
         # both failures are retries of sweep 1
         assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
-            ("WARNING", f"sweep 1 diverged: learning rate halved to {lr} (halving {n} of 5)")
+            ("WARNING", f"sweep 1 diverged (non-finite activation at layer 1): learning "
+                        f"rate halved to {lr} (halving {n} of 5)")
             for n, lr in ((1, 0.001), (2, 0.0005))]
         assert np.isfinite(report.totals()).all()
         assert len(report.rows) == rows
         assert [row.sweep for row in report.rows] == list(range(rows))
         # two failures plus the three successful network sweeps
         assert calls["n"] == 5
+
+    def test_last_halving_names_the_cause(self, monkeypatch):
+        ratings, content = tiny_dataset(seed=13)
+
+        def failing_gradients(*args, **kwargs):
+            raise NumericError("non-finite activation at layer 1")
+
+        monkeypatch.setattr(training.sdae, "gradients", failing_gradients)
+        with pytest.raises(TrainingError) as info:
+            training.fit(ratings, content, tiny_hyper(max_sweeps=3))
+        assert str(info.value) == ("sweep 1 diverged (non-finite activation at layer 1) "
+                                   "after 5 learning-rate halvings")
+        assert len(info.value.checkpoint["report"].rows) == 1
+
+    @pytest.mark.parametrize("fit", ["fit", "fit_encoder_only", "fit_two_step",
+                                     "fit_mf_baseline"])
+    def test_nonfinite_row_zero_raises_the_same_error_in_every_fit(self, monkeypatch,
+                                                                   caplog, fit):
+        # row 0 is no sweep to retry: a non-finite term there raises at once,
+        # with no learning-rate halving
+        ratings, content = tiny_dataset(seed=13)
+        monkeypatch.setattr(training.mf, "rating_objective", lambda *args: -math.inf)
+        inputs = (ratings,) if fit == "fit_mf_baseline" else (ratings, content)
+        with caplog.at_level(logging.WARNING, logger="cdl.training"):
+            with pytest.raises(NumericError) as info:
+                getattr(training, fit)(*inputs, tiny_hyper())
+        assert str(info.value) == "objective term 'rating' is non-finite"
+        assert not caplog.records
+
+    def test_two_step_frozen_phase_checks_its_objective(self, monkeypatch, caplog):
+        # the frozen phase trains no network, so a non-finite term in its
+        # first sweep raises instead of entering the report
+        ratings, content = tiny_dataset(seed=13)
+        hyper = tiny_hyper(max_sweeps=2)
+        real = mf.rating_objective
+        calls = {"n": 0}
+
+        def rating_objective(*args):
+            calls["n"] += 1  # calls 1-3 give the network phase's rows 0-2
+            return -math.inf if calls["n"] == 4 else real(*args)
+
+        monkeypatch.setattr(training.mf, "rating_objective", rating_objective)
+        with caplog.at_level(logging.WARNING, logger="cdl.training"):
+            with pytest.raises(NumericError, match="objective term 'rating' is non-finite"):
+                training.fit_two_step(ratings, content, hyper)
+        assert calls["n"] == 4
+        assert not caplog.records
+
+    def test_total_overflow_raises(self):
+        with pytest.raises(NumericError, match="objective total overflows"):
+            training._checked({"user_prior": -1e308, "rating": -1e308})
 
     def test_state_copy_shares_no_array(self):
         # velocities are updated in place, so a rollback is sound only if the
@@ -243,6 +295,24 @@ class TestFit:
                                    "over 8 x 6 content")
         assert info.value.fields == ("lambda_n",)
         training.fit_mf_baseline(ratings, hyper)  # no network, no bound
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("run", ["fit", "fit_two_step", "fit_encoder_only",
+                                     "fit_mf_baseline", "run_chain"])
+    def test_overflowing_conf_a_rejected_before_the_first_sweep(self, run):
+        # 1e306 * 259 ratings is inf, and so is the rating term at U = 0: the
+        # bound names the field before any fit or chain starts
+        hyper = tiny_hyper(lambda_s=100.0)
+        ratings, content, *_ = data.generate_synthetic(20, 30, 10, 3, hyper, seed=0)
+        assert ratings.nnz == 259
+        hyper = tiny_hyper(lambda_s=100.0, conf_a=1e306)
+        fit = getattr(sampling if run == "run_chain" else training, run)
+        inputs = (ratings,) if run == "fit_mf_baseline" else (ratings, content)
+        kwargs = {"iters": 4, "burn_in": 2} if run == "run_chain" else {}
+        with pytest.raises(ArgumentError) as info:
+            fit(*inputs, hyper, **kwargs)
+        assert str(info.value) == "conf_a 1e+306 overflows the rating term over 259 ratings"
+        assert info.value.fields == ("conf_a",)
 
     def test_block_size_is_accepted_as_batch_size(self):
         ratings, content = tiny_dataset(seed=15)
