@@ -5,12 +5,16 @@ ascending item id, so ranking is a pure function of its inputs.  Users with
 no held-out liked items are excluded from every mean.
 
 Users are scored in blocks of ``BLOCK_USERS`` with one matrix product, so
-working memory is bounded by one block of scores.  The metrics read one
-users x positions hit matrix instead of intersecting lists user by user.
-``evaluate_run`` builds it from where each held-out item falls in the order,
-sorting only each block's top scores, and builds no list.  ``rank`` builds
-the lists themselves (for ``cdl predict``) with one stable sort of each
-block.
+working memory is bounded by one block of scores.  The product is taken with
+the negated user factors, which gives the negated scores exactly, so
+ascending order is the ranking; a training item is set to +inf and sorts
+after every candidate.  The metrics read one users x positions hit matrix
+instead of intersecting lists user by user.  ``evaluate_run`` builds it from
+where each held-out item falls in the order, sorting only each block's top
+scores, and builds no list: an item tied with another candidate is placed by
+counting the equal scores with a lower item id, with no whole-row sort.
+``rank`` builds the lists themselves (for ``cdl predict``) with one stable
+sort of each block.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ DEFAULT_M_GRID = (50, 100, 150, 200, 250, 300)
 MAP_CUTOFF = 500
 
 BLOCK_USERS = 128  # users scored per matrix product
-_LOWEST = np.finfo(np.float64).min  # below every finite score, above -inf
+_HIGHEST = np.finfo(np.float64).max  # above every finite negated score, below +inf
 
 
 @dataclass
@@ -45,10 +49,13 @@ class RankedList:
 
 
 def _scored_blocks(U, V, train, policy):
-    """Yield (first user, scores) for each block of ``BLOCK_USERS`` users:
-    one matrix product per block, with the user's training items at -inf
-    under exclude-train.  The arguments are checked before the first block
-    is scored; a non-finite score raises :class:`NumericError` naming its
+    """Yield (first user, negated scores) for each block of ``BLOCK_USERS``
+    users: one matrix product per block, ``negative(U[lo:hi]) @ V.T``, which
+    under round-to-nearest is exactly -(U V^T), so ascending order is rank's
+    order (negating the block's user rows copies no item-sized array).
+    Under exclude-train the user's training items are set to +inf, after
+    every candidate.  The arguments are checked before the first block is
+    scored; a non-finite score raises :class:`NumericError` naming its
     user."""
     if policy not in (EXCLUDE_TRAIN, ALL_ITEMS):
         raise ArgumentError(f"unknown candidate policy {policy!r}")
@@ -69,14 +76,14 @@ def _scored_blocks(U, V, train, policy):
     for lo in range(0, num_users, BLOCK_USERS):
         hi = min(lo + BLOCK_USERS, num_users)
         with np.errstate(over="ignore", invalid="ignore"):
-            scores = U[lo:hi] @ V.T  # a non-finite score is raised below
+            scores = np.negative(U[lo:hi]) @ V.T  # a non-finite score is raised below
         finite = np.isfinite(scores)
         if not finite.all():
             user = lo + int(np.flatnonzero(~finite.all(axis=1))[0])
             raise NumericError(f"non-finite predicted score for user {user}")
         if exclude:
             seen = pairs[np.searchsorted(pairs[:, 0], lo):np.searchsorted(pairs[:, 0], hi)]
-            scores[seen[:, 0] - lo, seen[:, 1]] = -np.inf
+            scores[seen[:, 0] - lo, seen[:, 1]] = np.inf
         yield lo, scores
 
 
@@ -93,8 +100,9 @@ def rank(U, V, train=None, policy=EXCLUDE_TRAIN, limit=None):
         raise ArgumentError(f"limit must be non-negative, got {limit}")
     lists = []
     for _, scores in _scored_blocks(U, V, train, policy):
-        # training items are -inf, so they sort after every candidate
-        order = np.argsort(-scores, axis=1, kind="stable")
+        # negated scores: training items are +inf, so they sort after every
+        # candidate
+        order = np.argsort(scores, axis=1, kind="stable")
         keep = np.isfinite(scores).sum(axis=1)
         if limit is not None:
             keep = np.minimum(keep, limit)
@@ -138,6 +146,28 @@ def _count_below(sorted_rows, rows, values):
     return below
 
 
+def _equals_before(scores, rows, items, values):
+    """For each (row, item, value), the number of entries of ``scores[row]``
+    before ``item`` equal to ``value``: per ``BLOCK_USERS`` distinct (row,
+    value) pairs, one sorted list of the flat indices of the entries equal
+    to their pair's value, searched for each item."""
+    order = np.lexsort((values, rows))
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = ((rows[order[1:]] != rows[order[:-1]])
+                 | (values[order[1:]] != values[order[:-1]]))
+    pair = np.empty(len(order), dtype=np.intp)
+    pair[order] = np.cumsum(first) - 1
+    heads = order[first]  # one item of each pair, in pair order
+    before = np.empty(len(order), dtype=np.intp)
+    for lo in range(0, len(heads), BLOCK_USERS):
+        chosen = heads[lo:lo + BLOCK_USERS]
+        equal = np.flatnonzero(scores[rows[chosen]] == values[chosen, None])
+        mine = (pair >= lo) & (pair < lo + len(chosen))
+        start = (pair[mine] - lo) * scores.shape[1]  # the flat index of the pair's row
+        before[mine] = np.searchsorted(equal, start + items[mine]) - np.searchsorted(equal, start)
+    return before
+
+
 def _held_out_hits(U, V, train, test, policy, width):
     """The hit matrix and held-out counts of ``_hit_matrix`` for
     ``rank(U, V, train, policy, width)``, read from the held-out items'
@@ -145,24 +175,21 @@ def _held_out_hits(U, V, train, test, policy, width):
 
     An item's position is the number of candidates scoring higher plus the
     number scoring the same with a lower id, which is rank's order.  Per
-    block of users only the ``width`` highest scores are sorted; a row
-    holding a held-out item tied with another candidate is ordered whole
-    once."""
+    block of users only the ``width`` highest scores are sorted, and the
+    equal scores with a lower id are counted only for an item tied with
+    another candidate."""
     num_users, num_items = len(U), len(V)
     liked = _liked(num_users, test)
     width = min(width, num_items)
     hits = np.zeros((num_users, width), dtype=bool)
     held = test.pairs[test.pairs[:, 1] < num_items]
-    for lo, scores in _scored_blocks(U, V, train, policy):
+    for lo, neg in _scored_blocks(U, V, train, policy):
         block = held[np.searchsorted(held[:, 0], lo):
-                     np.searchsorted(held[:, 0], lo + len(scores))]
+                     np.searchsorted(held[:, 0], lo + len(neg))]
         if not (width and len(block)):
             continue
-        # in negated scores ascending order is rank's order, and a training
-        # item (+inf) sorts after every candidate
-        neg = np.negative(scores, out=scores)
         top = np.sort(np.partition(neg, width - 1, axis=1)[:, :width], axis=1)
-        cut = np.minimum(top[:, -1], -_LOWEST)
+        cut = np.minimum(top[:, -1], _HIGHEST)
         rows, items = block[:, 0] - lo, block[:, 1]
         value = neg[rows, items]
         near = value <= cut[rows]
@@ -174,11 +201,7 @@ def _held_out_hits(U, V, train, test, policy, width):
         pos = _count_below(top, rows, value)
         tied = top[rows, np.minimum(pos + 1, width - 1)] == value
         if tied.any():
-            tie_rows, at = np.unique(rows[tied], return_inverse=True)
-            order = np.argsort(neg[tie_rows], axis=1, kind="stable")
-            place = np.empty_like(order)
-            np.put_along_axis(place, order, np.arange(num_items), axis=1)
-            pos[tied] = place[at, items[tied]]
+            pos[tied] += _equals_before(neg, rows[tied], items[tied], value[tied])
         listed = pos < width
         hits[lo + rows[listed], pos[listed]] = True
     return hits, liked

@@ -296,10 +296,13 @@ def objective_terms(ratings, U, V, conf, lambda_u, lambda_v, lambda_n, lambda_w,
 
 
 def _checked(terms):
-    """(total, terms); NumericError names a non-finite term or total."""
+    """(total, terms); NumericError names a non-finite term, with the
+    hyperparameter that scales it, or the total."""
+    scale = {"user_prior": "lambda_u", "weight_prior": "lambda_w",
+             "item_offset": "lambda_v", "reconstruction": "lambda_n", "rating": "conf_a"}
     for name, value in terms.items():
         if not math.isfinite(value):
-            raise NumericError(f"objective term {name!r} is non-finite")
+            raise NumericError(f"objective term {name!r} ({scale[name]}) is non-finite")
     total = sum(terms.values())
     if math.isinf(total):
         raise NumericError("objective total overflows")

@@ -534,6 +534,21 @@ def test_bad_config_value_named_at_its_line(dataset, tmp_path, capsys,
     assert not (tmp_path / "o").exists()
 
 
+def test_nonfinite_objective_term_names_its_hyperparameter(dataset, tmp_path, capsys):
+    # lambda_w=1e308 passes every static check, but its weight-decay term
+    # overflows in training: the error names the field, not only the term
+    text = dataset["config"].read_text()
+    config = tmp_path / "huge_lambda_w.txt"
+    config.write_text(text.replace("lambda_w=0.1\n", "lambda_w=1e308\n"))
+    assert config.read_text() != text
+    code = run_cli("train", "--config", config, "--ratings", dataset["ratings"],
+                   "--content", dataset["content"], "--out", tmp_path / "o")
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "objective term 'weight_prior' (lambda_w) is non-finite" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["train", "sample", "grid"])
 @pytest.mark.parametrize("extra_word", [None, 12], ids=["words-below-width", "word-12"])
 def test_config_widths_size_the_content_vocabulary(dataset, tmp_path, capsys,

@@ -214,6 +214,91 @@ class TestRankProperty:
             np.testing.assert_array_equal(liked, listed_liked)
 
 
+def tie_at_the_cut_instance(zero_items):
+    """BLOCK_USERS + 5 users x 640 items with integer factors of width 2:
+    the scores take a few dozen values, so a width of 500 falls inside a run
+    of equal scores, and rows hold held-out items at several tied values
+    near it.  Every seventh item row is zero, or every row with
+    ``zero_items``, which ties every score of every user."""
+    rng = np.random.default_rng(31)
+    num_users, num_items = metrics.BLOCK_USERS + 5, 640
+    U = rng.integers(-3, 4, size=(num_users, 2)).astype(float)
+    V = rng.integers(-3, 4, size=(num_items, 2)).astype(float)
+    V[::7] = 0.0
+    if zero_items:
+        V[:] = 0.0
+    # some held-out items are training items too: never candidates
+    train = data.RatingsMatrix(num_users, num_items,
+                               np.argwhere(rng.random((num_users, num_items)) < 0.1))
+    test = data.RatingsMatrix(num_users, num_items,
+                              np.argwhere(rng.random((num_users, num_items)) < 0.2))
+    return U, V, train, test
+
+
+class TestTiesAtTheCut:
+    WIDTH = 500
+
+    @pytest.mark.parametrize("policy", [metrics.EXCLUDE_TRAIN, metrics.ALL_ITEMS])
+    @pytest.mark.parametrize("zero_items", [False, True], ids=["zero-rows", "all-zero"])
+    def test_positions_and_metrics_match_the_lists(self, zero_items, policy):
+        U, V, train, test = tie_at_the_cut_instance(zero_items)
+        scores = U @ V.T
+        orders = [naive_rank(U, V, train, policy, u) for u in range(len(U))]
+        # the instance is what it claims: every list is longer than the
+        # width, a run of equal scores crosses the cut, and (unless every
+        # score ties) a user holds held-out items at two or more distinct
+        # scores, each shared with another candidate, within 100 of the cut
+        assert min(map(len, orders)) > self.WIDTH
+        assert any(scores[u, order[self.WIDTH - 1]] == scores[u, order[self.WIDTH]]
+                   for u, order in enumerate(orders))
+        tied_values = []
+        for u, order in enumerate(orders):
+            ranked_scores, liked = scores[u, order], set(test.items_of(u).tolist())
+            near = [p for p, j in enumerate(order)
+                    if abs(p - self.WIDTH) < 100 and j in liked
+                    and np.count_nonzero(ranked_scores == ranked_scores[p]) > 1]
+            tied_values.append(len(set(ranked_scores[near].tolist())))
+        assert max(tied_values) >= (1 if zero_items else 2)
+
+        hits, liked = metrics._held_out_hits(U, V, train, test, policy, self.WIDTH)
+        ranked = metrics.rank(U, V, train, policy=policy, limit=self.WIDTH)
+        listed, listed_liked = metrics._hit_matrix(ranked, test, self.WIDTH)
+        np.testing.assert_array_equal(hits, listed)
+        np.testing.assert_array_equal(liked, listed_liked)
+
+        grid, cutoff = (50, 300, self.WIDTH), self.WIDTH
+        values = metrics.evaluate_run(LatentFactors(U, V), train, test, grid,
+                                      cutoff=cutoff, policy=policy)
+        held = [u for u in range(len(U)) if len(test.items_of(u))]
+        want = {f"recall@{m}": sum(naive_recall(orders[u], test.items_of(u), m)
+                                   for u in held) / len(held) for m in grid}
+        want[f"map@{cutoff}"] = sum(naive_ap(orders[u], test.items_of(u), cutoff)
+                                    for u in held) / len(held)
+        assert {n: v.hex() for n, v in values.items()} == \
+            {n: v.hex() for n, v in want.items()}
+
+
+class TestFloatScores:
+    def test_rank_and_positions_follow_the_negated_product(self):
+        # random float factors round in the product, unlike the integer
+        # oracles above: rank's order must be exactly that of -(U V^T), block
+        # by block, and the positions must mark exactly its lists' hits
+        rng = np.random.default_rng(33)
+        U, V, train, test = random_instance(rng, metrics.BLOCK_USERS + 20, 300, k=7)
+        want = np.argsort(-(U @ V.T), axis=1, kind="stable")
+        for policy in (metrics.ALL_ITEMS, metrics.EXCLUDE_TRAIN):
+            ranked = metrics.rank(U, V, train, policy=policy)
+            for user, (items, order) in enumerate(zip(ranked.items, want)):
+                if policy == metrics.EXCLUDE_TRAIN:
+                    order = order[~np.isin(order, train.items_of(user))]
+                np.testing.assert_array_equal(items, order)
+            for width in (1, 50, 300):
+                hits, _ = metrics._held_out_hits(U, V, train, test, policy, width)
+                listed, _ = metrics._hit_matrix(ranked, test, width)
+                np.testing.assert_array_equal(hits[:, :listed.shape[1]], listed)
+                assert not hits[:, listed.shape[1]:].any()
+
+
 class TestRecall:
     def test_all_liked_in_top_m(self):
         ranked = metrics.RankedList([np.array([3, 1, 2, 0])], metrics.ALL_ITEMS)

@@ -214,7 +214,7 @@ class TestFit:
         with caplog.at_level(logging.WARNING, logger="cdl.training"):
             with pytest.raises(NumericError) as info:
                 getattr(training, fit)(*inputs, tiny_hyper())
-        assert str(info.value) == "objective term 'rating' is non-finite"
+        assert str(info.value) == "objective term 'rating' (conf_a) is non-finite"
         assert not caplog.records
 
     def test_two_step_frozen_phase_checks_its_objective(self, monkeypatch, caplog):
@@ -231,7 +231,8 @@ class TestFit:
 
         monkeypatch.setattr(training.mf, "rating_objective", rating_objective)
         with caplog.at_level(logging.WARNING, logger="cdl.training"):
-            with pytest.raises(NumericError, match="objective term 'rating' is non-finite"):
+            with pytest.raises(NumericError,
+                               match=r"objective term 'rating' \(conf_a\) is non-finite"):
                 training.fit_two_step(ratings, content, hyper)
         assert calls["n"] == 4
         assert not caplog.records
