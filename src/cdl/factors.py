@@ -15,8 +15,8 @@ update of B by the Woodbury identity: a chunk's B^-1 (lam * prior) is one
 multi-right-hand-side solve, and its c x c capacitances
 I/(a-b) + F_o B^-1 F_o^T take one stacked matmul and one stacked solve.
 Such a row costs O(c^2 K + c^3), plus O(K^2) for a prior, instead of the
-O(K^3) of factoring its own system.  Rows with c = 0 are the
-multi-right-hand-side solve alone.  A row with c >= K would pay more for
+O(K^3) of factoring its own system; a row with c = 0 has an empty
+capacitance.  A row with c >= K would pay more for
 its capacitance than for its own K x K system, so one stacked matmul forms
 its chunk's Grams and LAPACK's dpotrf/dpotrs, called directly, factor and
 solve each row; so does a low-rank row whose capacitance is singular to
@@ -43,7 +43,7 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .data import open_output, read_npz, write_npz
-from .exceptions import NumericError, ShapeError, ValidationError
+from .exceptions import ArgumentError, NumericError, ShapeError, ValidationError
 
 CHUNK_ROWS = 128  # rows per chunk: it holds CHUNK_ROWS K x K systems or c x c capacitances
 
@@ -115,12 +115,14 @@ def _cho_solve(upper, rhs, overwrite=False):
 def _base(F, lam, conf):
     """lam*I + b*F^T F: the part of the system every row of a pass shares."""
     _check_finite(F)
-    return lam * np.eye(F.shape[1]) + conf.b * (F.T @ F)
+    base = conf.b * (F.T @ F)
+    base.flat[::F.shape[1] + 1] += lam
+    return base
 
 
 def _systems(Fo, conf, base, rhs=None):
-    """Systems of the rows whose observed rows of F are ``Fo`` (rows x c x K,
-    c >= 1): A = base + (a-b) F_o^T F_o stacked (rows x K x K), and the
+    """Systems of the rows whose observed rows of F are ``Fo`` (rows x c x K):
+    A = base + (a-b) F_o^T F_o stacked (rows x K x K), and the
     right-hand sides ``rhs`` (lam * prior, plus a draw's R_B^T e1; None if
     zero) plus a * sum(F_o) (rows x K)."""
     A = np.matmul(Fo.transpose(0, 2, 1), Fo)
@@ -130,11 +132,24 @@ def _systems(Fo, conf, base, rhs=None):
     return A, pull if rhs is None else rhs + pull
 
 
-def _row_system(F, rows, conf, lam, base, prior=None):
-    """One row's system; with no observed ``rows`` it is base itself."""
-    if not len(rows):
-        return base, np.zeros(F.shape[1]) if prior is None else lam * prior
-    A, rhs = _systems(F[np.asarray(rows)[None]], conf, base,
+def _rated(F, rated):
+    """``rated`` as an index array of distinct rows of F; any empty sequence,
+    a plain [] (a float array) too, is the empty set."""
+    rated = np.asarray(rated)
+    if rated.ndim != 1:
+        raise ArgumentError(f"rated ids must be a 1-D array, got shape {rated.shape}")
+    ids = rated.tolist()
+    bad = [i for i in ids if type(i) is not int or not 0 <= i < len(F)]
+    if bad:
+        raise ArgumentError(f"rated id {bad[0]!r} is not an integer in [0, {len(F)})")
+    if len(set(ids)) < len(ids):
+        raise ArgumentError(f"rated id {max(ids, key=ids.count)} is given twice")
+    return rated.astype(np.intp, copy=False)
+
+
+def _row_system(F, rated, conf, lam, prior=None):
+    """One row's system A and right-hand side."""
+    A, rhs = _systems(F[_rated(F, rated)[None]], conf, _base(F, lam, conf),
                       None if prior is None else lam * prior[None])
     return A[0], rhs[0]
 
@@ -147,21 +162,19 @@ def _encoding(U, encoding):
 
 
 def _user_system(V, rated_items, conf, lambda_u):
-    return _row_system(V, rated_items, conf, lambda_u, _base(V, lambda_u, conf))
+    return _row_system(V, rated_items, conf, lambda_u)
 
 
 def _item_system(U, rated_users, conf, lambda_v, encoding):
-    return _row_system(U, rated_users, conf, lambda_v, _base(U, lambda_v, conf),
-                       _encoding(U, encoding))
+    return _row_system(U, rated_users, conf, lambda_v, _encoding(U, encoding))
 
 
 def _solve_row(F, rated, conf, lam, prior=None, rng=None):
     """One row's solution, or with ``rng`` its draw: the row runs as a sweep
     of one, so it takes a sweep's path, normals and bits."""
-    rated = np.asarray(rated)
-    ((_, x),) = _grouped_solves(F, np.array([0, len(rated)]), rated, conf, lam,
-                                None if prior is None else prior[None], rng)
-    return x[0]
+    rated = _rated(F, rated)
+    return _sweep(F, np.array([0, len(rated)]), rated, conf, lam,
+                  None if prior is None else prior[None], rng)[0]
 
 
 def update_user(V, rated_items, conf, lambda_u):
@@ -189,18 +202,8 @@ def item_gradient(v, U, rated_users, conf, lambda_v, encoding):
     return rhs - A @ v
 
 
-def _prior_solves(shared, rhs, shape):
-    """base^-1 rhs of each row (rows x K), one multi-right-hand-side solve
-    through base's factor ``shared``; zero where ``rhs`` is None (a user's
-    MAP solve)."""
-    if rhs is None:
-        return np.zeros(shape)
-    _check_finite(rhs)
-    return _cho_solve(shared, rhs.T).T
-
-
 def _low_rank_solves(Fo, Wo, shared, conf, rhs, e3):
-    """Solutions of the rows whose 0 < c < K observed rows of F are ``Fo``
+    """Solutions of the rows whose c < K observed rows of F are ``Fo``
     (rows x c x K), as rank-c updates of base (Woodbury).  ``shared`` is
     base's factor, ``Wo`` the same rows of W = F base^-1, ``rhs`` the part of
     the right-hand sides that base alone meets (None if zero) and ``e3`` a
@@ -211,11 +214,12 @@ def _low_rank_solves(Fo, Wo, shared, conf, rhs, e3):
 
     The pull a * sum(F_o) enters only through the c x c capacitance, so a
     small lam does not leave x the difference of two large vectors.  The
-    rows' capacitances take one stacked matmul and one stacked solve.
-    Returns (x, ok): ok is False for a row whose capacitance is singular to
-    working precision or whose values leave the float range."""
+    rows' capacitances take one stacked matmul and one stacked solve; at
+    c = 0 they are empty and x = y.  Returns (x, ok): ok is False for a row
+    whose capacitance is singular to working precision or whose values leave
+    the float range, a non-finite rhs among them."""
     c = Fo.shape[1]
-    y = _prior_solves(shared, rhs, (len(Fo), Fo.shape[2]))
+    y = np.zeros((len(Fo), Fo.shape[2])) if rhs is None else _cho_solve(shared, rhs.T).T
     Wo_t = Wo.transpose(0, 2, 1)
     with np.errstate(over="ignore", invalid="ignore"):
         cap = np.matmul(Fo, Wo_t)
@@ -223,8 +227,7 @@ def _low_rank_solves(Fo, Wo, shared, conf, rhs, e3):
         pull = np.full((len(cap), c, 1), conf.a / (conf.a - conf.b))
         if e3 is not None:
             pull += e3[:, :, None] / math.sqrt(conf.a - conf.b)
-        if rhs is not None:
-            pull -= np.matmul(Fo, y[:, :, None])
+        pull -= np.matmul(Fo, y[:, :, None])
         try:
             t = np.linalg.solve(cap, pull)
         except np.linalg.LinAlgError:   # solve the rows one by one, NaN if singular
@@ -236,26 +239,19 @@ def _low_rank_solves(Fo, Wo, shared, conf, rhs, e3):
     return y, np.isfinite(y).all(axis=1)
 
 
-def _grouped_solves(F, ptr, cols, conf, lam, priors=None, rng=None):
-    """Solve the system A x = rhs of every row r, whose observed rows of F
-    are ``cols[ptr[r]:ptr[r+1]]``, grouped by that count c.
-
-    Yields (row ids, solutions) for at most CHUNK_ROWS rows of one count at
-    a time.  The pass factors base = R_B^T R_B once if any row has c < K or
-    it draws.  Rows with c = 0 are one multi-right-hand-side solve a chunk;
-    rows with 0 < c < K are low-rank updates of base.  Rows with c >= K, and
-    low-rank rows out of float range, form their systems with one stacked
-    matmul, and each is factored and solved by LAPACK's dpotrf/dpotrs called
-    directly.
-
-    With a generator ``rng`` each solution is a draw instead, perturbed as
-    the module docstring gives: one call draws every row's K + c normals,
-    rows in order, and zero normals give the solve's bits.
-    """
+def _sweep(F, ptr, cols, conf, lam, priors=None, rng=None):
+    """Exact updates of the mutually independent rows ``ptr`` indexes, or
+    with ``rng`` exact draws from their Gaussian conditionals.  Row r, whose
+    observed rows of F are ``cols[ptr[r]:ptr[r+1]]``, takes the module
+    docstring's path for its count c: rows run by count, at most CHUNK_ROWS
+    of one count at a time, and base = R_B^T R_B is factored once if any row
+    has c < K or the pass draws.  A draw takes every row's K + c normals
+    from one call, rows in order; zero normals give the solve's bits."""
     counts = np.diff(ptr)
-    if not len(counts):
-        return
     K = F.shape[1]
+    out = np.empty((len(counts), K))
+    if not len(counts):
+        return out
     base = _base(F, lam, conf)
     z = None if rng is None else rng.standard_normal(len(counts) * K + ptr[-1])
     shared = W = None
@@ -278,18 +274,15 @@ def _grouped_solves(F, ptr, cols, conf, lam, priors=None, rng=None):
                 noise = np.matmul(z[at + np.arange(K)][:, None], shared)[:, 0]
                 rhs = noise if rhs is None else rhs + noise
                 e3 = z[at + K + np.arange(c)]
-            if c == 0:
-                yield rows, _prior_solves(shared, rhs, (len(rows), K))
-                continue
             observed = cols[ptr[rows][:, None] + np.arange(c)]
             Fo = F[observed]
             if c < K:
-                x, ok = _low_rank_solves(Fo, W[observed], shared, conf, rhs, e3)
+                # rows with no rating need no W: their W_o is as empty as F_o
+                x, ok = _low_rank_solves(Fo, W[observed] if c else Fo, shared, conf, rhs, e3)
                 if ok.all():
-                    yield rows, x
+                    out[rows] = x
                     continue
-                if ok.any():
-                    yield rows[ok], x[ok]
+                out[rows[ok]] = x[ok]
                 rows, Fo = rows[~ok], Fo[~ok]
                 rhs = None if rhs is None else rhs[~ok]
                 e3 = None if e3 is None else e3[~ok]
@@ -301,15 +294,7 @@ def _grouped_solves(F, ptr, cols, conf, lam, priors=None, rng=None):
                 # a is symmetric and C-ordered, so a.T is the same matrix in
                 # Fortran order and dpotrf factors it in place
                 rhs[r] = _cho_solve(_cholesky(a.T, overwrite=True), rhs[r], overwrite=True)
-            yield rows, rhs
-
-
-def _sweep(F, ptr, cols, conf, lam, priors=None, rng=None):
-    """Exact updates of the mutually independent rows ``ptr`` indexes, or
-    with ``rng`` exact draws from their Gaussian conditionals."""
-    out = np.empty((len(ptr) - 1, F.shape[1]))
-    for rows, x in _grouped_solves(F, ptr, cols, conf, lam, priors, rng):
-        out[rows] = x
+            out[rows] = rhs
     return out
 
 
@@ -378,11 +363,8 @@ def rating_objective(U, V, ratings, conf):
         gram_v = V.T @ V
         background = conf.b * float(np.sum((U @ gram_v) * U))
         pairs = ratings.pairs
-        if len(pairs):
-            p = np.sum(U[pairs[:, 0]] * V[pairs[:, 1]], axis=1)
-            observed = float(np.sum(conf.a * (1.0 - p) ** 2 - conf.b * p ** 2))
-        else:
-            observed = 0.0
+        p = np.sum(U[pairs[:, 0]] * V[pairs[:, 1]], axis=1)
+        observed = float(np.sum(conf.a * (1.0 - p) ** 2 - conf.b * p ** 2))
     return -0.5 * (background + observed)
 
 

@@ -9,6 +9,7 @@ assembled by reverse accumulation through the sigmoid chain.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,6 +120,16 @@ def dropout_mask(widths, num_rows, rate, seed):
     return scales
 
 
+@contextlib.contextmanager
+def _allocating(widths):
+    """Names by its widths a network whose arrays cannot be allocated."""
+    try:
+        yield
+    except (MemoryError, ValueError):  # the allocation fails or its byte size overflows
+        raise ValidationError(f"layer widths {'-'.join(map(str, widths))} "
+                              "too large to allocate") from None
+
+
 def init_network(widths, seed, lambda_w=1.0):
     """Gaussian weight init with per-layer scale min(lambda_w**-0.5, fan_in**-0.5)
     and zero biases.  Deterministic per seed."""
@@ -126,14 +137,11 @@ def init_network(widths, seed, lambda_w=1.0):
     L = len(widths) - 1
     rng = np.random.default_rng(seed)
     weights, biases = [], []
-    try:
+    with _allocating(widths):
         for l in range(1, L + 1):
             scale = min(lambda_w ** -0.5, widths[l - 1] ** -0.5)
             weights.append(rng.normal(0.0, scale, size=(widths[l - 1], widths[l])))
             biases.append(np.zeros(widths[l]))
-    except (MemoryError, ValueError):  # the allocation fails or its byte size overflows
-        raise ValidationError(f"layer widths {'-'.join(map(str, widths))} "
-                              "too large to allocate") from None
     return SdaeNetwork(weights, biases)
 
 
@@ -143,9 +151,10 @@ def sample_network(widths, lambda_w, rng):
     widths = check_widths(widths)
     L = len(widths) - 1
     scale = lambda_w ** -0.5
-    weights = [rng.normal(0.0, scale, size=(widths[l - 1], widths[l]))
-               for l in range(1, L + 1)]
-    biases = [rng.normal(0.0, scale, size=widths[l]) for l in range(1, L + 1)]
+    with _allocating(widths):
+        weights = [rng.normal(0.0, scale, size=(widths[l - 1], widths[l]))
+                   for l in range(1, L + 1)]
+        biases = [rng.normal(0.0, scale, size=widths[l]) for l in range(1, L + 1)]
     return SdaeNetwork(weights, biases)
 
 

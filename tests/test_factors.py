@@ -7,8 +7,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from cdl import data, factors as mf
-from cdl.exceptions import NumericError, ShapeError, ValidationError
+from cdl import data, factors as mf, sampling
+from cdl.exceptions import ArgumentError, NumericError, ShapeError, ValidationError
 from cdl.factors import ConfidenceParams
 
 
@@ -366,25 +366,47 @@ class TestGroupedSweeps:
             for r in np.flatnonzero(rated >= K):
                 A, rhs = system(r)
                 assert swept[r].tobytes() == mf._cho_solve(mf._cholesky(A), rhs).tobytes()
+        # a row with no rating has an empty capacitance: a user's MAP row is
+        # zero, an item's row base^-1 (lam * encoding)
+        empty_users = np.diff(ratings._user_ptr) == 0
+        assert swept_U[empty_users].tobytes() == bytes(8 * K * empty_users.sum())
+        shared = mf._cholesky(mf._base(U, 3.0, conf))
+        for j in np.flatnonzero(item_counts == 0):
+            assert swept_V[j].tobytes() == mf._cho_solve(shared, 3.0 * enc[j]).tobytes()
 
-    def test_singular_capacitance_row_takes_the_per_row_path(self):
+    def test_singular_capacitance_row_takes_the_per_row_path(self, monkeypatch):
         # a - b = 1e20 drowns I/(a-b), so user 0, who rated two items with
-        # equal rows, has a singular capacitance; the others do not
+        # equal rows, has a singular capacitance; the others do not.  So the
+        # pass forms user 0's system alone, and factors it after base.  (At
+        # this a - b no row's own system is positive definite in floating
+        # point, so the first per-row factorization raises whichever rows
+        # left the low-rank path: the rows formed are what tell.)
+        formed, factored = [], []
+
+        def counted_systems(Fo, *args):
+            formed.append(len(Fo))
+            return systems(Fo, *args)
+
+        def counted_dpotrf(*args, **kwargs):
+            factored.append(1)
+            return dpotrf(*args, **kwargs)
+
+        systems, dpotrf = mf._systems, mf.dpotrf
+        monkeypatch.setattr(mf, "_systems", counted_systems)
+        monkeypatch.setattr(mf, "dpotrf", counted_dpotrf)
         rng = np.random.default_rng(18)
         V = rng.normal(size=(12, 3))
         V[1] = V[0]
         pairs = [(0, 0), (0, 1)] + [(u, j) for u in range(1, 6) for j in (2 * u, 2 * u + 1)]
         ratings = data.RatingsMatrix(6, 12, pairs)
         conf = ConfidenceParams(1e20, 0.01)
-        solves = mf._grouped_solves(V, *mf._user_rows(ratings), conf, 1.0)
-        rows, x = next(solves)
-        assert list(rows) == [1, 2, 3, 4, 5]
-        for r, row in zip(rows, x):
-            assert row.tobytes() == mf.update_user(V, ratings.items_of(r), conf, 1.0).tobytes()
-        for solve in [lambda: next(solves),
+        for solve in [lambda: mf._sweep(V, *mf._user_rows(ratings), conf, 1.0),
                       lambda: mf.update_user(V, ratings.items_of(0), conf, 1.0)]:
+            formed.clear()
+            factored.clear()
             with pytest.raises(NumericError, match="not positive definite"):
                 solve()
+            assert formed == [1] and len(factored) == 2
 
     def test_low_rank_rows_out_of_float_range_take_the_per_row_path(self):
         # with b = 0 and lam = 1e-300, F base^-1 overflows: the per-row path
@@ -400,6 +422,56 @@ class TestGroupedSweeps:
                                                  np.ones(3))]:
                 with pytest.raises(NumericError, match="not positive definite"):
                     solve()
+
+
+CONF = ConfidenceParams(1.0, 0.01)
+ONE_ROW_CALLS = {
+    "update_user": lambda F, rated: mf.update_user(F, rated, CONF, 0.5),
+    "update_item": lambda F, rated: mf.update_item(F, rated, CONF, 0.5, np.ones(3)),
+    "user_gradient": lambda F, rated: mf.user_gradient(np.ones(3), F, rated, CONF, 0.5),
+    "item_gradient": lambda F, rated: mf.item_gradient(np.ones(3), F, rated, CONF, 0.5,
+                                                       np.ones(3)),
+    "sample_u": lambda F, rated: sampling.sample_u(F, rated, CONF, 0.5,
+                                                   np.random.default_rng(0)),
+    "sample_v": lambda F, rated: sampling.sample_v(F, rated, CONF, 0.5, np.ones(3),
+                                                   np.random.default_rng(0)),
+}
+
+
+@pytest.mark.parametrize("call", ONE_ROW_CALLS.values(), ids=ONE_ROW_CALLS.keys())
+class TestRatedIds:
+    """A one-row call's rated ids are a 1-D set of distinct rows of F."""
+
+    F = np.random.default_rng(20).normal(size=(6, 3))
+
+    @pytest.mark.parametrize("rated, message", [
+        ([-1], "rated id -1 is not an integer in [0, 6)"),
+        ([0, 6], "rated id 6 is not an integer in [0, 6)"),
+        ([99], "rated id 99 is not an integer in [0, 6)"),
+        ([0.5], "rated id 0.5 is not an integer in [0, 6)"),
+        (np.array([1.0]), "rated id 1.0 is not an integer in [0, 6)"),
+        ([True], "rated id True is not an integer in [0, 6)"),
+        ([0, 0], "rated id 0 is given twice"),
+        (np.array([3, 1, 3], dtype=np.int32), "rated id 3 is given twice"),
+        ([[0, 1]], "rated ids must be a 1-D array, got shape (1, 2)"),
+        (np.int64(2), "rated ids must be a 1-D array, got shape ()"),
+    ], ids=["negative", "past-the-end", "far-past", "fraction", "float-dtype", "bool",
+            "repeated", "repeated-int32", "2-d", "0-d"])
+    def test_bad_ids_named(self, call, rated, message):
+        with pytest.raises(ArgumentError) as info:
+            call(self.F, rated)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("rated", [[], (), np.array([]), np.array([], dtype=np.uint8)],
+                             ids=["list", "tuple", "float-array", "uint8-array"])
+    def test_any_empty_sequence_is_the_empty_set(self, call, rated):
+        assert call(self.F, rated).tobytes() == call(
+            self.F, np.array([], dtype=np.int64)).tobytes()
+
+    def test_id_dtype_does_not_change_the_bits(self, call):
+        want = call(self.F, np.array([4, 1], dtype=np.int64)).tobytes()
+        for rated in ([4, 1], (4, 1), np.array([4, 1], dtype=np.uint16)):
+            assert call(self.F, rated).tobytes() == want
 
 
 class TestLowRankSolve:

@@ -8,8 +8,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from cdl import sdae, training
-from cdl.exceptions import ArgumentError, NumericError, ParseError, ShapeError
+from cdl import data, sdae, training
+from cdl.exceptions import (ArgumentError, NumericError, ParseError, ShapeError,
+                            ValidationError)
 from test_training import hyper_params
 
 
@@ -200,6 +201,19 @@ class TestInit:
                 make(widths)
             assert str(info.value) == prefix + message
             assert info.value.fields == ("widths",)
+
+    def test_every_oversized_network_named_by_its_widths(self):
+        # initialized, drawn, or drawn for synthetic data: a failed allocation
+        # names the widths instead of surfacing numpy's memory error
+        message = "layer widths 1000000000000-2-1000000000000 too large to allocate"
+        widths = (10**12, 2, 10**12)
+        for make in (lambda: sdae.init_network(widths, seed=0),
+                     lambda: sdae.sample_network(widths, 1.0, np.random.default_rng(0)),
+                     lambda: data.generate_synthetic(5, 5, 10**12, 2,
+                                                     training.HyperParams(n_factors=2), 0)):
+            with pytest.raises(ValidationError) as info:
+                make()
+            assert str(info.value) == message
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):
