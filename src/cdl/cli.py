@@ -99,20 +99,6 @@ def write_manifest(out_dir, command, args, inputs, outputs, seed=None, config=No
     return path
 
 
-def _read_manifest(model_dir):
-    path = Path(model_dir) / "manifest.json"
-    if not path.exists():
-        return {}
-    try:
-        with data.open_text(path) as fh:
-            manifest = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: not JSON: {exc}") from None
-    if not isinstance(manifest, dict):
-        raise ParseError(f"{path}: expected a JSON object")
-    return manifest
-
-
 def _require_file(path, what):
     if not Path(path).is_file():
         raise ArgumentError(f"{what} file not found: {path}")
@@ -143,20 +129,6 @@ def _flag_named(flag):
         yield
     except ArgumentError as exc:
         raise ArgumentError(f"{flag}: {exc}") from None
-
-
-@contextlib.contextmanager
-def _config_named(config_path):
-    """Run the body; an ArgumentError naming hyperparameter fields is named
-    at the line of its first field in ``config_path``."""
-    try:
-        yield
-    except ArgumentError as exc:
-        if not exc.fields:
-            raise
-        with data.open_text(config_path) as fh:
-            raw = training.config_lines(fh.read(), str(config_path))
-        raise training.named_at_line(exc, raw, config_path) from None
 
 
 def cmd_split(args):
@@ -215,18 +187,21 @@ def _train_one(ratings, content, hyper, variant, report_path=None):
 def _load_run(args, check, grid=False):
     """The inputs of ``cdl train``, ``sample`` or ``grid``, checked before
     ``--out`` is created.  The config and ratings files must exist; then the
-    hyperparameter sets are read (the grid points, or the config with
-    ``--seed`` applied), the ratings, and the content (one row per rated item,
-    and the configured input width as its vocabulary), which ``--variant mf``
-    leaves unread outside a grid.  ``check(ratings, content, hyper)`` runs on
-    every set, with content None for ``--variant mf``, named at its config
-    line.  Returns (hypers, ratings, content, content path, inputs, out)."""
+    config is read, once, and the hyperparameter sets built from it (the grid
+    points, or the config with ``--seed`` applied), the ratings, and the
+    content (one row per rated item, and the configured input width as its
+    vocabulary), which ``--variant mf`` leaves unread outside a grid.
+    ``check(ratings, content, hyper)`` runs on every set, with content None
+    for ``--variant mf``, named at its config line.  Returns (hypers,
+    ratings, content, content path, inputs, out)."""
     config_path = _require_file(args.config, "config")
     ratings_path = _require_file(args.ratings, "ratings")
+    with data.open_text(config_path) as fh:
+        lines = training.config_lines(fh.read(), str(config_path))
     if grid:
-        hypers = _grid_points(config_path)
+        hypers = _grid_points(lines, config_path)
     else:
-        hypers = [training.load_config(config_path)]
+        hypers = [training.hyper_from_config(lines, str(config_path))]
         if args.seed is not None:
             with _flag_named("--seed"):
                 hypers = [dataclasses.replace(hypers[0], seed=args.seed)]
@@ -246,9 +221,13 @@ def _load_run(args, check, grid=False):
                                     num_items=ratings.num_items,
                                     vocab_size=None if widths is None else widths[0])
         inputs.append(content_path)
-    with _config_named(config_path):
+    try:
         for hyper in hypers:
             check(ratings, None if content_free else content, hyper)
+    except ArgumentError as exc:
+        if not exc.fields:
+            raise
+        raise training.named_at_line(exc, lines, config_path) from None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return hypers, ratings, content, content_path, inputs, out
@@ -300,7 +279,17 @@ def _require_model_shape(factors, train, train_path):
 
 
 def _train_path_from_manifest(model_dir):
-    args = _read_manifest(model_dir).get("args")
+    path = Path(model_dir) / "manifest.json"
+    args = None
+    if path.exists():
+        try:
+            with data.open_text(path) as fh:
+                manifest = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}: not JSON: {exc}") from None
+        if not isinstance(manifest, dict):
+            raise ParseError(f"{path}: expected a JSON object")
+        args = manifest.get("args")
     ratings = args.get("ratings") if isinstance(args, dict) else None
     if not isinstance(ratings, str):
         raise ArgumentError(
@@ -430,11 +419,10 @@ def cmd_sample(args):
     return 0
 
 
-def _grid_points(path):
-    """The run grid's HyperParams: the config at ``path`` with its comma lists
-    on the searched keys expanded, in Cartesian-product order."""
-    with data.open_text(path) as fh:
-        lines = training.config_lines(fh.read(), path)
+def _grid_points(lines, path):
+    """The run grid's HyperParams: config_lines' map ``lines`` of the config at
+    ``path``, with its comma lists on the searched keys expanded, in
+    Cartesian-product order."""
     lists = {}
     for key in GRID_KEYS:
         value, lineno = lines.get(key, ("", 0))
@@ -530,28 +518,33 @@ def build_parser():
                         default=argparse.SUPPRESS,
                         help="show program's version number and exit")
     sub = parser.add_subparsers(dest="command", required=True)
+    # flags shared by several commands, declared once
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", required=True)
+    mode = argparse.ArgumentParser(add_help=False)
+    mode.add_argument("--content-mode", default=data.BINARY_PRESENCE,
+                      choices=[data.BINARY_PRESENCE, data.COUNT_MAXNORM])
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--config", required=True)
+    run.add_argument("--ratings", required=True)
 
-    p = sub.add_parser("split", help="per-user train/test splits")
+    p = sub.add_parser("split", help="per-user train/test splits", parents=[out])
     p.add_argument("--ratings", required=True)
     p.add_argument("--P", type=int, required=True,
                    help="training items per user (1=sparse, 10=dense)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--reps", type=int, default=1)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_split)
 
-    p = sub.add_parser("train", help="train a model variant")
-    p.add_argument("--config", required=True)
-    p.add_argument("--ratings", required=True, help="training ratings file")
+    p = sub.add_parser("train", help="train a model variant on a training ratings file",
+                       parents=[run, mode, out])
     p.add_argument("--content", default=None)
-    p.add_argument("--content-mode", default=data.BINARY_PRESENCE,
-                   choices=[data.BINARY_PRESENCE, data.COUNT_MAXNORM])
     p.add_argument("--variant", default="cdl", choices=_VARIANTS)
     p.add_argument("--seed", type=int, default=None, help="override config seed")
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="recall@M grid and mAP on held-out ratings")
+    p = sub.add_parser("eval", help="recall@M grid and mAP on held-out ratings",
+                       parents=[out])
     p.add_argument("--model", required=True, nargs="+",
                    help="train output dir(s), one per repetition")
     p.add_argument("--test", required=True, nargs="+")
@@ -560,46 +553,33 @@ def build_parser():
     p.add_argument("--M-grid", "--m-grid", dest="m_grid", default="50:300:50")
     p.add_argument("--all-items", action="store_true",
                    help="rank training items too instead of excluding them")
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("predict", help="top-N items or a cold-start score")
+    p = sub.add_parser("predict", help="top-N items or a cold-start score",
+                       parents=[mode, out])
     p.add_argument("--model", required=True)
     p.add_argument("--user", type=int, required=True)
     p.add_argument("--top", type=int, default=10)
     p.add_argument("--item-content", default=None,
                    help="word<TAB>count file for one unrated item")
-    p.add_argument("--content-mode", default=data.BINARY_PRESENCE,
-                   choices=[data.BINARY_PRESENCE, data.COUNT_MAXNORM])
     p.add_argument("--train", default=None)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("sample", help="posterior sampling chain")
-    p.add_argument("--config", required=True)
-    p.add_argument("--ratings", required=True)
+    p = sub.add_parser("sample", help="posterior sampling chain", parents=[run, mode, out])
     p.add_argument("--content", required=True)
-    p.add_argument("--content-mode", default=data.BINARY_PRESENCE,
-                   choices=[data.BINARY_PRESENCE, data.COUNT_MAXNORM])
     p.add_argument("--iters", type=int, default=500)
     p.add_argument("--burn-in", type=int, default=250)
     p.add_argument("--thin", type=int, default=1)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("grid", help="cross-validated grid search")
-    p.add_argument("--config", required=True,
-                   help="config where lambda_u/v/n/w may hold comma lists")
-    p.add_argument("--ratings", required=True)
+    p = sub.add_parser("grid", help="cross-validated grid search over a config whose "
+                       "lambda_u/v/n/w may hold comma lists", parents=[run, mode, out])
     p.add_argument("--content", required=True)
-    p.add_argument("--content-mode", default=data.BINARY_PRESENCE,
-                   choices=[data.BINARY_PRESENCE, data.COUNT_MAXNORM])
     p.add_argument("--variant", default="cdl", choices=_VARIANTS)
     p.add_argument("--folds", type=int, default=5)
     p.add_argument("--select-m", type=int, default=300)
     p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_grid)
     return parser
 
@@ -614,10 +594,7 @@ def main(argv=None):
     args.started = started
     try:
         return args.func(args)
-    except CdlError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (CdlError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

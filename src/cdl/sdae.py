@@ -90,6 +90,8 @@ def check_widths(widths):
     of at least 2 with every width at least 1; otherwise ArgumentError naming
     the ``widths`` field.  Every network, configured, drawn, initialized or
     loaded, passes this one check."""
+    if any(isinstance(w, bool) or not isinstance(w, (int, np.integer)) for w in widths):
+        raise ArgumentError("all layer widths must be integers", ["widths"])
     widths = tuple(int(w) for w in widths)
     L = max(len(widths) - 1, 0)
     if L < 2 or L % 2:
@@ -130,16 +132,25 @@ def _allocating(widths):
                               "too large to allocate") from None
 
 
+def _prior_scale(lambda_w):
+    """The weight prior's standard deviation lambda_w**-0.5, 0 at +inf; a
+    lambda_w that is not positive is named."""
+    if not lambda_w > 0:
+        raise ArgumentError("lambda_w must be positive", ["lambda_w"])
+    return lambda_w ** -0.5
+
+
 def init_network(widths, seed, lambda_w=1.0):
     """Gaussian weight init with per-layer scale min(lambda_w**-0.5, fan_in**-0.5)
     and zero biases.  Deterministic per seed."""
     widths = check_widths(widths)
+    prior = _prior_scale(lambda_w)
     L = len(widths) - 1
     rng = np.random.default_rng(seed)
     weights, biases = [], []
     with _allocating(widths):
         for l in range(1, L + 1):
-            scale = min(lambda_w ** -0.5, widths[l - 1] ** -0.5)
+            scale = min(prior, widths[l - 1] ** -0.5)
             weights.append(rng.normal(0.0, scale, size=(widths[l - 1], widths[l])))
             biases.append(np.zeros(widths[l]))
     return SdaeNetwork(weights, biases)
@@ -150,7 +161,7 @@ def sample_network(widths, lambda_w, rng):
     synthesizing data, where biases are random too)."""
     widths = check_widths(widths)
     L = len(widths) - 1
-    scale = lambda_w ** -0.5
+    scale = _prior_scale(lambda_w)
     with _allocating(widths):
         weights = [rng.normal(0.0, scale, size=(widths[l - 1], widths[l]))
                    for l in range(1, L + 1)]

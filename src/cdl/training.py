@@ -61,6 +61,10 @@ class HyperParams:
         self.validate()
 
     def validate(self):
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ArgumentError(f"{name} must be an integer", [name])
         # infinite precisions are legal limits for data synthesis; the MAP
         # fitters check finiteness where they need it
         for name in ("lambda_u", "lambda_v", "lambda_n", "lambda_w", "lambda_s"):
@@ -115,7 +119,7 @@ class HyperParams:
         return self.widths
 
 
-_INT_FIELDS = {"n_factors", "epochs_per_block", "max_sweeps", "early_stop_patience", "seed"}
+_INT_FIELDS = ("n_factors", "epochs_per_block", "max_sweeps", "early_stop_patience", "seed")
 
 
 def _parse_field(name, text):

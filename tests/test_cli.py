@@ -549,6 +549,110 @@ def test_nonfinite_objective_term_names_its_hyperparameter(dataset, tmp_path, ca
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, line, code", [
+    ("train", None, 0), ("train", "lambda_u=inf", 1), ("grid", "lambda_v=inf", 1)],
+    ids=["train", "train-lambda-u-inf", "grid-lambda-v-inf"])
+def test_config_text_is_read_once(dataset, tmp_path, capsys, monkeypatch, command, line, code):
+    # a check that fails is named at its line from the map the run already
+    # read; the manifest's digest opens the config in binary, which is not
+    # counted
+    lines = dataset["config"].read_text().splitlines()
+    if line is not None:
+        key = line.split("=")[0]
+        lines = [line if old.startswith(f"{key}=") else old for old in lines]
+    config = tmp_path / "once.txt"
+    config.write_text("\n".join(lines) + "\n")
+    reads = []
+    real_open = open
+
+    def counting_open(file, mode="r", *args, **kwargs):
+        if "b" not in mode and str(file) == str(config):
+            reads.append(mode)
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    argv = ("--folds", 2, "--select-m", 5) if command == "grid" else ()
+    assert run_cli(command, "--config", config, "--ratings", dataset["ratings"],
+                   "--content", dataset["content"], *argv,
+                   "--out", tmp_path / "o") == code, capsys.readouterr().err
+    assert len(reads) == 1
+
+
+# Every flag of every subcommand: option strings, dest, type, nargs,
+# default, required and choices, as vars(args) and the manifest's args see them.
+_MODES = (data.BINARY_PRESENCE, data.COUNT_MAXNORM)
+_VARIANT_CHOICES = ("cdl", "two-step", "encoder-only", "mf")
+_PARSER_CONTRACT = {
+    "split": [
+        (("--ratings",), "ratings", None, None, None, True, None),
+        (("--P",), "P", int, None, None, True, None),
+        (("--seed",), "seed", int, None, 0, False, None),
+        (("--reps",), "reps", int, None, 1, False, None),
+        (("--out",), "out", None, None, None, True, None),
+    ],
+    "train": [
+        (("--config",), "config", None, None, None, True, None),
+        (("--ratings",), "ratings", None, None, None, True, None),
+        (("--content",), "content", None, None, None, False, None),
+        (("--content-mode",), "content_mode", None, None, data.BINARY_PRESENCE, False, _MODES),
+        (("--variant",), "variant", None, None, "cdl", False, _VARIANT_CHOICES),
+        (("--seed",), "seed", int, None, None, False, None),
+        (("--out",), "out", None, None, None, True, None),
+    ],
+    "eval": [
+        (("--model",), "model", None, "+", None, True, None),
+        (("--test",), "test", None, "+", None, True, None),
+        (("--train",), "train", None, "+", None, False, None),
+        (("--M-grid", "--m-grid"), "m_grid", None, None, "50:300:50", False, None),
+        (("--all-items",), "all_items", None, 0, False, False, None),
+        (("--out",), "out", None, None, None, True, None),
+    ],
+    "predict": [
+        (("--model",), "model", None, None, None, True, None),
+        (("--user",), "user", int, None, None, True, None),
+        (("--top",), "top", int, None, 10, False, None),
+        (("--item-content",), "item_content", None, None, None, False, None),
+        (("--content-mode",), "content_mode", None, None, data.BINARY_PRESENCE, False, _MODES),
+        (("--train",), "train", None, None, None, False, None),
+        (("--out",), "out", None, None, None, True, None),
+    ],
+    "sample": [
+        (("--config",), "config", None, None, None, True, None),
+        (("--ratings",), "ratings", None, None, None, True, None),
+        (("--content",), "content", None, None, None, True, None),
+        (("--content-mode",), "content_mode", None, None, data.BINARY_PRESENCE, False, _MODES),
+        (("--iters",), "iters", int, None, 500, False, None),
+        (("--burn-in",), "burn_in", int, None, 250, False, None),
+        (("--thin",), "thin", int, None, 1, False, None),
+        (("--seed",), "seed", int, None, None, False, None),
+        (("--out",), "out", None, None, None, True, None),
+    ],
+    "grid": [
+        (("--config",), "config", None, None, None, True, None),
+        (("--ratings",), "ratings", None, None, None, True, None),
+        (("--content",), "content", None, None, None, True, None),
+        (("--content-mode",), "content_mode", None, None, data.BINARY_PRESENCE, False, _MODES),
+        (("--variant",), "variant", None, None, "cdl", False, _VARIANT_CHOICES),
+        (("--folds",), "folds", int, None, 5, False, None),
+        (("--select-m",), "select_m", int, None, 300, False, None),
+        (("--threads",), "threads", int, None, 1, False, None),
+        (("--out",), "out", None, None, None, True, None),
+    ],
+}
+
+
+def test_parser_flags_match_the_contract():
+    commands = next(action for action in cli.build_parser()._actions
+                    if action.dest == "command").choices
+    assert sorted(commands) == sorted(_PARSER_CONTRACT)
+    for name, parser in commands.items():
+        flags = sorted(
+            (tuple(a.option_strings), a.dest, a.type, a.nargs, a.default, a.required,
+             None if a.choices is None else tuple(a.choices))
+            for a in parser._actions if a.dest != "help")
+        assert flags == sorted(_PARSER_CONTRACT[name], key=lambda flag: flag[0]), name
+
+
 @pytest.mark.parametrize("command", ["train", "sample", "grid"])
 @pytest.mark.parametrize("extra_word", [None, 12], ids=["words-below-width", "word-12"])
 def test_config_widths_size_the_content_vocabulary(dataset, tmp_path, capsys,

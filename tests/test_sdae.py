@@ -202,6 +202,32 @@ class TestInit:
             assert str(info.value) == prefix + message
             assert info.value.fields == ("widths",)
 
+    def test_non_integral_width_rejected(self):
+        # int() would truncate 8.7 to 8 and build an 8-3-8 network
+        rng = np.random.default_rng(0)
+        for make in (sdae.check_widths, lambda w: sdae.init_network(w, seed=0),
+                     lambda w: sdae.sample_network(w, 1.0, rng)):
+            with pytest.raises(ArgumentError) as info:
+                make((8.7, 3, 8))
+            assert str(info.value) == "all layer widths must be integers"
+            assert info.value.fields == ("widths",)
+
+    @pytest.mark.parametrize("lambda_w", [-1.0, 0.0, math.nan])
+    def test_non_positive_lambda_w_named(self, lambda_w):
+        rng = np.random.default_rng(0)
+        for make in (lambda: sdae.init_network((4, 2, 4), 0, lambda_w),
+                     lambda: sdae.sample_network((4, 2, 4), lambda_w, rng)):
+            with pytest.raises(ArgumentError) as info:
+                make()
+            assert str(info.value) == "lambda_w must be positive"
+            assert info.value.fields == ("lambda_w",)
+
+    def test_infinite_lambda_w_gives_zero_weights(self):
+        # the prior's limit, which synthesis uses
+        for net in (sdae.init_network((4, 2, 4), 0, math.inf),
+                    sdae.sample_network((4, 2, 4), math.inf, np.random.default_rng(0))):
+            assert all(np.all(w == 0.0) for w in net.weights)
+
     def test_every_oversized_network_named_by_its_widths(self):
         # initialized, drawn, or drawn for synthetic data: a failed allocation
         # names the widths instead of surfacing numpy's memory error

@@ -568,6 +568,25 @@ class TestConfig:
         with pytest.raises(ArgumentError):
             tiny_hyper(widths=(12, 5, 12))
 
+    @pytest.mark.parametrize("value", [2.5, True])
+    @pytest.mark.parametrize("name", ["n_factors", "epochs_per_block", "max_sweeps",
+                                      "early_stop_patience", "seed"])
+    def test_integer_field_rejects_a_float_or_a_bool(self, name, value):
+        # int() would round 2.5 away, and True would pass as 1
+        with pytest.raises(ArgumentError, match=f"{name} must be an integer") as err:
+            tiny_hyper(**{name: value})
+        assert err.value.fields == (name,)
+
+    def test_integer_fields_accept_numpy_integers(self):
+        hyper = tiny_hyper(n_factors=np.int64(3), widths=(12, np.int32(3), 12),
+                           seed=np.uint32(7))
+        assert hyper.widths == (12, 3, 12)
+
+    def test_non_integral_width_rejected(self):
+        with pytest.raises(ArgumentError, match="all layer widths must be integers") as err:
+            tiny_hyper(widths=(8.7, 3.2, 8))
+        assert err.value.fields == ("widths",)
+
 
 class TestReport:
     def test_tsv_round_trip(self, tmp_path):
