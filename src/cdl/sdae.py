@@ -204,22 +204,24 @@ def _input(net, x):
 
 
 def _row_blocks(net, x0, xc=None, item_factors=None):
-    """Check the operands' shapes, then yield (rows, input rows[, clean rows,
-    item factor rows]) for each block of BLOCK_ROWS rows, in order.  Clean
-    rows kept sparse by _as_matrix stay sparse: the caller subtracts them at
-    their stored entries.  When one block covers every row the operands
-    themselves are yielded; a CSR row slice is a copy."""
+    """Check the operands' shapes, then yield (rows, input rows[, clean
+    rows][, item factor rows]) for each block of BLOCK_ROWS rows, in order.
+    Clean rows kept sparse by _as_matrix stay sparse: the caller subtracts
+    them at their stored entries.  When one block covers every row the
+    operands themselves are yielded; a CSR row slice is a copy."""
     X0 = _input(net, x0)
     num_rows = X0.shape[0]
     operands = [X0]
     if xc is not None:
         Xc = _as_matrix(xc)
-        V = np.asarray(item_factors, dtype=np.float64)
         if Xc.shape != (num_rows, net.widths[-1]):
             raise ShapeError(f"clean content shape {Xc.shape} != {(num_rows, net.widths[-1])}")
+        operands.append(Xc)
+    if item_factors is not None:
+        V = np.asarray(item_factors, dtype=np.float64)
         if V.shape != (num_rows, net.code_size):
             raise ShapeError(f"item factor shape {V.shape} != {(num_rows, net.code_size)}")
-        operands += [Xc, V]
+        operands.append(V)
     for start in range(0, num_rows, BLOCK_ROWS):
         rows = slice(start, start + BLOCK_ROWS)
         yield rows, *(operands if num_rows <= BLOCK_ROWS else [m[rows] for m in operands])
@@ -375,25 +377,21 @@ def _output_delta(out, raw, clean, lambda_n, scale):
     return raw
 
 
-def coupling_residuals(net, x0, xc, item_factors):
-    """Squared-residual sums (sum |code - v|^2, sum |recon - xc|^2) over all
-    rows, evaluated without dropout."""
-    enc_ss = 0.0
+def coupling_residuals(net, x0, xc):
+    """(codes, rec_ss): the middle-layer codes of the rows of ``x0`` and the
+    squared reconstruction residual sum |recon - xc|^2 over all rows, from
+    one pass without dropout; each row block's activations are freed before
+    the next block is evaluated."""
+    X0 = _input(net, x0)
+    codes = np.empty((X0.shape[0], net.code_size))
     rec_ss = 0.0
-    for _, X0, Xc, V in _row_blocks(net, x0, xc, item_factors):
-        enc, rec = _block_residuals(net, X0, Xc, V)
-        enc_ss += enc
-        rec_ss += rec
-    return enc_ss, rec_ss
-
-
-def _block_residuals(net, X0, Xc, V):
-    """One row block's squared-residual sums; its activations are freed on
-    return."""
-    outs = _propagate(net, X0)[0]
-    enc_diff = outs[net.middle] - V
-    rec_diff = _subtract_clean(outs[net.num_layers], Xc).reshape(-1)
-    return float(np.sum(enc_diff * enc_diff)), float(rec_diff @ rec_diff)
+    for rows, block, Xc in _row_blocks(net, X0, xc):
+        outs = _propagate(net, block)[0]
+        codes[rows] = outs[net.middle]
+        rec_diff = _subtract_clean(outs[net.num_layers], Xc).reshape(-1)
+        rec_ss += float(rec_diff @ rec_diff)
+        del outs, rec_diff  # freed before the next block is evaluated
+    return codes, rec_ss
 
 
 def save_network(net, path, config=None):

@@ -271,30 +271,22 @@ def _report_cells(row):
 
 
 def objective_terms(ratings, U, V, conf, lambda_u, lambda_v, lambda_n, lambda_w,
-                    net=None, x0=None, content=None, v_prior_mean=None):
+                    net=None, prior=None, rec_ss=None):
     """Per-term breakdown of the joint objective; every term is <= 0.
 
-    The item-offset term measures V against ``v_prior_mean`` when given,
-    otherwise against the network encodings of ``x0``; the reconstruction
-    term needs ``net``, ``x0`` and ``content`` and is exactly 0.0 when
-    lambda_n is 0 or there is no network.
+    The item-offset term measures V against the item prior ``prior``, or
+    against 0 without one; the reconstruction term is -lambda_n/2 times
+    ``rec_ss``, the squared reconstruction residual sum, and exactly 0.0
+    without one.
     """
     U = np.asarray(U, dtype=np.float64)
     V = np.asarray(V, dtype=np.float64)
-    reconstructs = net is not None and lambda_n > 0
-    if reconstructs:
-        # the reconstruction pass yields the code residual as well
-        offset_ss, rec_ss = sdae.coupling_residuals(net, x0, content, V)
-    if v_prior_mean is not None or not reconstructs:
-        if v_prior_mean is None and net is not None:
-            v_prior_mean = sdae.encode(net, x0)
-        diff = V if v_prior_mean is None else V - v_prior_mean
-        offset_ss = float(np.sum(diff * diff))
+    diff = V if prior is None else V - prior
     return {
         "user_prior": -0.5 * lambda_u * float(np.sum(U * U)),
         "weight_prior": -0.5 * lambda_w * net.squared_norm() if net is not None else 0.0,
-        "item_offset": -0.5 * lambda_v * offset_ss,
-        "reconstruction": -0.5 * lambda_n * rec_ss if reconstructs else 0.0,
+        "item_offset": -0.5 * lambda_v * float(np.sum(diff * diff)),
+        "reconstruction": -0.5 * lambda_n * rec_ss if rec_ss is not None else 0.0,
         "rating": mf.rating_objective(U, V, ratings, conf),
     }
 
@@ -320,19 +312,29 @@ def objective(*args, **kwargs):
 
 @dataclass
 class _State:
-    """What a sweep replaces: the factors, the network with its heavy-ball
-    velocities (one per weight and bias, in ``net.weights + net.biases``
-    order), and the corrupted input the network last trained on."""
+    """What a sweep replaces, and all a report row reads: the factors, the
+    item prior V is pulled toward and the reconstruction residual sum (None
+    without that term), the network with its heavy-ball velocities (one per
+    weight and bias, in ``net.weights + net.biases`` order), and the
+    corrupted input the network last trained on."""
 
     U: np.ndarray
     V: np.ndarray
+    prior: np.ndarray | None = None
+    rec_ss: float | None = None
     net: sdae.SdaeNetwork | None = None
     velocities: list | None = None
     x0: object = None
 
     def copy(self):
-        return _State(self.U.copy(), self.V.copy(), self.net.copy(),
+        return _State(self.U.copy(), self.V.copy(), self.prior, self.rec_ss, self.net.copy(),
                       [v.copy() for v in self.velocities], self.x0)
+
+
+def _objective_args(state, ratings, hyper):
+    """objective_terms' arguments at a fit's state."""
+    return (ratings, state.U, state.V, hyper.confidence(), hyper.lambda_u, hyper.lambda_v,
+            hyper.lambda_n, hyper.lambda_w, state.net, state.prior, state.rec_ss)
 
 
 def _sweep_loop(report, path, state, step, evaluate, hyper, trains_network, may_stop):
@@ -401,10 +403,11 @@ def _sweep_loop(report, path, state, step, evaluate, hyper, trains_network, may_
     return state
 
 
-def _factor_sweep(state, ratings, conf, hyper, prior_mean):
-    """One exact user pass, then one exact item pass toward ``prior_mean``."""
+def _factor_sweep(state, ratings, hyper):
+    """One exact user pass, then one exact item pass toward ``state.prior``."""
+    conf = hyper.confidence()
     state.U = mf.sweep_users(state.V, ratings, conf, hyper.lambda_u)
-    state.V = mf.sweep_items(state.U, ratings, conf, hyper.lambda_v, prior_mean)
+    state.V = mf.sweep_items(state.U, ratings, conf, hyper.lambda_v, state.prior)
 
 
 def check_inputs(ratings, content, hyper):
@@ -430,18 +433,23 @@ def check_inputs(ratings, content, hyper):
 
 
 def _network_setup(ratings, content, hyper, lambda_n):
-    """Seeded network and first corruption, the epoch block that trains the
-    network toward given item factors, and the objective reported while the
-    network trains, both with reconstruction weight ``lambda_n`` (joint and
-    two-step share all three)."""
+    """The state at a seeded network and first corruption, and the epoch
+    block that trains the network toward given item factors with
+    reconstruction weight ``lambda_n`` (joint and two-step share both).  One
+    no-dropout pass over the corruption, at set-up and at the end of each
+    block, writes the item prior and reconstruction sum (only the prior, by
+    ``sdae.encode``, when lambda_n is 0); V starts at the prior."""
     check_inputs(ratings, content, hyper)
     widths = hyper.network_widths(content.vocab_size)
     clean = sdae._as_matrix(content)  # laid out once per fit, not per gradients call
     net_seed, noise_seq, mask_seq = np.random.SeedSequence(hyper.seed).spawn(3)
     net = sdae.init_network(widths, net_seed, hyper.lambda_w)
-    x0 = corrupt(content, hyper.noise_level, noise_seq.spawn(1)[0])
-    state = _State(np.zeros((ratings.num_users, hyper.n_factors)), sdae.encode(net, x0),
-                   net, [np.zeros_like(p) for p in net.weights + net.biases], x0)
+
+    def network_pass(state):
+        if lambda_n > 0:
+            state.prior, state.rec_ss = sdae.coupling_residuals(state.net, state.x0, clean)
+        else:
+            state.prior = sdae.encode(state.net, state.x0)
 
     def train_block(state, lr, V, lambda_v):
         for _ in range(hyper.epochs_per_block):
@@ -458,28 +466,26 @@ def _network_setup(ratings, content, hyper, lambda_n):
                 v *= hyper.momentum
                 v += lr * g
                 p += v
+        network_pass(state)
 
-    conf = hyper.confidence()
-
-    def evaluate(state):
-        return objective(
-            ratings, state.U, state.V, conf, hyper.lambda_u, hyper.lambda_v,
-            lambda_n, hyper.lambda_w, net=state.net, x0=state.x0, content=clean,
-        )
-
-    return state, train_block, evaluate
+    state = _State(np.zeros((ratings.num_users, hyper.n_factors)), None, net=net,
+                   velocities=[np.zeros_like(p) for p in net.weights + net.biases],
+                   x0=corrupt(content, hyper.noise_level, noise_seq.spawn(1)[0]))
+    network_pass(state)
+    state.V = state.prior.copy()
+    return state, train_block
 
 
 def _joint_fit(ratings, content, hyper, lambda_n, report_path=None):
-    state, train_block, evaluate = _network_setup(ratings, content, hyper, lambda_n)
-    conf = hyper.confidence()
+    state, train_block = _network_setup(ratings, content, hyper, lambda_n)
 
     def step(state, lr):
-        _factor_sweep(state, ratings, conf, hyper, sdae.encode(state.net, state.x0))
+        _factor_sweep(state, ratings, hyper)
         train_block(state, lr, state.V, hyper.lambda_v)
 
     report = TrainReport()
-    state = _sweep_loop(report, report_path, state, step, evaluate, hyper,
+    state = _sweep_loop(report, report_path, state, step,
+                        lambda state: objective(*_objective_args(state, ratings, hyper)), hyper,
                         trains_network=True, may_stop=True)
     return state.net, LatentFactors(state.U, state.V), report
 
@@ -508,39 +514,26 @@ def fit_two_step(ratings, content, hyper, report_path=None):
     """Degenerate variant that first trains the autoencoder on reconstruction
     alone (ratings never enter), freezes the encodings, then runs factor
     sweeps with the frozen encodings as the item-prior mean."""
-    state, train_block, network_objective = _network_setup(ratings, content, hyper,
-                                                           hyper.lambda_n)
-    conf = hyper.confidence()
+    state, train_block = _network_setup(ratings, content, hyper, hyper.lambda_n)
     zero_v = np.zeros_like(state.V)
     report = TrainReport()
 
-    # reconstruction phase: the item prior tracks the current encodings, so
-    # the offset term, measured from the same codes, is exactly 0 while only
-    # the autoencoder trains
+    # reconstruction phase: V tracks the item prior, so the offset term is
+    # exactly 0 while only the autoencoder trains
     def train_network(state, lr):
         train_block(state, lr, zero_v, 0.0)
-        state.V = sdae.encode(state.net, state.x0)
+        state.V = state.prior
 
-    state = _sweep_loop(report, report_path, state, train_network, network_objective,
-                        hyper, trains_network=True, may_stop=False)
+    state = _sweep_loop(report, report_path, state, train_network,
+                        lambda state: objective(*_objective_args(state, ratings, hyper)), hyper,
+                        trains_network=True, may_stop=False)
 
-    # frozen factor phase: phase one leaves state.V = encode(net, x0), even
-    # after a rollback, and its last row holds the reconstruction term
-    encodings = state.V
-    reconstruction = report.rows[-1].reconstruction
-
-    def factor_objective(state):
-        terms = objective_terms(
-            ratings, state.U, state.V, conf, hyper.lambda_u, hyper.lambda_v, 0.0,
-            hyper.lambda_w, net=state.net, v_prior_mean=encodings,
-        )
-        terms["reconstruction"] = reconstruction
-        return _checked(terms)
-
+    # frozen factor phase: the state keeps phase one's last item prior and
+    # reconstruction sum, even after a rollback
     state = _sweep_loop(
-        report, report_path, state,
-        lambda state, lr: _factor_sweep(state, ratings, conf, hyper, encodings),
-        factor_objective, hyper, trains_network=False, may_stop=False,
+        report, report_path, state, lambda state, lr: _factor_sweep(state, ratings, hyper),
+        lambda state: _checked(objective_terms(*_objective_args(state, ratings, hyper))), hyper,
+        trains_network=False, may_stop=False,
     )
     return state.net, LatentFactors(state.U, state.V), report
 
@@ -552,22 +545,15 @@ def fit_mf_baseline(ratings, hyper, report_path=None):
     the report are identically zero.
     """
     check_inputs(ratings, None, hyper)
-    conf = hyper.confidence()
     rng = np.random.default_rng(np.random.SeedSequence(hyper.seed))
     V = rng.normal(scale=hyper.lambda_v ** -0.5,
                    size=(ratings.num_items, hyper.n_factors))
-    zero_mean = np.zeros_like(V)
-
-    def evaluate(state):
-        return objective(
-            ratings, state.U, state.V, conf, hyper.lambda_u, hyper.lambda_v,
-            hyper.lambda_n, hyper.lambda_w, v_prior_mean=zero_mean,
-        )
-
     report = TrainReport()
     state = _sweep_loop(
-        report, report_path, _State(np.zeros((ratings.num_users, hyper.n_factors)), V),
-        lambda state, lr: _factor_sweep(state, ratings, conf, hyper, zero_mean),
-        evaluate, hyper, trains_network=False, may_stop=True,
+        report, report_path, _State(np.zeros((ratings.num_users, hyper.n_factors)), V,
+                                    np.zeros_like(V)),
+        lambda state, lr: _factor_sweep(state, ratings, hyper),
+        lambda state: objective(*_objective_args(state, ratings, hyper)), hyper,
+        trains_network=False, may_stop=True,
     )
     return LatentFactors(state.U, state.V), report

@@ -39,9 +39,9 @@ def test_criterion_1_gradient_fidelity():
         gw, gb = sdae.gradients(net, x0, xc, V, lam_v, lam_n, lam_w)
 
         def objective(n):
-            enc_ss, rec_ss = sdae.coupling_residuals(n, x0, xc, V)
+            codes, rec_ss = sdae.coupling_residuals(n, x0, xc)
             return (-0.5 * lam_w * n.squared_norm()
-                    - 0.5 * lam_v * enc_ss - 0.5 * lam_n * rec_ss)
+                    - 0.5 * lam_v * float(np.sum((codes - V) ** 2)) - 0.5 * lam_n * rec_ss)
 
         numeric = []
         analytic = []

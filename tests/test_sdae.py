@@ -73,18 +73,29 @@ def reference_gradients(net, x0, xc, item_factors, lambda_v, lambda_n, lambda_w,
     return grads_w, grads_b
 
 
-def reference_coupling_residuals(net, x0, xc, item_factors):
+def reference_coupling_residuals(net, x0, xc):
     """sdae.coupling_residuals as a loop whose blocks stay alive until the
-    next one replaces them."""
-    enc_ss = 0.0
+    next one replaces them, and whose codes are stacked at the end."""
+    codes = []
     rec_ss = 0.0
-    for _, X0, Xc, V in sdae._row_blocks(net, x0, xc, item_factors):
+    for _, X0, Xc in sdae._row_blocks(net, x0, xc):
         outs = sdae._propagate(net, X0)[0]
-        enc_diff = outs[net.middle] - V
+        codes.append(outs[net.middle])
         rec_diff = sdae._subtract_clean(outs[net.num_layers], Xc).reshape(-1)
-        enc_ss += float(np.sum(enc_diff * enc_diff))
         rec_ss += float(rec_diff @ rec_diff)
-    return enc_ss, rec_ss
+    return np.concatenate(codes), rec_ss
+
+
+def assert_same_residuals(got, want):
+    """Two (codes, rec_ss) pairs of coupling_residuals hold the same bits."""
+    assert_same_bits([got[0]], [want[0]])
+    assert got[1].hex() == want[1].hex()
+
+
+def offset_ss(codes, V):
+    """The squared code residual sum |codes - V|^2 over all rows."""
+    diff = codes - V
+    return float(np.sum(diff * diff))
 
 
 def assert_same_bits(got, want):
@@ -97,9 +108,9 @@ def assert_same_bits(got, want):
 
 def network_objective(net, x0, xc, V, lam_v, lam_n, lam_w):
     """Network-dependent part of the joint objective, via forward passes only."""
-    enc_ss, rec_ss = sdae.coupling_residuals(net, x0, xc, V)
+    codes, rec_ss = sdae.coupling_residuals(net, x0, xc)
     return (-0.5 * lam_w * net.squared_norm()
-            - 0.5 * lam_v * enc_ss - 0.5 * lam_n * rec_ss)
+            - 0.5 * lam_v * offset_ss(codes, V) - 0.5 * lam_n * rec_ss)
 
 
 def masked_objective(net, x0, xc, V, lam_v, lam_n, lam_w, mask):
@@ -417,11 +428,15 @@ class TestRowBlocks:
 
     def test_blocks_match_one_block(self, monkeypatch):
         net, x0, xc, V, _, _, _ = random_instance([5, 4, 3, 4, 5], 7, seed=10)
-        whole = (sdae.coupling_residuals(net, x0, xc, V),
+        whole = (sdae.coupling_residuals(net, x0, xc),
                  sdae.encode(net, x0), sdae.reconstruct(net, x0))
         monkeypatch.setattr(sdae, "BLOCK_ROWS", 2)
-        np.testing.assert_allclose(sdae.coupling_residuals(net, x0, xc, V), whole[0],
+        codes, rec_ss = sdae.coupling_residuals(net, x0, xc)
+        np.testing.assert_allclose(rec_ss, whole[0][1], rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(offset_ss(codes, V), offset_ss(whole[0][0], V),
                                    rtol=1e-12, atol=1e-14)
+        # the pass's codes are encode's, whatever the block size
+        assert_same_bits([codes, whole[0][0]], [whole[1], whole[1]])
         np.testing.assert_array_equal(sdae.encode(net, x0), whole[1])
         np.testing.assert_array_equal(sdae.reconstruct(net, x0), whole[2])
 
@@ -434,7 +449,7 @@ class TestRowBlocks:
         monkeypatch.setattr(sdae, "BLOCK_ROWS", 64)
         calls = {
             "gradients": lambda: sdae.gradients(net, x0, xc, V, lam_v, lam_n, lam_w),
-            "coupling_residuals": lambda: sdae.coupling_residuals(net, x0, xc, V),
+            "coupling_residuals": lambda: sdae.coupling_residuals(net, x0, xc),
         }
         for name, call in calls.items():
             tracemalloc.start()
@@ -457,8 +472,8 @@ class TestRowBlocks:
         want = sdae.gradients(net, csr0, csrc, V, lam_v, lam_n, lam_w)
         for a, b in zip(got[0] + got[1], want[0] + want[1]):
             np.testing.assert_array_equal(a, b)
-        assert (sdae.coupling_residuals(net, other0, otherc, V)
-                == sdae.coupling_residuals(net, csr0, csrc, V))
+        assert_same_residuals(sdae.coupling_residuals(net, other0, otherc),
+                              sdae.coupling_residuals(net, csr0, csrc))
 
     def test_one_block_leaves_a_non_canonical_operand_unchanged(self):
         # the rows fit one block, so no slice copies the operands: a
@@ -474,8 +489,8 @@ class TestRowBlocks:
 
         def outputs(x):
             grads_w, grads_b = sdae.gradients(net, x, x, V, lam_v, lam_n, lam_w)
-            return [*grads_w, *grads_b, np.array(sdae.coupling_residuals(net, x, x, V)),
-                    sdae.encode(net, x)]
+            codes, rec_ss = sdae.coupling_residuals(net, x, x)
+            return [*grads_w, *grads_b, codes, np.array(rec_ss), sdae.encode(net, x)]
 
         got = outputs(halves)
         for arr, old in zip((halves.data, halves.indices, halves.indptr), before):
@@ -485,13 +500,18 @@ class TestRowBlocks:
 
     @pytest.mark.parametrize("one_row", ["item_factors", "clean"])
     def test_residuals_reject_one_row_operand(self, one_row):
+        # the row blocks check every operand: the pass takes the clean
+        # content, and gradients the item factors too
         net, x0, xc, V, _, _, _ = random_instance([5, 3, 5], 4, seed=22)
         if one_row == "item_factors":
             V = V[:1]
         else:
             xc = xc[:1]
-        with pytest.raises(ShapeError):
-            sdae.coupling_residuals(net, x0, xc, V)
+            with pytest.raises(ShapeError, match="clean content shape"):
+                sdae.coupling_residuals(net, x0, xc)
+        with pytest.raises(ShapeError, match={"item_factors": "item factor shape",
+                                              "clean": "clean content shape"}[one_row]):
+            sdae.gradients(net, x0, xc, V, 1.0, 1.0, 1.0)
 
 
 class TestLayout:
@@ -541,8 +561,8 @@ class TestLayout:
             got = sdae.gradients(net, csr0, csrc, V, lam_v, lam_n, lam_w)
             want = sdae.gradients(net, x0, xc, V, lam_v, lam_n, lam_w)
             assert_same_bits(got[0] + got[1], want[0] + want[1])
-            assert ([v.hex() for v in sdae.coupling_residuals(net, csr0, csrc, V)]
-                    == [v.hex() for v in sdae.coupling_residuals(net, x0, xc, V)])
+            assert_same_residuals(sdae.coupling_residuals(net, csr0, csrc),
+                                  sdae.coupling_residuals(net, x0, xc))
             assert_same_bits([sdae.encode(net, csr0)], [sdae.encode(net, x0)])
 
 
@@ -571,9 +591,8 @@ class TestAgainstReferenceLoops:
             got = sdae.gradients(net, inputs, clean, V, lam_v, lam_n, lam_w, mask=mask)
             want = reference_gradients(net, inputs, clean, V, lam_v, lam_n, lam_w, mask=mask)
             assert_same_bits(got[0] + got[1], want[0] + want[1])
-            got_ss = sdae.coupling_residuals(net, inputs, clean, V)
-            want_ss = reference_coupling_residuals(net, inputs, clean, V)
-            assert [v.hex() for v in got_ss] == [v.hex() for v in want_ss]
+            assert_same_residuals(sdae.coupling_residuals(net, inputs, clean),
+                                  reference_coupling_residuals(net, inputs, clean))
 
     def test_bits_match_reference_across_default_blocks(self, monkeypatch):
         # more rows than one default block, chunked at 300 rows, which
@@ -587,8 +606,8 @@ class TestAgainstReferenceLoops:
             got = sdae.gradients(net, x0, xc, V, lam_v, lam_n, lam_w, mask=mask)
             want = reference_gradients(net, x0, xc, V, lam_v, lam_n, lam_w, mask=mask)
             assert_same_bits(got[0] + got[1], want[0] + want[1])
-        assert ([v.hex() for v in sdae.coupling_residuals(net, x0, xc, V)]
-                == [v.hex() for v in reference_coupling_residuals(net, x0, xc, V)])
+        assert_same_residuals(sdae.coupling_residuals(net, x0, xc),
+                              reference_coupling_residuals(net, x0, xc))
 
     def test_output_layer_mask_is_applied(self, monkeypatch):
         # dropout_mask never scales the output layer, but a caller's mask may
@@ -636,11 +655,12 @@ class TestSigmoid:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             gw, gb = sdae.gradients(net, x0, xc, V, lam_v, lam_n, lam_w)
-            enc_ss, rec_ss = sdae.coupling_residuals(net, x0, xc, V)
+            codes, rec_ss = sdae.coupling_residuals(net, x0, xc)
         for l in range(net.num_layers):
             np.testing.assert_array_equal(gw[l], -lam_w * net.weights[l])
             np.testing.assert_array_equal(gb[l], -lam_w * net.biases[l])
-        np.testing.assert_allclose([enc_ss, rec_ss],
+        np.testing.assert_array_equal(codes, 0.0)
+        np.testing.assert_allclose([offset_ss(codes, V), rec_ss],
                                    [np.sum(V * V), np.sum(xc * xc)], rtol=1e-14)
 
     def test_sparse_clean_content_equals_dense_bit_for_bit(self, monkeypatch):
@@ -655,8 +675,8 @@ class TestSigmoid:
             sparse = sdae.gradients(net, inputs, clean, V, lam_v, lam_n, lam_w, mask=mask)
             for a, b in zip(dense[0] + dense[1], sparse[0] + sparse[1]):
                 np.testing.assert_array_equal(a, b)
-            assert (sdae.coupling_residuals(net, inputs, xc, V)
-                    == sdae.coupling_residuals(net, inputs, clean, V))
+            assert_same_residuals(sdae.coupling_residuals(net, inputs, xc),
+                                  sdae.coupling_residuals(net, inputs, clean))
         np.testing.assert_array_equal(clean.toarray(), xc)
 
     def test_repeated_sparse_entries_are_summed(self):
@@ -664,8 +684,8 @@ class TestSigmoid:
         xc[xc < 0.5] = 0.0  # below the dense layout's 2/3 density: it stays CSR
         halves = halved_repeats(xc)
         assert sp.issparse(sdae._as_matrix(halves))
-        np.testing.assert_allclose(sdae.coupling_residuals(net, x0, halves, V),
-                                   sdae.coupling_residuals(net, x0, xc, V), rtol=1e-14)
+        np.testing.assert_allclose(sdae.coupling_residuals(net, x0, halves)[1],
+                                   sdae.coupling_residuals(net, x0, xc)[1], rtol=1e-14)
 
     def test_peak_memory_with_sparse_clean_content(self, monkeypatch):
         import tracemalloc
@@ -681,17 +701,20 @@ class TestSigmoid:
         block = 64 * words * 8
         # in blocks: about 3 and 1.7; keeping the previous block alive while
         # the next one is evaluated, and copying the whole output layer for
-        # its error, takes about 4 and 3
+        # its error, takes about 4 and 3.  The pass's codes, rows x code
+        # size like the item factors gradients reads, are its output, not
+        # its working memory, so the peak is counted above them
         calls = {
-            "gradients": (3.5, lambda: sdae.gradients(net, clean, clean, V,
-                                                      lam_v, lam_n, lam_w)),
-            "coupling_residuals": (2.0, lambda: sdae.coupling_residuals(net, clean, clean, V)),
+            "gradients": (3.5, 0, lambda: sdae.gradients(net, clean, clean, V,
+                                                         lam_v, lam_n, lam_w)),
+            "coupling_residuals": (2.0, V.nbytes,
+                                   lambda: sdae.coupling_residuals(net, clean, clean)),
         }
-        for name, (bound, call) in calls.items():
+        for name, (bound, output, call) in calls.items():
             tracemalloc.start()
             try:
                 call()
-                peak = tracemalloc.get_traced_memory()[1]
+                peak = tracemalloc.get_traced_memory()[1] - output
             finally:
                 tracemalloc.stop()
             assert peak < bound * block, f"{name} peaked at {peak / block:.2f} blocks"

@@ -50,10 +50,11 @@ class TestObjective:
         ratings = data.RatingsMatrix(3, J, np.empty((0, 2)))
         content = data.ContentMatrix(np.zeros((J, S)), data.RAW)
         lam_v, lam_n = 1.7, 0.9
+        prior, rec_ss = sdae.coupling_residuals(net, content, content)
         total, terms = training.objective(
             ratings, np.zeros((3, K)), np.zeros((J, K)), ConfidenceParams(1, 0.01),
             lambda_u=2.0, lambda_v=lam_v, lambda_n=lam_n, lambda_w=3.0,
-            net=net, x0=content, content=content)
+            net=net, prior=prior, rec_ss=rec_ss)
         expected = -(lam_v / 2) * J * K * 0.25 - (lam_n / 2) * J * S * 0.25
         np.testing.assert_allclose(total, expected, rtol=1e-12)
         assert terms["user_prior"] == 0.0 and terms["weight_prior"] == 0.0
@@ -73,7 +74,7 @@ class TestObjective:
         total, terms = training.objective(
             ratings, factors.U, factors.V, hyper.confidence(),
             hyper.lambda_u, hyper.lambda_v, hyper.lambda_n, hyper.lambda_w,
-            net=net, x0=x0, content=content)
+            net, *sdae.coupling_residuals(net, x0, content))
         np.testing.assert_allclose(total, sum(terms.values()), rtol=1e-12)
         assert set(terms) == {"user_prior", "weight_prior", "item_offset",
                               "reconstruction", "rating"}
@@ -84,7 +85,7 @@ class TestObjective:
         with pytest.raises(NumericError, match="user_prior"):
             training.objective(ratings, U, np.ones((1, 1)),
                                ConfidenceParams(1, 0.01), 1.0, 1.0, 0.0, 1.0,
-                               v_prior_mean=np.zeros((1, 1)))
+                               prior=np.zeros((1, 1)))
 
 
 class TestFit:
@@ -129,8 +130,8 @@ class TestFit:
 
         def objective_now():
             total, _ = training.objective(
-                ratings, U, V, conf, hyper.lambda_u, hyper.lambda_v,
-                hyper.lambda_n, hyper.lambda_w, net=net, x0=x0, content=content)
+                ratings, U, V, conf, hyper.lambda_u, hyper.lambda_v, hyper.lambda_n,
+                hyper.lambda_w, net, *sdae.coupling_residuals(net, x0, content))
             return total
 
         before = objective_now()
@@ -245,7 +246,7 @@ class TestFit:
         # velocities are updated in place, so a rollback is sound only if the
         # saved state owns every array it restores
         ratings, content = tiny_dataset(seed=13)
-        state, train_block, _ = training._network_setup(ratings, content, tiny_hyper(), 50.0)
+        state, train_block = training._network_setup(ratings, content, tiny_hyper(), 50.0)
         train_block(state, 1e-3, state.V, 10.0)
         saved = state.copy()
         arrays = [[s.U, s.V, *s.net.weights, *s.net.biases, *s.velocities]
@@ -385,42 +386,33 @@ class TestVariants:
         np.testing.assert_array_equal(factors.U, U)
         np.testing.assert_array_equal(factors.V, V)
 
-    def test_two_step_frozen_phase_reuses_phase_one(self, monkeypatch):
-        # the frozen phase takes phase one's codes and reconstruction term:
-        # one encode and one residual pass for row 0 and for each sweep
+    def test_two_step_frozen_phase_reuses_phase_one(self):
+        # the frozen phase takes phase one's last item prior and
+        # reconstruction sum: its reconstruction term keeps phase one's bits
         ratings, content = tiny_dataset(seed=25)
         hyper = tiny_hyper(max_sweeps=3)
-        calls = {"encode": 0, "coupling_residuals": 0}
-
-        def counted(name, real):
-            def call(*args, **kwargs):
-                calls[name] += 1
-                return real(*args, **kwargs)
-            return call
-
-        for name in calls:
-            monkeypatch.setattr(sdae, name, counted(name, getattr(sdae, name)))
         _, _, report = training.fit_two_step(ratings, content, hyper)
-        assert calls == {name: hyper.max_sweeps + 1 for name in calls}
         last = report.rows[hyper.max_sweeps].reconstruction
         frozen = [row.reconstruction for row in report.rows[hyper.max_sweeps + 1:]]
         assert len(frozen) == hyper.max_sweeps
         assert all(value.hex() == last.hex() for value in frozen)
 
     def test_two_step_phase_one_terms_across_row_blocks(self, monkeypatch):
-        # phase one measures V = encode(net, x0) against the codes that
-        # coupling_residuals computes; over several row blocks these are the
-        # same codes, so every term has the bits of measuring V against
-        # itself (v_prior_mean=V), and the offset term is exactly -0.0
+        # phase one sets V to the codes of the pass that also gives the
+        # reconstruction sum; over several row blocks every term has the
+        # bits of measuring V against itself (prior=V), and the offset term
+        # is exactly -0.0
         ratings, content = random_dataset(41, num_items=2 * sdae.BLOCK_ROWS + 100)
         hyper = tiny_hyper(max_sweeps=2)
         real = training.objective
         expected = []
 
-        def spy(ratings, U, V, *args, **kwargs):
-            if kwargs.get("net") is not None:
-                expected.append(real(ratings, U, V, *args, **{**kwargs, "v_prior_mean": V}))
-            return real(ratings, U, V, *args, **kwargs)
+        def spy(ratings, U, V, *args):
+            net, prior, rec_ss = args[-3:]
+            if net is not None:
+                expected.append(real(ratings, U, V, *args[:-2], V, rec_ss))
+                np.testing.assert_array_equal(prior, V)
+            return real(ratings, U, V, *args)
 
         monkeypatch.setattr(training, "objective", spy)
         _, _, report = training.fit_two_step(ratings, content, hyper)
