@@ -411,8 +411,9 @@ def _factor_sweep(state, ratings, hyper):
 
 
 def check_inputs(ratings, content, hyper):
-    """Reject, before anything is allocated, inputs no MAP fit or chain can
-    use; ``content`` is None for the content-free baseline, which has no
+    """Reject, before a fit or chain allocates anything, inputs it cannot
+    use, among them an ``n_factors`` whose factor matrices cannot be
+    allocated; ``content`` is None for the content-free baseline, which has no
     network to need a finite lambda_n or lambda_w, or a lambda_n small enough
     that the reconstruction term cannot overflow."""
     network = () if content is None else ("lambda_n", "lambda_w")
@@ -421,6 +422,13 @@ def check_inputs(ratings, content, hyper):
     if math.isinf(hyper.conf_a * ratings.nnz):
         raise ArgumentError(f"conf_a {hyper.conf_a!r} overflows the rating term over "
                             f"{ratings.nnz} ratings", ["conf_a"])
+    rows = max(ratings.num_users, ratings.num_items)
+    try:  # the larger factor matrix, allocated and freed unfilled
+        np.empty((rows, hyper.n_factors))
+    except (MemoryError, ValueError):  # the allocation fails or its byte size overflows
+        raise ArgumentError(f"n_factors {hyper.n_factors} makes the {rows} x "
+                            f"{hyper.n_factors} factor matrix too large to allocate",
+                            ["n_factors"]) from None
     if content is None:
         return
     if content.num_items != ratings.num_items:

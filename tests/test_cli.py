@@ -534,6 +534,35 @@ def test_bad_config_value_named_at_its_line(dataset, tmp_path, capsys,
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command, variant", [
+    ("train", "mf"), ("train", "cdl"), ("grid", "mf"), ("sample", None)],
+    ids=["train-mf", "train-cdl", "grid-mf", "sample"])
+def test_huge_n_factors_named_at_its_line(dataset, tmp_path, capsys, command, variant):
+    # a factor matrix of 10**12 columns cannot be allocated: the error names
+    # n_factors at its config line before --out is made, not a numpy
+    # traceback from the baseline's draw, nor, with widths=auto, the content
+    # file's largest word id
+    text = dataset["config"].read_text()
+    assert "widths=auto\n" in text
+    if command == "sample":  # the sampler needs a finite lambda_s
+        text = text.replace("lambda_s=inf", "lambda_s=100.0")
+    lines = text.splitlines()
+    lineno = next(i for i, line in enumerate(lines, 1) if line.startswith("n_factors="))
+    lines[lineno - 1] = "n_factors=1000000000000"
+    config = tmp_path / "huge_k.txt"
+    config.write_text("\n".join(lines) + "\n")
+    argv = {"grid": ("--folds", 2), "sample": ("--iters", 4, "--burn-in", 2)}.get(command, ())
+    if variant is not None:
+        argv += ("--variant", variant)
+    code = run_cli(command, "--config", config, "--ratings", dataset["ratings"],
+                   "--content", dataset["content"], *argv, "--out", tmp_path / "o")
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"error: {config}:{lineno}: n_factors 1000000000000 makes the" in err
+    assert "too large to allocate" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_nonfinite_objective_term_names_its_hyperparameter(dataset, tmp_path, capsys):
     # lambda_w=1e308 passes every static check, but its weight-decay term
     # overflows in training: the error names the field, not only the term

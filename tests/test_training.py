@@ -316,6 +316,29 @@ class TestFit:
         assert str(info.value) == "conf_a 1e+306 overflows the rating term over 259 ratings"
         assert info.value.fields == ("conf_a",)
 
+    @pytest.mark.parametrize("k", [10 ** 12, 10 ** 30], ids=["memory", "overflow"])
+    @pytest.mark.parametrize("run", ["fit", "fit_two_step", "fit_encoder_only",
+                                     "fit_mf_baseline", "run_chain"])
+    def test_huge_n_factors_rejected_before_any_draw(self, monkeypatch, run, k):
+        # 30 items x 10**12 factors cannot be allocated, and 10**30 overflows
+        # the array's size: the check names n_factors, and no generator is
+        # made before it
+        ratings, content = tiny_dataset(seed=15)
+        hyper = tiny_hyper(n_factors=k, lambda_s=100.0)
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a generator was made")
+
+        monkeypatch.setattr(np.random, "default_rng", unreachable)
+        fit = getattr(sampling if run == "run_chain" else training, run)
+        inputs = (ratings,) if run == "fit_mf_baseline" else (ratings, content)
+        kwargs = {"iters": 4, "burn_in": 2} if run == "run_chain" else {}
+        with pytest.raises(ArgumentError) as info:
+            fit(*inputs, hyper, **kwargs)
+        assert str(info.value) == (f"n_factors {k} makes the 30 x {k} "
+                                   "factor matrix too large to allocate")
+        assert info.value.fields == ("n_factors",)
+
     def test_block_size_is_accepted_as_batch_size(self):
         ratings, content = tiny_dataset(seed=15)
         hyper = tiny_hyper(max_sweeps=1)
@@ -396,6 +419,57 @@ class TestVariants:
         frozen = [row.reconstruction for row in report.rows[hyper.max_sweeps + 1:]]
         assert len(frozen) == hyper.max_sweeps
         assert all(value.hex() == last.hex() for value in frozen)
+
+    @pytest.mark.parametrize("fit, encode, passes", [
+        ("fit", 0, 1), ("fit_two_step", 0, 1), ("fit_encoder_only", 1, 0)])
+    def test_one_network_pass_per_row(self, monkeypatch, fit, encode, passes):
+        # one no-dropout pass at set-up and at the end of each network step
+        # gives both the factor sweep's item prior and the report row; the
+        # encoder-only pass stops at the codes, and two-step's frozen phase
+        # reuses phase one's last pass
+        ratings, content = tiny_dataset(seed=25)
+        hyper = tiny_hyper(max_sweeps=3)
+        calls = {"encode": 0, "coupling_residuals": 0}
+
+        def counted(name, real):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(sdae, name, counted(name, getattr(sdae, name)))
+        getattr(training, fit)(ratings, content, hyper)
+        rows = hyper.max_sweeps + 1  # the network phase's rows
+        assert calls == {"encode": encode * rows, "coupling_residuals": passes * rows}
+
+    @pytest.mark.parametrize("fit", ["fit", "fit_encoder_only", "fit_two_step"])
+    def test_last_row_measures_the_returned_model(self, fit):
+        # each phase's last row is the objective of the returned network and
+        # factors, with the item prior and reconstruction sum of a no-dropout
+        # pass over the last corruption, re-derived from the seed
+        ratings, content = tiny_dataset(seed=33)
+        hyper = tiny_hyper(max_sweeps=3, widths=(12, 6, 3, 6, 12), dropout_rate=0.2)
+        assert ratings.num_items <= sdae.BLOCK_ROWS and hyper.early_stop_tol == 0.0
+        net, factors, report = getattr(training, fit)(ratings, content, hyper)
+        _, noise_seq, _ = np.random.SeedSequence(hyper.seed).spawn(3)
+        seeds = noise_seq.spawn(1 + hyper.max_sweeps * hyper.epochs_per_block)
+        x0 = data.corrupt(content, hyper.noise_level, seeds[-1])
+        if fit == "fit_encoder_only":
+            prior, rec_ss = sdae.encode(net, x0), None
+        else:
+            prior, rec_ss = sdae.coupling_residuals(net, x0, content)
+        args = (hyper.confidence(), hyper.lambda_u, hyper.lambda_v, hyper.lambda_n,
+                hyper.lambda_w, net, prior, rec_ss)
+        cases = [(report.rows[-1], factors.U, factors.V)]
+        if fit == "fit_two_step":
+            assert len(report.rows) == 2 * hyper.max_sweeps + 1
+            cases.append((report.rows[hyper.max_sweeps], np.zeros_like(factors.U), prior))
+        for row, U, V in cases:
+            total, terms = training.objective(ratings, U, V, *args)
+            assert row.total.hex() == total.hex()
+            for name, value in terms.items():
+                assert getattr(row, name).hex() == value.hex(), name
 
     def test_two_step_phase_one_terms_across_row_blocks(self, monkeypatch):
         # phase one sets V to the codes of the pass that also gives the
