@@ -701,9 +701,9 @@ class TestSigmoid:
         block = 64 * words * 8
         # in blocks: about 3 and 1.7; keeping the previous block alive while
         # the next one is evaluated, and copying the whole output layer for
-        # its error, takes about 4 and 3.  The pass's codes, rows x code
-        # size like the item factors gradients reads, are its output, not
-        # its working memory, so the peak is counted above them
+        # its error, takes about 4 and 3.  The pass's codes (rows x code
+        # size, the shape of the item factors gradients reads) are its
+        # output, not working memory, so its peak is counted above them
         calls = {
             "gradients": (3.5, 0, lambda: sdae.gradients(net, clean, clean, V,
                                                          lam_v, lam_n, lam_w)),
