@@ -517,19 +517,34 @@ def _content_from_arrays(items, words, counts, mode, num_items, vocab_size, loca
     return ContentMatrix(counts, mode)
 
 
-def corrupt(content, noise_level, seed):
+def _dense_is_smaller(nnz, entry_bytes, shape):
+    """The network operands' layout rule: a float64 array of ``shape`` is no
+    larger than a CSR of ``nnz`` entries of ``entry_bytes`` (value and index)."""
+    return nnz * entry_bytes >= shape[0] * shape[1] * 8
+
+
+def corrupt(content, noise_level, seed, positions=None):
     """Masking noise: zero each nonzero entry independently with probability
     ``noise_level``; zeros are never changed and unmasked entries keep their
     clean value.  Deterministic for a fixed seed.
 
     One uniform draw per stored entry decides it; the kept entries (stored
     zeros never among them) are compacted straight into a new CSR, so the
-    clean matrix is neither copied nor changed."""
+    clean matrix is neither copied nor changed.  Given ``positions``, the
+    stored entries' flat indices in a dense array, a corruption that is dense
+    by _dense_is_smaller comes back as the dense array that CSR would give."""
     if not 0.0 <= noise_level <= 1.0:
         raise ArgumentError(f"noise level must lie in [0, 1], got {noise_level}")
     rng = np.random.default_rng(seed)
     clean = content.matrix
-    kept = np.flatnonzero((rng.random(clean.nnz) >= noise_level) & (clean.data != 0))
+    keep = (rng.random(clean.nnz) >= noise_level) & (clean.data != 0)
+    count = np.count_nonzero(keep)
+    index = np.dtype(sp.get_index_dtype(maxval=max(*clean.shape, count)))  # the CSR's below
+    if positions is not None and _dense_is_smaller(count, 8 + index.itemsize, clean.shape):
+        out = np.zeros(clean.shape)
+        out.reshape(-1)[positions] = clean.data * keep + 0.0  # a stored -0.0 reads +0.0
+        return out
+    kept = np.flatnonzero(keep)
     csr = sp.csr_matrix((clean.data[kept], clean.indices[kept],
                          np.searchsorted(kept, clean.indptr)), shape=clean.shape)
     return ContentMatrix(csr, content.normalization_mode)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .data import read_npz, write_npz
+from .data import _dense_is_smaller, read_npz, write_npz
 from .exceptions import ArgumentError, NumericError, ShapeError, ValidationError
 
 # rows evaluated at once by gradients, coupling_residuals, encode and
@@ -172,12 +172,11 @@ def sample_network(widths, lambda_w, rng):
 def _as_matrix(x):
     """Accept ContentMatrix, scipy sparse, or ndarray; return a 2-D operand
     whose row blocks can be sliced.  A sparse operand comes back as a dense
-    array when that array is no larger than its CSR (nnz entries of value and
-    column index against rows x cols float64s: a density of at least 2/3
-    with int32 indices), since dense products and subtractions are then
-    faster at no cost in memory; otherwise as canonical CSR (no repeated
-    entries, sorted indices).  It is copied only when it is not canonical,
-    so the caller's matrix is never changed."""
+    array when that array is no larger than its CSR, by data's
+    _dense_is_smaller, since dense products and subtractions are then faster
+    at no cost in memory; otherwise as canonical CSR (no repeated entries,
+    sorted indices).  It is copied only when it is not canonical, so the
+    caller's matrix is never changed."""
     if hasattr(x, "matrix"):
         x = x.matrix
     if sp.issparse(x):
@@ -185,7 +184,7 @@ def _as_matrix(x):
         if not x.has_canonical_format:
             x = x.copy()
             x.sum_duplicates()
-        if x.nnz * (x.data.itemsize + x.indices.itemsize) < x.shape[0] * x.shape[1] * 8:
+        if not _dense_is_smaller(x.nnz, x.data.itemsize + x.indices.itemsize, x.shape):
             return x
         x = x.toarray()
     arr = np.asarray(x, dtype=np.float64)
@@ -256,10 +255,14 @@ def _subtract_clean(out, clean):
     if not sp.issparse(clean):
         out -= clean
         return out
-    rows, cols = clean.shape
-    flat = np.repeat(np.arange(rows) * cols, np.diff(clean.indptr)) + clean.indices
-    out.reshape(-1)[flat] -= clean.data
+    out.reshape(-1)[_flat_positions(clean)] -= clean.data
     return out
+
+
+def _flat_positions(csr):
+    """The flat index of each stored entry of ``csr`` in a dense array."""
+    rows, cols = csr.shape
+    return np.repeat(np.arange(rows) * cols, np.diff(csr.indptr)) + csr.indices
 
 
 def _propagate(net, X, scales=None, depth=None):

@@ -446,10 +446,12 @@ def _network_setup(ratings, content, hyper, lambda_n):
     reconstruction weight ``lambda_n`` (joint and two-step share both).  One
     no-dropout pass over the corruption, at set-up and at the end of each
     block, writes the item prior and reconstruction sum (only the prior, by
-    ``sdae.encode``, when lambda_n is 0); V starts at the prior."""
+    ``sdae.encode``, when lambda_n is 0); V starts at the prior.  Each
+    corruption comes in the layout that ``sdae._as_matrix`` would give it."""
     check_inputs(ratings, content, hyper)
     widths = hyper.network_widths(content.vocab_size)
     clean = sdae._as_matrix(content)  # laid out once per fit, not per gradients call
+    positions = sdae._flat_positions(content.matrix) if isinstance(clean, np.ndarray) else None
     net_seed, noise_seq, mask_seq = np.random.SeedSequence(hyper.seed).spawn(3)
     net = sdae.init_network(widths, net_seed, hyper.lambda_w)
 
@@ -461,7 +463,7 @@ def _network_setup(ratings, content, hyper, lambda_n):
 
     def train_block(state, lr, V, lambda_v):
         for _ in range(hyper.epochs_per_block):
-            state.x0 = corrupt(content, hyper.noise_level, noise_seq.spawn(1)[0])
+            state.x0 = corrupt(content, hyper.noise_level, noise_seq.spawn(1)[0], positions)
             mask = None
             if hyper.dropout_rate > 0:
                 mask = sdae.dropout_mask(widths, ratings.num_items,
@@ -478,7 +480,7 @@ def _network_setup(ratings, content, hyper, lambda_n):
 
     state = _State(np.zeros((ratings.num_users, hyper.n_factors)), None, net=net,
                    velocities=[np.zeros_like(p) for p in net.weights + net.biases],
-                   x0=corrupt(content, hyper.noise_level, noise_seq.spawn(1)[0]))
+                   x0=corrupt(content, hyper.noise_level, noise_seq.spawn(1)[0], positions))
     network_pass(state)
     state.V = state.prior.copy()
     return state, train_block

@@ -4,6 +4,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -30,11 +31,11 @@ def tiny_dataset(seed=3, num_users=20, num_items=30, vocab=12, k=3):
     return ratings, content
 
 
-def random_dataset(seed, num_users=15, num_items=25, vocab=10):
+def random_dataset(seed, num_users=15, num_items=25, vocab=10, density=0.5):
     rng = np.random.default_rng(seed)
     mask = rng.random((num_users, num_items)) < 0.25
     ratings = data.RatingsMatrix(num_users, num_items, np.argwhere(mask))
-    dense = rng.random((num_items, vocab)) * (rng.random((num_items, vocab)) < 0.5)
+    dense = rng.random((num_items, vocab)) * (rng.random((num_items, vocab)) < density)
     content = data.ContentMatrix(dense, data.RAW)
     return ratings, content
 
@@ -353,6 +354,75 @@ class TestFit:
             training.fit(ratings, content, tiny_hyper(), batch_size=batch_size)
 
 
+def stored_content(seed, density=1.0, zeros=(), index=np.int32, shape=(60, 50)):
+    """Content with values in (0, 1] at about ``density`` of its entries,
+    the stored entries at ``zeros`` set to 0 but kept stored (-0.0 at the
+    first), and column indices of dtype ``index``."""
+    rng = np.random.default_rng(seed)
+    csr = sp.csr_matrix((1.0 - rng.random(shape)) * (rng.random(shape) < density))
+    csr.data[list(zeros)] = 0.0
+    if zeros:
+        csr.data[zeros[0]] = -0.0
+    csr.indices, csr.indptr = csr.indices.astype(index), csr.indptr.astype(index)
+    return data.ContentMatrix(csr)
+
+
+def same_operand(got, want):
+    """The same layout (ndarray or CSR) and the same bits."""
+    assert type(got) is type(want)
+    if sp.issparse(want):
+        assert got.indices.dtype == want.indices.dtype
+        for name in ("indices", "indptr"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+        got, want = got.data, want.data
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestCorruptedOperand:
+    # (content, layout per noise level 0, 0.3, 0.5, 1.0): the corruption is
+    # dense exactly when its CSR, with the int32 indices scipy gives it,
+    # would be no smaller than a float64 array; stored zeros are never kept
+    CASES = {
+        "stored-99.7%": (lambda: stored_content(1, density=0.997), "ddss"),
+        "stored-100%": (lambda: stored_content(2), "ddss"),
+        "stored-zeros": (lambda: stored_content(3, zeros=tuple(range(5, 3000, 100))), "ddss"),
+        "stored-zeros-20%": (lambda: stored_content(4, zeros=tuple(range(5, 3000, 5))),
+                             "dsss"),
+        "int64-indices": (lambda: stored_content(5, density=0.997, index=np.int64), "ddss"),
+        # dense as int64-indexed clean content, CSR once corrupted
+        "int64-indices-60%": (lambda: stored_content(6, density=0.6, index=np.int64), "ssss"),
+    }
+
+    @pytest.mark.parametrize("noise_level", [0.0, 0.3, 0.5, 1.0])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_each_operand_is_the_laid_out_corruption(self, monkeypatch, case, noise_level):
+        # every operand the fit hands the network, at set-up, in each epoch
+        # and in the closing pass, is sdae._as_matrix of data.corrupt's
+        # ContentMatrix from the same seed, in layout and in bits
+        make, layouts = self.CASES[case]
+        content = make()
+        if case.startswith("int64"):
+            assert content.matrix.indices.dtype == np.int64
+            assert isinstance(sdae._as_matrix(content), np.ndarray)
+        ratings, _ = random_dataset(7, num_items=content.num_items)
+        hyper = tiny_hyper(noise_level=noise_level, epochs_per_block=3, max_sweeps=1)
+        operands = []
+        for name in ("gradients", "coupling_residuals"):
+            def spy(net, x0, *args, real=getattr(sdae, name), **kwargs):
+                operands.append(sdae._as_matrix(x0))
+                return real(net, x0, *args, **kwargs)
+            monkeypatch.setattr(sdae, name, spy)
+        training.fit(ratings, content, hyper)
+        _, noise_seq, _ = np.random.SeedSequence(hyper.seed).spawn(3)
+        seeds = noise_seq.spawn(1 + hyper.epochs_per_block)
+        assert len(operands) == len(seeds) + 1
+        for got, seed in zip(operands, seeds + seeds[-1:]):
+            same_operand(got, sdae._as_matrix(data.corrupt(content, noise_level, seed)))
+        layout = layouts[[0.0, 0.3, 0.5, 1.0].index(noise_level)]
+        assert isinstance(operands[-1], np.ndarray) == (layout == "d")
+
+
 class TestVariants:
     def test_encoder_only_decoder_gets_weight_decay_only(self):
         ratings, content = tiny_dataset(seed=17)
@@ -443,14 +513,29 @@ class TestVariants:
         rows = hyper.max_sweeps + 1  # the network phase's rows
         assert calls == {"encode": encode * rows, "coupling_residuals": passes * rows}
 
-    @pytest.mark.parametrize("fit", ["fit", "fit_encoder_only", "fit_two_step"])
-    def test_last_row_measures_the_returned_model(self, fit):
+    @pytest.mark.parametrize("fit, case, noise_level", [
+        pytest.param(fit, case, noise_level,
+                     id=fit if case == "tiny" else f"{fit}-{case}-{noise_level}")
+        for case, noise_level in [("tiny", 0.3), ("dense", 0.3), ("dense", 0.5),
+                                  ("blocks", 0.3)]
+        for fit in ["fit", "fit_encoder_only", "fit_two_step"]])
+    def test_last_row_measures_the_returned_model(self, fit, case, noise_level):
         # each phase's last row is the objective of the returned network and
         # factors, with the item prior and reconstruction sum of a no-dropout
-        # pass over the last corruption, re-derived from the seed
-        ratings, content = tiny_dataset(seed=33)
-        hyper = tiny_hyper(max_sweeps=3, widths=(12, 6, 3, 6, 12), dropout_rate=0.2)
-        assert ratings.num_items <= sdae.BLOCK_ROWS and hyper.early_stop_tol == 0.0
+        # pass over the last corruption, re-derived from the seed as a CSR;
+        # on fully stored content the fit trains on dense corruptions at
+        # noise 0.3 and on CSR ones at 0.5, and above BLOCK_ROWS items its
+        # dense operand is sliced into row blocks
+        if case == "tiny":
+            ratings, content = tiny_dataset(seed=33)
+        else:
+            num_items = 30 if case == "dense" else sdae.BLOCK_ROWS + 100
+            ratings, content = random_dataset(33, num_items=num_items, vocab=12, density=1.0)
+            assert content.nnz == num_items * 12
+        hyper = tiny_hyper(max_sweeps=3, widths=(12, 6, 3, 6, 12), dropout_rate=0.2,
+                           noise_level=noise_level)
+        assert (ratings.num_items > sdae.BLOCK_ROWS) == (case == "blocks")
+        assert hyper.early_stop_tol == 0.0
         net, factors, report = getattr(training, fit)(ratings, content, hyper)
         _, noise_seq, _ = np.random.SeedSequence(hyper.seed).spawn(3)
         seeds = noise_seq.spawn(1 + hyper.max_sweeps * hyper.epochs_per_block)
@@ -530,6 +615,59 @@ class TestVariants:
         _, r1 = training.fit_mf_baseline(ratings, hyper)
         _, r2 = training.fit_mf_baseline(ratings, hyper)
         np.testing.assert_array_equal(r1.totals(), r2.totals())
+
+
+class TestEarlyStopping:
+    @pytest.mark.parametrize("fit", ["fit", "fit_mf_baseline"])
+    def test_fit_stops_at_patience(self, fit):
+        # no relative change reaches a tolerance of 1e9, so every sweep
+        # extends the streak: the fit stops after early_stop_patience sweeps,
+        # with the outputs of a fit run for exactly that many
+        ratings, content = tiny_dataset(seed=35)
+        inputs = (ratings,) if fit == "fit_mf_baseline" else (ratings, content)
+        stopping = tiny_hyper(max_sweeps=10, early_stop_tol=1e9, early_stop_patience=3)
+        *_, factors, report = getattr(training, fit)(*inputs, stopping)
+        assert len(report.rows) == 1 + stopping.early_stop_patience
+        *_, want_factors, want = getattr(training, fit)(*inputs, tiny_hyper(max_sweeps=3))
+        np.testing.assert_array_equal(factors.U, want_factors.U)
+        np.testing.assert_array_equal(factors.V, want_factors.V)
+        assert [row.total for row in report.rows] == [row.total for row in want.rows]
+
+    def test_default_tolerance_stops_at_the_first_streak(self):
+        # at the default tolerance the baseline stops after the first
+        # early_stop_patience changes in a row below it, with the rows of
+        # the same fit run without early stopping up to there
+        ratings, _ = tiny_dataset(seed=37)
+        hyper = tiny_hyper(max_sweeps=200, early_stop_tol=1e-6, early_stop_patience=3)
+        _, report = training.fit_mf_baseline(ratings, hyper)
+        _, full = training.fit_mf_baseline(ratings, tiny_hyper(max_sweeps=200))
+        totals = full.totals()
+        small = np.abs(np.diff(totals)) / np.abs(totals[1:]) < hyper.early_stop_tol
+        runs = np.convolve(small, np.ones(3, dtype=int), mode="valid") == 3
+        stop = int(np.argmax(runs)) + 3  # the sweep that completes the first streak
+        assert runs.any() and stop < hyper.max_sweeps
+        assert len(report.rows) == stop + 1
+        np.testing.assert_array_equal(report.totals(), totals[:stop + 1])
+
+    def test_streak_resets_when_a_change_exceeds_the_tolerance(self):
+        # sweeps 2 and 3 change the total by less than the tolerance and
+        # sweep 4 by more: the streak starts again, and the loop stops at
+        # sweep 7, the third small change in a row
+        totals = iter([-100.0, -50.0, -50.0, -50.0, -60.0, -60.0, -60.0, -60.0, -70.0])
+
+        def evaluate(state):
+            total = next(totals)
+            return total, dict(user_prior=0.0, weight_prior=0.0, item_offset=0.0,
+                               reconstruction=0.0, rating=total)
+
+        report = training.TrainReport()
+        training._sweep_loop(report, None, training._State(np.zeros((1, 1)), np.zeros((1, 1))),
+                             lambda state, lr: None, evaluate,
+                             tiny_hyper(max_sweeps=20, early_stop_tol=1e-3,
+                                        early_stop_patience=3),
+                             trains_network=False, may_stop=True)
+        assert report.totals().tolist() == [-100.0, -50.0, -50.0, -50.0, -60.0, -60.0,
+                                            -60.0, -60.0]
 
 
 @st.composite
@@ -629,6 +767,21 @@ class TestConfig:
         assert err.value.fields == fields
         first = training.CONFIG_FIELDS.index(fields[0]) + 1
         assert str(err.value).startswith(f"c.txt:{first}: ")
+
+    def test_blank_and_comment_lines_skipped(self):
+        # blank, whitespace-only and '#' lines, indented ones too, are
+        # skipped; each key keeps its own line number, and a bad value is
+        # named there
+        lines = training.config_text(tiny_hyper()).splitlines()
+        text = "\n".join(["# a comment", "", *lines[:4], "   ", "  # indented", *lines[4:]])
+        assert training.config_from_text(text) == tiny_hyper()
+        numbered = text.splitlines()
+        for key, (value, lineno) in training.config_lines(text).items():
+            assert numbered[lineno - 1].strip() == f"{key}={value}"
+        bad = text.replace("noise_level=0.3", "noise_level=2.0")
+        lineno = numbered.index("noise_level=0.3") + 1
+        with pytest.raises(ArgumentError, match=f"^c.txt:{lineno}: noise_level must lie"):
+            training.config_from_text(bad, path="c.txt")
 
     def test_widths_middle_must_match_n_factors(self):
         with pytest.raises(ArgumentError):
