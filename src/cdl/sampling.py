@@ -22,7 +22,7 @@ import numpy as np
 from . import factors as mf
 from . import sdae
 from .data import corrupt, write_table
-from .exceptions import ArgumentError, NumericError
+from .exceptions import ArgumentError, NumericError, ValidationError
 from .factors import _encoding, _solve_row, rating_objective
 from .training import check_inputs
 
@@ -247,8 +247,6 @@ def mwg_step(state, ratings, clean, hyper, rng,
 def _adapt(steps, block, accepted, proposed, window):
     """Robbins-Monro update of the log step size toward the target rate;
     the decaying gain makes late windows barely move the step."""
-    if proposed == 0:
-        return
     rate = accepted / proposed
     gain = ADAPT_GAIN / (1.0 + window) ** ADAPT_DECAY
     steps[block] *= math.exp(gain * (rate - ACCEPT_TARGET))
@@ -256,10 +254,15 @@ def _adapt(steps, block, accepted, proposed, window):
 
 def check_chain_inputs(ratings, content, hyper):
     """Reject, before anything is allocated, inputs the chain cannot use:
-    those of the MAP fits, and an infinite lambda_s."""
+    those of the MAP fits, an infinite lambda_s, and ratings without a user
+    or an item, whose tracked draws do not exist.  So every block proposes
+    at least one row per scan."""
     if not math.isfinite(hyper.lambda_s):
         raise ArgumentError("the sampler needs a finite lambda_s", ["lambda_s"])
     check_inputs(ratings, content, hyper)
+    if not (ratings.num_users and ratings.num_items):
+        raise ValidationError(f"the chain needs at least one user and one item, got "
+                              f"{ratings.num_users} users x {ratings.num_items} items")
 
 
 def run_chain(ratings, content, hyper, iters, burn_in, thin=1,
@@ -318,12 +321,11 @@ def run_chain(ratings, content, hyper, iters, burn_in, thin=1,
             continue
         kept.append((it, state.U.copy(), state.V.copy(), *(read() for read in reads.values())))
         for block, (acc, prop) in post_counts.items():
-            running.setdefault(block, []).append(acc / prop if prop else 0.0)
+            running.setdefault(block, []).append(acc / prop)
     iterations, kept_U, kept_V, *columns = map(np.asarray, zip(*kept))
     tracked = dict(zip(reads, columns))
 
-    acceptance = {block: (acc / prop if prop else 0.0)
-                  for block, (acc, prop) in post_counts.items()}
+    acceptance = {block: acc / prop for block, (acc, prop) in post_counts.items()}
     warnings = [
         f"block {block} acceptance pinned at {rate:.2f} after adaptation"
         for block, rate in acceptance.items() if rate <= 0.0 or rate >= 1.0

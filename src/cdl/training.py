@@ -112,10 +112,8 @@ class HyperParams:
         if self.widths is None:
             return (vocab_size, self.n_factors, vocab_size)
         if self.widths[0] != vocab_size or self.widths[-1] != vocab_size:
-            raise ShapeError(
-                f"widths end at {self.widths[0]}/{self.widths[-1]} "
-                f"but the vocabulary has {vocab_size} words"
-            )
+            raise ArgumentError(f"widths end at {self.widths[0]}/{self.widths[-1]} "
+                                f"but the vocabulary has {vocab_size} words", ["widths"])
         return self.widths
 
 
@@ -414,9 +412,10 @@ def check_inputs(ratings, content, hyper):
     """Reject, before a fit or chain allocates anything, inputs it cannot
     use, among them an ``n_factors`` whose factor matrices cannot be
     allocated; ``content`` is None for the content-free baseline, which has no
-    network to need a finite lambda_n or lambda_w, or a lambda_n small enough
-    that the reconstruction term cannot overflow."""
-    network = () if content is None else ("lambda_n", "lambda_w")
+    network to need a finite lambda_n, lambda_w or learning_rate, widths that
+    fit the vocabulary, or a lambda_n small enough that the reconstruction
+    term cannot overflow."""
+    network = () if content is None else ("lambda_n", "lambda_w", "learning_rate")
     hyper.require_finite("lambda_u", "lambda_v", *network, "conf_a")
     # the rating term at U = 0 is -conf_a * nnz / 2
     if math.isinf(hyper.conf_a * ratings.nnz):
@@ -433,6 +432,7 @@ def check_inputs(ratings, content, hyper):
         return
     if content.num_items != ratings.num_items:
         raise ShapeError(f"content has {content.num_items} items, ratings {ratings.num_items}")
+    hyper.network_widths(content.vocab_size)
     # every reconstruction residual lies in [-1, 1], so this bounds the term
     if math.isinf(0.5 * hyper.lambda_n * content.num_items * content.vocab_size):
         raise ArgumentError(f"lambda_n {hyper.lambda_n!r} overflows the reconstruction "

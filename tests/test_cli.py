@@ -223,6 +223,27 @@ class TestTrainCommand:
         assert err == (f"error: {content}:{lineno}: id 1000000000000 sizes layer widths "
                        "1000000000001-3-1000000000001 too large to allocate\n")
 
+    def test_content_variant_without_content_rejected_up_front(self, dataset, tmp_path,
+                                                               capsys):
+        code = run_cli("train", "--config", dataset["config"], "--ratings", dataset["ratings"],
+                       "--variant", "two-step", "--out", tmp_path / "o")
+        assert code == 1
+        assert capsys.readouterr().err == "error: variant 'two-step' needs --content\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_configured_network_too_large_named_by_its_widths(self, dataset, tmp_path, capsys):
+        # with widths given, no content line sized the network: the error
+        # names the widths as the network builder gives them
+        wide = 2**62  # no array of 8 x 2**62 float64s can be sized
+        config = tmp_path / "wide.txt"
+        config.write_text(dataset["config"].read_text().replace(
+            "widths=auto\n", f"widths=8,{wide},3,{wide},8\n"))
+        code = run_cli("train", "--config", config, "--ratings", dataset["ratings"],
+                       "--content", dataset["content"], "--out", tmp_path / "o")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"error: layer widths 8-{wide}-3-{wide}-8 too large to allocate\n"
+
     def test_variants_all_trainable(self, dataset, tmp_path):
         for variant in ("two-step", "encoder-only"):
             out = tmp_path / variant
@@ -270,6 +291,46 @@ class TestEvalCommand:
                        "--m-grid", grid, "--out", tmp_path / "eval_bad")
         assert code == 1
         assert "--m-grid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", ["2:10:0", "10:2:2", "2:10"])
+    def test_range_m_grid_needs_three_fields_and_a_positive_step(self, grid):
+        with pytest.raises(cli.ArgumentError, match=f"^--m-grid '{grid}': want "
+                                                    "start:stop:step, step >= 1$"):
+            cli._parse_m_grid(grid)
+
+    @pytest.mark.parametrize("models, trains, message", [
+        (2, 0, "got 2 models for 3 test files"),
+        (1, 2, "--train must appear once or once per test file"),
+    ], ids=["models", "trains"])
+    def test_models_and_trains_must_pair_with_the_test_files(self, trained, tmp_path, capsys,
+                                                             models, trains, message):
+        test = trained["split"] / "test.tsv"
+        train = ("--train",) + (trained["split"] / "train.tsv",) * trains if trains else ()
+        code = run_cli("eval", "--model", *[trained["model"]] * models,
+                       "--test", test, test, test, *train, "--out", tmp_path / "o")
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_model_without_factors_rejected(self, trained, tmp_path, capsys):
+        empty = tmp_path / "empty_model"
+        empty.mkdir()
+        code = run_cli("eval", "--model", empty, "--test", trained["split"] / "test.tsv",
+                       "--out", tmp_path / "o")
+        assert code == 1
+        assert capsys.readouterr().err == f"error: no factors checkpoint under {empty}\n"
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_train_path_needed_without_a_manifest(self, trained, tmp_path, capsys, command):
+        bare = tmp_path / "bare_model"
+        bare.mkdir()
+        (bare / "factors.npz").write_bytes((trained["model"] / "factors.npz").read_bytes())
+        argv = {"eval": ("--test", trained["split"] / "test.tsv"),
+                "predict": ("--user", 0)}[command]
+        code = run_cli(command, "--model", bare, *argv, "--out", tmp_path / "o")
+        assert code == 1
+        assert capsys.readouterr().err == ("error: --train not given and no ratings path "
+                                           f"recorded in {bare}/manifest.json\n")
 
     def test_train_path_comes_from_manifest(self, trained, tmp_path):
         # no --train flag: the model manifest records the ratings file
@@ -393,6 +454,18 @@ class TestPredictCommand:
         assert code == 1
         assert f"checkpoint has 20 items but {train} has {items}" in capsys.readouterr().err
 
+    def test_cold_start_needs_a_network(self, trained, tmp_path, capsys):
+        mf_model = tmp_path / "mf_model"
+        assert run_cli("train", "--config", trained["config"],
+                       "--ratings", trained["split"] / "train.tsv",
+                       "--variant", "mf", "--out", mf_model) == 0
+        item = tmp_path / "item.tsv"
+        item.write_text("1\t2\n")
+        code = run_cli("predict", "--model", mf_model, "--user", 0, "--item-content", item,
+                       "--out", tmp_path / "p")
+        assert code == 1
+        assert capsys.readouterr().err == "error: cold-start scoring needs a network checkpoint\n"
+
     def test_unknown_user_rejected(self, trained, tmp_path, capsys):
         code = run_cli("predict", "--model", trained["model"], "--user", 999,
                        "--out", tmp_path / "pred4")
@@ -507,11 +580,16 @@ def test_negative_seed_named_without_traceback(dataset, tmp_path, capsys, comman
     ("sample", "lambda_n", "1e308", "lambda_n 1e+308 overflows the reconstruction term"),
     ("grid", "lambda_n", "1e308", "lambda_n 1e+308 overflows the reconstruction term"),
     ("sample", "conf_a", "1e308", "conf_a 1e+308 overflows the rating term"),
+    # unchecked, an infinite rate halves to inf five times, then blames lambda_w
+    ("train", "learning_rate", "inf", "learning_rate must be finite here"),
+    ("sample", "learning_rate", "inf", "learning_rate must be finite here"),
+    ("grid", "learning_rate", "inf", "learning_rate must be finite here"),
 ], ids=["train-noise-level", "grid-noise-level", "train-max-sweeps", "grid-point",
         "train-zero-width", "sample-negative-width", "train-lambda-u-inf",
         "sample-lambda-u-inf", "train-conf-a-inf", "sample-conf-a-inf",
         "sample-lambda-s-inf", "grid-lambda-u-inf", "train-lambda-n-overflows",
-        "sample-lambda-n-overflows", "grid-lambda-n-overflows", "sample-conf-a-overflows"])
+        "sample-lambda-n-overflows", "grid-lambda-n-overflows", "sample-conf-a-overflows",
+        "train-learning-rate-inf", "sample-learning-rate-inf", "grid-learning-rate-inf"])
 def test_bad_config_value_named_at_its_line(dataset, tmp_path, capsys,
                                             command, key, value, message):
     # the value parses but lies outside its domain, or is one the fit or
@@ -531,6 +609,26 @@ def test_bad_config_value_named_at_its_line(dataset, tmp_path, capsys,
     assert code == 1
     assert f"error: {config}:{lineno}: {message}" in err
     assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "sample", "grid"])
+def test_last_width_off_the_vocabulary_named_at_its_line(dataset, tmp_path, capsys, command):
+    # the first width sizes the content's vocabulary, 8 words here; a last
+    # width of 6 is named at its line before --out is made, not by a
+    # ShapeError from the fit or chain without a line
+    text = dataset["config"].read_text().replace("lambda_s=inf", "lambda_s=100.0")
+    lines = text.splitlines()
+    lineno = next(i for i, line in enumerate(lines, 1) if line.startswith("widths="))
+    lines[lineno - 1] = "widths=8,3,6"
+    config = tmp_path / "widths.txt"
+    config.write_text("\n".join(lines) + "\n")
+    argv = {"grid": ("--folds", 2), "sample": ("--iters", 4, "--burn-in", 2)}.get(command, ())
+    code = run_cli(command, "--config", config, "--ratings", dataset["ratings"],
+                   "--content", dataset["content"], *argv, "--out", tmp_path / "o")
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == f"error: {config}:{lineno}: widths end at 8/6 but the vocabulary has 8 words\n"
     assert not (tmp_path / "o").exists()
 
 
@@ -805,6 +903,29 @@ class TestSampleCommand:
         assert flag in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("users, items, content", [
+        (4, 0, ""), (0, 3, "0\t1\t1\n1\t2\t1\n2\t3\t1\n")], ids=["no-items", "no-users"])
+    def test_ratings_without_users_or_items_rejected_up_front(self, dataset, tmp_path, capsys,
+                                                              users, items, content):
+        # unchecked, the chain burns in, then its tracked reads of U[0, 0]
+        # and V[0, 0] end in an IndexError traceback
+        text = dataset["config"].read_text().replace("lambda_s=inf", "lambda_s=100.0")
+        config = tmp_path / "chain_config.txt"
+        config.write_text(text.replace("widths=auto\n", "widths=8,3,8\n"))
+        ratings = tmp_path / "empty.tsv"
+        ratings.write_text(f"# users={users} items={items}\n")
+        content_path = tmp_path / "items.tsv"
+        content_path.write_text(content)
+        code = run_cli("sample", "--config", config, "--ratings", ratings,
+                       "--content", content_path, "--iters", 4, "--burn-in", 2,
+                       "--out", tmp_path / "o")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert (f"error: the chain needs at least one user and one item, got "
+                f"{users} users x {items} items") in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     def test_chain_outputs(self, dataset, tmp_path):
         config = tmp_path / "chain_config.txt"
         text = dataset["config"].read_text().replace("lambda_s=inf", "lambda_s=100.0")
@@ -918,6 +1039,18 @@ class TestGridCommand:
         key = line.split("=")[0]
         lineno = len(text.splitlines()) + 1
         assert f"{config}:{lineno}: duplicate key {key!r}" in capsys.readouterr().err
+
+    def test_bad_grid_list_named_at_its_line(self, dataset, tmp_path, capsys):
+        text = dataset["config"].read_text().replace("lambda_u=1.0\n", "lambda_u=1.0,abc\n")
+        config = tmp_path / "grid_bad.txt"
+        config.write_text(text)
+        lineno = text.splitlines().index("lambda_u=1.0,abc") + 1
+        code = run_cli("grid", "--config", config, "--ratings", dataset["ratings"],
+                       "--content", dataset["content"], "--folds", 2, "--out", tmp_path / "o")
+        assert code == 1
+        assert capsys.readouterr().err == (f"error: {config}:{lineno}: bad grid list for "
+                                           "lambda_u: '1.0,abc'\n")
+        assert not (tmp_path / "o").exists()
 
     def test_select_m_below_one_rejected_before_training(self, dataset, tmp_path, capsys):
         out = tmp_path / "grid_m0"
@@ -1140,6 +1273,13 @@ class TestVersion:
             cli.main(["--version"])
         assert info.value.code == 0
         assert capsys.readouterr().out == f"cdl {cli.__version__} (abc1234)\n"
+
+    def test_version_without_git_is_the_package_version(self, monkeypatch):
+        def missing(argv, **kwargs):
+            raise FileNotFoundError(2, "No such file or directory", argv[0])
+
+        monkeypatch.setattr(cli.subprocess, "run", missing)
+        assert cli._version_string() == f"cdl {cli.__version__}"
 
     def test_manifest_args_hold_no_version_key(self, trained):
         manifest = json.loads((trained["model"] / "manifest.json").read_text())

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import tempfile
 from pathlib import Path
 
@@ -159,6 +160,24 @@ class TestLoadRatings:
         assert list(ratings.users_of(1)) == [0, 2]
         dense = ratings.to_dense()
         assert dense.sum() == 3 and dense[0, 3] == 1.0
+
+
+class TestMatrices:
+    def test_reprs_name_the_shape(self):
+        ratings = data.RatingsMatrix(2, 3, [[0, 1], [1, 2]])
+        assert repr(ratings) == "RatingsMatrix(num_users=2, num_items=3, nnz=2)"
+        content = data.ContentMatrix(np.eye(2, 4) * 0.5)
+        assert repr(content) == ("ContentMatrix(num_items=2, vocab_size=4, nnz=2, "
+                                 "mode='raw')")
+
+    def test_unknown_normalization_mode_rejected(self):
+        with pytest.raises(ArgumentError, match="^unknown normalization mode 'bogus'$"):
+            data.ContentMatrix(np.zeros((1, 2)), "bogus")
+
+    def test_raw_mode_is_no_reader_mode(self):
+        # raw content is already in [0, 1]; triples are counts to normalize
+        with pytest.raises(ArgumentError, match="^unknown normalization mode 'raw'$"):
+            data.content_from_triples([(0, 1, 2.0)], mode=data.RAW)
 
 
 class TestLoadContent:
@@ -417,6 +436,12 @@ class TestSplit:
             expected += f"{u}\t{j}\n"
         assert path.read_bytes() == expected.encode("utf-8")
 
+    @pytest.mark.parametrize("P, reps, message", [
+        (0, 1, "P must be at least 1"), (1, 0, "repetitions must be at least 1")])
+    def test_counts_below_one_rejected(self, P, reps, message):
+        with pytest.raises(ArgumentError, match=f"^{message}$"):
+            data.SplitSpec(P=P, seed=0, repetitions=reps)
+
     def test_repetition_seeds(self):
         # the derivation cdl split records in each split_manifest.txt
         spec = data.SplitSpec(P=3, seed=7, repetitions=4)
@@ -467,6 +492,10 @@ class TestGenerateSynthetic:
         with pytest.raises(ArgumentError, match="all layer widths must be positive"):
             data.generate_synthetic(5, 6, 4, 3, synth_hyper(n_factors=3), seed=1,
                                     widths=(4, 0, 3, 0, 4))
+
+    def test_zero_dimension_rejected(self):
+        with pytest.raises(ArgumentError, match="^all dimensions must be positive$"):
+            data.generate_synthetic(5, 0, 4, 3, synth_hyper(n_factors=3), seed=1)
 
     def test_content_in_unit_interval(self):
         hyper = synth_hyper(lambda_n=10.0)
@@ -669,3 +698,13 @@ class TestOpenOutput:
         with pytest.raises(OSError):
             data.open_output(tmp_path / "d")
         assert (tmp_path / "d").is_dir()
+
+
+class TestReadNpz:
+    def test_plain_npy_file_named_as_no_checkpoint(self, tmp_path):
+        # np.load reads a .npy file as one array, not as an archive
+        path = tmp_path / "factors.npy"
+        np.save(path, np.zeros(3))
+        with pytest.raises(ParseError, match=re.escape(
+                f"{path}: unreadable checkpoint: not an npz archive") + "$"):
+            data.read_npz(path, dict)

@@ -139,6 +139,34 @@ class TestPredict:
             mf.predict(np.zeros(2), np.zeros(3))
 
 
+class TestShapes:
+    def test_factors_of_different_widths_rejected(self):
+        with pytest.raises(ShapeError, match=r"^factor shapes \(2, 3\) and \(4, 2\) do not "
+                                             "share a width$"):
+            mf.LatentFactors(np.zeros((2, 3)), np.zeros((4, 2)))
+
+    def test_encoding_of_another_width_rejected(self):
+        U = np.ones((3, 2))
+        with pytest.raises(ShapeError, match=r"^encoding width \(3,\) != \(2,\)$"):
+            mf.update_item(U, [0, 2], ConfidenceParams(1.0, 0.01), 1.0, np.zeros(3))
+
+    def test_encodings_of_another_shape_rejected(self):
+        ratings = data.RatingsMatrix(3, 4, [[0, 1], [2, 3]])
+        with pytest.raises(ShapeError, match=r"^encodings shape \(3, 2\) != \(4, 2\)$"):
+            mf.sweep_items(np.ones((3, 2)), ratings, ConfidenceParams(1.0, 0.01), 1.0,
+                           np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("U, V, message", [
+        (np.zeros((2, 2)), np.zeros((4, 2)), "factor row counts do not match the ratings matrix"),
+        (np.zeros((3, 2)), np.zeros((2, 2)), "factor row counts do not match the ratings matrix"),
+        (np.zeros((3, 2)), np.zeros((4, 3)), "factor widths differ"),
+    ], ids=["users", "items", "widths"])
+    def test_rating_objective_checks_the_factor_shapes(self, U, V, message):
+        ratings = data.RatingsMatrix(3, 4, [[0, 1], [2, 3]])
+        with pytest.raises(ShapeError, match=f"^{message}$"):
+            mf.rating_objective(U, V, ratings, ConfidenceParams(1.0, 0.01))
+
+
 class TestRatingObjective:
     def test_single_observed_rating_zero_factors(self):
         ratings = data.RatingsMatrix(1, 1, [[0, 0]])

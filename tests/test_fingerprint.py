@@ -31,6 +31,11 @@ def test_quick_fingerprints_repeat_in_one_process():
     for artifact in ("network.npz", "factors.npz", "report.tsv", "manifest.json"):
         assert f"cli/cdl/{artifact}" in names
     assert "cli/eval-cdl/metrics.tsv" in names
+    # and of cdl predict (top-N and cold start), sample and grid
+    for artifact in ("predict-top/predictions.tsv", "predict-cold/predictions.tsv",
+                     "sample/chain.tsv", "sample/chain_summary.json", "grid/grid_runs.tsv",
+                     "grid/grid_results.tsv", "grid/best_config.txt", "grid/manifest.json"):
+        assert f"cli/{artifact}" in names
 
 
 def test_volatile_manifest_fields_and_run_directory_left_out(tmp_path):

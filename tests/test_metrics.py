@@ -76,6 +76,27 @@ class TestRank:
         ranked = metrics.rank(U, V, empty)
         assert list(ranked.items[0]) == [2, 0, 1]
 
+    @pytest.mark.parametrize("case, error, message", [
+        ("policy", ArgumentError, "unknown candidate policy 'bogus'"),
+        ("no-train", ArgumentError, "exclude-train policy needs the training matrix"),
+        ("widths", ShapeError, "factor widths differ"),
+        ("train-too-small", ShapeError, "training matrix 1 x 3 does not cover 2 users x 3 items"),
+    ])
+    def test_arguments_checked_before_any_user_is_scored(self, case, error, message):
+        U, V = np.ones((2, 1)), np.ones((3, 1))
+        train = data.RatingsMatrix(2, 3, np.empty((0, 2)))
+        policy = metrics.EXCLUDE_TRAIN
+        if case == "policy":
+            policy = "bogus"
+        elif case == "no-train":
+            train = None
+        elif case == "widths":
+            V = np.ones((3, 2))
+        else:
+            train = data.RatingsMatrix(1, 3, np.empty((0, 2)))
+        with pytest.raises(error, match=f"^{message}$"):
+            metrics.rank(U, V, train, policy=policy)
+
     def test_exclude_train_removes_exactly_train_items(self):
         rng = np.random.default_rng(0)
         U, V, train, _ = random_instance(rng, 4, 10)
@@ -365,6 +386,11 @@ class TestAveragePrecision:
         ap = metrics.average_precision(order, [4, 9])
         assert ap == pytest.approx(5.0 / 6.0)
 
+    def test_no_liked_item_rejected(self):
+        with pytest.raises(ArgumentError, match="^average precision needs at least one liked "
+                                                "item$"):
+            metrics.average_precision(np.array([3, 1]), [])
+
     def test_item_beyond_cutoff_contributes_zero(self):
         order = np.arange(600)
         assert metrics.average_precision(order, [500], cutoff=500) == 0.0
@@ -464,6 +490,10 @@ class TestAggregate:
         reps = [{"m": 0.1 * i} for i in range(5)]
         report = metrics.aggregate(reps)
         assert len(report.per_rep) == 5
+
+    def test_repetitions_with_different_metrics_rejected(self):
+        with pytest.raises(ArgumentError, match="^repetitions report different metrics$"):
+            metrics.aggregate([{"recall@50": 0.4}, {"recall@100": 0.5}])
 
     def test_single_repetition_zero_std(self):
         report = metrics.aggregate([{"m": 0.7}])

@@ -8,7 +8,7 @@ import scipy.sparse
 from scipy.special import expit
 
 from cdl import data, factors as mf, sampling, sdae
-from cdl.exceptions import ArgumentError, NumericError, ShapeError
+from cdl.exceptions import ArgumentError, NumericError, ShapeError, ValidationError
 from cdl.factors import ConfidenceParams
 from cdl.training import HyperParams
 
@@ -133,6 +133,13 @@ class TestLogpostXRow:
             val = sampling.logpost_x_row(2, 4, x, rows[1], net.weights[1],
                                          net.biases[1], 1.0, **kwargs)
             assert val < at_v
+
+    @pytest.mark.parametrize("layer", [0, 5])
+    def test_layer_outside_the_network_rejected(self, layer):
+        net, rows, _ = self.setup_row()
+        with pytest.raises(ArgumentError, match=rf"^layer must lie in \[1, 4\], got {layer}$"):
+            sampling.logpost_x_row(layer, 4, rows[1], rows[0], net.weights[0],
+                                   net.biases[0], 1.0)
 
     def test_missing_neighbor_raises(self):
         net, rows, _ = self.setup_row()
@@ -457,6 +464,21 @@ class TestRunChain:
             emp = summary.kept_U[:, i, :].mean(axis=0)
             assert np.all(np.abs(emp - mean) < 4 * sd / math.sqrt(n))
 
+    @pytest.mark.parametrize("users, items", [(4, 0), (0, 3)])
+    def test_ratings_without_users_or_items_rejected(self, monkeypatch, users, items):
+        # unchecked, the chain burns in, then its tracked reads of U[0, 0]
+        # and V[0, 0] raise an IndexError
+        hyper = chain_hyper()
+        ratings = data.RatingsMatrix(users, items, np.empty((0, 2)))
+        content = data.ContentMatrix(np.zeros((items, 6)), data.RAW)
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the chain started")
+
+        monkeypatch.setattr(sampling, "mwg_step", unreachable)
+        with pytest.raises(ValidationError, match=f"got {users} users x {items} items$"):
+            sampling.run_chain(ratings, content, hyper, iters=4, burn_in=2)
+
     def test_fixed_seed_identical_summary(self):
         ratings, content = tiny_chain_data()
         hyper = chain_hyper(seed=23)
@@ -554,6 +576,11 @@ class TestRunChain:
         ratings, content = tiny_chain_data()
         with pytest.raises(ArgumentError, match="burn_in must be non-negative"):
             sampling.run_chain(ratings, content, chain_hyper(), iters=iters, burn_in=-1)
+
+    def test_thin_below_one_rejected(self):
+        ratings, content = tiny_chain_data()
+        with pytest.raises(ArgumentError, match="^thin must be at least 1$"):
+            sampling.run_chain(ratings, content, chain_hyper(), iters=4, burn_in=1, thin=0)
 
     def test_unknown_block_rejected(self):
         # a misspelt block would otherwise run a chain in which nothing moves

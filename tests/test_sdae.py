@@ -257,6 +257,17 @@ class TestInit:
             sdae.SdaeNetwork([np.zeros((3, 2)), np.zeros((3, 3))],
                              [np.zeros(2), np.zeros(3)])
 
+    def test_weight_and_bias_of_one_layer_must_agree(self):
+        with pytest.raises(ShapeError, match=r"^layer 2: weight \(2, 3\) and bias \(2,\) "
+                                             "mismatch$"):
+            sdae.SdaeNetwork([np.zeros((3, 2)), np.zeros((2, 3))],
+                             [np.zeros(2), np.zeros(2)])
+
+    def test_one_bias_per_weight_required(self):
+        with pytest.raises(ArgumentError, match="^weights and biases must have one entry "
+                                                "per layer$"):
+            sdae.SdaeNetwork([np.zeros((3, 2)), np.zeros((2, 3))], [np.zeros(2)])
+
     def test_nonfinite_rejected(self):
         W = np.zeros((2, 2))
         W[0, 0] = np.inf

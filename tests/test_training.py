@@ -783,6 +783,39 @@ class TestConfig:
         with pytest.raises(ArgumentError, match=f"^c.txt:{lineno}: noise_level must lie"):
             training.config_from_text(bad, path="c.txt")
 
+    @pytest.mark.parametrize("name, value, message", [
+        ("n_factors", 0, "n_factors must be at least 1"),
+        ("dropout_rate", 1.0, r"dropout_rate must lie in \[0, 1\)"),
+        ("learning_rate", -1.0, "learning_rate must be non-negative"),
+        ("momentum", 1.0, r"momentum must lie in \[0, 1\)"),
+    ])
+    def test_value_outside_its_domain_named_with_its_field(self, name, value, message):
+        with pytest.raises(ArgumentError, match=f"^{message}$") as err:
+            tiny_hyper(**{name: value})
+        assert err.value.fields == (name,)
+
+    @pytest.mark.parametrize("vocab", [12, 14])
+    def test_widths_off_the_vocabulary_rejected_by_the_input_check(self, vocab):
+        # the first width and the last must both be the vocabulary's size
+        ratings, content = tiny_dataset(seed=17, vocab=13)
+        with pytest.raises(ArgumentError, match="^widths end at "
+                           f"{vocab}/13 but the vocabulary has 13 words$") as err:
+            training.check_inputs(ratings, content, tiny_hyper(widths=(vocab, 3, 13)))
+        assert err.value.fields == ("widths",)
+
+    def test_line_without_equals_named(self):
+        with pytest.raises(ConfigError, match="^c.txt:2: expected key=value, got 'seed 3'$"):
+            training.config_lines("# seeds\nseed 3\n", path="c.txt")
+
+    def test_unparsable_value_named_at_its_line(self):
+        lines = training.config_text(tiny_hyper()).splitlines()
+        lineno = training.CONFIG_FIELDS.index("max_sweeps") + 1
+        lines[lineno - 1] = "max_sweeps=many"
+        with pytest.raises(ConfigError, match=f"^c.txt:{lineno}: bad value for max_sweeps: "
+                                              "'many'$") as err:
+            training.config_from_text("\n".join(lines), path="c.txt")
+        assert err.value.bad_keys == ("max_sweeps",)
+
     def test_widths_middle_must_match_n_factors(self):
         with pytest.raises(ArgumentError):
             tiny_hyper(widths=(12, 5, 12))
@@ -830,6 +863,13 @@ class TestReport:
         written = tmp_path / "written.tsv"
         report.write_tsv(written)
         assert path.read_bytes() == written.read_bytes()
+
+    def test_bad_header_named(self, tmp_path):
+        path = tmp_path / "report.tsv"
+        path.write_text("sweep\ttotal\n0\t-4\n")
+        with pytest.raises(ConfigError, match="unexpected report header "
+                                              r"\['sweep', 'total'\]$"):
+            training.TrainReport.read_tsv(path)
 
     @pytest.mark.parametrize("row", [
         "1\t-3.5\t-1",

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Fixed-seed fingerprints of what cdl computes: the four MAP fits, a short
-sampling chain, and the artifacts of ``cdl split``, ``cdl train`` and
-``cdl eval``.
+sampling chain, and the artifacts of ``cdl split``, ``train``, ``eval``,
+``predict``, ``sample`` and ``grid``.
 
 Each artifact prints as one line, its name and the first 16 hex digits of
 the SHA-256 of its bytes, after one line naming the BLAS thread setting and
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -188,7 +189,10 @@ def file_bytes(path, root):
 
 def cli_lines(quick):
     """``cdl split``, ``train`` and ``eval`` on the CLI tests' fixture (15
-    users x 20 items x 8 words, K=3), in a temporary directory."""
+    users x 20 items x 8 words, K=3), in a temporary directory; then, on the
+    cdl model and the split's training ratings, ``predict`` top-N and cold
+    start, a short ``sample`` chain (lambda_s=100) and a 2-fold ``grid`` over
+    two lambda_u values."""
     hyper = HyperParams(lambda_u=1.0, lambda_v=10.0, lambda_n=50.0, lambda_w=0.1,
                         conf_a=1.0, conf_b=0.01, n_factors=3, noise_level=0.3,
                         dropout_rate=0.0, learning_rate=0.002, momentum=0.5,
@@ -202,18 +206,34 @@ def cli_lines(quick):
         (root / "content.tsv").write_text(
             "".join(f"{i}\t{w}\t1\n" for i, w in zip(coo.row, coo.col)), encoding="utf-8")
         (root / "config.txt").write_text(training.config_text(hyper), encoding="utf-8")
+        (root / "sample.txt").write_text(
+            training.config_text(dataclasses.replace(hyper, lambda_s=100.0)), encoding="utf-8")
+        (root / "grid.txt").write_text(training.config_text(hyper).replace(
+            "lambda_u=1.0\n", "lambda_u=0.5,2.0\n"), encoding="utf-8")
+        (root / "item.tsv").write_text("1\t2\n3\t1\n6\t4\n", encoding="utf-8")
+        train = root / "split" / "rep_00" / "train.tsv"
+        inputs = ("--ratings", train, "--content", root / "content.tsv")
         runs = [("split", "--ratings", root / "ratings.tsv", "--P", 2, "--seed", 5,
                  "--out", root / "split")]
         for variant in variants:
             content_args = () if variant == "mf" else ("--content", root / "content.tsv")
-            runs.append(("train", "--config", root / "config.txt", "--ratings",
-                         root / "split" / "rep_00" / "train.tsv", *content_args,
-                         "--variant", variant, "--out", root / variant))
+            runs.append(("train", "--config", root / "config.txt", "--ratings", train,
+                         *content_args, "--variant", variant, "--out", root / variant))
             runs.append(("eval", "--model", root / variant, "--test",
                           root / "split" / "rep_00" / "test.tsv", "--m-grid", "2:10:2",
                           "--out", root / f"eval-{variant}"))
+        runs += [
+            ("predict", "--model", root / "cdl", "--user", 0, "--top", 5,
+             "--out", root / "predict-top"),
+            ("predict", "--model", root / "cdl", "--user", 0, "--item-content",
+             root / "item.tsv", "--out", root / "predict-cold"),
+            ("sample", "--config", root / "sample.txt", *inputs, "--iters", 12, "--burn-in", 6,
+             "--thin", 2, "--out", root / "sample"),
+            ("grid", "--config", root / "grid.txt", *inputs, "--folds", 2, "--select-m", 5,
+             "--out", root / "grid"),
+        ]
         for argv in runs:
-            with contextlib.redirect_stdout(io.StringIO()):  # eval prints its table
+            with contextlib.redirect_stdout(io.StringIO()):  # eval, predict, grid print
                 code = cli.main([str(a) for a in argv])
             if code != 0:
                 raise SystemExit(f"cdl {' '.join(map(str, argv))} failed")
