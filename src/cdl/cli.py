@@ -158,19 +158,6 @@ def cmd_split(args):
     return 0
 
 
-@contextlib.contextmanager
-def _vocabulary_named(content_path, hyper):
-    """Run the body; with widths=auto the largest word id of ``content_path``
-    sizes the network, and a network too large to allocate (training and
-    sampling raise no other ValidationError) is named at that id's line."""
-    try:
-        yield
-    except ValidationError as exc:
-        if content_path is None or hyper.widths is not None:
-            raise
-        raise ValidationError(data.largest_id_line(content_path, "word", exc)) from None
-
-
 def _train_one(ratings, content, hyper, variant, report_path=None):
     if variant == "mf":
         factors, report = training.fit_mf_baseline(ratings, hyper, report_path=report_path)
@@ -189,8 +176,9 @@ def _load_run(args, check, grid=False):
     content (one row per rated item, and the configured input width as its
     vocabulary), which ``--variant mf`` leaves unread outside a grid.
     ``check(ratings, content, hyper)`` runs on every set, with content None
-    for ``--variant mf``, named at its config line.  Returns (hypers,
-    ratings, content, content path, inputs, out)."""
+    for ``--variant mf``; a fault it finds is named at its config line, or,
+    when widths=auto sizes the network from the content, in the content
+    file.  Returns (hypers, ratings, content, inputs, out)."""
     config_path = _require_file(args.config, "config")
     ratings_path = _require_file(args.ratings, "ratings")
     with data.open_text(config_path) as fh:
@@ -222,19 +210,22 @@ def _load_run(args, check, grid=False):
         for hyper in hypers:
             check(ratings, None if content_free else content, hyper)
     except ArgumentError as exc:  # each one names its fields
-        raise training.named_at_line(exc, lines, config_path) from None
+        if exc.fields != ("widths",) or hypers[0].widths is not None:
+            raise training.named_at_line(exc, lines, config_path) from None
+        if not content.vocab_size:
+            raise ValidationError(f"{content_path}: holds no word, so widths=auto "
+                                  f"sizes no network ({exc})") from None
+        raise ValidationError(data.largest_id_line(content_path, "word", exc)) from None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    return hypers, ratings, content, content_path, inputs, out
+    return hypers, ratings, content, inputs, out
 
 
 def cmd_train(args):
-    (hyper,), ratings, content, content_path, inputs, out = _load_run(
-        args, training.check_inputs)
+    (hyper,), ratings, content, inputs, out = _load_run(args, training.check_inputs)
     report_path = out / "report.tsv"
-    with _vocabulary_named(content_path, hyper):
-        net, factors, _report = _train_one(ratings, content, hyper, args.variant,
-                                           report_path=report_path)
+    net, factors, _report = _train_one(ratings, content, hyper, args.variant,
+                                       report_path=report_path)
     outputs = [report_path]
     if net is not None:
         sdae.save_network(net, out / "network.npz",
@@ -306,8 +297,6 @@ def cmd_eval(args):
     if trains and len(trains) not in (1, len(tests)):
         raise ArgumentError("--train must appear once or once per test file")
     m_grid = _parse_m_grid(args.m_grid)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     inputs = []
     per_rep = []
     for rep, (model_dir, test_path) in enumerate(zip(models, tests)):
@@ -332,6 +321,8 @@ def cmd_eval(args):
                                             policy=policy))
         inputs += [train_path, test_path]
     report = metrics.aggregate(per_rep)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     report.write_tsv(out / "metrics.tsv")
     write_manifest(out, "eval", args, inputs, [out / "metrics.tsv"])
     for name in report.metric_names:
@@ -346,8 +337,6 @@ def cmd_predict(args):
     num_users = factors.U.shape[0]
     if not 0 <= args.user < num_users:
         raise ArgumentError(f"unknown user id {args.user} (have {num_users} users)")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     u = factors.U[args.user]
     rows = []
     inputs = []
@@ -374,6 +363,8 @@ def cmd_predict(args):
         items = ranked.items[0]
         scores = factors.V[items] @ u
         rows += [[str(item), format(score, ".17g")] for item, score in zip(items, scores)]
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     pred_path = out / "predictions.tsv"
     data.write_table(pred_path, ["item", "score"], rows)
     write_manifest(out, "predict", args, inputs, [pred_path])
@@ -389,12 +380,9 @@ def cmd_sample(args):
         raise ArgumentError(f"--burn-in must be non-negative, got {args.burn_in}")
     if args.iters <= args.burn_in:
         raise ArgumentError(f"--iters {args.iters} must exceed --burn-in {args.burn_in}")
-    (hyper,), ratings, content, content_path, inputs, out = _load_run(
-        args, sampling.check_chain_inputs)
-    with _vocabulary_named(content_path, hyper):
-        summary = sampling.run_chain(ratings, content, hyper,
-                                     iters=args.iters, burn_in=args.burn_in,
-                                     thin=args.thin)
+    (hyper,), ratings, content, inputs, out = _load_run(args, sampling.check_chain_inputs)
+    summary = sampling.run_chain(ratings, content, hyper, iters=args.iters,
+                                 burn_in=args.burn_in, thin=args.thin)
     summary.write_tsv(out / "chain.tsv")
     with data.open_output(out / "chain_summary.json") as fh:
         json.dump({
@@ -456,8 +444,9 @@ def cmd_grid(args):
         raise ArgumentError(f"--folds must be at least 2, got {args.folds}")
     if args.select_m < 1:
         raise ArgumentError(f"--select-m must be at least 1, got {args.select_m}")
-    points, ratings, content, content_path, inputs, out = _load_run(
-        args, training.check_inputs, grid=True)
+    if args.threads < 1:
+        raise ArgumentError(f"--threads must be at least 1, got {args.threads}")
+    points, ratings, content, inputs, out = _load_run(args, training.check_inputs, grid=True)
     folds = _round_robin_folds(ratings, args.folds, points[0].seed)
 
     metric_name = f"recall@{args.select_m}"
@@ -473,8 +462,7 @@ def cmd_grid(args):
                                     cutoff=args.select_m)[metric_name]
 
     tasks = [(pi, fi, hyper) for pi, hyper in enumerate(points) for fi in range(len(folds))]
-    with (_vocabulary_named(content_path, points[0]),
-          ThreadPoolExecutor(max_workers=max(args.threads, 1)) as pool):
+    with ThreadPoolExecutor(max_workers=args.threads) as pool:
         results = list(pool.map(run_one, tasks))
 
     def cells(hyper, value):

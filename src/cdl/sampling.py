@@ -254,15 +254,15 @@ def _adapt(steps, block, accepted, proposed, window):
 
 def check_chain_inputs(ratings, content, hyper):
     """Reject, before anything is allocated, inputs the chain cannot use:
-    those of the MAP fits, an infinite lambda_s, and ratings without a user
-    or an item, whose tracked draws do not exist.  So every block proposes
-    at least one row per scan."""
+    an infinite lambda_s, ratings without a user or an item, whose tracked
+    draws do not exist, and those of the MAP fits.  So every block proposes
+    at least one row per scan.  Returns the network's widths."""
     if not math.isfinite(hyper.lambda_s):
         raise ArgumentError("the sampler needs a finite lambda_s", ["lambda_s"])
-    check_inputs(ratings, content, hyper)
     if not (ratings.num_users and ratings.num_items):
         raise ValidationError(f"the chain needs at least one user and one item, got "
                               f"{ratings.num_users} users x {ratings.num_items} items")
+    return check_inputs(ratings, content, hyper)
 
 
 def run_chain(ratings, content, hyper, iters, burn_in, thin=1,
@@ -280,11 +280,10 @@ def run_chain(ratings, content, hyper, iters, burn_in, thin=1,
     if thin < 1:
         raise ArgumentError("thin must be at least 1")
     _check_blocks(blocks)
-    check_chain_inputs(ratings, content, hyper)
+    widths = check_chain_inputs(ratings, content, hyper)
     root = np.random.SeedSequence(hyper.seed)
     net_seed, noise_seed, chain_seed = root.spawn(3)
     rng = np.random.default_rng(chain_seed)
-    widths = hyper.network_widths(content.vocab_size)
     net = sdae.init_network(widths, net_seed, hyper.lambda_w)
     x0 = corrupt(content, hyper.noise_level, noise_seed)
     layers = sdae.forward(net, x0.toarray())

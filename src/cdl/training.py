@@ -110,7 +110,7 @@ class HyperParams:
     def network_widths(self, vocab_size):
         """Resolve the architecture against the data's vocabulary size."""
         if self.widths is None:
-            return (vocab_size, self.n_factors, vocab_size)
+            return sdae.check_widths((vocab_size, self.n_factors, vocab_size))
         if self.widths[0] != vocab_size or self.widths[-1] != vocab_size:
             raise ArgumentError(f"widths end at {self.widths[0]}/{self.widths[-1]} "
                                 f"but the vocabulary has {vocab_size} words", ["widths"])
@@ -410,11 +410,12 @@ def _factor_sweep(state, ratings, hyper):
 
 def check_inputs(ratings, content, hyper):
     """Reject, before a fit or chain allocates anything, inputs it cannot
-    use, among them an ``n_factors`` whose factor matrices cannot be
-    allocated; ``content`` is None for the content-free baseline, which has no
-    network to need a finite lambda_n, lambda_w or learning_rate, widths that
-    fit the vocabulary, or a lambda_n small enough that the reconstruction
-    term cannot overflow."""
+    use, among them an ``n_factors`` whose factor matrices or widths whose
+    weight matrices cannot be allocated; ``content`` is None for the
+    content-free baseline, which has no network to need a finite lambda_n,
+    lambda_w or learning_rate, widths that fit the vocabulary, or a lambda_n
+    small enough that the reconstruction term cannot overflow.  Returns the
+    network's widths, None without content."""
     network = () if content is None else ("lambda_n", "lambda_w", "learning_rate")
     hyper.require_finite("lambda_u", "lambda_v", *network, "conf_a")
     # the rating term at U = 0 is -conf_a * nnz / 2
@@ -429,15 +430,22 @@ def check_inputs(ratings, content, hyper):
                             f"{hyper.n_factors} factor matrix too large to allocate",
                             ["n_factors"]) from None
     if content is None:
-        return
+        return None
     if content.num_items != ratings.num_items:
         raise ShapeError(f"content has {content.num_items} items, ratings {ratings.num_items}")
-    hyper.network_widths(content.vocab_size)
+    widths = hyper.network_widths(content.vocab_size)
+    try:  # each weight matrix, allocated and freed unfilled
+        with sdae._allocating(widths):
+            for fan_in, fan_out in zip(widths, widths[1:]):
+                np.empty((fan_in, fan_out))
+    except ValidationError as exc:
+        raise ArgumentError(str(exc), ["widths"]) from None
     # every reconstruction residual lies in [-1, 1], so this bounds the term
     if math.isinf(0.5 * hyper.lambda_n * content.num_items * content.vocab_size):
         raise ArgumentError(f"lambda_n {hyper.lambda_n!r} overflows the reconstruction "
                             f"term over {content.num_items} x {content.vocab_size} "
                             "content", ["lambda_n"])
+    return widths
 
 
 def _network_setup(ratings, content, hyper, lambda_n):
@@ -448,8 +456,7 @@ def _network_setup(ratings, content, hyper, lambda_n):
     block, writes the item prior and reconstruction sum (only the prior, by
     ``sdae.encode``, when lambda_n is 0); V starts at the prior.  Each
     corruption comes in the layout that ``sdae._as_matrix`` would give it."""
-    check_inputs(ratings, content, hyper)
-    widths = hyper.network_widths(content.vocab_size)
+    widths = check_inputs(ratings, content, hyper)
     clean = sdae._as_matrix(content)  # laid out once per fit, not per gradients call
     positions = sdae._flat_positions(content.matrix) if isinstance(clean, np.ndarray) else None
     net_seed, noise_seq, mask_seq = np.random.SeedSequence(hyper.seed).spawn(3)

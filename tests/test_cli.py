@@ -201,6 +201,7 @@ class TestTrainCommand:
         assert code == 1
         assert f"error: {reason.format(content=content)}" in err
         assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["sample", "grid"])
     def test_word_id_sizing_the_network_named_at_its_line(self, dataset, tmp_path, capsys,
@@ -222,6 +223,7 @@ class TestTrainCommand:
         assert code == 1
         assert err == (f"error: {content}:{lineno}: id 1000000000000 sizes layer widths "
                        "1000000000001-3-1000000000001 too large to allocate\n")
+        assert not (tmp_path / "o").exists()
 
     def test_content_variant_without_content_rejected_up_front(self, dataset, tmp_path,
                                                                capsys):
@@ -233,16 +235,50 @@ class TestTrainCommand:
 
     def test_configured_network_too_large_named_by_its_widths(self, dataset, tmp_path, capsys):
         # with widths given, no content line sized the network: the error
-        # names the widths as the network builder gives them
+        # names the widths line, with the widths as the network builder
+        # gives them, before --out is made
         wide = 2**62  # no array of 8 x 2**62 float64s can be sized
         config = tmp_path / "wide.txt"
         config.write_text(dataset["config"].read_text().replace(
             "widths=auto\n", f"widths=8,{wide},3,{wide},8\n"))
+        lineno = training.CONFIG_FIELDS.index("widths") + 1
         code = run_cli("train", "--config", config, "--ratings", dataset["ratings"],
                        "--content", dataset["content"], "--out", tmp_path / "o")
         err = capsys.readouterr().err
         assert code == 1
-        assert err == f"error: layer widths 8-{wide}-3-{wide}-8 too large to allocate\n"
+        assert err == (f"error: {config}:{lineno}: layer widths 8-{wide}-3-{wide}-8 "
+                       "too large to allocate\n")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command, fault", [
+        ("sample", "wide"), ("grid", "wide"),
+        ("train", "no-word"), ("sample", "no-word"), ("grid", "no-word")])
+    def test_network_fault_named_up_front(self, dataset, tmp_path, capsys, command, fault):
+        # as above for the other commands that build a network; and with
+        # widths=auto a content file without a triple has no vocabulary to
+        # size the input and output layers, named as the file
+        wide = 2**62
+        text = dataset["config"].read_text().replace("lambda_s=inf", "lambda_s=100.0")
+        config = tmp_path / "config.txt"
+        content = tmp_path / "empty.tsv"
+        if fault == "wide":
+            text = text.replace("widths=auto\n", f"widths=8,{wide},3,{wide},8\n")
+            content = dataset["content"]
+            message = (f"{config}:{training.CONFIG_FIELDS.index('widths') + 1}: "
+                       f"layer widths 8-{wide}-3-{wide}-8 too large to allocate")
+        else:
+            content.write_text("")
+            message = (f"{content}: holds no word, so widths=auto sizes no network "
+                       "(all layer widths must be positive)")
+        config.write_text(text)
+        argv = {"train": (), "sample": ("--iters", 4, "--burn-in", 2),
+                "grid": ("--folds", 2, "--select-m", 5)}[command]
+        code = run_cli(command, "--config", config, "--ratings", dataset["ratings"],
+                       "--content", content, *argv, "--out", tmp_path / "o")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"error: {message}\n"
+        assert not (tmp_path / "o").exists()
 
     def test_variants_all_trainable(self, dataset, tmp_path):
         for variant in ("two-step", "encoder-only"):
@@ -379,6 +415,37 @@ class TestEvalCommand:
         assert code == 0
         lines = (out / "metrics.tsv").read_text().splitlines()
         assert len(lines) == 5  # header + 2 reps + mean + std
+
+
+@pytest.mark.parametrize("command, fault", [
+    ("eval", "model"), ("eval", "test"), ("predict", "train"), ("predict", "network")],
+    ids=["eval-missing-model", "eval-missing-test", "predict-missing-train",
+         "predict-cold-start-without-network"])
+def test_rejected_eval_and_predict_inputs_leave_no_out(trained, tmp_path, capsys,
+                                                       command, fault):
+    # every input is checked before --out is made, as in train, sample and grid
+    missing = tmp_path / "missing"
+    model = missing if fault == "model" else trained["model"]
+    if fault == "network":
+        model = tmp_path / "mf_model"
+        assert run_cli("train", "--config", trained["config"],
+                       "--ratings", trained["split"] / "train.tsv",
+                       "--variant", "mf", "--out", model) == 0
+        (tmp_path / "item.tsv").write_text("1\t2\n")
+    argv, message = {
+        "model": (("--test", trained["split"] / "test.tsv"),
+                  f"no factors checkpoint under {missing}"),
+        "test": (("--test", missing), f"test ratings file not found: {missing}"),
+        "train": (("--user", 0, "--train", missing),
+                  f"train ratings file not found: {missing}"),
+        "network": (("--user", 0, "--item-content", tmp_path / "item.tsv"),
+                    "cold-start scoring needs a network checkpoint"),
+    }[fault]
+    capsys.readouterr()
+    code = run_cli(command, "--model", model, *argv, "--out", tmp_path / "o")
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "o").exists()
 
 
 class TestPredictCommand:
@@ -1026,6 +1093,16 @@ class TestGridCommand:
         assert code == 1
         assert "--folds" in capsys.readouterr().err
 
+
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_threads_below_one_rejected_up_front(self, dataset, tmp_path, capsys, threads):
+        # checked like every other count flag, not run on one thread
+        code = run_cli("grid", "--config", dataset["config"],
+                       "--ratings", dataset["ratings"], "--content", dataset["content"],
+                       "--folds", 2, "--threads", threads, "--out", tmp_path / "o")
+        assert code == 1
+        assert capsys.readouterr().err == f"error: --threads must be at least 1, got {threads}\n"
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("line", ["lambda_w=0.5", "lambda_u=0.5,2.0"])
     def test_duplicate_key_names_file_and_line(self, dataset, tmp_path, capsys, line):

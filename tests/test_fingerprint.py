@@ -36,6 +36,12 @@ def test_quick_fingerprints_repeat_in_one_process():
                      "sample/chain.tsv", "sample/chain_summary.json", "grid/grid_runs.tsv",
                      "grid/grid_results.tsv", "grid/best_config.txt", "grid/manifest.json"):
         assert f"cli/{artifact}" in names
+    # and the factor sweeps, solves and draws, on both row paths at each K
+    for K in (1, 3, 8, 50):
+        for call in ("sweep_users", "sweep_users-draw", "sweep_items", "sweep_items-draw"):
+            assert f"factors/K{K}/{call}" in names
+        for call in ("update_user", "sample_u"):
+            assert {f"factors/K{K}/{call}/c{K - 1}", f"factors/K{K}/{call}/c{K}"} <= set(names)
 
 
 def test_volatile_manifest_fields_and_run_directory_left_out(tmp_path):

@@ -803,6 +803,47 @@ class TestConfig:
             training.check_inputs(ratings, content, tiny_hyper(widths=(vocab, 3, 13)))
         assert err.value.fields == ("widths",)
 
+    def test_network_built_from_the_widths_the_input_check_returns(self, monkeypatch):
+        # a network too large to allocate is named by the check, with the
+        # network builder's message, before a fit or chain allocates it
+        ratings, content = tiny_dataset(seed=17, vocab=13)
+        wide = 2**62
+        with pytest.raises(ArgumentError, match=f"^layer widths 13-{wide}-3-{wide}-13 too "
+                                                "large to allocate$") as err:
+            training.check_inputs(ratings, content, tiny_hyper(widths=(13, wide, 3, wide, 13)))
+        assert err.value.fields == ("widths",)
+        assert training.check_inputs(ratings, content, tiny_hyper()) == (13, 3, 13)
+        assert training.check_inputs(ratings, None, tiny_hyper()) is None
+        # the fits and the chain build exactly the widths the check returned
+        checked = (13, 5, 3, 5, 13)
+        built = []
+
+        class Built(Exception):
+            """Raised by the network builder: nothing past it is needed."""
+
+        def init_network(widths, seed, lambda_w):
+            built.append(widths)
+            raise Built
+
+        monkeypatch.setattr(training, "check_inputs", lambda *args: checked)
+        monkeypatch.setattr(sampling, "check_inputs", lambda *args: checked)
+        monkeypatch.setattr(sdae, "init_network", init_network)
+        hyper = tiny_hyper(lambda_s=100.0)
+        for run in (lambda: training.fit(ratings, content, hyper),
+                    lambda: training.fit_two_step(ratings, content, hyper),
+                    lambda: sampling.run_chain(ratings, content, hyper, iters=2, burn_in=1)):
+            with pytest.raises(Built):
+                run()
+        assert len(built) == 3 and all(widths is checked for widths in built)
+
+    def test_auto_widths_of_a_content_without_words_rejected_by_the_input_check(self):
+        # no word gives widths (0, K, 0), named as the network builder would
+        ratings, _ = tiny_dataset(seed=17)
+        empty = data.ContentMatrix(sp.csr_matrix((ratings.num_items, 0)), data.RAW)
+        with pytest.raises(ArgumentError, match="^all layer widths must be positive$") as err:
+            training.check_inputs(ratings, empty, tiny_hyper())
+        assert err.value.fields == ("widths",)
+
     def test_line_without_equals_named(self):
         with pytest.raises(ConfigError, match="^c.txt:2: expected key=value, got 'seed 3'$"):
             training.config_lines("# seeds\nseed 3\n", path="c.txt")

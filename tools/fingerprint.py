@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Fixed-seed fingerprints of what cdl computes: the four MAP fits, a short
-sampling chain, and the artifacts of ``cdl split``, ``train``, ``eval``,
-``predict``, ``sample`` and ``grid``.
+sampling chain, the factor sweeps, solves and draws at K = 1, 3, 8 and 50,
+and the artifacts of ``cdl split``, ``train``, ``eval``, ``predict``,
+``sample`` and ``grid``.
 
 Each artifact prints as one line, its name and the first 16 hex digits of
 the SHA-256 of its bytes, after one line naming the BLAS thread setting and
@@ -31,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from cdl import cli, data, sampling, sdae, training
+from cdl import cli, data, factors as mf, sampling, sdae, training
 from cdl.exceptions import NumericError
 from cdl.training import HyperParams
 
@@ -170,6 +171,33 @@ def chain_lines():
     yield "chain/acceptance", digest(sorted(summary.acceptance.items()))
 
 
+def factor_lines():
+    """The user and item sweeps, with and without a generator, and one-row
+    ``update_user`` and ``sample_u``, at K = 1, 3, 8 and 50.  User r of 60
+    rates items 0 to r - 1 of 70, so item j has 59 - j raters (none from
+    item 59 on): at every K rows with c < K and rows with c >= K run on both
+    sides, and the one-row calls take users K - 1 and K, one on each path."""
+    users, items = 60, 70
+    pairs = np.array([(u, i) for u in range(users) for i in range(u)])
+    ratings = data.RatingsMatrix(users, items, pairs)
+    conf = mf.ConfidenceParams(1.0, 0.01)
+    for K in (1, 3, 8, 50):
+        rng = np.random.default_rng(K)
+        U, V, prior = (rng.normal(size=(n, K)) for n in (users, items, items))
+        yield f"factors/K{K}/sweep_users", digest(mf.sweep_users(V, ratings, conf, 0.1))
+        yield f"factors/K{K}/sweep_users-draw", digest(
+            mf.sweep_users(V, ratings, conf, 0.1, np.random.default_rng(1)))
+        yield f"factors/K{K}/sweep_items", digest(mf.sweep_items(U, ratings, conf, 10.0, prior))
+        yield f"factors/K{K}/sweep_items-draw", digest(
+            mf.sweep_items(U, ratings, conf, 10.0, prior, np.random.default_rng(2)))
+        for user in (K - 1, K):
+            rated = ratings.items_of(user)
+            yield f"factors/K{K}/update_user/c{user}", digest(
+                mf.update_user(V, rated, conf, 0.1))
+            yield f"factors/K{K}/sample_u/c{user}", digest(
+                sampling.sample_u(V, rated, conf, 0.1, np.random.default_rng(3)))
+
+
 def file_bytes(path, root):
     """A CLI artifact's bytes, less what differs between runs of the same
     code: a report's seconds, a manifest's volatile fields and the run
@@ -247,6 +275,7 @@ def fingerprints(quick=False):
     lines = list(fit_lines(quick))
     if not quick:
         lines += chain_lines()
+    lines += factor_lines()
     lines += cli_lines(quick)
     return lines
 
